@@ -22,8 +22,10 @@ from typing import Mapping, Optional, Sequence
 
 from . import __version__
 from .game import (
+    COPIES_CAP,
     CoalitionSearchError,
     RepackSearchError,
+    anarchy_copies,
     best_response_dynamics,
     config_to_dict,
     is_nash,
@@ -605,8 +607,9 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         slim = _slice_family(family, classes)
         eps = Fraction(1, max(classes) ** 2)
         poa_packing = build_packing(slim, eps)
-        probe = poa_instance(poa_packing, certify=False)
-        certify = len(probe.p.items) <= 200
+        copies, _ = anarchy_copies(poa_packing)
+        items = copies * len(poa_packing.bin.cubes)
+        certify = items <= 200
         inst = poa_instance(poa_packing, certify=certify)
         doc = _anarchy_doc(inst, "price-of-anarchy")
         doc["manifest"] = manifest("poa")
@@ -620,7 +623,7 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         }
         if not certify:
             row["poa"]["note"] = (
-                f"{len(probe.p.items)} items: equilibrium reported, "
+                f"{items} items: equilibrium reported, "
                 f"not exhaustively certified at desk scale"
             )
     except Exception as exc:
@@ -645,8 +648,8 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
             }
             return row
         spoa_packing = build_packing(spoa_family, Fraction(1, 16))
-        probe = spoa_instance(spoa_packing, copies_cap=16, certify=False)
-        items = len(probe.p.items)
+        copies, _ = anarchy_copies(spoa_packing, copies_cap=16)
+        items = copies * len(spoa_packing.bin.cubes)
         cap = 3 if items <= 60 else 2
         certify = items <= 120
         inst = spoa_instance(
@@ -824,14 +827,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_game_dynamics)
     p = gsub.add_parser("poa", help="optimum vs selfish regrouping of a packing")
     p.add_argument("--packing", type=Path, required=True)
-    p.add_argument("--copies-cap", type=int, default=4096)
+    p.add_argument("--copies-cap", type=int, default=COPIES_CAP)
     p.add_argument("--no-certify", action="store_true")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_game_poa)
     p = gsub.add_parser("spoa", help="as poa, robust against coalitions")
     p.add_argument("--packing", type=Path, required=True)
     p.add_argument("--coalition-cap", type=int, default=3)
-    p.add_argument("--copies-cap", type=int, default=4096)
+    p.add_argument("--copies-cap", type=int, default=COPIES_CAP)
     p.add_argument("--no-certify", action="store_true")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_game_spoa)

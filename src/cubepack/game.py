@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .geometry import (
@@ -35,6 +35,10 @@ FEASIBILITY_NOTE = (
     "sufficient for the grid-structured bins this library produces, "
     "heuristic for arbitrary bins"
 )
+
+
+# Default cap on the copies N of the source bin in an anarchy instance.
+COPIES_CAP = 4096
 
 
 class RepackSearchError(RuntimeError):
@@ -828,20 +832,32 @@ class AnarchyInstance:
     strong: Optional[StrongNashResult] = None
 
 
-def _regroup_copies(packing: TypedPacking) -> int:
-    """Smallest copy count making every class regroupable into full grids."""
-    t = 1
-    for k, nu_k in packing.nu.items():
-        denom = (k - 1) ** packing.d
-        step = denom // gcd(nu_k, denom)
-        t = t * step // gcd(t, step)
-    return t
+def anarchy_copies(
+    packing: TypedPacking, copies_cap: int = COPIES_CAP
+) -> Tuple[int, bool]:
+    """Copy count N of the bin in an anarchy instance, and whether it was scaled.
+
+    N is the product of all (k-1)^d when that fits the cap, else the
+    packing's regroup period, the fewest copies that regroup into full grids.
+    """
+    n = 1
+    for k in packing.classes:
+        n *= (k - 1) ** packing.d
+    if n <= copies_cap:
+        return n, False
+    n = packing.regroup_period()
+    if n > copies_cap:
+        raise ValueError(
+            f"even the minimal regroupable copy count {n} exceeds the cap "
+            f"{copies_cap}"
+        )
+    return n, True
 
 
 def poa_instance(
     packing: TypedPacking,
     *,
-    copies_cap: int = 4096,
+    copies_cap: int = COPIES_CAP,
     certify: bool = True,
     mode: str = "insertion",
 ) -> AnarchyInstance:
@@ -856,18 +872,7 @@ def poa_instance(
         raise ValueError(
             f"epsilon {packing.epsilon} exceeds 1/(k_max-1) = {eps_cap}"
         )
-    n = 1
-    for k in packing.classes:
-        n *= (k - 1) ** packing.d
-    scaled = False
-    if n > copies_cap:
-        n = _regroup_copies(packing)
-        scaled = True
-        if n > copies_cap:
-            raise ValueError(
-                f"even the minimal regroupable copy count {n} exceeds the cap "
-                f"{copies_cap}"
-            )
+    n, scaled = anarchy_copies(packing, copies_cap)
     p = config_from_bins([packing.bin] * n)
     prime_bins: List[Bin] = []
     for k in packing.classes:
@@ -895,7 +900,7 @@ def spoa_instance(
     packing: TypedPacking,
     *,
     coalition_cap: int = 3,
-    copies_cap: int = 4096,
+    copies_cap: int = COPIES_CAP,
     certify: bool = True,
 ) -> AnarchyInstance:
     """As poa_instance, for power-of-two classes; P' is coalition-proof.

@@ -8,9 +8,10 @@ cubes that merely share a boundary facet count as disjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -95,11 +96,11 @@ class CubeClass:
                 f"side (1+{self.epsilon})/{self.k} exceeds 1; need epsilon <= k-1"
             )
 
-    @property
+    @cached_property
     def side(self) -> Fraction:
         return (1 + self.epsilon) / self.k
 
-    @property
+    @cached_property
     def volume(self) -> Fraction:
         return self.side ** self.d
 
@@ -285,53 +286,79 @@ def occupied_volume(b: Bin) -> Fraction:
     return sum((cls.volume * cnt for cls, cnt in counts.items()), start=ZERO)
 
 
+def _int_boxes(
+    cubes: Sequence[PlacedCube], d: int, *extra: Fraction
+) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Scale cubes onto one integer grid: (D, [(lo, hi), ...]).
+
+    D is the lcm of the denominators of `extra` and of every cube's first
+    d base coordinates and side.  Each cube becomes its base corner `lo`
+    and top corner `hi` times D, as ints, so that comparisons between any
+    of these values are exact integer comparisons.
+    """
+    dens = {x.denominator for x in extra}
+    for cube in cubes:
+        dens.add(cube.cls.side.denominator)
+        dens.update(x.denominator for x in cube.base[:d])
+    scale = lcm(*dens)
+    mult = {q: scale // q for q in dens}
+    boxes = []
+    for cube in cubes:
+        side = cube.cls.side
+        s = side.numerator * mult[side.denominator]
+        lo = tuple(x.numerator * mult[x.denominator] for x in cube.base[:d])
+        boxes.append((lo, tuple(v + s for v in lo)))
+    return scale, boxes
+
+
 def find_free_position(
     cubes: Sequence[PlacedCube], side: Fraction, d: int
 ) -> Optional[tuple[Fraction, ...]]:
-    """First base (lexicographically) where a side-length cube fits.
+    """Lexicographically least base where a side-length cube fits, or None.
 
-    Candidate coordinates per dimension are 0 plus every existing cube
-    boundary, which suffices for grid-structured bins but is heuristic
-    in general: a None result means "no candidate position fits", not a
-    proof of impossibility (callers that need a proof must argue it).
+    The search is exact and complete.  The free bases form a compact set
+    (the box [0, 1 - side]^d minus finitely many open boxes), so a
+    lexicographically least one exists.  Each of its coordinates is 0 or
+    some obstacle's top: otherwise that coordinate could slide down a
+    little and stay free, giving a smaller base.  So searching the
+    candidates {0} plus obstacle tops per axis, in lexicographic order,
+    finds exactly that base, and None proves the cube does not fit.
+
+    All comparisons run on integers scaled by one common denominator.
+    The search fixes one axis at a time and carries only the obstacles
+    that still overlap the cube on every axis fixed so far.
     """
     side = as_rational(side)
     if side <= 0 or side > 1:
         raise ValueError(f"side must be in (0, 1], got {side}")
-    candidates: list[list[Fraction]] = []
-    for dim in range(d):
-        values = {ZERO}
-        for cube in cubes:
-            lo = cube.base[dim]
-            values.add(lo)
-            values.add(lo + cube.cls.side)
-        candidates.append(sorted(v for v in values if v >= 0 and v + side <= 1))
-        if not candidates[-1]:
-            return None
+    scale, boxes = _int_boxes(cubes, d, side)
+    s = side.numerator * (scale // side.denominator)
+    limit = scale - s
+    los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
+    his = [[hi[dim] for _, hi in boxes] for dim in range(d)]
+    candidates = [
+        sorted({0, *(v for v in his[dim] if 0 <= v <= limit)}) for dim in range(d)
+    ]
 
-    sides = [c.cls.side for c in cubes]
-
-    def fits(base: tuple[Fraction, ...]) -> bool:
-        for cube, s in zip(cubes, sides):
-            for dim in range(d):
-                lo = cube.base[dim]
-                x = base[dim]
-                if x + side <= lo or lo + s <= x:
-                    break
-            else:
-                return False
-        return True
-
-    def rec(dim: int, prefix: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+    def rec(dim: int, live: list[int], prefix: tuple[int, ...]):
         if dim == d:
-            return prefix if fits(prefix) else None
+            return prefix if not live else None
+        lo, hi = los[dim], his[dim]
         for v in candidates[dim]:
-            found = rec(dim + 1, prefix + (v,))
+            top = v + s
+            found = rec(
+                dim + 1,
+                [i for i in live if lo[i] < top and v < hi[i]],
+                prefix + (v,),
+            )
             if found is not None:
                 return found
         return None
 
-    return rec(0, ())
+    found = rec(0, list(range(len(boxes))), ())
+    if found is None:
+        return None
+    return tuple(Fraction(v, scale) for v in found)
 
 
 # -- JSON round-trip -------------------------------------------------------
@@ -361,17 +388,3 @@ def bin_to_dict(b: Bin) -> dict:
 def bin_from_dict(data: Mapping) -> Bin:
     d = int(data["d"])
     return Bin(d, tuple(cube_from_dict(c, d) for c in data["cubes"]))
-
-
-def save_bin(path, b: Bin, manifest: Optional[Mapping] = None) -> None:
-    doc = bin_to_dict(b)
-    if manifest is not None:
-        doc["manifest"] = dict(manifest)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bin(path) -> Bin:
-    with open(path, encoding="utf-8") as fh:
-        return bin_from_dict(json.load(fh))

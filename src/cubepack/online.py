@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
@@ -146,14 +145,10 @@ def minimal_scale(packing: TypedPacking, m: int) -> int:
     """Smallest even C whose half keeps every per-class bin count integral
     and at least M.
 
-    C/2 must be a multiple of t0 = lcm_k((k-1)^d / gcd(nu_k, (k-1)^d)); the
-    floor condition then fixes the smallest admissible multiple.
+    C/2 must be a multiple of t0, the packing's regroup period; the floor
+    condition then fixes the smallest admissible multiple.
     """
-    t0 = 1
-    for k, nu_k in packing.nu.items():
-        denom = (k - 1) ** packing.d
-        step = denom // gcd(nu_k, denom)
-        t0 = t0 * step // gcd(t0, step)
+    t0 = packing.regroup_period()
     mult = 1
     for k, nu_k in packing.nu.items():
         denom = (k - 1) ** packing.d

@@ -120,6 +120,18 @@ class TypedPacking:
             start=Fraction(0),
         )
 
+    def regroup_period(self) -> int:
+        """Fewest copies of the bin whose cubes regroup into full class grids.
+
+        Class k fills whole (k-1)^d grids from t copies iff (k-1)^d divides
+        t*nu_k, so the answer is lcm_k((k-1)^d / gcd(nu_k, (k-1)^d)).
+        """
+        t0 = 1
+        for k, nu_k in self.nu.items():
+            denom = (k - 1) ** self.d
+            t0 = math.lcm(t0, denom // math.gcd(nu_k, denom))
+        return t0
+
     def full_weight(self) -> Fraction:
         sizes = self.family_sizes if self.family_sizes is not None else self.nu
         return sum(

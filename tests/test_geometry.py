@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubepack.geometry import (
     Bin,
@@ -251,6 +253,64 @@ def test_find_free_position_full_bin_returns_none():
 
 def test_find_free_position_empty_bin_origin():
     assert find_free_position([], F(1, 2), 3) == (F(0), F(0), F(0))
+
+
+def _lattice_class(k_extra: int, m: int, lattice: int, d: int) -> CubeClass:
+    # side m/L written as (1 + eps)/k: any k >= L/m works, and each choice
+    # gives eps = k*m/L - 1 its own denominator
+    k = max(2, -(-lattice // m)) + k_extra
+    return CubeClass(k, F(k * m, lattice) - 1, d)
+
+
+def _lattice_oracle(obstacles, q: int, lattice: int, d: int):
+    """Lexicographically least lattice base, in units of 1/L, or None."""
+    for x in itertools.product(range(lattice - q + 1), repeat=d):
+        if all(
+            any(xi + q <= bi or bi + m <= xi for xi, bi in zip(x, base))
+            for base, m in obstacles
+        ):
+            return tuple(F(xi, lattice) for xi in x)
+    return None
+
+
+@st.composite
+def lattice_insertions(draw):
+    d = draw(st.integers(1, 3))
+    lattice = draw(st.integers(2, 12))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 6))):
+        m = draw(st.integers(1, lattice))
+        # bases anywhere in the bin: obstacles may touch or overlap
+        base = tuple(draw(st.integers(0, lattice - m)) for _ in range(d))
+        obstacles.append((base, m, draw(st.integers(0, 2))))
+    q = draw(st.integers(1, lattice))
+    return d, lattice, obstacles, q, draw(st.integers(0, 2))
+
+
+@given(lattice_insertions())
+def test_find_free_position_matches_lattice_oracle(case):
+    # With bases and sides on the 1/L lattice every obstacle top is a
+    # lattice point, so the least free lattice base is the least free base.
+    d, lattice, obstacles, q, q_extra = case
+    cubes = [
+        PlacedCube(
+            _lattice_class(extra, m, lattice, d), tuple(F(b, lattice) for b in base)
+        )
+        for base, m, extra in obstacles
+    ]
+    side = _lattice_class(q_extra, q, lattice, d).side
+    expected = _lattice_oracle([(b, m) for b, m, _ in obstacles], q, lattice, d)
+    assert find_free_position(cubes, side, d) == expected
+
+
+def test_find_free_position_off_grid_corner_is_obstacle_tops():
+    # x = 0 is blocked for every y by a (below) and b (above); the least
+    # base then rests on b's top along x and on a's top along y.
+    a = PlacedCube(CubeClass(3, F(1, 9), 2), (F(0), F(0)))  # side 10/27
+    b = PlacedCube(CubeClass(5, F(1, 9), 2), (F(1, 7), F(5, 7)))  # side 2/9
+    pos = find_free_position([a, b], F(1, 2), 2)
+    assert pos == (b.base[0] + b.cls.side, a.base[1] + a.cls.side)
+    assert pos == (F(23, 63), F(10, 27))
 
 
 def test_bin_json_round_trip():
