@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +24,7 @@ from .geometry import (
     PlacedCube,
     as_rational,
     find_free_position,
+    find_joint_positions,
     format_rational,
     occupied_volume,
     verify_bin,
@@ -31,9 +32,9 @@ from .geometry import (
 from .packing import TypedPacking, build_homogeneous
 
 FEASIBILITY_NOTE = (
-    "candidate bases are combinations of 0 and existing cube boundaries: "
-    "sufficient for the grid-structured bins this library produces, "
-    "heuristic for arbitrary bins"
+    "exact: insertion places one cube, or a coalition's cubes jointly, by a "
+    "complete search with the residents kept in place; repack re-lays the "
+    "whole target bin by a complete search"
 )
 
 
@@ -530,6 +531,7 @@ class StrongNashResult:
     violation: Optional[CoalitionProposal]
     coalitions_checked: int
     assignments_checked: int
+    geometry_checks: int = 0
     note: str = FEASIBILITY_NOTE
 
     def __bool__(self) -> bool:
@@ -558,9 +560,26 @@ def is_strong_nash(
     Coalitions in which some member keeps its bin reduce to the sub-coalition
     of actual movers (the outcome configuration is identical and movers are
     members too), so only all-mover coalitions are enumerated; members may
-    not swap positions inside their current bins.  Costs depend on the
-    assignment alone, so each assignment is screened by integer arithmetic
-    and only survivors reach the memoized insertion search.
+    not swap positions inside their current bins.
+
+    Costs depend on the assignment alone: member i gains iff its target t_i
+    ends up fuller than its source src_i is now.  Targets are assigned member
+    by member, depth first, as a branch and bound on integer volumes.  After
+    a member is assigned, the subtree is cut when some assigned member i
+    cannot gain even if every unassigned member joins t_i:
+
+        occ(t_i) - out(t_i) + in(t_i) + rest <= occ(src_i),
+
+    where out(t) is the volume the coalition takes out of t, in(t) the volume
+    assigned into t so far and rest the volume still unassigned.  The final
+    in(t_i) is at most in(t_i) + rest, so no complete assignment below a cut
+    lets every member gain: the cut is exact.  At the last member rest is 0
+    and the rule is the full gain test, so every complete assignment reached
+    (counted in assignments_checked, bounded by assignment_cap) lets every
+    member gain.  Only those reach the memoized joint insertion search,
+    which is exact with residents kept in place; geometry_checks counts its
+    runs.  Fresh bins are interchangeable, so fresh slot j is used only once
+    the slots below j are.
     """
     if mode != "insertion":
         raise ValueError("coalition search supports insertion mode only")
@@ -573,55 +592,52 @@ def is_strong_nash(
     iocc = {b: int(v * scale) for b, v in config._occupied.items()}
     src = config.assignment
     existing = sorted(config.bins_map)
-    bins_map = config.bins_map
     fresh_base = (max(existing) + 1) if existing else 0
     insert_memo: Dict[tuple, Optional[Tuple]] = {}
+    geometry_checks = 0
 
-    # per-bin census by (k, eps): disjoint open cubes of one side number at
-    # most floor(1/side)^d in a bin (interval-graph coloring per axis), no
+    # per-bin census by class index: disjoint open cubes of one side number
+    # at most floor(1/side)^d in a bin (interval-graph coloring per axis), no
     # matter what other classes sit there
-    capacity: Dict[tuple, int] = {}
-    census: Dict[int, Dict[tuple, int]] = {b: {} for b in existing}
+    class_index: Dict[CubeClass, int] = {}
+    capacity: List[int] = []
+    cid: Dict[int, int] = {}
     for it in items:
-        key = (it.cls.k, it.cls.epsilon)
-        if key not in capacity:
+        if it.cls not in class_index:
+            class_index[it.cls] = len(capacity)
             side = it.cls.side
-            capacity[key] = (side.denominator // side.numerator) ** config.d
-        here = census[src[it.item_id]]
-        here[key] = here.get(key, 0) + 1
+            capacity.append((side.denominator // side.numerator) ** config.d)
+        cid[it.item_id] = class_index[it.cls]
+    census = {b: [0] * len(capacity) for b in existing}
+    for it in items:
+        census[src[it.item_id]][cid[it.item_id]] += 1
 
-    def geometry(target, removed_ids, incoming: Tuple[GameItem, ...]):
+    def geometry(target, removed_ids: frozenset, incoming: Tuple[GameItem, ...]):
         """Positions for the incoming cubes, or None; memoized by content."""
+        nonlocal geometry_checks
         # all fresh bins are interchangeable empty boxes: one memo entry
         key = (
             target if isinstance(target, int) else "new",
-            frozenset(removed_ids),
-            tuple(sorted((it.cls.k, it.cls.epsilon) for it in incoming)),
+            removed_ids,
+            tuple(sorted(cid[it.item_id] for it in incoming)),
         )
         if key in insert_memo:
             return insert_memo[key]
-        if isinstance(target, int) and target in bins_map:
-            base_cubes = [
+        geometry_checks += 1
+        if isinstance(target, int):
+            residents = [
                 c
                 for c, iid in _bin_cubes_with_ids(config, target)
                 if iid not in removed_ids
             ]
         else:
-            base_cubes = []
-        classes = tuple(it.cls for it in incoming)
-        found = None
-        for perm in _distinct_permutations(classes):
-            cubes = list(base_cubes)
-            bases = []
-            for cls in perm:
-                pos = find_free_position(cubes, cls.side, config.d)
-                if pos is None:
-                    break
-                cubes.append(PlacedCube(cls, pos))
-                bases.append((cls, pos))
-            else:
-                found = tuple(bases)
-                break
+            residents = []
+        bases = find_joint_positions(
+            residents, [it.side for it in incoming], config.d
+        )
+        found = None if bases is None else tuple(
+            zip((it.cls for it in incoming), bases)
+        )
         insert_memo[key] = found
         return found
 
@@ -632,57 +648,50 @@ def is_strong_nash(
             coalitions_checked += 1
             member_ids = [it.item_id for it in coalition]
             out_vol: Dict[int, int] = {}
-            removed_count: Dict[int, Dict[tuple, int]] = {}
-            for it in coalition:
-                b = src[it.item_id]
-                out_vol[b] = out_vol.get(b, 0) + ivol[it.item_id]
-                key = (it.cls.k, it.cls.epsilon)
+            removed_count: Dict[int, Dict[int, int]] = {}
+            for i in member_ids:
+                b = src[i]
+                out_vol[b] = out_vol.get(b, 0) + ivol[i]
                 here = removed_count.setdefault(b, {})
-                here[key] = here.get(key, 0) + 1
+                here[cid[i]] = here.get(cid[i], 0) + 1
             total_in = sum(ivol[i] for i in member_ids)
             # optimistic per-member target lists; exact check comes later
             cands: List[List[object]] = []
-            for it in coalition:
-                best_other = total_in - 0  # every member could join the same bin
-                key = (it.cls.k, it.cls.epsilon)
+            for i in member_ids:
+                c, need = cid[i], iocc[src[i]]
                 opts: List[object] = []
                 for t in existing:
-                    if t == src[it.item_id]:
+                    if t == src[i]:
                         continue
-                    kept = census[t].get(key, 0) - removed_count.get(t, {}).get(key, 0)
-                    if kept + 1 > capacity[key]:
+                    kept = census[t][c] - removed_count.get(t, {}).get(c, 0)
+                    if kept + 1 > capacity[c]:
                         continue
-                    if iocc[t] - out_vol.get(t, 0) + best_other > iocc[src[it.item_id]]:
+                    # every member could join the same bin
+                    if iocc[t] - out_vol.get(t, 0) + total_in > need:
                         opts.append(t)
-                for slot in range(size):
-                    if total_in > iocc[src[it.item_id]]:
-                        opts.append(("new", slot))
+                if total_in > need:
+                    opts.extend(("new", slot) for slot in range(size))
                 if not opts:
                     cands = []
                     break
                 cands.append(opts)
             if not cands:
                 continue
-            for targets in _canonical_products(cands):
+            room = {t: iocc[t] - out_vol.get(t, 0) for t in existing}
+            for targets in _gaining_assignments(
+                cands,
+                [ivol[i] for i in member_ids],
+                [iocc[src[i]] for i in member_ids],
+                room,
+            ):
                 assignments_checked += 1
                 if assignments_checked > assignment_cap:
                     raise CoalitionSearchError(
                         f"coalition search exceeded {assignment_cap} assignments"
                     )
-                in_vol: Dict[object, int] = {}
-                for it, t in zip(coalition, targets):
-                    in_vol[t] = in_vol.get(t, 0) + ivol[it.item_id]
-                ok = True
-                for it, t in zip(coalition, targets):
-                    occ0 = iocc.get(t, 0) if isinstance(t, int) else 0
-                    occ_new = occ0 - out_vol.get(t, 0) + in_vol[t]
-                    if not occ_new > iocc[src[it.item_id]]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 placements: Dict[int, Tuple[Fraction, ...]] = {}
-                for t in sorted(in_vol, key=str):
+                ok = True
+                for t in sorted(set(targets), key=str):
                     movers = tuple(
                         it for it, tt in zip(coalition, targets) if tt == t
                     )
@@ -727,9 +736,16 @@ def is_strong_nash(
                     proposal,
                     coalitions_checked,
                     assignments_checked,
+                    geometry_checks,
                 )
     return StrongNashResult(
-        True, max_coalition_size, mode, None, coalitions_checked, assignments_checked
+        True,
+        max_coalition_size,
+        mode,
+        None,
+        coalitions_checked,
+        assignments_checked,
+        geometry_checks,
     )
 
 
@@ -739,38 +755,47 @@ def _bin_cubes_with_ids(config: GameConfig, bin_id: int):
             yield PlacedCube(it.cls, config.positions[it.item_id]), it.item_id
 
 
-def _distinct_permutations(classes: Tuple[CubeClass, ...]):
-    seen = set()
-    for perm in permutations(classes):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        yield perm
+def _gaining_assignments(
+    cands: Sequence[Sequence[object]],
+    vols: Sequence[int],
+    needs: Sequence[int],
+    room: Mapping[object, int],
+):
+    """Target tuples, in product order over cands, under which every member
+    gains; the branch and bound of is_strong_nash.
 
-
-def _canonical_products(cands: List[List[object]]):
-    """Cartesian product over target lists, with fresh-bin slots canonical:
-    slot j may appear only after slots below j are in use by earlier members.
+    Member j moves volume vols[j] and gains iff its target ends above
+    needs[j]; room[t] is what stays in t once the coalition has left (0 for
+    fresh slots).  Fresh slot j may appear only after the slots below j are
+    in use by earlier members.
     """
+    m = len(cands)
+    targets: List[object] = [None] * m
+    in_vol: Dict[object, int] = {}
 
-    def rec(idx: int, used_new: int, prefix: List[object]):
-        if idx == len(cands):
-            yield tuple(prefix)
+    def rec(j: int, used_new: int, rest: int):
+        if j == m:
+            yield tuple(targets)
             return
-        for t in cands[idx]:
-            if isinstance(t, tuple):
-                slot = t[1]
-                if slot > used_new:
-                    continue
-                prefix.append(t)
-                yield from rec(idx + 1, max(used_new, slot + 1), prefix)
-                prefix.pop()
+        v = vols[j]
+        rest -= v
+        for t in cands[j]:
+            fresh = isinstance(t, tuple)
+            if fresh and t[1] > used_new:
+                continue
+            targets[j] = t
+            in_vol[t] = in_vol.get(t, 0) + v
+            for i in range(j + 1):
+                u = targets[i]
+                if room.get(u, 0) + in_vol[u] + rest <= needs[i]:
+                    break
             else:
-                prefix.append(t)
-                yield from rec(idx + 1, used_new, prefix)
-                prefix.pop()
+                yield from rec(
+                    j + 1, max(used_new, t[1] + 1) if fresh else used_new, rest
+                )
+            in_vol[t] -= v
 
-    yield from rec(0, 0, [])
+    return rec(0, 0, sum(vols))
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,8 @@ class PlacedCube:
         return Interval(lo, lo + self.cls.side)
 
     def fits_unit_bin(self) -> bool:
-        side = self.cls.side
-        return all(x >= 0 and x + side <= 1 for x in self.base)
+        room = 1 - self.cls.side
+        return all(0 <= x <= room for x in self.base)
 
 
 def cubes_disjoint(a: PlacedCube, b: PlacedCube) -> bool:
@@ -233,18 +233,20 @@ def verify_bin(b: Bin) -> BinVerification:
     per_dim_overlap: list[list[int]] = []
     per_dim_ids: list[list[int]] = []
     for dim in range(b.d):
-        key_to_id: dict[tuple[Fraction, Fraction], int] = {}
+        key_to_id: dict[tuple[int, int, int, int], int] = {}
         ids: list[int] = []
         intervals: list[tuple[Fraction, Fraction]] = []
         groups: list[list[int]] = []
         for idx, cube in enumerate(b.cubes):
-            lo = cube.base[dim]
-            key = (lo, lo + cube.cls.side)
+            # Keyed by the ints of the normalised base and side, which
+            # hash far faster than Fractions and name the same interval.
+            lo, side = cube.base[dim], cube.cls.side
+            key = (lo.numerator, lo.denominator, side.numerator, side.denominator)
             t = key_to_id.get(key)
             if t is None:
                 t = len(intervals)
                 key_to_id[key] = t
-                intervals.append(key)
+                intervals.append((lo, lo + side))
                 groups.append([])
             ids.append(t)
             groups[t].append(idx)
@@ -311,6 +313,45 @@ def _int_boxes(
     return scale, boxes
 
 
+def _checked_side(side: Rational) -> Fraction:
+    side = as_rational(side)
+    if side <= 0 or side > 1:
+        raise ValueError(f"side must be in (0, 1], got {side}")
+    return side
+
+
+def _free_corner(boxes, s: int, candidates: Sequence[Sequence[int]], accept=None):
+    """First base, in lexicographic order over the per-axis candidate lists,
+    at which an int cube of side s overlaps none of the int boxes and which
+    `accept` (when given) takes; None if there is none.
+
+    One axis is fixed at a time, carrying only the boxes that still overlap
+    the cube on every axis fixed so far.
+    """
+    d = len(candidates)
+    los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
+    his = [[hi[dim] for _, hi in boxes] for dim in range(d)]
+
+    def rec(dim: int, live: list[int], prefix: tuple[int, ...]):
+        if dim == d:
+            if live or (accept is not None and not accept(prefix)):
+                return None
+            return prefix
+        lo, hi = los[dim], his[dim]
+        for v in candidates[dim]:
+            top = v + s
+            found = rec(
+                dim + 1,
+                [i for i in live if lo[i] < top and v < hi[i]],
+                prefix + (v,),
+            )
+            if found is not None:
+                return found
+        return None
+
+    return rec(0, list(range(len(boxes))), ())
+
+
 def find_free_position(
     cubes: Sequence[PlacedCube], side: Fraction, d: int
 ) -> Optional[tuple[Fraction, ...]]:
@@ -325,40 +366,85 @@ def find_free_position(
     finds exactly that base, and None proves the cube does not fit.
 
     All comparisons run on integers scaled by one common denominator.
-    The search fixes one axis at a time and carries only the obstacles
-    that still overlap the cube on every axis fixed so far.
     """
-    side = as_rational(side)
-    if side <= 0 or side > 1:
-        raise ValueError(f"side must be in (0, 1], got {side}")
+    side = _checked_side(side)
     scale, boxes = _int_boxes(cubes, d, side)
     s = side.numerator * (scale // side.denominator)
     limit = scale - s
-    los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
-    his = [[hi[dim] for _, hi in boxes] for dim in range(d)]
     candidates = [
-        sorted({0, *(v for v in his[dim] if 0 <= v <= limit)}) for dim in range(d)
+        sorted({0, *(hi[dim] for _, hi in boxes if 0 <= hi[dim] <= limit)})
+        for dim in range(d)
     ]
-
-    def rec(dim: int, live: list[int], prefix: tuple[int, ...]):
-        if dim == d:
-            return prefix if not live else None
-        lo, hi = los[dim], his[dim]
-        for v in candidates[dim]:
-            top = v + s
-            found = rec(
-                dim + 1,
-                [i for i in live if lo[i] < top and v < hi[i]],
-                prefix + (v,),
-            )
-            if found is not None:
-                return found
-        return None
-
-    found = rec(0, list(range(len(boxes))), ())
+    found = _free_corner(boxes, s, candidates)
     if found is None:
         return None
     return tuple(Fraction(v, scale) for v in found)
+
+
+def find_joint_positions(
+    cubes: Sequence[PlacedCube], sides: Sequence[Fraction], d: int
+) -> Optional[tuple[tuple[Fraction, ...], ...]]:
+    """Bases at which cubes of the given sides fit together among `cubes`.
+
+    Returns one base per side, in the given order, or None.  The search is
+    exact and complete, so None proves that no joint layout exists with
+    the resident cubes kept in place.  Take any joint layout whose
+    coordinate sum is least.  Each coordinate of each incoming cube then
+    rests on 0, on a resident's top, or on another incoming cube's top,
+    or it could slide down and lower the sum.  Following the "rests on
+    an incoming cube" links along one axis gives a chain whose
+    coordinates strictly descend, so no cube repeats and the chain ends
+    at 0 or at a resident's top.  Every coordinate of incoming cube j is
+    therefore r + (sum of the sides of some other incoming cubes), with
+    r in {0} plus resident tops, and those are the candidates searched.
+
+    Cubes are placed in the given order, each at every free candidate
+    base in lexicographic order, with backtracking.  Each cube's first
+    candidate is its lexicographically least free base, so whenever
+    placing the cubes one by one with find_free_position succeeds, this
+    returns that same layout.  A cube whose side equals an earlier one's
+    only takes bases lexicographically above it: equal cubes can be
+    relabelled into that order, and the one-by-one layout is already in
+    it.
+    """
+    sides = [_checked_side(x) for x in sides]
+    scale, boxes = _int_boxes(cubes, d, *sides)
+    ints = [x.numerator * (scale // x.denominator) for x in sides]
+    rests = [{0, *(hi[dim] for _, hi in boxes)} for dim in range(d)]
+    axes = []
+    for j, s in enumerate(ints):
+        sums = {0}
+        for other in ints[:j] + ints[j + 1 :]:
+            sums |= {t + other for t in sums}
+        limit = scale - s
+        axes.append(
+            [
+                sorted({r + t for r in axis for t in sums if 0 <= r + t <= limit})
+                for axis in rests
+            ]
+        )
+    placed: list[tuple[int, ...]] = []
+
+    def place(j: int, obstacles: list) -> bool:
+        if j == len(ints):
+            return True
+        s = ints[j]
+        floor = next((placed[i] for i in range(j - 1, -1, -1) if ints[i] == s), None)
+
+        def accept(base: tuple[int, ...]) -> bool:
+            if floor is not None and base <= floor:
+                return False
+            placed.append(base)
+            if place(j + 1, obstacles + [(base, tuple(v + s for v in base))]):
+                return True
+            placed.pop()
+            return False
+
+        return _free_corner(obstacles, s, axes[j], accept) is not None
+
+    if not place(0, boxes):
+        return None
+    return tuple(tuple(Fraction(v, scale) for v in base) for base in placed)
 
 
 # -- JSON round-trip -------------------------------------------------------

@@ -242,9 +242,9 @@ def build_homogeneous(k: int, d: int, epsilon, *, verify: bool = True) -> Homoge
     if not 0 < epsilon <= Fraction(1, k - 1):
         raise ValueError(f"need 0 < epsilon <= 1/{k - 1}, got {epsilon}")
     cls = CubeClass(k, epsilon, d)
-    side = cls.side
+    coords = [i * cls.side for i in range(k - 1)]
     cubes = tuple(
-        PlacedCube(cls, tuple(i * side for i in idx))
+        PlacedCube(cls, tuple(coords[i] for i in idx))
         for idx in itertools.product(range(k - 1), repeat=d)
     )
     b = Bin(d, cubes)

@@ -1,11 +1,15 @@
 """Costs, moves, dynamics, Nash and strong-Nash search, anarchy instances."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubepack.game import (
+    FEASIBILITY_NOTE,
     AnarchyInstance,
     CoalitionSearchError,
     GameConfig,
@@ -32,9 +36,10 @@ from cubepack.game import (
     sparse_bin_report,
     spoa_instance,
 )
-from cubepack.geometry import Bin, CubeClass, PlacedCube, verify_bin
+from cubepack.geometry import Bin, CubeClass, PlacedCube, find_free_position, verify_bin
 from cubepack.languages import build_separated_family, warmup_family
 from cubepack.packing import build_homogeneous, build_packing
+from test_geometry import _lattice_joint_oracle
 
 
 def two_items_config():
@@ -153,7 +158,8 @@ def test_homogeneous_mixture_is_nash():
     result = is_nash(cfg)
     assert result
     assert result.moves == ()
-    assert "heuristic" in result.note
+    assert result.note == FEASIBILITY_NOTE
+    assert result.note.startswith("exact")
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -352,13 +358,114 @@ def test_strong_nash_assignment_cap():
         is_strong_nash(cfg, 3, assignment_cap=10)
 
 
-def test_strong_nash_oracle_small_config():
-    # brute-force oracle on a 4-item toy: enumerate every coalition and
-    # every joint move by hand using Fractions, compare verdicts
-    cfg = underfilled_pair()
-    fast = is_strong_nash(cfg, 2)
-    assert not fast  # the single-item move is already a size-1 coalition
-    assert len(fast.violation.members) == 1
+def _reference_strong_nash(cfg, cap, lattice):
+    """Unpruned oracle: does some coalition of at most cap members, each
+    sent to another used bin or to a fresh one, fit on the 1/L lattice with
+    every member's Fraction cost strictly lower?"""
+    items = sorted(cfg.items, key=lambda it: it.item_id)
+    used = sorted(cfg.bins_map)
+    units = {
+        it.item_id: (
+            tuple(int(x * lattice) for x in cfg.positions[it.item_id]),
+            int(it.side * lattice),
+        )
+        for it in items
+    }
+    for size in range(1, cap + 1):
+        fresh = [max(used) + 1 + slot for slot in range(size)]
+        for coalition in itertools.combinations(items, size):
+            ids = [it.item_id for it in coalition]
+            for targets in itertools.product(used + fresh, repeat=size):
+                if any(cfg.assignment[i] == t for i, t in zip(ids, targets)):
+                    continue
+                occ = {t: cfg.occupied(t) if t in used else F(0) for t in targets}
+                for it in coalition:
+                    if cfg.assignment[it.item_id] in occ:
+                        occ[cfg.assignment[it.item_id]] -= it.volume
+                for it, t in zip(coalition, targets):
+                    occ[t] += it.volume
+                if not all(
+                    it.volume / occ[t] < cfg.item_cost(it.item_id)
+                    for it, t in zip(coalition, targets)
+                ):
+                    continue
+                if all(
+                    _lattice_joint_oracle(
+                        [
+                            units[it.item_id]
+                            for it in items
+                            if cfg.assignment[it.item_id] == t and it.item_id not in ids
+                        ],
+                        [units[i][1] for i, tt in zip(ids, targets) if tt == t],
+                        lattice,
+                        cfg.d,
+                    )
+                    for t in set(targets)
+                ):
+                    return True
+    return False
+
+
+@st.composite
+def small_lattice_configs(draw):
+    """At most 6 items with sides on the 1/L lattice, in 2 or 3 bins.
+
+    Bin 0 holds one or two cubes of a drawn side; each later bin is filled
+    with cubes of one smaller drawn side, each at its least free corner.
+    Under that layout a few large cubes often sit in an emptier bin than
+    many small ones, so coalitions of two or three can gain where single
+    moves cannot.
+    """
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(3, 8 if d == 1 else 4))
+    specs = [(draw(st.integers(2, lattice)), draw(st.integers(1, 2)))]
+    specs += [(draw(st.integers(1, lattice - 1)), 6)] * draw(st.integers(1, 2))
+    items, assignment, positions = [], {}, {}
+    for b, (q, count) in enumerate(specs):
+        k = max(2, -(-lattice // q)) + draw(st.integers(0, 1))
+        cls = CubeClass(k, F(k * q, lattice) - 1, d)
+        cubes = []
+        while len(cubes) < count and len(items) < 6:
+            base = find_free_position(cubes, cls.side, d)
+            if base is None:
+                break
+            cubes.append(PlacedCube(cls, base))
+            item_id = len(items)
+            items.append(GameItem(item_id, cls))
+            assignment[item_id] = b
+            positions[item_id] = base
+    config = GameConfig(d, tuple(items), assignment, positions)
+    return config, draw(st.integers(2, 3)), lattice
+
+
+@settings(deadline=None)
+@given(small_lattice_configs())
+def test_strong_nash_matches_unpruned_oracle(case):
+    cfg, cap, lattice = case
+    cfg.validate()
+    result = is_strong_nash(cfg, cap)
+    assert result.is_strong_nash == (not _reference_strong_nash(cfg, cap, lattice))
+    if result:
+        return
+    coalition = result.violation
+    deviated = apply_coalition(cfg, coalition)
+    deviated.validate()
+    for member, before, after in zip(
+        coalition.members, coalition.costs_before, coalition.costs_after
+    ):
+        assert before == cfg.item_cost(member)
+        assert after == deviated.item_cost(member)
+        assert after < before
+
+
+def test_strong_nash_toy_work_counters():
+    # P' of the d=2 (2,4) SPoA toy at coalition cap 3; counts work, not time
+    inst = spoa_instance(power_of_two_toy_packing(), copies_cap=16, certify=False)
+    result = is_strong_nash(inst.p_prime, 3)
+    assert result
+    assert result.coalitions_checked == 7806
+    assert result.assignments_checked <= 116_304
+    assert 0 < result.geometry_checks <= result.assignments_checked
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from cubepack.geometry import (
     cube_volume,
     cubes_disjoint,
     find_free_position,
+    find_joint_positions,
     format_rational,
     intervals_disjoint,
     occupied_volume,
@@ -311,6 +312,102 @@ def test_find_free_position_off_grid_corner_is_obstacle_tops():
     pos = find_free_position([a, b], F(1, 2), 2)
     assert pos == (b.base[0] + b.cls.side, a.base[1] + a.cls.side)
     assert pos == (F(23, 63), F(10, 27))
+
+
+def _lattice_joint_oracle(obstacles, sizes, lattice: int, d: int) -> bool:
+    """Brute force: do cubes of the given lattice sizes fit together?"""
+    boxes = list(obstacles)
+
+    def rec(j: int) -> bool:
+        if j == len(sizes):
+            return True
+        q = sizes[j]
+        for x in itertools.product(range(lattice - q + 1), repeat=d):
+            if all(
+                any(xi + q <= bi or bi + m <= xi for xi, bi in zip(x, base))
+                for base, m in boxes
+            ):
+                boxes.append((x, q))
+                if rec(j + 1):
+                    return True
+                boxes.pop()
+        return False
+
+    return rec(0)
+
+
+@st.composite
+def lattice_joint_insertions(draw):
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(2, 8 if d == 1 else 5))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, lattice))
+        base = tuple(draw(st.integers(0, lattice - m)) for _ in range(d))
+        obstacles.append((base, m, draw(st.integers(0, 2))))
+    incoming = draw(
+        st.lists(
+            st.tuples(st.integers(1, lattice), st.integers(0, 2)), min_size=1, max_size=3
+        )
+    )
+    return d, lattice, obstacles, incoming
+
+
+@given(lattice_joint_insertions())
+def test_find_joint_positions_matches_lattice_oracle(case):
+    # With everything on the 1/L lattice, every joint layout can be pushed
+    # onto lattice points, so the brute-force lattice search is complete.
+    d, lattice, obstacles, incoming = case
+    cubes = [
+        PlacedCube(
+            _lattice_class(extra, m, lattice, d), tuple(F(b, lattice) for b in base)
+        )
+        for base, m, extra in obstacles
+    ]
+    classes = [_lattice_class(extra, q, lattice, d) for q, extra in incoming]
+    found = find_joint_positions(cubes, [c.side for c in classes], d)
+    expected = _lattice_joint_oracle(
+        [(b, m) for b, m, _ in obstacles], [q for q, _ in incoming], lattice, d
+    )
+    assert (found is not None) == expected
+    if found is None:
+        return
+    placed = tuple(PlacedCube(c, base) for c, base in zip(classes, found))
+    assert all(c.fits_unit_bin() for c in placed)
+    assert verify_bin(Bin(d, placed))
+    assert all(cubes_disjoint(a, b) for a in placed for b in cubes)
+    # one-by-one least-corner placement, when it succeeds, is kept
+    greedy = []
+    for c in classes:
+        pos = find_free_position(cubes + greedy, c.side, d)
+        if pos is None:
+            return
+        greedy.append(PlacedCube(c, pos))
+    assert found == tuple(c.base for c in greedy)
+
+
+def test_find_joint_positions_beats_one_by_one_placement():
+    # Placing either incoming cube first at its least corner blocks the
+    # other, yet both fit together.
+    small = CubeClass(6, 0, 2)  # side 1/6
+    obstacles = [
+        PlacedCube(small, (F(1, 3), F(1, 6))),
+        PlacedCube(small, (F(0), F(7, 12))),
+    ]
+    big = CubeClass(2, F(1, 6), 2)  # side 7/12
+    mid = CubeClass(3, F(1, 4), 2)  # side 5/12
+    for first, second in ((big, mid), (mid, big)):
+        pos = find_free_position(obstacles, first.side, 2)
+        blocked = obstacles + [PlacedCube(first, pos)]
+        assert find_free_position(blocked, second.side, 2) is None
+    witness = (PlacedCube(big, (F(5, 12), F(5, 12))), PlacedCube(mid, (F(1, 2), F(0))))
+    assert verify_bin(Bin(2, tuple(obstacles) + witness))
+    found = find_joint_positions(obstacles, [big.side, mid.side], 2)
+    assert found is not None
+    layout = tuple(obstacles) + tuple(
+        PlacedCube(c, base) for c, base in zip((big, mid), found)
+    )
+    assert verify_bin(Bin(2, layout))
 
 
 def test_bin_json_round_trip():
