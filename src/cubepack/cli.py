@@ -525,17 +525,18 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
     except Exception as exc:
         row["packing"] = {"status": "error", "error": str(exc)}
 
-    # stage 3: adversarial stream at M=1 on the two smallest classes
+    # stage 3: adversarial stream at M=1 on the two smallest classes; stage
+    # 5 reuses its packing
     instance_path = None
     adversary = None
+    slim_packing = None
     try:
         if family is None:
             raise RuntimeError("family stage failed")
         classes = (2, 3) if d >= 3 else (2,)
         slim = _slice_family(family, classes)
-        eps = Fraction(1, max(classes) ** 2)
-        adv_packing = build_packing(slim, eps)
-        adversary = adversarial_instance(adv_packing, 1)
+        slim_packing = build_packing(slim, Fraction(1, max(classes) ** 2))
+        adversary = adversarial_instance(slim_packing, 1)
         doc = instance_to_dict(
             adversary.instance,
             extra={
@@ -601,16 +602,13 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
 
     # stage 5: optimum vs selfish regrouping on the adversary's classes
     try:
-        if family is None:
-            raise RuntimeError("family stage failed")
-        classes = (2, 3) if d >= 3 else (2,)
-        slim = _slice_family(family, classes)
-        eps = Fraction(1, max(classes) ** 2)
-        poa_packing = build_packing(slim, eps)
-        copies, _ = anarchy_copies(poa_packing)
-        items = copies * len(poa_packing.bin.cubes)
+        if slim_packing is None:
+            # the packing was not built: report why, as stage 3 did
+            raise RuntimeError(row["adversary"]["error"])
+        copies, _ = anarchy_copies(slim_packing)
+        items = copies * len(slim_packing.bin.cubes)
         certify = items <= 200
-        inst = poa_instance(poa_packing, certify=certify)
+        inst = poa_instance(slim_packing, certify=certify)
         doc = _anarchy_doc(inst, "price-of-anarchy")
         doc["manifest"] = manifest("poa")
         emit(f"poa_d{d}.json", doc)

@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .geometry import (
     Bin,
     CubeClass,
     PlacedCube,
+    SearchBudgetError,
     as_rational,
     find_free_position,
     find_joint_positions,
@@ -41,9 +42,12 @@ FEASIBILITY_NOTE = (
 # Default cap on the copies N of the source bin in an anarchy instance.
 COPIES_CAP = 4096
 
+# Candidate bases one repack re-layout search may examine before it gives up.
+REPACK_NODE_CAP = 200_000
+
 
 class RepackSearchError(RuntimeError):
-    """Exhaustive re-layout was requested beyond the configured item cap."""
+    """Exhaustive re-layout exceeded the item cap or its search budget."""
 
 
 class CoalitionSearchError(RuntimeError):
@@ -246,72 +250,6 @@ class MoveProposal:
             )
 
 
-def _pack_exact(
-    classes: Sequence[CubeClass], d: int, *, node_cap: int = 200_000
-) -> Optional[Tuple[Tuple[CubeClass, Tuple[Fraction, ...]], ...]]:
-    """Decide exactly whether the cubes admit a joint unit-bin layout.
-
-    Any feasible layout can be pushed toward the origin until every
-    coordinate is a subset sum of side lengths, so searching bases over
-    those sums (in a fixed largest-first cube order) is complete.
-    """
-    order = sorted(classes, key=lambda c: (-c.side, c.k))
-    sums = {Fraction(0)}
-    for cls in order:
-        sums |= {t + cls.side for t in sums if t + cls.side < 1}
-    coords = sorted(sums)
-    placed: List[PlacedCube] = []
-    out: List[Tuple[CubeClass, Tuple[Fraction, ...]]] = []
-    nodes = 0
-
-    def admissible(cls: CubeClass, base: Tuple[Fraction, ...]) -> bool:
-        cube = PlacedCube(cls, base)
-        if not cube.fits_unit_bin():
-            return False
-        for other in placed:
-            lo, hi = zip(*((b, b + other.cls.side) for b in other.base))
-            if all(
-                not (base[i] + cls.side <= lo[i] or hi[i] <= base[i])
-                for i in range(d)
-            ):
-                return False
-        return True
-
-    def rec(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        cls = order[idx]
-        axis = [c for c in coords if c + cls.side <= 1]
-        for base in _cartesian(axis, d):
-            nodes += 1
-            if nodes > node_cap:
-                raise RepackSearchError(
-                    f"re-layout search exceeded {node_cap} nodes"
-                )
-            if admissible(cls, base):
-                cube = PlacedCube(cls, base)
-                placed.append(cube)
-                out.append((cls, base))
-                if rec(idx + 1):
-                    return True
-                placed.pop()
-                out.pop()
-        return False
-
-    return tuple(out) if rec(0) else None
-
-
-def _cartesian(axis: Sequence[Fraction], d: int):
-    if d == 1:
-        for x in axis:
-            yield (x,)
-        return
-    for rest in _cartesian(axis, d - 1):
-        for x in axis:
-            yield (x,) + rest
-
-
 def improving_moves(
     config: GameConfig,
     mode: str = "insertion",
@@ -361,10 +299,19 @@ def improving_moves(
                     for other in config.items
                     if config.assignment[other.item_id] == target
                 ]
-                layout = _pack_exact([o.cls for o in residents] + [it.cls], config.d)
-                if layout is None:
+                classes = sorted(
+                    [o.cls for o in residents] + [it.cls], key=lambda c: (-c.side, c.k)
+                )
+                sides = [c.side for c in classes]
+                try:
+                    bases = find_joint_positions(
+                        [], sides, config.d, node_cap=REPACK_NODE_CAP
+                    )
+                except SearchBudgetError as exc:
+                    raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
+                if bases is None:
                     continue
-                assigned = _distribute(layout, residents + [it])
+                assigned = _distribute(zip(classes, bases), residents + [it])
                 proposals.append(
                     MoveProposal(
                         it.item_id,
@@ -383,7 +330,7 @@ def improving_moves(
 
 
 def _distribute(
-    layout: Sequence[Tuple[CubeClass, Tuple[Fraction, ...]]],
+    layout: Iterable[Tuple[CubeClass, Tuple[Fraction, ...]]],
     items: Sequence[GameItem],
 ) -> Dict[int, Tuple[Fraction, ...]]:
     """Hand the found bases back to concrete items, matching by cube class."""

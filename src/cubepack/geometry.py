@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_rational(value: Rational) -> Fraction:
@@ -39,34 +36,6 @@ def format_rational(value: Rational) -> str:
     """Render a rational as the canonical "p/q" string used in JSON files."""
     q = as_rational(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Open interval (lo, hi) with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", as_rational(self.lo))
-            object.__setattr__(self, "hi", as_rational(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} hi={self.hi}")
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def intervals_disjoint(a: Interval, b: Interval) -> bool:
-    """True iff the two open intervals do not intersect.
-
-    Touching endpoints (a.hi == b.lo) count as disjoint because the
-    intervals are open.
-    """
-    return a.hi <= b.lo or b.hi <= a.lo
 
 
 @dataclass(frozen=True)
@@ -105,11 +74,6 @@ class CubeClass:
         return self.side ** self.d
 
 
-def cube_volume(cls: CubeClass) -> Fraction:
-    """Volume ((1 + epsilon) / k)^d of a class cube, exactly."""
-    return cls.volume
-
-
 @dataclass(frozen=True)
 class PlacedCube:
     """A class cube anchored at an exact base corner.
@@ -129,11 +93,6 @@ class PlacedCube:
             raise ValueError(
                 f"base has {len(base)} coordinates for a {self.cls.d}-dimensional cube"
             )
-
-    def interval(self, i: int) -> Interval:
-        """Open extent of the cube along dimension i (0-based)."""
-        lo = self.base[i]
-        return Interval(lo, lo + self.cls.side)
 
     def fits_unit_bin(self) -> bool:
         room = 1 - self.cls.side
@@ -285,7 +244,7 @@ def occupied_volume(b: Bin) -> Fraction:
     counts: dict[CubeClass, int] = {}
     for cube in b.cubes:
         counts[cube.cls] = counts.get(cube.cls, 0) + 1
-    return sum((cls.volume * cnt for cls, cnt in counts.items()), start=ZERO)
+    return sum((cls.volume * cnt for cls, cnt in counts.items()), start=Fraction(0))
 
 
 def _int_boxes(
@@ -320,13 +279,21 @@ def _checked_side(side: Rational) -> Fraction:
     return side
 
 
-def _free_corner(boxes, s: int, candidates: Sequence[Sequence[int]], accept=None):
+class SearchBudgetError(RuntimeError):
+    """A placement search examined more candidate bases than its budget."""
+
+
+def _free_corner(
+    boxes, s: int, candidates: Sequence[Sequence[int]], accept=None, budget=None
+):
     """First base, in lexicographic order over the per-axis candidate lists,
     at which an int cube of side s overlaps none of the int boxes and which
     `accept` (when given) takes; None if there is none.
 
     One axis is fixed at a time, carrying only the boxes that still overlap
-    the cube on every axis fixed so far.
+    the cube on every axis fixed so far.  `budget`, when given, is an
+    iterator drawn once per complete base examined; SearchBudgetError
+    is raised when it runs out.
     """
     d = len(candidates)
     los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
@@ -334,6 +301,10 @@ def _free_corner(boxes, s: int, candidates: Sequence[Sequence[int]], accept=None
 
     def rec(dim: int, live: list[int], prefix: tuple[int, ...]):
         if dim == d:
+            if budget is not None and next(budget, None) is None:
+                raise SearchBudgetError(
+                    "placement search exceeded its budget of candidate bases"
+                )
             if live or (accept is not None and not accept(prefix)):
                 return None
             return prefix
@@ -382,7 +353,11 @@ def find_free_position(
 
 
 def find_joint_positions(
-    cubes: Sequence[PlacedCube], sides: Sequence[Fraction], d: int
+    cubes: Sequence[PlacedCube],
+    sides: Sequence[Fraction],
+    d: int,
+    *,
+    node_cap: Optional[int] = None,
 ) -> Optional[tuple[tuple[Fraction, ...], ...]]:
     """Bases at which cubes of the given sides fit together among `cubes`.
 
@@ -406,6 +381,9 @@ def find_joint_positions(
     only takes bases lexicographically above it: equal cubes can be
     relabelled into that order, and the one-by-one layout is already in
     it.
+
+    With `node_cap` set, SearchBudgetError is raised once the search
+    has examined more than that many candidate bases over all cubes.
     """
     sides = [_checked_side(x) for x in sides]
     scale, boxes = _int_boxes(cubes, d, *sides)
@@ -424,6 +402,7 @@ def find_joint_positions(
             ]
         )
     placed: list[tuple[int, ...]] = []
+    budget = None if node_cap is None else iter(range(node_cap))
 
     def place(j: int, obstacles: list) -> bool:
         if j == len(ints):
@@ -440,7 +419,7 @@ def find_joint_positions(
             placed.pop()
             return False
 
-        return _free_corner(obstacles, s, axes[j], accept) is not None
+        return _free_corner(obstacles, s, axes[j], accept, budget) is not None
 
     if not place(0, boxes):
         return None

@@ -19,7 +19,6 @@ from typing import Mapping, Optional, Sequence
 from .geometry import (
     Bin,
     CubeClass,
-    Interval,
     PlacedCube,
     as_rational,
     format_rational,
@@ -70,11 +69,6 @@ def base_coordinate(k: int, j: int, epsilon) -> Fraction:
 def end_coordinate(k: int, j: int, epsilon) -> Fraction:
     """Upper endpoint of the j-th class-k interval."""
     return base_coordinate(k, j, epsilon) + (1 + as_rational(epsilon)) / k
-
-
-def interval_for(k: int, j: int, epsilon) -> Interval:
-    lo = base_coordinate(k, j, epsilon)
-    return Interval(lo, lo + (1 + as_rational(epsilon)) / k)
 
 
 def gap_inequality_holds(k: int, kp: int, epsilon) -> bool:

@@ -41,8 +41,7 @@ from cubepack import (
 )
 from cubepack.cli import main as cli_main
 from cubepack.languages import core_alphabet
-from cubepack.packing import interval_for
-from cubepack.geometry import intervals_disjoint
+from cubepack.packing import base_coordinate, end_coordinate
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -85,11 +84,14 @@ def test_02_interval_gaps_exhaustive():
     )
     overlap_ok = True
     for k in range(2, 13):
-        ivs = {j: interval_for(k, j, F(1, 144)) for j in range(1, k + 1)}
+        ivs = {
+            j: (base_coordinate(k, j, F(1, 144)), end_coordinate(k, j, F(1, 144)))
+            for j in range(1, k + 1)
+        }
         overlapping = {
             (i, j)
             for i, j in itertools.combinations(range(1, k + 1), 2)
-            if not intervals_disjoint(ivs[i], ivs[j])
+            if not (ivs[i][1] <= ivs[j][0] or ivs[j][1] <= ivs[i][0])
         }
         if overlapping != {(k - 1, k)}:
             overlap_ok = False

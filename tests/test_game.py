@@ -36,10 +36,17 @@ from cubepack.game import (
     sparse_bin_report,
     spoa_instance,
 )
-from cubepack.geometry import Bin, CubeClass, PlacedCube, find_free_position, verify_bin
+from cubepack.geometry import (
+    Bin,
+    CubeClass,
+    PlacedCube,
+    find_free_position,
+    find_joint_positions,
+    verify_bin,
+)
 from cubepack.languages import build_separated_family, warmup_family
 from cubepack.packing import build_homogeneous, build_packing
-from test_geometry import _lattice_joint_oracle
+from test_geometry import _lattice_class, _lattice_joint_oracle
 
 
 def two_items_config():
@@ -227,6 +234,87 @@ def test_repack_cap_enforced():
     cfg = homogeneous_mixture([2, 5], 2, F(1, 16))
     with pytest.raises(RepackSearchError):
         improving_moves(cfg, "repack", repack_cap=3)
+
+
+@st.composite
+def repack_lattice_configs(draw):
+    """Two or three bins of at most 4 cubes each, sides and bases on the 1/L
+    lattice, each cube at a drawn base that is still free.  Scattered bases
+    leave fragmented gaps, so some movers fit only after a re-layout.
+
+    Returns the config, L, and each item's (lattice side, bin).
+    """
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(2, 8 if d == 1 else 4))
+    items, assignment, positions, units = [], {}, {}, {}
+    for b in range(draw(st.integers(2, 3))):
+        boxes = []
+        for _ in range(draw(st.integers(1, 4))):
+            q = draw(st.integers(1, lattice))
+            x = tuple(draw(st.integers(0, lattice - q)) for _ in range(d))
+            if not all(
+                any(xi + q <= bi or bi + m <= xi for xi, bi in zip(x, base))
+                for base, m in boxes
+            ):
+                continue
+            boxes.append((x, q))
+            item_id = len(items)
+            items.append(
+                GameItem(item_id, _lattice_class(draw(st.integers(0, 1)), q, lattice, d))
+            )
+            assignment[item_id] = b
+            positions[item_id] = tuple(F(xi, lattice) for xi in x)
+            units[item_id] = (q, b)
+    config = GameConfig(d, tuple(items), assignment, positions)
+    return config, lattice, units
+
+
+@settings(deadline=None)
+@given(repack_lattice_configs())
+def test_repack_matches_lattice_oracle(case):
+    # A repack move to bin t is proposed iff the mover gains by volume and
+    # the residents of t plus the mover fit together on the 1/L lattice,
+    # which on lattice sides decides whether they fit at all.
+    cfg, lattice, units = case
+    cfg.validate()
+    occ = {}
+    for q, b in units.values():
+        occ[b] = occ.get(b, F(0)) + F(q, lattice) ** cfg.d
+    expected = []
+    for item_id, (q, src) in sorted(units.items()):
+        for target in sorted(occ):
+            if target == src or not occ[target] + F(q, lattice) ** cfg.d > occ[src]:
+                continue
+            residents = [m for m, b in units.values() if b == target]
+            if _lattice_joint_oracle([], residents + [q], lattice, cfg.d):
+                expected.append((item_id, target))
+    moves = improving_moves(cfg, "repack")
+    assert [(m.item_id, m.target_bin) for m in moves] == expected
+    for move in moves:
+        after = apply_move(cfg, move)
+        after.validate()
+        assert move.cost_before == cfg.item_cost(move.item_id)
+        assert move.cost_after == after.item_cost(move.item_id)
+        assert move.cost_after < move.cost_before
+
+
+def test_repack_search_budget_exhausted(monkeypatch):
+    # Seven d=2 cubes of total volume under 1 with no joint layout; any six
+    # of them fit.  The lone seventh cube gains by joining the other six, so
+    # repack searches a re-layout of all seven and must give up at its budget.
+    spec = [(2, F(1, 4)), (4, F(1, 2)), (3, 0), (4, F(1, 4)), (4, F(1, 8)), (4, 0)]
+    classes = [CubeClass(k, eps, 2) for k, eps in spec] + [CubeClass(5, F(1, 4), 2)]
+    layout = find_joint_positions([], [c.side for c in classes[:6]], 2)
+    cfg = GameConfig(
+        2,
+        tuple(GameItem(i, c) for i, c in enumerate(classes)),
+        {i: 0 if i < 6 else 1 for i in range(7)},
+        {i: layout[i] if i < 6 else (F(0), F(0)) for i in range(7)},
+    )
+    cfg.validate()
+    monkeypatch.setattr("cubepack.game.REPACK_NODE_CAP", 2_000)
+    with pytest.raises(RepackSearchError, match="budget of candidate bases"):
+        improving_moves(cfg, "repack")
 
 
 def test_unknown_mode_rejected():

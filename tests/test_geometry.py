@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 from cubepack.geometry import (
     Bin,
     CubeClass,
-    Interval,
     PlacedCube,
     as_rational,
     bin_from_dict,
     bin_to_dict,
-    cube_volume,
     cubes_disjoint,
     find_free_position,
     find_joint_positions,
     format_rational,
-    intervals_disjoint,
     occupied_volume,
     verify_bin,
 )
@@ -45,18 +42,17 @@ def test_format_rational_round_trip():
         assert as_rational(format_rational(q)) == q
 
 
-def test_interval_rejects_empty():
-    with pytest.raises(ValueError):
-        Interval(F(1, 2), F(1, 2))
-    with pytest.raises(ValueError):
-        Interval(F(2, 3), F(1, 3))
+def intervals_disjoint(a, b) -> bool:
+    """Open intervals (lo, hi) are disjoint iff one ends where or before
+    the other begins."""
+    return a[1] <= b[0] or b[1] <= a[0]
 
 
 # Frozen interval endpoints for k=3, eps=1/9, computed by hand from the
 # base-coordinate formulas: x(j) = (j-1)(1+eps)/3 for j<3, x(3) = 1-(1+eps)/3.
-I3_2 = Interval(F(10, 27), F(20, 27))
-I3_3 = Interval(F(17, 27), F(27, 27))
-I2_1 = Interval(F(0), F(5, 9))
+I3_2 = (F(10, 27), F(20, 27))
+I3_3 = (F(17, 27), F(27, 27))
+I2_1 = (F(0), F(5, 9))
 
 
 def test_intervals_disjoint_examples():
@@ -65,7 +61,7 @@ def test_intervals_disjoint_examples():
     # Low class-2 interval vs top class-3 interval: 15/27 < 17/27.
     assert intervals_disjoint(I2_1, I3_3)
     # Touching endpoints are disjoint for open intervals.
-    assert intervals_disjoint(Interval(F(0), F(1, 2)), Interval(F(1, 2), F(1)))
+    assert intervals_disjoint((F(0), F(1, 2)), (F(1, 2), F(1)))
 
 
 def test_cube_class_side_and_validation():
@@ -80,15 +76,15 @@ def test_cube_class_side_and_validation():
 
 
 def test_cube_volume_frozen_values():
-    assert cube_volume(CubeClass(2, F(0), 3)) == F(1, 8)
-    assert cube_volume(CubeClass(2, F(1, 3), 2)) == F(4, 9)
-    assert cube_volume(CubeClass(3, F(1, 9), 2)) == F(100, 729)
+    assert CubeClass(2, F(0), 3).volume == F(1, 8)
+    assert CubeClass(2, F(1, 3), 2).volume == F(4, 9)
+    assert CubeClass(3, F(1, 9), 2).volume == F(100, 729)
 
 
 def test_placed_cube_intervals_and_containment():
     c = PlacedCube(CubeClass(3, F(1, 9), 2), (F(10, 27), F(17, 27)))
-    assert c.interval(0) == Interval(F(10, 27), F(20, 27))
-    assert c.interval(1) == Interval(F(17, 27), F(1))
+    extent = [(lo, lo + c.cls.side) for lo in c.base]
+    assert extent == [(F(10, 27), F(20, 27)), (F(17, 27), F(1))]
     assert c.fits_unit_bin()
     out = PlacedCube(CubeClass(3, F(1, 9), 2), (F(20, 27), F(0)))
     assert not out.fits_unit_bin()  # 20/27 + 10/27 > 1
@@ -116,9 +112,9 @@ def base_x(k: int, j: int, eps: F) -> F:
     return 1 - (1 + eps) / k if j == k else (j - 1) * (1 + eps) / k
 
 
-def class_interval(k: int, j: int, eps: F) -> Interval:
+def class_interval(k: int, j: int, eps: F) -> tuple[F, F]:
     lo = base_x(k, j, eps)
-    return Interval(lo, lo + (1 + eps) / k)
+    return (lo, lo + (1 + eps) / k)
 
 
 def test_gap_inequality_exhaustive_to_class_12():

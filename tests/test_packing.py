@@ -17,7 +17,6 @@ from cubepack.packing import (
     dense_packing_report,
     end_coordinate,
     gap_inequality_holds,
-    interval_for,
     place_word,
     power_of_two_packing_report,
     power_of_two_s_prime,
@@ -80,7 +79,8 @@ def test_place_word_matches_interval_structure():
     w = Word((1, 4, 2), 4)
     cube = place_word(w, eps)
     for i, j in enumerate(w.letters):
-        assert cube.interval(i) == interval_for(4, j, eps)
+        extent = (cube.base[i], cube.base[i] + cube.cls.side)
+        assert extent == (base_coordinate(4, j, eps), end_coordinate(4, j, eps))
 
 
 def test_build_homogeneous_counts_and_boundary():
