@@ -22,22 +22,32 @@ def main() -> None:
     print(f"sizes {fam.sizes()}, weight {fam.weight()}")
     for k in fam.classes:
         print(f"  L_{k} gapped: {bool(is_gapped(fam.languages[k]))}")
-    print(f"certificate: {bool(fam.certify())}")
+    cert = fam.certify()
+    print(f"certificate: {bool(cert)}")
+    for k, kp, method, ok in cert.checks:
+        print(f"  L_{k} vs L_{kp} separated: {ok} ({method})")
 
-    sampled = build_separated_family(4, (2, 3, 4), seed=7)
-    print(f"\nsampled family, classes {sampled.classes}: "
-          f"sizes {sampled.sizes()}, weight {sampled.weight()}")
-    pair_ok = are_separated(sampled.languages[2], sampled.languages[3])
-    print(f"L_2 vs L_3 separated: {bool(pair_ok)}")
-    f2 = sorted(sampled.fsets.sets[2])
+    randomized = build_separated_family(4, (2, 3, 4), seed=7)
+    print(f"\nrandomized family, classes {randomized.classes}: "
+          f"sizes {randomized.sizes()}, weight {randomized.weight()}")
+    pair = are_separated(randomized.languages[2], randomized.languages[3])
+    print(f"L_2 vs L_3 separated: {bool(pair)} ({pair.method}, "
+          f"{pair.pairs_checked} letter-mask comparisons)")
+    f2 = sorted(randomized.fsets.sets[2])
     print(f"index set F_2 behind L_2: {f2}")
+
+    # at d=40 the cores stay a rule; separation is still exact
+    implicit = build_separated_family(40, (2, 3, 4), seed=7, mode="implicit")
+    print(f"\nimplicit family at d={implicit.d}, classes {implicit.classes}:")
+    for k, kp, method, ok in implicit.certify().checks:
+        print(f"  L_{k} vs L_{kp} separated: {ok} ({method})")
 
     # counting survivors by inclusion-exclusion instead of enumeration
     n = count_good_words(3, (1, 2, 3), [(1, 2)])
     print(f"\ngood words for k=3 on three coordinates, one blocked pair: {n}")
 
     rng = random.Random(0)
-    w = sampled.languages[4].sample_word(rng)
+    w = randomized.languages[4].sample_word(rng)
     print(f"a random class-4 word: {w}")
 
 

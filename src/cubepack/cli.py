@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -484,8 +483,7 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
     family = None
     try:
         family = warmup_family(d)
-        rng = random.Random(_sub_seed(seed, "family", d))
-        cert = family.certify(rng=rng)
+        cert = family.certify()
         sizes = family.sizes()
         path = out_dir / f"family_d{d}.json"
         save_family(path, family, manifest=manifest("family"))

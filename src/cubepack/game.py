@@ -262,6 +262,8 @@ def improving_moves(
     A move to bin t improves the mover iff occupied(t) + volume exceeds the
     occupied volume of its current bin: cost never depends on positions, so
     this arithmetic filter is complete and geometry runs only on survivors.
+    Disjoint open cubes in the unit bin have total volume at most 1, so a
+    target whose occupied(t) + volume exceeds 1 is skipped without a search.
     Fresh bins are never targets; a lone item's cost of 1 cannot improve.
     """
     if mode not in ("insertion", "repack"):
@@ -276,9 +278,16 @@ def improving_moves(
                 continue
             if not occ[target] + it.volume > occ[src]:
                 continue
+            target_bin = bins_map[target]
+            if mode == "repack" and len(target_bin) + 1 > repack_cap:
+                raise RepackSearchError(
+                    f"bin {target} holds {len(target_bin)} items, repack cap "
+                    f"is {repack_cap - 1} plus the mover"
+                )
+            if occ[target] + it.volume > 1:
+                continue
             cost_before = it.volume / occ[src]
             cost_after = it.volume / (occ[target] + it.volume)
-            target_bin = bins_map[target]
             if mode == "insertion":
                 base = find_free_position(target_bin.cubes, it.side, config.d)
                 if base is None:
@@ -289,11 +298,6 @@ def improving_moves(
                     )
                 )
             else:
-                if len(target_bin) + 1 > repack_cap:
-                    raise RepackSearchError(
-                        f"bin {target} holds {len(target_bin)} items, repack cap "
-                        f"is {repack_cap - 1} plus the mover"
-                    )
                 residents = [
                     other
                     for other in config.items

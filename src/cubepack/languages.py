@@ -10,10 +10,27 @@ one letter per dimension.  Two properties drive everything downstream:
 
 Languages come in two shapes.  Explicit languages enumerate their
 words.  Product languages factor as (core words on an index set F) x
-(all letters below k elsewhere); the warm-up family and the randomized
-construction both have this shape, and separation of two product
-languages reduces exactly to their cores, so the reduction is a
-complete check rather than a heuristic.
+(all letters below k elsewhere); the core is either an explicit word
+list or a rule: position sets inside F on each of which a good core
+shows letter k.  The warm-up family and the randomized construction
+both have product shape.
+
+Separation is decided exactly on letter masks.  Write K(w) = {i : w_i = k}
+and S(w') = {i : w'_i = k'}.  Every letter of w is at most k, so w_i < k
+iff i is not in K(w), and a pair (w, w') has no separating coordinate iff
+S(w') is a subset of K(w).  Free letters of a product language stay below
+its class, so both masks live on the cores and the verdict depends on
+the words only through their distinct masks.  For a rule the masks are
+known in closed form: a subset M of F is the mask of a good core iff M
+meets every rule set (any other core letter fills F minus M; at k = 2
+the core alphabet is {2} and F is the only mask).  A nonempty rule
+language therefore has F as its largest mask, and a mask K of the
+smaller class contains a mask of a bigger rule language iff K & F'
+meets every rule set of the bigger class.  So two rule languages are
+*not* separated iff both are nonempty and F & F' meets every rule set
+of the bigger class.  The randomized construction gives class k' the
+rule set F_k' minus F_k, which misses F_k & F_k', so its families are
+separated by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +40,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .geometry import as_rational, format_rational
 
@@ -66,9 +84,10 @@ class Language:
 
     Product form: `f_coords` is the sorted 1-based index set F, core
     words are tuples aligned with it, and off-F letters range over all
-    of [k-1].  The core is either an explicit tuple of words or a
-    membership predicate plus an exact count (for scales where
-    enumeration is impossible).
+    of [k-1].  The core is either an explicit tuple of words or a rule
+    (for scales where enumeration is impossible): `core_rules`, sets of
+    coordinates inside F, and a core is good iff it shows letter k on
+    each of them.  A rule's exact core count comes from count_good_words.
     """
 
     def __init__(
@@ -79,8 +98,7 @@ class Language:
         words: Optional[Sequence[tuple[int, ...]]] = None,
         f_coords: Optional[Sequence[int]] = None,
         core_words: Optional[Sequence[tuple[int, ...]]] = None,
-        core_predicate: Optional[Callable[[tuple[int, ...]], bool]] = None,
-        core_count: Optional[int] = None,
+        core_rules: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
         if k < 2 or d < 1:
             raise ValueError(f"need k >= 2 and d >= 1, got k={k} d={d}")
@@ -89,10 +107,9 @@ class Language:
         self.words: Optional[tuple[tuple[int, ...], ...]] = None
         self.f_coords: Optional[tuple[int, ...]] = None
         self.core_words: Optional[tuple[tuple[int, ...], ...]] = None
-        self.core_predicate = core_predicate
-        self._core_count = core_count
+        self.core_rules: Optional[tuple[frozenset[int], ...]] = None
         if words is not None:
-            if f_coords is not None or core_words is not None or core_predicate:
+            if f_coords is not None or core_words is not None or core_rules is not None:
                 raise ValueError("explicit and product forms are mutually exclusive")
             seen = []
             had = set()
@@ -116,8 +133,14 @@ class Language:
         if fc and (fc[0] < 1 or fc[-1] > d):
             raise ValueError(f"f_coords {fc} outside [1..{d}]")
         self.f_coords = fc
-        alpha = set(core_alphabet(k))
-        if core_words is not None:
+        if (core_words is None) == (core_rules is None):
+            raise ValueError("product form needs exactly one of core_words and core_rules")
+        if core_rules is not None:
+            self.core_rules = tuple(frozenset(int(i) for i in j) for j in core_rules)
+            self._core_count = count_good_words(k, fc, self.core_rules)
+            self._rule_masks = tuple(sum(1 << i for i in j) for j in self.core_rules)
+        else:
+            alpha = set(core_alphabet(k))
             cores = []
             had_c = set()
             for v in core_words:
@@ -131,8 +154,6 @@ class Language:
                     cores.append(v)
             self.core_words = tuple(sorted(cores))
             self._core_set = had_c
-        elif core_predicate is None or core_count is None:
-            raise ValueError("product form needs core_words, or predicate plus count")
 
     # -- sizes -------------------------------------------------------------
 
@@ -143,7 +164,7 @@ class Language:
     def core_size(self) -> int:
         if self.core_words is not None:
             return len(self.core_words)
-        if self._core_count is not None:
+        if self.core_rules is not None:
             return self._core_count
         raise ValueError("explicit language has no core")
 
@@ -178,7 +199,7 @@ class Language:
             yield from self.words
             return
         if self.core_words is None:
-            raise ValueError("cannot enumerate a predicate-core language")
+            raise ValueError("cannot enumerate a rule-core language")
         free_n = self.d - len(self.f_coords)
         for core in self.core_words:
             for free in itertools.product(range(1, self.k), repeat=free_n):
@@ -200,7 +221,7 @@ class Language:
             return False
         if self.core_words is not None:
             return core in self._core_set
-        return bool(self.core_predicate(core))
+        return self._good_core(core)
 
     def select_words(
         self, limit: Optional[int] = None, max_scan: int = 5_000_000
@@ -209,7 +230,7 @@ class Language:
 
         Without a limit, all words in ascending lexicographic order
         (enumerable languages only).  With a limit, enumerable
-        languages yield their lexicographic prefix; predicate-core
+        languages yield their lexicographic prefix; rule-core
         languages scan cores in descending lexicographic order instead,
         because good cores concentrate near the all-k corner while the
         ascending prefix is exactly the all-bad corner, and emit one
@@ -236,12 +257,14 @@ class Language:
                     f"scanned {max_scan} cores and found only {found} good ones; "
                     f"the good-word density is too low for budgeted selection"
                 )
-            if self.core_predicate(core):
+            if self._good_core(core):
                 found += 1
                 yield self._assemble(core, free)
 
     def sample_word(self, rng: random.Random) -> tuple[int, ...]:
-        """Uniform-ish word draw, used only for sampled audits."""
+        """Uniform-ish random word, for demos; no certificate samples."""
+        if self.count() == 0:
+            raise ValueError("cannot sample from an empty language")
         if self.words is not None:
             return self.words[rng.randrange(len(self.words))]
         if self.core_words is not None:
@@ -250,12 +273,54 @@ class Language:
             alpha = core_alphabet(self.k)
             while True:  # good-core density is high by construction
                 cand = tuple(rng.choice(alpha) for _ in self.f_coords)
-                if self.core_predicate(cand):
+                if self._good_core(cand):
                     core = cand
                     break
         free_n = self.d - len(self.f_coords)
         free = tuple(rng.randrange(1, self.k) for _ in range(free_n))
         return self._assemble(core, free)
+
+    # -- letter masks --------------------------------------------------------
+
+    def _good_core(self, core: Sequence[int]) -> bool:
+        """True iff the core shows letter k on every rule set."""
+        m = _mask(self.f_coords, core, self.k)
+        return all(m & r for r in self._rule_masks)
+
+    @cached_property
+    def _letter_masks(self) -> dict[int, tuple[int, ...]]:
+        """Distinct masks {i : w_i = k} (bit i set), each with its first word.
+
+        Explicit words and explicit cores are scanned in enumeration
+        order, and a core's first word has every free letter 1.  A rule
+        contributes only its largest mask F, through the all-k core, and
+        nothing when it is empty (see the module docstring).
+        """
+        k = self.k
+        masks: dict[int, tuple[int, ...]] = {}
+        if self.words is not None:
+            for w in self.words:
+                masks.setdefault(_mask(range(1, self.d + 1), w, k), w)
+            return masks
+        if self.core_words is not None:
+            cores = self.core_words
+        else:
+            cores = ((k,) * len(self.f_coords),) if self._core_count else ()
+        free = (1,) * (self.d - len(self.f_coords))
+        for v in cores:
+            m = _mask(self.f_coords, v, k)
+            if m not in masks:
+                masks[m] = self._assemble(v, free)
+        return masks
+
+
+def _mask(coords: Sequence[int], letters: Sequence[int], letter: int) -> int:
+    """Bit set of the coordinates whose letter is `letter`."""
+    m = 0
+    for c, a in zip(coords, letters):
+        if a == letter:
+            m |= 1 << c
+    return m
 
 
 # -- gapped / separated predicates ------------------------------------------
@@ -298,97 +363,59 @@ def is_gapped(lang: Language) -> GappedResult:
 @dataclass(frozen=True)
 class SeparationResult:
     ok: bool
-    method: str  # "product-core" | "exhaustive" | "sampled"
-    pairs_checked: int
+    method: str  # "product-core" | "exhaustive"
+    pairs_checked: int  # letter-mask comparisons made
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # failing pair
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _pair_separated(w: Sequence[int], wp: Sequence[int], k: int, kp: int) -> bool:
-    return any(a < k and b == kp for a, b in zip(w, wp))
+def are_separated(small: Language, big: Language) -> SeparationResult:
+    """Decide separation of a class pair k < k' exactly.
 
+    A word pair (w, w') fails iff S(w') = {i : w'_i = k'} is a subset of
+    K(w) = {i : w_i = k}: a coordinate outside K(w) carries a letter
+    below k, and one inside S(w') carries k'.  Free letters never reach
+    k or k', so both masks live on the cores, and the check compares
+    the distinct masks of the two languages instead of their words.
+    Against a bigger rule language it is closed form: a mask K fails
+    iff K & F' meets every rule set of the bigger class (a rule's good
+    cores realise exactly the subsets of F' that meet each rule set), and
+    a smaller rule language needs only its largest mask, F.  The module
+    docstring has the full argument.
 
-def are_separated(
-    small: Language,
-    big: Language,
-    *,
-    rng: Optional[random.Random] = None,
-    samples: int = 400,
-    materialize_cap: int = 200_000,
-) -> SeparationResult:
-    """Decide separation of a class pair k < k'.
-
-    For two product languages the check runs on core pairs only and is
-    complete: a full word pair has a witness coordinate i (w_i < k and
-    w'_i = k') iff the cores do, because w'_i = k' forces i into F' and
-    off-F letters of the small language are below k by construction.
-    Explicit languages within the materialization cap are checked pair
-    by pair; predicate-core languages are spot-checked with sampled
-    word pairs (the construction's own certificate is structural).
+    The method is "product-core" when both languages are in product
+    form and "exhaustive" when either lists its words; both are exact.
+    pairs_checked counts mask comparisons.  The witness is the first
+    failing word pair with small words outer and big words inner, in
+    enumeration order and with free letters 1; against a bigger rule
+    language its big word shows k' exactly on K & F' and 1 elsewhere.
     """
     k, kp = small.k, big.k
     if k >= kp:
         raise ValueError(f"need k < k', got {k} >= {kp}")
     if small.d != big.d:
         raise ValueError("dimension mismatch")
-
-    if (
-        small.is_product
-        and big.is_product
-        and small.core_words is not None
-        and big.core_words is not None
-    ):
-        pairs = 0
-        for v in small.core_words:
-            # Letter of the small core at each absolute coordinate; off-core
-            # coordinates of the small language always carry letters < k.
-            at = {c: v[i] for i, c in enumerate(small.f_coords)}
-            for vp in big.core_words:
-                pairs += 1
-                hit = False
-                for i, c in enumerate(big.f_coords):
-                    if vp[i] == kp and at.get(c, 0) != k:
-                        hit = True
-                        break
-                if not hit:
-                    w = _materialize_with_free_ones(small, v)
-                    wp = _materialize_with_free_ones(big, vp)
-                    return SeparationResult(False, "product-core", pairs, (w, wp))
-        return SeparationResult(True, "product-core", pairs)
-
-    small_words = _try_materialize(small, materialize_cap)
-    big_words = _try_materialize(big, materialize_cap)
-    if small_words is not None and big_words is not None:
-        pairs = 0
-        for w in small_words:
-            for wp in big_words:
-                pairs += 1
-                if not _pair_separated(w, wp, k, kp):
-                    return SeparationResult(False, "exhaustive", pairs, (w, wp))
-        return SeparationResult(True, "exhaustive", pairs)
-
-    rng = rng if rng is not None else random.Random(0)
-    for trial in range(samples):
-        w = small.sample_word(rng)
-        wp = big.sample_word(rng)
-        if not _pair_separated(w, wp, k, kp):
-            return SeparationResult(False, "sampled", trial + 1, (w, wp))
-    return SeparationResult(True, "sampled", samples)
-
-
-def _materialize_with_free_ones(lang: Language, core: tuple[int, ...]) -> tuple[int, ...]:
-    free_n = lang.d - len(lang.f_coords)
-    return lang._assemble(core, (1,) * free_n)
-
-
-def _try_materialize(lang: Language, cap: int) -> Optional[tuple[tuple[int, ...], ...]]:
-    if lang.words is not None:
-        return lang.words
-    if lang.core_words is None or lang.count() > cap:
-        return None
-    return tuple(lang.iter_words())
+    method = "product-core" if small.is_product and big.is_product else "exhaustive"
+    pairs = 0
+    if big.core_rules is not None:
+        f_big = sum(1 << c for c in big.f_coords)
+        for kmask, w in small._letter_masks.items():
+            pairs += 1
+            s = kmask & f_big
+            if all(s & r for r in big._rule_masks):
+                core = tuple(kp if s >> c & 1 else 1 for c in big.f_coords)
+                wp = big._assemble(core, (1,) * (big.d - len(big.f_coords)))
+                return SeparationResult(False, method, pairs, (w, wp))
+        return SeparationResult(True, method, pairs)
+    big_masks = big._letter_masks.items()
+    for kmask, w in small._letter_masks.items():
+        for smask, wp in big_masks:
+            pairs += 1
+            if not smask & ~kmask:
+                return SeparationResult(False, method, pairs, (w, wp))
+    return SeparationResult(True, method, pairs)
 
 
 # -- index-set sampling ------------------------------------------------------
@@ -519,8 +546,8 @@ def count_good_words(
 
     Inclusion-exclusion over subsets T of the difference sets: a word
     avoids k on the union U(T) in (k-2)^|U(T)| * (k-1)^(|F|-|U(T)|)
-    ways, signed by |T|.  2^len(j_sets) terms; callers beyond
-    max_terms should fall back to estimate_good_words.
+    ways, signed by |T|.  2^len(j_sets) terms; past max_terms it
+    raises ValueError.
     """
     f = frozenset(int(i) for i in f_coords)
     js = [frozenset(int(i) for i in j) for j in j_sets]
@@ -540,25 +567,6 @@ def count_good_words(
         term = (k - 2) ** u * (k - 1) ** (len(f) - u)
         total += -term if bin(mask).count("1") % 2 else term
     return total
-
-
-def estimate_good_words(
-    k: int,
-    f_coords: Sequence[int],
-    j_sets: Sequence[Sequence[int]],
-    rng: random.Random,
-    samples: int = 10_000,
-) -> Fraction:
-    """Monte Carlo good-word fraction, for scales past the exact cap."""
-    coords = tuple(f_coords)
-    pos_sets = [tuple(coords.index(i) for i in j) for j in j_sets]
-    alpha = core_alphabet(k)
-    hits = 0
-    for _ in range(samples):
-        v = tuple(rng.choice(alpha) for _ in coords)
-        if not any(all(v[p] != k for p in ps) for ps in pos_sets):
-            hits += 1
-    return Fraction(hits, samples)
 
 
 # -- families ----------------------------------------------------------------
@@ -611,16 +619,12 @@ class SeparatedFamily:
             start=Fraction(0),
         )
 
-    def certify(
-        self, *, rng: Optional[random.Random] = None, samples: int = 400
-    ) -> FamilyCertificate:
+    def certify(self) -> FamilyCertificate:
         gapped_ok = all(bool(is_gapped(self.languages[k])) for k in self.classes)
         checks = []
         sep_ok = True
         for k, kp in itertools.combinations(self.classes, 2):
-            res = are_separated(
-                self.languages[k], self.languages[kp], rng=rng, samples=samples
-            )
+            res = are_separated(self.languages[k], self.languages[kp])
             checks.append((k, kp, res.method, bool(res)))
             sep_ok = sep_ok and bool(res)
         return FamilyCertificate(gapped_ok, sep_ok, tuple(checks))
@@ -661,8 +665,8 @@ def build_separated_family(
     language only has letters below l.
 
     enumerate mode materializes cores (refusing past enumerate_cap);
-    implicit mode keeps a membership predicate plus the exact
-    inclusion-exclusion count.  Failures (empty class, empty
+    implicit mode keeps the difference sets as the language's rule,
+    with the exact inclusion-exclusion count.  Failures (empty class, empty
     difference set, infeasible sampling) raise rather than repair.
     """
     cls = tuple(sorted(set(int(k) for k in classes)))
@@ -694,12 +698,8 @@ def build_separated_family(
                     f"core would be bad"
                 )
             j_sets.append(frozenset(j))
-        pos_sets = [tuple(coords.index(i) for i in j) for j in j_sets]
         total = (k - 1) ** len(coords)
-
-        def good(v: tuple[int, ...], _ps=tuple(pos_sets), _k=k) -> bool:
-            return not any(all(v[p] != _k for p in ps) for ps in _ps)
-
+        lang = Language(k, d, f_coords=coords, core_rules=j_sets)
         if mode == "enumerate":
             if total > enumerate_cap:
                 raise ValueError(
@@ -709,30 +709,21 @@ def build_separated_family(
             cores = tuple(
                 v
                 for v in itertools.product(core_alphabet(k), repeat=len(coords))
-                if good(v)
+                if lang._good_core(v)
             )
-            good_count = len(cores)
-            if good_count == 0:
-                raise FamilyConstructionError(
-                    f"class {k} has no good core words at d={d}; the construction "
-                    f"fails at this scale"
-                )
-            languages[k] = Language(k, d, f_coords=coords, core_words=cores)
-        else:
-            good_count = count_good_words(k, coords, j_sets)
-            if good_count == 0:
-                raise FamilyConstructionError(
-                    f"class {k} has no good core words at d={d}; the construction "
-                    f"fails at this scale"
-                )
-            languages[k] = Language(
-                k, d, f_coords=coords, core_predicate=good, core_count=good_count
+            lang = Language(k, d, f_coords=coords, core_words=cores)
+        good_count = lang.core_size()
+        if good_count == 0:
+            raise FamilyConstructionError(
+                f"class {k} has no good core words at d={d}; the construction "
+                f"fails at this scale"
             )
+        languages[k] = lang
         stats[k] = ClassStats(k, len(coords), total, good_count)
 
     family = SeparatedFamily(d, cls, languages, fsets, seed, mode, stats)
     if certify:
-        cert = family.certify(rng=random.Random((seed, "separation-audit").__repr__()))
+        cert = family.certify()
         if not cert:
             raise FamilyConstructionError(f"family failed certification: {cert.checks}")
     return family
@@ -786,9 +777,7 @@ def family_from_dict(data: Mapping) -> SeparatedFamily:
     if any("core_count" in entry for entry in data["languages"]):
         if seed is None or fsets is None:
             raise ValueError("implicit families need their seed and fsets to rebuild")
-        return build_separated_family(
-            d, classes, int(seed), mode="implicit", fsets=fsets, certify=False
-        )
+        return build_separated_family(d, classes, int(seed), mode="implicit", fsets=fsets)
     langs = {}
     for entry in data["languages"]:
         k = int(entry["k"])

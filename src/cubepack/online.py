@@ -11,7 +11,7 @@ machine-checked certificate rather than a trusted simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .geometry import (
     Bin,
@@ -28,7 +28,6 @@ from .geometry import (
 from .languages import (
     FamilyConstructionError,
     FSetsSamplingError,
-    Language,
     SeparatedFamily,
     Word,
     build_separated_family,
@@ -164,7 +163,7 @@ def build_packing(
     the exact cross-class gap inequality for every class pair before
     building.  The result is certified by verify_bin; a failure raises,
     it is never silently accepted.  per_class_cap limits how many words
-    per class are materialized (mandatory for predicate-core families).
+    per class are materialized (mandatory for rule-core families).
     """
     epsilon = as_rational(epsilon)
     classes = family.classes

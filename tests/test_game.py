@@ -317,6 +317,33 @@ def test_repack_search_budget_exhausted(monkeypatch):
         improving_moves(cfg, "repack")
 
 
+def test_volume_screen_skips_overfull_target(monkeypatch):
+    # Bin 0 holds two side-1/2 and three side-1/3 cubes (volume 5/6).  The
+    # lone side-1/2 cube in bin 1 gains by volume from joining it, but 5/6 +
+    # 1/4 > 1 already proves it cannot fit, so no geometric search may run:
+    # a verdict of "no move" instead of a spent repack budget.
+    half, third = CubeClass(2, 0, 2), CubeClass(3, 0, 2)
+    classes = [half, half, third, third, third, half]
+    bases = [(0, 0), (F(1, 2), 0), (0, F(1, 2))]
+    bases += [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (0, 0)]
+    cfg = GameConfig(
+        2,
+        tuple(GameItem(i, c) for i, c in enumerate(classes)),
+        {i: 0 if i < 5 else 1 for i in range(6)},
+        {i: tuple(F(x) for x in b) for i, b in enumerate(bases)},
+    )
+    cfg.validate()
+    assert cfg.occupied(1) < cfg.occupied(0) + half.volume == F(13, 12)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("geometric search ran on an overfull target")
+
+    monkeypatch.setattr("cubepack.game.find_free_position", no_search)
+    monkeypatch.setattr("cubepack.game.find_joint_positions", no_search)
+    assert improving_moves(cfg, "insertion") == ()
+    assert improving_moves(cfg, "repack") == ()
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         improving_moves(two_items_config(), "teleport")

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubepack.languages import (
     FamilyConstructionError,
     FSets,
     FSetsSamplingError,
     Language,
+    SeparatedFamily,
     Word,
     are_separated,
     build_separated_family,
     core_alphabet,
     count_good_words,
-    estimate_good_words,
     family_from_dict,
     family_to_dict,
     is_bad_word,
@@ -75,9 +80,7 @@ def test_product_language_rejects_core_letter_k_minus_one():
 
 
 def test_predicate_core_language():
-    lang = Language(
-        3, 4, f_coords=(1, 2), core_predicate=lambda v: 3 in v, core_count=3
-    )
+    lang = Language(3, 4, f_coords=(1, 2), core_rules=((1, 2),))
     # cores over {1,3}^2 containing a 3: (1,3), (3,1), (3,3)
     assert len(lang) == 3 * 2 ** 2
     assert lang.contains((3, 1, 2, 1))
@@ -167,6 +170,118 @@ def test_are_separated_product_core_matches_word_level_oracle():
             for wp in big.iter_words()
         )
         assert got == oracle, (d, fk, fkp)
+
+
+def _brute_words(k, d, form, f_coords, payload):
+    """Every word of a language, enumerated straight from its definition."""
+    if form == "words":
+        return set(payload)
+    free_at = [c for c in range(1, d + 1) if c not in f_coords]
+    out = set()
+    for core in itertools.product(core_alphabet(k), repeat=len(f_coords)):
+        at = dict(zip(f_coords, core))
+        if form == "cores" and core not in payload:
+            continue
+        if form == "rules" and not all(any(at[i] == k for i in j) for j in payload):
+            continue
+        for free in itertools.product(range(1, k), repeat=len(free_at)):
+            at.update(zip(free_at, free))
+            out.add(tuple(at[c] for c in range(1, d + 1)))
+    return out
+
+
+@st.composite
+def language_pairs(draw):
+    """A class pair k < k' at d <= 4, each language given by explicit words,
+    explicit cores or a rule, plus the (form, F, payload) it came from.
+
+    Two thirds of the draws follow the randomized construction: both
+    languages in product form, and class k' must show k' on F' minus F (as
+    a rule, or by writing k' into each core there).  That separates the
+    pair when F' minus F is nonempty; three in four of these draws keep a
+    coordinate of F' out of F to make it so, the rest force it empty.  The
+    other draws mix all three forms freely, so big cores may carry no
+    letter k'.  Rule sets drawn on an empty F are empty.
+    """
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 3))
+    kp = draw(st.integers(k + 1, 4))
+    index_sets = st.lists(st.integers(1, d), unique=True).map(lambda xs: tuple(sorted(xs)))
+    f_small, f_big = draw(index_sets), draw(index_sets)
+    modes = ("free",) * 4 + ("separating",) * 6 + ("empty difference",) * 2
+    mode = draw(st.sampled_from(modes))
+    if mode == "separating":
+        out = draw(st.integers(1, d))
+        f_big = tuple(sorted(set(f_big) | {out}))
+        f_small = tuple(c for c in f_small if c != out)
+    elif mode == "empty difference":
+        f_small = tuple(sorted(set(f_small) | set(f_big)))
+    construction = mode != "free"
+    must_show = frozenset(f_big) - frozenset(f_small)
+
+    def language(cls, f, product_only, extra_rule):
+        forms = ("cores", "rules") if product_only else ("words", "cores", "rules")
+        form = draw(st.sampled_from(forms))
+        if form == "words":
+            letter = st.integers(1, cls)
+            payload = draw(st.lists(st.tuples(*[letter] * d), min_size=1, max_size=6))
+            return form, f, payload, Language(cls, d, words=payload)
+        if form == "cores":
+            letter = st.sampled_from(core_alphabet(cls))
+            payload = draw(st.lists(st.tuples(*[letter] * len(f)), min_size=1, max_size=6))
+            if extra_rule is not None:
+                # show k' on the required set; with it empty, every core is bad
+                pos = [f.index(i) for i in sorted(extra_rule)]
+                payload = [
+                    v[:p] + (cls,) + v[p + 1 :]
+                    for v in payload
+                    if pos
+                    for p in [draw(st.sampled_from(pos))]
+                ]
+            return form, f, set(payload), Language(cls, d, f_coords=f, core_words=payload)
+        if f:
+            rule_set = st.lists(st.sampled_from(f), min_size=1, unique=True)
+        else:
+            rule_set = st.just([])
+        payload = draw(st.lists(rule_set, max_size=3))
+        if extra_rule is not None:
+            payload.append(sorted(extra_rule))
+        return form, f, payload, Language(cls, d, f_coords=f, core_rules=payload)
+
+    small = language(k, f_small, construction, None)
+    big = language(kp, f_big, construction, must_show if construction else None)
+    return d, k, kp, small, big
+
+
+@given(language_pairs())
+def test_are_separated_matches_brute_force_word_pairs(case):
+    d, k, kp, (s_form, s_f, s_def, small), (b_form, b_f, b_def, big) = case
+    small_words = _brute_words(k, d, s_form, s_f, s_def)
+    big_words = _brute_words(kp, d, b_form, b_f, b_def)
+    for lang, words in ((small, small_words), (big, big_words)):
+        assert lang.count() == len(words)
+        assert all(lang.contains(w) for w in words)
+
+    def separated(w, wp):
+        return any(a < k and b == kp for a, b in zip(w, wp))
+
+    res = are_separated(small, big)
+    assert bool(res) == all(separated(w, wp) for w in small_words for wp in big_words)
+    assert res.method == ("exhaustive" if "words" in (s_form, b_form) else "product-core")
+    if res:
+        assert res.witness is None
+        return
+    w, wp = res.witness
+    assert w in small_words and wp in big_words
+    assert not separated(w, wp)
+    if "rules" not in (s_form, b_form):
+        first = next(
+            (x, y)
+            for x in small.iter_words()
+            for y in big.iter_words()
+            if not separated(x, y)
+        )
+        assert res.witness == first
 
 
 # -- warm-up family -----------------------------------------------------------
@@ -290,13 +405,6 @@ def test_count_good_words_term_cap():
         count_good_words(30, tuple(range(1, 11)), [(1,)] * 25, max_terms=1 << 10)
 
 
-def test_estimate_good_words_tracks_exact_fraction():
-    k, coords, j_sets = 4, (1, 2, 3, 4), [(1, 2), (3,)]
-    exact = F(count_good_words(k, coords, j_sets), (k - 1) ** len(coords))
-    est = estimate_good_words(k, coords, j_sets, random.Random(3), samples=4000)
-    assert abs(est - exact) < F(1, 20)
-
-
 # -- randomized family ---------------------------------------------------------
 
 
@@ -332,15 +440,15 @@ def test_build_family_enumerate_matches_implicit_counts():
         )
         assert enum.sizes() == impl.sizes()
         for k in enum.classes:
-            for v in enum.language(k).core_words:
-                assert impl.language(k).core_predicate(v)
+            for w in enum.language(k).iter_words():
+                assert impl.language(k).contains(w)
 
 
-def test_build_family_implicit_certify_sampled():
+def test_build_family_implicit_certify_exact():
     fam = build_separated_family(8, (2, 3), seed=9, mode="implicit")
-    cert = fam.certify(rng=random.Random(1), samples=300)
+    cert = fam.certify()
     assert cert
-    assert cert.checks[0][2] == "sampled"
+    assert cert.checks == ((2, 3, "product-core", True),)
 
 
 def test_build_family_weight_is_good_density_times_classes():
@@ -389,3 +497,24 @@ def test_family_json_round_trip_implicit():
     again = family_from_dict(doc)
     assert again.sizes() == fam.sizes()
     assert again.mode == "implicit"
+
+
+def test_reloaded_implicit_family_certifies():
+    fam = build_separated_family(10, (2, 3, 4), seed=3, mode="implicit")
+    again = family_from_dict(family_to_dict(fam))
+    cert = again.certify()
+    assert cert
+    assert all(method == "product-core" for _, _, method, _ in cert.checks)
+    for k in fam.classes:
+        assert again.language(k).core_rules == fam.language(k).core_rules
+
+
+def test_separation_has_no_sampled_path():
+    # Separation is decided exactly: no sampling parameter and no sampled
+    # verdict may come back into the package.
+    for fn in (are_separated, SeparatedFamily.certify):
+        params = inspect.signature(fn).parameters
+        assert "rng" not in params and "samples" not in params, fn.__qualname__
+    src = Path(__file__).resolve().parent.parent / "src" / "cubepack"
+    for path in sorted(src.rglob("*.py")):
+        assert not re.search(r"""["']sampled["']""", path.read_text()), path.name
