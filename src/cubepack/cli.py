@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from . import __version__
 from .game import (
@@ -26,20 +26,20 @@ from .game import (
     RepackSearchError,
     anarchy_copies,
     best_response_dynamics,
+    config_from_dict,
     config_to_dict,
     is_nash,
-    load_config,
     poa_instance,
     prop1_sweep,
     spoa_instance,
 )
-from .geometry import as_rational, format_rational, verify_bin
+from .geometry import as_rational, expect_type, format_rational, verify_bin
 from .languages import (
     FamilyConstructionError,
     FSetsSamplingError,
     SeparatedFamily,
     build_separated_family,
-    save_family,
+    family_to_dict,
     warmup_family,
 )
 from .online import (
@@ -54,13 +54,14 @@ from .packing import (
     PackingVerificationError,
     build_packing,
     dense_packing_report,
-    load_packing,
     packing_from_dict,
     packing_to_dict,
     power_of_two_packing_report,
 )
 
 OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +100,21 @@ def write_json(path: Path, doc: Mapping) -> None:
         fh.write("\n")
 
 
-def read_json(path: Path) -> dict:
+def read_json(path: Path, from_dict: Callable[..., T], **kw) -> T:
+    """Decode one input file and convert it with `from_dict(doc, **kw)`.
+
+    This is the only door for outside JSON.  A hostile document fails
+    structurally: it nests too deep to decode, lacks a key, or holds a
+    value of the wrong JSON type where the converter expects another.
+    Each is bad input (exit 2), not a failed verification.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return from_dict(json.load(fh), **kw)
+        except (RecursionError, KeyError, AttributeError, TypeError, IndexError) as exc:
+            raise ValueError(
+                f"malformed {Path(path).name}: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def _sub_seed(seed: int, stage: str, d: int) -> int:
@@ -204,7 +217,7 @@ def _build_manifest(args) -> dict:
 
 
 def cmd_pack_verify(args) -> int:
-    packing = packing_from_dict(read_json(args.packing), verify=False)
+    packing = read_json(args.packing, packing_from_dict, verify=False)
     result = verify_bin(packing.bin)
     cubes = sum(packing.nu.values())
     if result:
@@ -222,7 +235,7 @@ def cmd_pack_verify(args) -> int:
 
 
 def cmd_pack_weight(args) -> int:
-    packing = packing_from_dict(read_json(args.packing), verify=False)
+    packing = read_json(args.packing, packing_from_dict, verify=False)
     print(f"classes: {list(packing.classes)}")
     print(f"weight (placed cubes): {packing.weight()}")
     print(f"weight (full family):  {packing.full_weight()}")
@@ -234,26 +247,36 @@ def cmd_pack_weight(args) -> int:
 # online
 
 
+def _adversary_doc(result, manifest: dict) -> dict:
+    doc = instance_to_dict(result.instance)
+    doc.update(
+        m=result.m,
+        scale=result.scale,
+        lower_bound=result.lower_bound,
+        offline_bin_count=result.offline_bin_count,
+        per_segment_lower_bounds=list(result.per_segment_lower_bounds),
+        manifest=manifest,
+    )
+    return doc
+
+
+def _ratio_doc(report) -> dict:
+    return {
+        "bins_used": report.bins_used,
+        "opt_upper_bound": report.opt_upper_bound,
+        "certified_lower_bound": report.certified_lower_bound,
+        "ratio": format_rational(report.ratio),
+    }
+
+
 def cmd_online_adversary(args) -> int:
-    packing = load_packing(args.packing)
+    packing = read_json(args.packing, packing_from_dict)
     result = adversarial_instance(packing, args.m, scale=args.scale, order=args.order)
     command = ["online", "adversary", "--packing", Path(args.packing).name,
                "--M", str(args.m), "--scale", str(result.scale),
                "--out", Path(args.out).name]
-    doc = instance_to_dict(
-        result.instance,
-        extra={
-            "m": result.m,
-            "scale": result.scale,
-            "lower_bound": result.lower_bound,
-            "offline_bin_count": result.offline_bin_count,
-            "per_segment_lower_bounds": list(result.per_segment_lower_bounds),
-            "manifest": make_manifest(
-                command, args.seed, args.log_base, {"packing": args.packing}
-            ),
-        },
-    )
-    write_json(args.out, doc)
+    manifest = make_manifest(command, args.seed, args.log_base, {"packing": args.packing})
+    write_json(args.out, _adversary_doc(result, manifest))
     print(
         f"wrote {args.out}: {result.instance.total_items} items in "
         f"{len(result.instance.segments)} segments, scale={result.scale}, "
@@ -263,11 +286,15 @@ def cmd_online_adversary(args) -> int:
     return OK
 
 
+def _instance_with_bounds(doc: Mapping) -> tuple:
+    """The stream plus the adversary's bin counts, when the file has them."""
+    bounds = (doc.get("offline_bin_count"), doc.get("lower_bound"))
+    return (instance_from_dict(doc),
+            *(None if b is None else expect_type(b, int) for b in bounds))
+
+
 def cmd_online_run(args) -> int:
-    doc = read_json(args.instance)
-    instance = instance_from_dict(doc)
-    opt = doc.get("offline_bin_count")
-    lower = doc.get("lower_bound")
+    instance, opt, lower = read_json(args.instance, _instance_with_bounds)
     algorithm = ClassHarmonicBaseline(args.m)
     result = run_bounded_space(
         algorithm,
@@ -292,12 +319,7 @@ def cmd_online_run(args) -> int:
         ),
     }
     if result.report is not None:
-        out["ratio_report"] = {
-            "bins_used": result.report.bins_used,
-            "opt_upper_bound": result.report.opt_upper_bound,
-            "certified_lower_bound": result.report.certified_lower_bound,
-            "ratio": format_rational(result.report.ratio),
-        }
+        out["ratio_report"] = _ratio_doc(result.report)
     write_json(args.report, out)
     line = f"{args.alg}: {result.bins_used} bins for {len(result.placements)} items"
     if result.report is not None:
@@ -316,7 +338,7 @@ def cmd_online_run(args) -> int:
 
 
 def cmd_game_nash_check(args) -> int:
-    config = load_config(args.config)
+    config = read_json(args.config, config_from_dict)
     config.validate()
     result = is_nash(config, mode=args.mode)
     if result:
@@ -337,7 +359,7 @@ def cmd_game_nash_check(args) -> int:
 
 
 def cmd_game_dynamics(args) -> int:
-    config = load_config(args.config)
+    config = read_json(args.config, config_from_dict)
     config.validate()
     before = config.social_cost()
     result = best_response_dynamics(
@@ -384,8 +406,23 @@ def _anarchy_doc(inst, kind: str) -> dict:
     return doc
 
 
+def _write_anarchy(args, inst, doc: dict, subcommand: str, *flags: str) -> None:
+    """The --out tail of poa and spoa: both configurations plus a manifest."""
+    if args.out is None:
+        return
+    command = ["game", subcommand, "--packing", Path(args.packing).name, *flags,
+               "--out", Path(args.out).name]
+    doc["p"] = config_to_dict(inst.p)
+    doc["p_prime"] = config_to_dict(inst.p_prime)
+    doc["manifest"] = make_manifest(
+        command, args.seed, args.log_base, {"packing": args.packing}
+    )
+    write_json(args.out, doc)
+    print(f"wrote {args.out}")
+
+
 def cmd_game_poa(args) -> int:
-    packing = load_packing(args.packing)
+    packing = read_json(args.packing, packing_from_dict)
     inst = poa_instance(
         packing, copies_cap=args.copies_cap, certify=not args.no_certify
     )
@@ -395,21 +432,12 @@ def cmd_game_poa(args) -> int:
         f"{doc['equilibrium_bins']} bins: ratio {inst.ratio}"
         + (" (certified Nash)" if doc["equilibrium_certified"] else "")
     )
-    if args.out is not None:
-        command = ["game", "poa", "--packing", Path(args.packing).name,
-                   "--out", Path(args.out).name]
-        doc["p"] = config_to_dict(inst.p)
-        doc["p_prime"] = config_to_dict(inst.p_prime)
-        doc["manifest"] = make_manifest(
-            command, args.seed, args.log_base, {"packing": args.packing}
-        )
-        write_json(args.out, doc)
-        print(f"wrote {args.out}")
+    _write_anarchy(args, inst, doc, "poa")
     return OK
 
 
 def cmd_game_spoa(args) -> int:
-    packing = load_packing(args.packing)
+    packing = read_json(args.packing, packing_from_dict)
     inst = spoa_instance(
         packing,
         coalition_cap=args.coalition_cap,
@@ -424,17 +452,7 @@ def cmd_game_spoa(args) -> int:
     if doc.get("coalition_proof"):
         line += f" (no improving coalition up to size {args.coalition_cap})"
     print(line)
-    if args.out is not None:
-        command = ["game", "spoa", "--packing", Path(args.packing).name,
-                   "--coalition-cap", str(args.coalition_cap),
-                   "--out", Path(args.out).name]
-        doc["p"] = config_to_dict(inst.p)
-        doc["p_prime"] = config_to_dict(inst.p_prime)
-        doc["manifest"] = make_manifest(
-            command, args.seed, args.log_base, {"packing": args.packing}
-        )
-        write_json(args.out, doc)
-        print(f"wrote {args.out}")
+    _write_anarchy(args, inst, doc, "spoa", "--coalition-cap", str(args.coalition_cap))
     return OK
 
 
@@ -485,9 +503,9 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         family = warmup_family(d)
         cert = family.certify()
         sizes = family.sizes()
-        path = out_dir / f"family_d{d}.json"
-        save_family(path, family, manifest=manifest("family"))
-        artifacts.append(path)
+        doc = family_to_dict(family)
+        doc["manifest"] = manifest("family")
+        emit(f"family_d{d}.json", doc)
         row["family"] = {
             "status": "ok",
             "S": len(family.classes),
@@ -535,20 +553,9 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         slim = _slice_family(family, classes)
         slim_packing = build_packing(slim, Fraction(1, max(classes) ** 2))
         adversary = adversarial_instance(slim_packing, 1)
-        doc = instance_to_dict(
-            adversary.instance,
-            extra={
-                "m": adversary.m,
-                "scale": adversary.scale,
-                "lower_bound": adversary.lower_bound,
-                "offline_bin_count": adversary.offline_bin_count,
-                "per_segment_lower_bounds": list(
-                    adversary.per_segment_lower_bounds
-                ),
-                "manifest": manifest("adversary"),
-            },
+        instance_path = emit(
+            f"instance_d{d}.json", _adversary_doc(adversary, manifest("adversary"))
         )
-        instance_path = emit(f"instance_d{d}.json", doc)
         row["adversary"] = {
             "status": "ok",
             "classes": list(classes),
@@ -578,12 +585,7 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
             "bins_used": run.bins_used,
             "per_segment_new_bins": list(run.per_segment_new_bins),
             "placements": len(run.placements),
-            "ratio_report": {
-                "bins_used": run.report.bins_used,
-                "opt_upper_bound": run.report.opt_upper_bound,
-                "certified_lower_bound": run.report.certified_lower_bound,
-                "ratio": format_rational(run.report.ratio),
-            },
+            "ratio_report": _ratio_doc(run.report),
             "manifest": manifest(
                 "online", {"instance": instance_path} if instance_path else None
             ),

@@ -9,7 +9,6 @@ geometry, and geometry answers are memoized per bin content.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .geometry import (
     PlacedCube,
     SearchBudgetError,
     as_rational,
+    expect_type,
     find_free_position,
     find_joint_positions,
     format_rational,
@@ -201,28 +201,17 @@ def config_to_dict(config: GameConfig) -> dict:
 
 
 def config_from_dict(payload: Mapping[str, object]) -> GameConfig:
-    d = int(payload["d"])
+    d = expect_type(payload["d"], int)
     items: List[GameItem] = []
     assignment: Dict[int, int] = {}
     positions: Dict[int, Tuple[Fraction, ...]] = {}
-    for row in payload["cubes"]:
-        item_id = int(row["id"])
-        cls = CubeClass(int(row["k"]), as_rational(row["epsilon"]), d)
+    for row in expect_type(payload["cubes"], list):
+        item_id = expect_type(row["id"], int)
+        cls = CubeClass(expect_type(row["k"], int), as_rational(row["epsilon"]), d)
         items.append(GameItem(item_id, cls))
-        assignment[item_id] = int(row["bin"])
-        positions[item_id] = tuple(as_rational(x) for x in row["base"])
+        assignment[item_id] = expect_type(row["bin"], int)
+        positions[item_id] = tuple(as_rational(x) for x in expect_type(row["base"], list))
     return GameConfig(d, tuple(items), assignment, positions)
-
-
-def save_config(config: GameConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
-def load_config(path) -> GameConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

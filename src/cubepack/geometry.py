@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -21,15 +21,31 @@ def as_rational(value: Rational) -> Fraction:
     """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction.
 
     Floats are refused on purpose: silently rounding 0.1 to a nearby
-    rational would poison every downstream exactness guarantee.
+    rational would poison every downstream exactness guarantee.  Bools
+    are refused too, so that a JSON true is not read as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {value!r}") from None
     raise TypeError(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")
+
+
+def expect_type(value, kind: type):
+    """`value` itself if its type is exactly `kind`, else a TypeError.
+
+    Decoders read outside JSON through this rather than through int() or
+    list(), which would turn 2.5 into 2, true into 1 or an object into
+    its keys: a malformed file would pass as a different, valid one.
+    """
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def format_rational(value: Rational) -> str:
@@ -424,32 +440,3 @@ def find_joint_positions(
     if not place(0, boxes):
         return None
     return tuple(tuple(Fraction(v, scale) for v in base) for base in placed)
-
-
-# -- JSON round-trip -------------------------------------------------------
-#
-# Packing file format:
-#   {"d": int, "cubes": [{"k": int, "epsilon": "p/q", "base": ["p/q", ...]}]}
-# Writers may add a "manifest" key; parsers ignore unknown keys.
-
-
-def cube_to_dict(cube: PlacedCube) -> dict:
-    return {
-        "k": cube.cls.k,
-        "epsilon": format_rational(cube.cls.epsilon),
-        "base": [format_rational(x) for x in cube.base],
-    }
-
-
-def cube_from_dict(data: Mapping, d: int) -> PlacedCube:
-    cls = CubeClass(int(data["k"]), as_rational(data["epsilon"]), d)
-    return PlacedCube(cls, tuple(as_rational(x) for x in data["base"]))
-
-
-def bin_to_dict(b: Bin) -> dict:
-    return {"d": b.d, "cubes": [cube_to_dict(c) for c in b.cubes]}
-
-
-def bin_from_dict(data: Mapping) -> Bin:
-    d = int(data["d"])
-    return Bin(d, tuple(cube_from_dict(c, d) for c in data["cubes"]))

@@ -36,7 +36,6 @@ separated by construction.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -788,17 +787,3 @@ def family_from_dict(data: Mapping) -> SeparatedFamily:
             core_words=tuple(tuple(v) for v in entry["core_words"]),
         )
     return SeparatedFamily(d, classes, langs, fsets, seed, mode)
-
-
-def save_family(path, family: SeparatedFamily, manifest: Optional[Mapping] = None) -> None:
-    doc = family_to_dict(family)
-    if manifest is not None:
-        doc["manifest"] = dict(manifest)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_family(path) -> SeparatedFamily:
-    with open(path, encoding="utf-8") as fh:
-        return family_from_dict(json.load(fh))

@@ -10,7 +10,6 @@ machine-checked certificate rather than a trusted simulation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -21,6 +20,7 @@ from .geometry import (
     CubeClass,
     PlacedCube,
     as_rational,
+    expect_type,
     format_rational,
     verify_bin,
 )
@@ -92,41 +92,21 @@ class Instance:
                 yield seg.k
 
 
-def instance_to_dict(
-    instance: Instance, *, extra: Optional[Mapping[str, object]] = None
-) -> dict:
-    payload: dict = {
+def instance_to_dict(instance: Instance) -> dict:
+    return {
         "d": instance.d,
         "epsilon": format_rational(instance.epsilon),
         "segments": [{"k": s.k, "count": s.count} for s in instance.segments],
     }
-    if extra:
-        for key, value in extra.items():
-            if key in payload:
-                raise ValueError(f"extra key {key!r} collides with a core field")
-            payload[key] = value
-    return payload
 
 
 def instance_from_dict(payload: Mapping[str, object]) -> Instance:
     """Rebuild an instance; keys beyond d/epsilon/segments are ignored."""
     segments = tuple(
-        Segment(int(row["k"]), int(row["count"])) for row in payload["segments"]
+        Segment(expect_type(row["k"], int), expect_type(row["count"], int))
+        for row in expect_type(payload["segments"], list)
     )
-    return Instance(int(payload["d"]), as_rational(payload["epsilon"]), segments)
-
-
-def save_instance(
-    instance: Instance, path, *, extra: Optional[Mapping[str, object]] = None
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance, extra=extra), fh, indent=2)
-        fh.write("\n")
-
-
-def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    return Instance(expect_type(payload["d"], int), as_rational(payload["epsilon"]), segments)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +303,8 @@ class RatioReport:
 def ratio_report(
     bins_used: int, opt_upper_bound: int, certified_lower_bound: int
 ) -> RatioReport:
+    if opt_upper_bound < 1:
+        raise ValueError(f"offline bin count must be >= 1, got {opt_upper_bound}")
     return RatioReport(
         bins_used,
         opt_upper_bound,
@@ -451,7 +433,6 @@ class ClassHarmonicBaseline:
             raise ValueError(f"open-bin budget must be >= 1, got {m}")
         self.m = m
         self._slots: Dict[int, _Slot] = {}
-        self._step = 0
 
     @staticmethod
     def capacity(cls: CubeClass) -> int:
@@ -496,4 +477,3 @@ class ClassHarmonicBaseline:
         cap = (k - 1) ** len(base)
         if slot.count >= cap:
             del self._slots[k]
-        self._step = item_index + 1

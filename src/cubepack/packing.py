@@ -10,7 +10,6 @@ report drivers that chase the asymptotic weight targets.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from .geometry import (
     CubeClass,
     PlacedCube,
     as_rational,
+    expect_type,
     format_rational,
     occupied_volume,
     verify_bin,
@@ -453,14 +453,18 @@ def packing_to_dict(packing: TypedPacking) -> dict:
 
 def packing_from_dict(data: Mapping, *, verify: bool = True) -> TypedPacking:
     """Inverse of packing_to_dict; unknown keys (manifest, report) are ignored."""
-    d = int(data["d"])
+    d = expect_type(data["d"], int)
     epsilon = as_rational(data["epsilon"])
     nu: dict[int, int] = {}
     words: dict[int, tuple[tuple[int, ...], ...]] = {}
     cubes: list[PlacedCube] = []
-    for key in sorted(data["words"], key=int):
+    rows = expect_type(data["words"], dict)
+    for key in sorted(rows, key=int):
         k = int(key)
-        selected = tuple(tuple(int(x) for x in w) for w in data["words"][key])
+        selected = tuple(
+            tuple(expect_type(x, int) for x in expect_type(w, list))
+            for w in expect_type(rows[key], list)
+        )
         nu[k] = len(selected)
         words[k] = selected
         for letters in selected:
@@ -474,19 +478,7 @@ def packing_from_dict(data: Mapping, *, verify: bool = True) -> TypedPacking:
                 f"pair={report.offending_pair}"
             )
     sizes = data.get("family_sizes")
-    family_sizes = {int(k): int(n) for k, n in sizes.items()} if sizes else None
+    if sizes is not None:
+        sizes = {int(k): expect_type(n, int) for k, n in expect_type(sizes, dict).items()}
+    family_sizes = sizes or None
     return TypedPacking(d, epsilon, b, nu, words, family_sizes)
-
-
-def save_packing(path, packing: TypedPacking, manifest: Optional[Mapping] = None) -> None:
-    doc = packing_to_dict(packing)
-    if manifest is not None:
-        doc["manifest"] = dict(manifest)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_packing(path, *, verify: bool = True) -> TypedPacking:
-    with open(path, encoding="utf-8") as fh:
-        return packing_from_dict(json.load(fh), verify=verify)

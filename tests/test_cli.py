@@ -1,14 +1,20 @@
 """End-to-end command line tests: every subcommand, exit codes, manifests."""
 
+import copy
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubepack.cli import main
-from cubepack.packing import packing_from_dict, packing_to_dict
+from cubepack.game import config_to_dict, homogeneous_mixture
+from cubepack.languages import warmup_family
+from cubepack.online import Instance, Segment, instance_to_dict
+from cubepack.packing import build_packing, packing_from_dict, packing_to_dict
 
 
 def run(*argv):
@@ -303,3 +309,165 @@ def test_module_entry_point_exit_codes(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+
+# -- hostile input -------------------------------------------------------------
+#
+# Outside JSON reaches the library only through cli.read_json.  A document
+# that breaks the schema must end in exit 2 with a one-line error: never a
+# traceback, a "verification failure", or a verdict about a silently
+# coerced document.
+
+PACKING_COMMANDS = [
+    ("pack", "verify", "IN"),
+    ("pack", "weight", "IN"),
+    ("online", "adversary", "--packing", "IN", "--M", "1", "--out", "OUT"),
+    ("game", "poa", "--packing", "IN", "--out", "OUT"),
+]
+CONFIG_COMMANDS = [("game", "nash-check", "IN")]
+INSTANCE_COMMANDS = [
+    ("online", "run", "--alg", "class-harmonic", "--instance", "IN",
+     "--M", "1", "--report", "OUT"),
+]
+
+
+def _argv(template, src, out):
+    return [src if a == "IN" else out if a == "OUT" else a for a in template]
+
+
+def _hostile_packings(packing_file):
+    """The three files that ended in a traceback or exit 1 before read_json."""
+    doc = read(packing_file)
+    return {
+        "deep": "[" * 100_000 + "]" * 100_000,
+        "family_sizes": json.dumps(dict(doc, family_sizes=[1, 2])),
+        "zero_denominator": json.dumps(dict(doc, epsilon="1/0")),
+    }
+
+
+@pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))
+@pytest.mark.parametrize("name", ["deep", "family_sizes", "zero_denominator"])
+def test_hostile_packing_is_bad_input(tmp_path, packing_file, capsys, template, name):
+    src = tmp_path / f"{name}.json"
+    src.write_text(_hostile_packings(packing_file)[name])
+    assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "verification failure" not in err
+
+
+def test_zero_denominator_is_bad_input_in_every_reader(tmp_path, capsys):
+    config = config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9)))
+    config["cubes"][1]["base"][0] = "3/0"
+    instance = instance_to_dict(Instance(2, F(1, 4), (Segment(2, 2),)))
+    cases = [
+        (config, CONFIG_COMMANDS, "zero denominator"),
+        (dict(instance, epsilon="1/0"), INSTANCE_COMMANDS, "zero denominator"),
+        # the ratio's denominator: bins used over the offline bin count
+        (dict(instance, offline_bin_count=0, lower_bound=0), INSTANCE_COMMANDS,
+         "offline bin count"),
+    ]
+    for doc, templates, message in cases:
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        for template in templates:
+            assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+            assert message in capsys.readouterr().err
+
+
+def test_hostile_files_exit_2_without_traceback(tmp_path, packing_file):
+    for name, text in _hostile_packings(packing_file).items():
+        src = tmp_path / f"{name}.json"
+        src.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubepack.cli", "pack", "verify", str(src)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        assert proc.stderr.startswith("error: "), name
+
+
+# Valid documents holding only keys their readers look at (no manifest or
+# report), so that every site a mutation can reach is part of the schema.
+_STREAM = Instance(2, F(1, 4), (Segment(2, 2), Segment(3, 4)))
+VALID_DOCS = {
+    "packing": (packing_to_dict(build_packing(warmup_family(3), F(1, 9))),
+                PACKING_COMMANDS[:2]),
+    "config": (config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9))),
+               CONFIG_COMMANDS),
+    "instance": (dict(instance_to_dict(_STREAM), lower_bound=1, offline_bin_count=2),
+                 INSTANCE_COMMANDS),
+}
+# keys a document may omit or set to null
+OPTIONAL = {"family_sizes", "lower_bound", "offline_bin_count"}
+# objects keyed by class, not by field name: no key of theirs is required
+MAPS = {"words", "family_sizes"}
+# one value of each JSON type but integer; a swap picks one of another type
+SWAPS = (None, True, 2.5, "x", [], {})
+
+
+def _sites(node, path=()):
+    """(path, value) for every value below the root, in document order."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _sites(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def hostile_documents(draw, doc):
+    """(JSON text, whether the mutation breaks the schema) for a valid doc."""
+    doc = copy.deepcopy(doc)
+    sites = list(_sites(doc))
+    mutation = draw(st.sampled_from(("drop", "swap", "nest", "zero")))
+    if mutation == "drop":
+        path = draw(st.sampled_from([
+            p for p, _ in sites
+            if isinstance(_parent(doc, p), dict) and p[-1] not in OPTIONAL
+            and (len(p) == 1 or p[-2] not in MAPS)
+        ]))
+        del _parent(doc, path)[path[-1]]
+        return json.dumps(doc), True
+    if mutation == "swap":
+        path, value = draw(st.sampled_from(sites))
+        new = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(value)]))
+        _parent(doc, path)[path[-1]] = new
+        return json.dumps(doc), not (new is None and path[-1] in OPTIONAL)
+    if mutation == "zero":
+        path = draw(st.sampled_from([p for p, v in sites if isinstance(v, str)]))
+        _parent(doc, path)[path[-1]] = f"{draw(st.integers(-9, 9))}/0"
+        return json.dumps(doc), True
+    depth = draw(st.sampled_from((1, 2, 500, 100_000)))
+    opener, closer = draw(st.sampled_from((("[", "]"), ('{"d": ', "}"))))
+    return opener * depth + json.dumps(doc) + closer * depth, True
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+def test_fuzz_base_documents_are_valid(tmp_path, kind):
+    doc, templates = VALID_DOCS[kind]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    for template in templates:
+        assert run(*_argv(template, src, tmp_path / "out.json")) in (0, 1)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+@given(data=st.data())
+def test_mutated_documents_never_raise_and_schema_breaks_exit_2(
+    tmp_path_factory, kind, data
+):
+    doc, templates = VALID_DOCS[kind]
+    text, breaks = data.draw(hostile_documents(doc))
+    tmp = tmp_path_factory.getbasetemp()
+    src = tmp / f"fuzz_{kind}.json"
+    src.write_text(text)
+    for template in templates:
+        code = run(*_argv(template, src, tmp / f"fuzz_{kind}_out.json"))
+        assert code == 2 if breaks else code in (0, 1, 2), (template[:2], text[:300])

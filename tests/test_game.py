@@ -26,13 +26,11 @@ from cubepack.game import (
     improving_moves,
     is_nash,
     is_strong_nash,
-    load_config,
     meir_moser_predicate,
     poa_instance,
     potential,
     prop1_check,
     prop1_sweep,
-    save_config,
     sparse_bin_report,
     spoa_instance,
 )
@@ -116,16 +114,13 @@ def test_config_validation_rejects_overlap():
         cfg.validate()
 
 
-def test_config_json_round_trip(tmp_path):
+def test_config_json_round_trip():
     cfg = homogeneous_mixture([2, 3], 2, F(1, 9))
     payload = config_to_dict(cfg)
     assert payload["d"] == 2
     assert payload["cubes"][0]["epsilon"] == "1/9"
     again = config_from_dict(payload)
     assert again == cfg
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
 
 
 # ---------------------------------------------------------------------------

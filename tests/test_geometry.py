@@ -15,8 +15,6 @@ from cubepack.geometry import (
     CubeClass,
     PlacedCube,
     as_rational,
-    bin_from_dict,
-    bin_to_dict,
     cubes_disjoint,
     find_free_position,
     find_joint_positions,
@@ -35,6 +33,10 @@ def test_as_rational_accepts_int_str_fraction():
 def test_as_rational_rejects_float():
     with pytest.raises(TypeError):
         as_rational(0.1)
+    with pytest.raises(TypeError):
+        as_rational(True)
+    with pytest.raises(ValueError, match="1/0"):
+        as_rational("1/0")
 
 
 def test_format_rational_round_trip():
@@ -405,11 +407,3 @@ def test_find_joint_positions_beats_one_by_one_placement():
     )
     assert verify_bin(Bin(2, layout))
 
-
-def test_bin_json_round_trip():
-    b = _grid_bin(3, 2, F(1, 9))
-    doc = bin_to_dict(b)
-    again = bin_from_dict(doc)
-    assert again == b
-    assert doc["cubes"][0]["epsilon"] == "1/9"
-    assert bin_to_dict(again) == doc

@@ -18,14 +18,12 @@ from cubepack.online import (
     adversarial_instance,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     lower_bound_certificate,
     minimal_scale,
     offline_certificate,
     paper_scale,
     ratio_report,
     run_bounded_space,
-    save_instance,
     validate_scale,
 )
 from cubepack.packing import build_homogeneous, build_packing
@@ -54,21 +52,13 @@ def test_instance_validation():
         Segment(2, -1)
 
 
-def test_instance_json_round_trip(tmp_path):
+def test_instance_json_round_trip():
     inst = Instance(3, F(1, 9), (Segment(2, 16), Segment(3, 64)))
-    path = tmp_path / "instance.json"
-    save_instance(inst, path, extra={"lower_bound": 12, "offline_upper_bound": 16})
-    raw = path.read_text()
-    assert '"epsilon": "1/9"' in raw
+    doc = instance_to_dict(inst)
+    assert doc["epsilon"] == "1/9"
+    assert instance_from_dict(doc) == inst
     assert instance_from_dict({"d": 3, "epsilon": "1/9", "segments": [
         {"k": 2, "count": 16}, {"k": 3, "count": 64}], "lower_bound": 12}) == inst
-    assert load_instance(path) == inst
-
-
-def test_instance_extra_key_collision():
-    inst = Instance(2, F(1, 9), (Segment(2, 1),))
-    with pytest.raises(ValueError):
-        instance_to_dict(inst, extra={"d": 5})
 
 
 # ---------------------------------------------------------------------------
