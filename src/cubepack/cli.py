@@ -61,6 +61,13 @@ from .packing import (
 
 OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
+# Most items `online run` replays from an outside instance file.  The
+# largest stream this package generates has 16,640 items (`reproduce
+# --d-list 7`), which the harness replays at about 1,474 us per item
+# (2 cores, Python 3.11.7): 24.5 s.  The cap is six times that stream, so
+# a hostile count ends in exit 2 instead of hours of replay.
+STREAM_ITEM_CAP = 100_000
+
 T = TypeVar("T")
 
 
@@ -295,6 +302,11 @@ def _instance_with_bounds(doc: Mapping) -> tuple:
 
 def cmd_online_run(args) -> int:
     instance, opt, lower = read_json(args.instance, _instance_with_bounds)
+    if instance.total_items > STREAM_ITEM_CAP:
+        raise ValueError(
+            f"instance holds {instance.total_items} items; online run replays "
+            f"at most {STREAM_ITEM_CAP}"
+        )
     algorithm = ClassHarmonicBaseline(args.m)
     result = run_bounded_space(
         algorithm,

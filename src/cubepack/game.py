@@ -3,8 +3,12 @@
 Each cube is a player whose cost is its volume divided by the occupied
 volume of its bin; the social cost is the number of used bins.  Because
 insertion cost depends only on volumes, never on positions, every move
-and coalition search runs an exact arithmetic prefilter before touching
-geometry, and geometry answers are memoized per bin content.
+and coalition search runs an exact prefilter on the config's integer
+volumes before touching geometry.  Every geometric question goes through
+one memoized joint placement search, keyed per call by what decides its
+answer: an insertion by (target bin, mover class), a repack re-layout by
+the sorted class multiset of residents plus mover, and a coalition target
+by (target bin or fresh bin, members leaving it, incoming classes).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,10 +28,8 @@ from .geometry import (
     SearchBudgetError,
     as_rational,
     expect_type,
-    find_free_position,
     find_joint_positions,
     format_rational,
-    occupied_volume,
     verify_bin,
 )
 from .packing import TypedPacking, build_homogeneous
@@ -70,6 +72,24 @@ class GameItem:
     @property
     def side(self) -> Fraction:
         return self.cls.side
+
+
+@dataclass(frozen=True)
+class _VolumeModel:
+    """A config's volumes as exact integers over one common denominator.
+
+    Classes are indexed in order of first appearance by item id.  A class
+    of side s fits at most floor(1/s)^d disjoint open cubes into one bin,
+    whatever else sits there (interval-graph colouring per axis).
+    """
+
+    scale: int
+    ivol: Dict[int, int]  # item id -> volume * scale
+    cid: Dict[int, int]  # item id -> class index
+    capacity: List[int]  # class index -> floor(1/side)^d
+    iocc: Dict[int, int]  # bin -> occupied volume * scale
+    members: Dict[int, List[int]]  # bin -> item ids, in item order
+    census: Dict[int, List[int]]  # bin -> resident count per class index
 
 
 @dataclass(frozen=True)
@@ -117,8 +137,27 @@ class GameConfig:
         return tuple(sorted(self.bins_map))
 
     @cached_property
+    def _volumes(self) -> _VolumeModel:
+        index: Dict[CubeClass, int] = {}
+        for it in sorted(self.items, key=lambda x: x.item_id):
+            index.setdefault(it.cls, len(index))
+        scale = lcm(*(c.volume.denominator for c in index))
+        cid = {it.item_id: index[it.cls] for it in self.items}
+        vols = [c.volume.numerator * (scale // c.volume.denominator) for c in index]
+        caps = [(c.side.denominator // c.side.numerator) ** self.d for c in index]
+        ivol = {i: vols[c] for i, c in cid.items()}
+        m = _VolumeModel(scale, ivol, cid, caps, {}, {}, {})
+        for it in self.items:
+            i, b = it.item_id, self.assignment[it.item_id]
+            m.iocc[b] = m.iocc.get(b, 0) + m.ivol[i]
+            m.members.setdefault(b, []).append(i)
+            m.census.setdefault(b, [0] * len(index))[cid[i]] += 1
+        return m
+
+    @cached_property
     def _occupied(self) -> Dict[int, Fraction]:
-        return {b: occupied_volume(bn) for b, bn in self.bins_map.items()}
+        m = self._volumes
+        return {b: Fraction(v, m.scale) for b, v in m.iocc.items()}
 
     def occupied(self, bin_id: int) -> Fraction:
         return self._occupied[bin_id]
@@ -253,73 +292,86 @@ def improving_moves(
     this arithmetic filter is complete and geometry runs only on survivors.
     Disjoint open cubes in the unit bin have total volume at most 1, so a
     target whose occupied(t) + volume exceeds 1 is skipped without a search.
-    Fresh bins are never targets; a lone item's cost of 1 cannot improve.
+    Both tests run on the config's integer volumes.  Fresh bins are never
+    targets; a lone item's cost of 1 cannot improve.
     """
     if mode not in ("insertion", "repack"):
         raise ValueError(f"unknown feasibility mode {mode!r}")
-    occ = config._occupied
-    bins_map = config.bins_map
+    m = config._volumes
+    memo: Dict[tuple, Optional[tuple]] = {}
     proposals: List[MoveProposal] = []
     for it in sorted(config.items, key=lambda x: x.item_id):
-        src = config.assignment[it.item_id]
-        for target in sorted(bins_map):
-            if target == src:
+        src, v = config.assignment[it.item_id], m.ivol[it.item_id]
+        for target in sorted(m.iocc):
+            joined = m.iocc[target] + v
+            if target == src or not joined > m.iocc[src]:
                 continue
-            if not occ[target] + it.volume > occ[src]:
-                continue
-            target_bin = bins_map[target]
-            if mode == "repack" and len(target_bin) + 1 > repack_cap:
+            residents = m.members[target]
+            if mode == "repack" and len(residents) + 1 > repack_cap:
                 raise RepackSearchError(
-                    f"bin {target} holds {len(target_bin)} items, repack cap "
+                    f"bin {target} holds {len(residents)} items, repack cap "
                     f"is {repack_cap - 1} plus the mover"
                 )
-            if occ[target] + it.volume > 1:
+            if joined > m.scale:
                 continue
-            cost_before = it.volume / occ[src]
-            cost_after = it.volume / (occ[target] + it.volume)
             if mode == "insertion":
-                base = find_free_position(target_bin.cubes, it.side, config.d)
-                if base is None:
-                    continue
-                proposals.append(
-                    MoveProposal(
-                        it.item_id, src, target, mode, cost_before, cost_after, base
-                    )
-                )
+                bin_id, movers, cap = target, [it], None
             else:
-                residents = [
-                    other
-                    for other in config.items
-                    if config.assignment[other.item_id] == target
-                ]
-                classes = sorted(
-                    [o.cls for o in residents] + [it.cls], key=lambda c: (-c.side, c.k)
+                # re-lay the whole bin: an empty bin takes residents plus mover
+                movers = [config.item(i) for i in residents] + [it]
+                movers.sort(key=lambda x: (-x.side, x.cls.k))
+                bin_id, cap = None, REPACK_NODE_CAP
+            try:
+                layout = _place(config, memo, bin_id, frozenset(), movers, cap)
+            except SearchBudgetError as exc:
+                raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
+            if layout is None:
+                continue
+            assigned = _distribute(layout, movers)
+            relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
+            costs = (Fraction(v, m.iocc[src]), Fraction(v, joined))
+            proposals.append(
+                MoveProposal(
+                    it.item_id, src, target, mode, *costs, assigned[it.item_id], relayout
                 )
-                sides = [c.side for c in classes]
-                try:
-                    bases = find_joint_positions(
-                        [], sides, config.d, node_cap=REPACK_NODE_CAP
-                    )
-                except SearchBudgetError as exc:
-                    raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
-                if bases is None:
-                    continue
-                assigned = _distribute(zip(classes, bases), residents + [it])
-                proposals.append(
-                    MoveProposal(
-                        it.item_id,
-                        src,
-                        target,
-                        mode,
-                        cost_before,
-                        cost_after,
-                        assigned[it.item_id],
-                        relayout=tuple(sorted(assigned.items())),
-                    )
-                )
+            )
             if first_only:
                 return tuple(proposals)
     return tuple(proposals)
+
+
+def _place(
+    config: GameConfig,
+    memo: Dict[tuple, Optional[tuple]],
+    target: Optional[int],
+    removed: frozenset,
+    incoming: Sequence[GameItem],
+    node_cap: Optional[int] = None,
+) -> Optional[Tuple[Tuple[CubeClass, Tuple[Fraction, ...]], ...]]:
+    """(class, base) per incoming item, placed jointly into bin `target`
+    (None: an empty bin) with its residents other than `removed` kept in
+    place; None if they do not fit.
+
+    find_joint_positions is exact and complete, and its answer depends only
+    on the residents and the incoming classes, so `memo` keys it by (target,
+    removed, sorted class indices).  A hit may list those classes in another
+    order, which is why callers hand bases to items through _distribute.
+    """
+    cid = config._volumes.cid
+    key = (target, removed, tuple(sorted(cid[it.item_id] for it in incoming)))
+    if key not in memo:
+        residents = [] if target is None else [
+            PlacedCube(config.item(i).cls, config.positions[i])
+            for i in config._volumes.members[target]
+            if i not in removed
+        ]
+        bases = find_joint_positions(
+            residents, [it.side for it in incoming], config.d, node_cap=node_cap
+        )
+        memo[key] = None if bases is None else tuple(
+            zip((it.cls for it in incoming), bases)
+        )
+    return memo[key]
 
 
 def _distribute(
@@ -467,7 +519,6 @@ class CoalitionProposal:
 class StrongNashResult:
     is_strong_nash: bool
     max_coalition_size: int
-    mode: str
     violation: Optional[CoalitionProposal]
     coalitions_checked: int
     assignments_checked: int
@@ -491,7 +542,6 @@ def apply_coalition(config: GameConfig, proposal: CoalitionProposal) -> GameConf
 def is_strong_nash(
     config: GameConfig,
     max_coalition_size: int,
-    mode: str = "insertion",
     *,
     assignment_cap: int = 5_000_000,
 ) -> StrongNashResult:
@@ -504,9 +554,9 @@ def is_strong_nash(
 
     Costs depend on the assignment alone: member i gains iff its target t_i
     ends up fuller than its source src_i is now.  Targets are assigned member
-    by member, depth first, as a branch and bound on integer volumes.  After
-    a member is assigned, the subtree is cut when some assigned member i
-    cannot gain even if every unassigned member joins t_i:
+    by member, depth first, as a branch and bound on the config's integer
+    volumes.  After a member is assigned, the subtree is cut when some
+    assigned member i cannot gain even if every unassigned member joins t_i:
 
         occ(t_i) - out(t_i) + in(t_i) + rest <= occ(src_i),
 
@@ -519,180 +569,116 @@ def is_strong_nash(
     member gain.  Only those reach the memoized joint insertion search,
     which is exact with residents kept in place; geometry_checks counts its
     runs.  Fresh bins are interchangeable, so fresh slot j is used only once
-    the slots below j are.
+    the slots below j are.  A target bin cannot take a member whose class
+    would then exceed its per-bin capacity there.
     """
-    if mode != "insertion":
-        raise ValueError("coalition search supports insertion mode only")
     if max_coalition_size < 1:
         raise ValueError("coalition size cap must be >= 1")
+    m = config._volumes
     items = sorted(config.items, key=lambda x: x.item_id)
-    # integer volumes: exact and much faster than Fractions in the hot loop
-    scale = lcm(*(it.volume.denominator for it in items)) if items else 1
-    ivol = {it.item_id: int(it.volume * scale) for it in items}
-    iocc = {b: int(v * scale) for b, v in config._occupied.items()}
     src = config.assignment
-    existing = sorted(config.bins_map)
+    existing = sorted(m.iocc)
     fresh_base = (max(existing) + 1) if existing else 0
-    insert_memo: Dict[tuple, Optional[Tuple]] = {}
-    geometry_checks = 0
-
-    # per-bin census by class index: disjoint open cubes of one side number
-    # at most floor(1/side)^d in a bin (interval-graph coloring per axis), no
-    # matter what other classes sit there
-    class_index: Dict[CubeClass, int] = {}
-    capacity: List[int] = []
-    cid: Dict[int, int] = {}
-    for it in items:
-        if it.cls not in class_index:
-            class_index[it.cls] = len(capacity)
-            side = it.cls.side
-            capacity.append((side.denominator // side.numerator) ** config.d)
-        cid[it.item_id] = class_index[it.cls]
-    census = {b: [0] * len(capacity) for b in existing}
-    for it in items:
-        census[src[it.item_id]][cid[it.item_id]] += 1
-
-    def geometry(target, removed_ids: frozenset, incoming: Tuple[GameItem, ...]):
-        """Positions for the incoming cubes, or None; memoized by content."""
-        nonlocal geometry_checks
-        # all fresh bins are interchangeable empty boxes: one memo entry
-        key = (
-            target if isinstance(target, int) else "new",
-            removed_ids,
-            tuple(sorted(cid[it.item_id] for it in incoming)),
-        )
-        if key in insert_memo:
-            return insert_memo[key]
-        geometry_checks += 1
-        if isinstance(target, int):
-            residents = [
-                c
-                for c, iid in _bin_cubes_with_ids(config, target)
-                if iid not in removed_ids
-            ]
-        else:
-            residents = []
-        bases = find_joint_positions(
-            residents, [it.side for it in incoming], config.d
-        )
-        found = None if bases is None else tuple(
-            zip((it.cls for it in incoming), bases)
-        )
-        insert_memo[key] = found
-        return found
-
+    memo: Dict[tuple, Optional[tuple]] = {}
     coalitions_checked = 0
     assignments_checked = 0
-    for size in range(1, max_coalition_size + 1):
-        for coalition in combinations(items, size):
-            coalitions_checked += 1
-            member_ids = [it.item_id for it in coalition]
-            out_vol: Dict[int, int] = {}
-            removed_count: Dict[int, Dict[int, int]] = {}
-            for i in member_ids:
-                b = src[i]
-                out_vol[b] = out_vol.get(b, 0) + ivol[i]
-                here = removed_count.setdefault(b, {})
-                here[cid[i]] = here.get(cid[i], 0) + 1
-            total_in = sum(ivol[i] for i in member_ids)
-            # optimistic per-member target lists; exact check comes later
-            cands: List[List[object]] = []
-            for i in member_ids:
-                c, need = cid[i], iocc[src[i]]
-                opts: List[object] = []
-                for t in existing:
-                    if t == src[i]:
-                        continue
-                    kept = census[t][c] - removed_count.get(t, {}).get(c, 0)
-                    if kept + 1 > capacity[c]:
-                        continue
-                    # every member could join the same bin
-                    if iocc[t] - out_vol.get(t, 0) + total_in > need:
-                        opts.append(t)
-                if total_in > need:
-                    opts.extend(("new", slot) for slot in range(size))
-                if not opts:
-                    cands = []
-                    break
-                cands.append(opts)
-            if not cands:
-                continue
-            room = {t: iocc[t] - out_vol.get(t, 0) for t in existing}
-            for targets in _gaining_assignments(
-                cands,
-                [ivol[i] for i in member_ids],
-                [iocc[src[i]] for i in member_ids],
-                room,
-            ):
-                assignments_checked += 1
-                if assignments_checked > assignment_cap:
-                    raise CoalitionSearchError(
-                        f"coalition search exceeded {assignment_cap} assignments"
-                    )
-                placements: Dict[int, Tuple[Fraction, ...]] = {}
-                ok = True
-                for t in sorted(set(targets), key=str):
-                    movers = tuple(
-                        it for it, tt in zip(coalition, targets) if tt == t
-                    )
-                    removed = (
-                        frozenset(i for i in member_ids if src[i] == t)
-                        if isinstance(t, int)
-                        else frozenset()
-                    )
-                    layout = geometry(t, removed, movers)
-                    if layout is None:
-                        ok = False
-                        break
-                    placements.update(_distribute(layout, movers))
-                if not ok:
+    violation: Optional[CoalitionProposal] = None
+    for coalition in chain.from_iterable(
+        combinations(items, size) for size in range(1, max_coalition_size + 1)
+    ):
+        coalitions_checked += 1
+        member_ids = [it.item_id for it in coalition]
+        out_vol: Dict[int, int] = {}
+        removed_count: Dict[int, Dict[int, int]] = {}
+        for i in member_ids:
+            b, c = src[i], m.cid[i]
+            out_vol[b] = out_vol.get(b, 0) + m.ivol[i]
+            here = removed_count.setdefault(b, {})
+            here[c] = here.get(c, 0) + 1
+        total_in = sum(m.ivol[i] for i in member_ids)
+        # optimistic per-member target lists; exact check comes later
+        cands: List[List[object]] = []
+        for i in member_ids:
+            c, need = m.cid[i], m.iocc[src[i]]
+            opts: List[object] = []
+            for t in existing:
+                if t == src[i]:
                     continue
-                real_targets = tuple(
-                    t if isinstance(t, int) else fresh_base + t[1] for t in targets
+                kept = m.census[t][c] - removed_count.get(t, {}).get(c, 0)
+                if kept + 1 > m.capacity[c]:
+                    continue
+                # every member could join the same bin
+                if m.iocc[t] - out_vol.get(t, 0) + total_in > need:
+                    opts.append(t)
+            if total_in > need:
+                opts.extend(("new", slot) for slot in range(len(coalition)))
+            if not opts:
+                cands = []
+                break
+            cands.append(opts)
+        if not cands:
+            continue
+        room = {t: m.iocc[t] - out_vol.get(t, 0) for t in existing}
+        for targets in _gaining_assignments(
+            cands,
+            [m.ivol[i] for i in member_ids],
+            [m.iocc[src[i]] for i in member_ids],
+            room,
+        ):
+            assignments_checked += 1
+            if assignments_checked > assignment_cap:
+                raise CoalitionSearchError(
+                    f"coalition search exceeded {assignment_cap} assignments"
                 )
-                after_occ: Dict[int, Fraction] = {}
-                for t in set(real_targets):
-                    leaving = sum(
-                        (config.item(i).volume for i in member_ids if src[i] == t),
-                        Fraction(0),
-                    )
-                    after_occ[t] = config._occupied.get(t, Fraction(0)) - leaving
-                for it, t in zip(coalition, real_targets):
-                    after_occ[t] += it.volume
-                proposal = CoalitionProposal(
-                    tuple(member_ids),
-                    real_targets,
-                    tuple(placements[i] for i in member_ids),
-                    tuple(config.item_cost(i) for i in member_ids),
-                    tuple(
-                        config.item(i).volume / after_occ[t]
-                        for i, t in zip(member_ids, real_targets)
-                    ),
-                )
-                return StrongNashResult(
-                    False,
-                    max_coalition_size,
-                    mode,
-                    proposal,
-                    coalitions_checked,
-                    assignments_checked,
-                    geometry_checks,
-                )
+            violation = _coalition_move(config, memo, coalition, targets, fresh_base)
+            if violation is not None:
+                break
+        if violation is not None:
+            break
     return StrongNashResult(
-        True,
+        violation is None,
         max_coalition_size,
-        mode,
-        None,
+        violation,
         coalitions_checked,
         assignments_checked,
-        geometry_checks,
+        len(memo),
     )
 
 
-def _bin_cubes_with_ids(config: GameConfig, bin_id: int):
-    for it in config.items:
-        if config.assignment[it.item_id] == bin_id:
-            yield PlacedCube(it.cls, config.positions[it.item_id]), it.item_id
+def _coalition_move(
+    config: GameConfig,
+    memo: Dict[tuple, Optional[tuple]],
+    coalition: Sequence[GameItem],
+    targets: Sequence[object],
+    fresh_base: int,
+) -> Optional[CoalitionProposal]:
+    """The coalition's deviation to `targets` (per member a used bin or
+    ("new", j), which becomes bin fresh_base + j) if every target takes its
+    incoming members with the residents kept in place, else None."""
+    member_ids = [it.item_id for it in coalition]
+    placements: Dict[int, Tuple[Fraction, ...]] = {}
+    for t in sorted(set(targets), key=str):
+        movers = tuple(it for it, tt in zip(coalition, targets) if tt == t)
+        bin_id = t if isinstance(t, int) else None
+        removed = frozenset(i for i in member_ids if config.assignment[i] == bin_id)
+        layout = _place(config, memo, bin_id, removed, movers)
+        if layout is None:
+            return None
+        placements.update(_distribute(layout, movers))
+    real_targets = tuple(
+        t if isinstance(t, int) else fresh_base + t[1] for t in targets
+    )
+    bases = tuple(placements[i] for i in member_ids)
+    after = config.with_moves(
+        {i: (t, base) for i, t, base in zip(member_ids, real_targets, bases)}
+    )
+    return CoalitionProposal(
+        tuple(member_ids),
+        real_targets,
+        bases,
+        tuple(config.item_cost(i) for i in member_ids),
+        tuple(after.item_cost(i) for i in member_ids),
+    )
 
 
 def _gaining_assignments(
@@ -824,7 +810,6 @@ def poa_instance(
     *,
     copies_cap: int = COPIES_CAP,
     certify: bool = True,
-    mode: str = "insertion",
 ) -> AnarchyInstance:
     """P = N copies of the bin; P' regroups each class into full grid bins.
 
@@ -853,7 +838,7 @@ def poa_instance(
     assert ratio == packing.weight()
     nash = None
     if certify:
-        nash = is_nash(p_prime, mode)
+        nash = is_nash(p_prime)
         if not nash:
             raise AssertionError(
                 f"regrouped config unexpectedly admits moves: {nash.moves[:1]}"

@@ -352,20 +352,11 @@ def find_free_position(
     candidates {0} plus obstacle tops per axis, in lexicographic order,
     finds exactly that base, and None proves the cube does not fit.
 
-    All comparisons run on integers scaled by one common denominator.
+    This is find_joint_positions with one incoming cube, whose candidates
+    are exactly these.
     """
-    side = _checked_side(side)
-    scale, boxes = _int_boxes(cubes, d, side)
-    s = side.numerator * (scale // side.denominator)
-    limit = scale - s
-    candidates = [
-        sorted({0, *(hi[dim] for _, hi in boxes if 0 <= hi[dim] <= limit)})
-        for dim in range(d)
-    ]
-    found = _free_corner(boxes, s, candidates)
-    if found is None:
-        return None
-    return tuple(Fraction(v, scale) for v in found)
+    found = find_joint_positions(cubes, [side], d)
+    return None if found is None else found[0]
 
 
 def find_joint_positions(

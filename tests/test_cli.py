@@ -388,6 +388,22 @@ def test_hostile_files_exit_2_without_traceback(tmp_path, packing_file):
         assert proc.stderr.startswith("error: "), name
 
 
+def test_oversized_stream_exits_2_before_replay(tmp_path):
+    # A well-typed instance of a billion items would replay for days; the
+    # timeout turns a hang into a failure.
+    doc = dict(instance_to_dict(_STREAM), segments=[{"k": 2, "count": 10**9}])
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(doc))
+    argv = _argv(INSTANCE_COMMANDS[0], str(src), str(tmp_path / "out.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubepack.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "1000000000 items" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 # Valid documents holding only keys their readers look at (no manifest or
 # report), so that every site a mutation can reach is part of the schema.
 _STREAM = Instance(2, F(1, 4), (Segment(2, 2), Segment(3, 4)))

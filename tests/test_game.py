@@ -333,10 +333,98 @@ def test_volume_screen_skips_overfull_target(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("geometric search ran on an overfull target")
 
-    monkeypatch.setattr("cubepack.game.find_free_position", no_search)
     monkeypatch.setattr("cubepack.game.find_joint_positions", no_search)
     assert improving_moves(cfg, "insertion") == ()
     assert improving_moves(cfg, "repack") == ()
+
+
+def _reference_moves(cfg, mode):
+    """improving_moves without a memo: every (item, target) pair that
+    passes the volume screens gets its own Fraction costs and its own
+    geometric search over the target's residents."""
+    occ = {
+        b: sum((c.cls.volume for c in bn.cubes), F(0)) for b, bn in cfg.bins_map.items()
+    }
+    moves = []
+    for it in sorted(cfg.items, key=lambda x: x.item_id):
+        src = cfg.assignment[it.item_id]
+        for target in sorted(occ):
+            if target == src or not occ[target] + it.volume > occ[src]:
+                continue
+            if occ[target] + it.volume > 1:
+                continue
+            costs = (it.volume / occ[src], it.volume / (occ[target] + it.volume))
+            residents = [o for o in cfg.items if cfg.assignment[o.item_id] == target]
+            if mode == "insertion":
+                cubes = [PlacedCube(o.cls, cfg.positions[o.item_id]) for o in residents]
+                base = find_free_position(cubes, it.side, cfg.d)
+                if base is not None:
+                    moves.append(MoveProposal(it.item_id, src, target, mode, *costs, base))
+                continue
+            classes = sorted(
+                [o.cls for o in residents] + [it.cls], key=lambda c: (-c.side, c.k)
+            )
+            bases = find_joint_positions([], [c.side for c in classes], cfg.d)
+            if bases is None:
+                continue
+            pool = {}
+            for cls, base in zip(classes, bases):
+                pool.setdefault(cls, []).append(base)
+            assigned = {
+                o.item_id: pool[o.cls].pop()
+                for o in sorted(residents + [it], key=lambda x: (-x.side, x.item_id))
+            }
+            moves.append(
+                MoveProposal(
+                    it.item_id, src, target, mode, *costs, assigned[it.item_id],
+                    tuple(sorted(assigned.items())),
+                )
+            )
+    return tuple(moves)
+
+
+@st.composite
+def repeated_content_configs(draw):
+    """Two to five bins, each a copy of one of up to three drawn contents.
+
+    A content is one to four cubes of a drawn lattice side plus up to two
+    of another, each at a drawn free lattice base, so bins repeat exactly,
+    hold several items of one class, and leave fragmented gaps.
+    """
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(2, 8 if d == 1 else 5))
+    contents = []
+    for _ in range(draw(st.integers(1, 3))):
+        boxes = []
+        for q, count in ((draw(st.integers(1, lattice)), draw(st.integers(1, 4))),
+                         (draw(st.integers(1, lattice)), draw(st.integers(0, 2)))):
+            for _ in range(count):
+                x = tuple(draw(st.integers(0, lattice - q)) for _ in range(d))
+                if all(
+                    any(xi + q <= bi or bi + m <= xi for xi, bi in zip(x, base))
+                    for base, m in boxes
+                ):
+                    boxes.append((x, q))
+        contents.append(boxes)
+    items, assignment, positions = [], {}, {}
+    for b in range(draw(st.integers(2, 5))):
+        for x, q in contents[draw(st.integers(0, len(contents) - 1))]:
+            item_id = len(items)
+            items.append(GameItem(item_id, _lattice_class(q % 2, q, lattice, d)))
+            assignment[item_id] = b
+            positions[item_id] = tuple(F(xi, lattice) for xi in x)
+    return GameConfig(d, tuple(items), assignment, positions)
+
+
+@settings(deadline=None)
+@given(repeated_content_configs())
+def test_moves_match_unmemoized_reference(cfg):
+    # The placement memo (insertion by target bin and mover class, repack
+    # by the class multiset of residents plus mover) must not change a
+    # single proposal, base or relayout.
+    cfg.validate()
+    for mode in ("insertion", "repack"):
+        assert improving_moves(cfg, mode) == _reference_moves(cfg, mode)
 
 
 def test_unknown_mode_rejected():

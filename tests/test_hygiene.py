@@ -50,3 +50,31 @@ def test_only_the_cli_imports_json():
         if "json" in _imported_names(_tree(path))
     )
     assert importers == ["cli.py"]
+
+
+def test_every_private_helper_is_referenced():
+    # a module-level _name that nothing in the package names outside its
+    # own definition is dead code left behind by a refactor
+    trees = {path: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = []  # (path, line, name) of every name or attribute use
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    orphans = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+            ):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (where == path and line in inside)
+                for where, line, name in refs
+            ):
+                orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not orphans, f"private helpers nothing references: {orphans}"
