@@ -46,6 +46,12 @@ def main() -> None:
     sp = spoa_instance(build_packing(family, F(1, 16)), coalition_cap=3)
     print(f"\npower-of-two pair: ratio {sp.ratio}, coalition-proof "
           f"to size {sp.strong.max_coalition_size}: {bool(sp.strong)}")
+    # copies of one bin are interchangeable: one coalition per orbit
+    print(f"  {len(sp.p_prime.items)} items in {len(sp.p_prime.bins_map)} bins "
+          f"of {len(set(sp.p_prime.bins_map.values()))} distinct contents: "
+          f"{sp.strong.coalitions_checked} coalition orbits, "
+          f"{sp.strong.assignments_checked} gaining assignments, "
+          f"{sp.strong.geometry_checks} placement searches")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,14 @@ volume of its bin; the social cost is the number of used bins.  Because
 insertion cost depends only on volumes, never on positions, every move
 and coalition search runs an exact prefilter on the config's integer
 volumes before touching geometry.  Every geometric question goes through
-one memoized joint placement search, keyed per call by what decides its
-answer: an insertion by (target bin, mover class), a repack re-layout by
-the sorted class multiset of residents plus mover, and a coalition target
-by (target bin or fresh bin, members leaving it, incoming classes).
+one memoized joint placement search, keyed by what decides its answer:
+the content of the residents kept (the multiset of their (class, base)
+pairs) and the incoming classes in one fixed order.  An insertion keeps
+the whole target bin, a repack re-layout keeps nothing, and a coalition
+target keeps what its members leave behind.  Bins of equal content share
+every entry, and best-response dynamics keeps one memo for its whole run.
+Bin permutations that preserve content preserve every cost and layout, so
+the coalition search checks one coalition per orbit of them.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ COPIES_CAP = 4096
 REPACK_NODE_CAP = 200_000
 
 
+# Placement memo: content of the residents kept -> incoming class indices
+# -> (class, base) per incoming cube, or None; see _place.
+_Memo = Dict[tuple, Dict[tuple, Optional[tuple]]]
+
+
 class RepackSearchError(RuntimeError):
     """Exhaustive re-layout exceeded the item cap or its search budget."""
 
@@ -78,14 +87,16 @@ class GameItem:
 class _VolumeModel:
     """A config's volumes as exact integers over one common denominator.
 
-    Classes are indexed in order of first appearance by item id.  A class
-    of side s fits at most floor(1/s)^d disjoint open cubes into one bin,
-    whatever else sits there (interval-graph colouring per axis).
+    Classes are indexed in one fixed order, by (-side, k): larger cubes
+    first, and k tells apart the classes of one side.  A class of side s
+    fits at most floor(1/s)^d disjoint open cubes into one bin, whatever
+    else sits there (interval-graph colouring per axis).
     """
 
     scale: int
     ivol: Dict[int, int]  # item id -> volume * scale
     cid: Dict[int, int]  # item id -> class index
+    classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
     iocc: Dict[int, int]  # bin -> occupied volume * scale
     members: Dict[int, List[int]]  # bin -> item ids, in item order
@@ -138,21 +149,30 @@ class GameConfig:
 
     @cached_property
     def _volumes(self) -> _VolumeModel:
-        index: Dict[CubeClass, int] = {}
-        for it in sorted(self.items, key=lambda x: x.item_id):
-            index.setdefault(it.cls, len(index))
+        order = sorted({it.cls for it in self.items}, key=lambda c: (-c.side, c.k))
+        index = {c: i for i, c in enumerate(order)}
         scale = lcm(*(c.volume.denominator for c in index))
         cid = {it.item_id: index[it.cls] for it in self.items}
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in index]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in index]
         ivol = {i: vols[c] for i, c in cid.items()}
-        m = _VolumeModel(scale, ivol, cid, caps, {}, {}, {})
+        m = _VolumeModel(scale, ivol, cid, order, caps, {}, {}, {})
         for it in self.items:
             i, b = it.item_id, self.assignment[it.item_id]
             m.iocc[b] = m.iocc.get(b, 0) + m.ivol[i]
             m.members.setdefault(b, []).append(i)
             m.census.setdefault(b, [0] * len(index))[cid[i]] += 1
         return m
+
+    @cached_property
+    def _contents(self) -> Dict[int, Tuple[Tuple[int, Tuple[Fraction, ...]], ...]]:
+        """Bin -> its content: the sorted (class index, base) pairs of its
+        cubes.  A sorted tuple, not a set, so coincident cubes stay two."""
+        m = self._volumes
+        return {
+            b: tuple(sorted((m.cid[i], self.positions[i]) for i in members))
+            for b, members in m.members.items()
+        }
 
     @cached_property
     def _occupied(self) -> Dict[int, Fraction]:
@@ -295,10 +315,23 @@ def improving_moves(
     Both tests run on the config's integer volumes.  Fresh bins are never
     targets; a lone item's cost of 1 cannot improve.
     """
+    return _improving_moves(config, mode, repack_cap, first_only, {})
+
+
+def _improving_moves(
+    config: GameConfig,
+    mode: str,
+    repack_cap: int,
+    first_only: bool,
+    memo: _Memo,
+) -> Tuple[MoveProposal, ...]:
+    """improving_moves with the caller's placement memo; its keys name no
+    bin or item, so one memo serves every config over the same items."""
     if mode not in ("insertion", "repack"):
         raise ValueError(f"unknown feasibility mode {mode!r}")
     m = config._volumes
-    memo: Dict[tuple, Optional[tuple]] = {}
+    # a content is a long tuple: hash it once per target bin, not per probe
+    tables: Dict[int, Dict[tuple, Optional[tuple]]] = {}
     proposals: List[MoveProposal] = []
     for it in sorted(config.items, key=lambda x: x.item_id):
         src, v = config.assignment[it.item_id], m.ivol[it.item_id]
@@ -315,14 +348,17 @@ def improving_moves(
             if joined > m.scale:
                 continue
             if mode == "insertion":
-                bin_id, movers, cap = target, [it], None
+                kept, movers, cap = config._contents[target], [it], None
+                if target not in tables:
+                    tables[target] = memo.setdefault(kept, {})
+                table = tables[target]
             else:
                 # re-lay the whole bin: an empty bin takes residents plus mover
                 movers = [config.item(i) for i in residents] + [it]
-                movers.sort(key=lambda x: (-x.side, x.cls.k))
-                bin_id, cap = None, REPACK_NODE_CAP
+                kept, cap = (), REPACK_NODE_CAP
+                table = memo.setdefault(kept, {})
             try:
-                layout = _place(config, memo, bin_id, frozenset(), movers, cap)
+                layout = _place(config, table, kept, movers, cap)
             except SearchBudgetError as exc:
                 raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
             if layout is None:
@@ -342,36 +378,40 @@ def improving_moves(
 
 def _place(
     config: GameConfig,
-    memo: Dict[tuple, Optional[tuple]],
-    target: Optional[int],
-    removed: frozenset,
+    table: Dict[tuple, Optional[tuple]],
+    kept: Tuple[Tuple[int, Tuple[Fraction, ...]], ...],
     incoming: Sequence[GameItem],
     node_cap: Optional[int] = None,
 ) -> Optional[Tuple[Tuple[CubeClass, Tuple[Fraction, ...]], ...]]:
-    """(class, base) per incoming item, placed jointly into bin `target`
-    (None: an empty bin) with its residents other than `removed` kept in
-    place; None if they do not fit.
+    """(class, base) per incoming item, placed jointly among the resident
+    cubes `kept` (a content: sorted (class index, base) pairs, () for an
+    empty bin); None if they do not fit.
 
+    The placement memo maps a content to its `table`, memo[kept], which
+    maps the sorted incoming class indices to the answer.
     find_joint_positions is exact and complete, and its answer depends only
-    on the residents and the incoming classes, so `memo` keys it by (target,
-    removed, sorted class indices).  A hit may list those classes in another
-    order, which is why callers hand bases to items through _distribute.
+    on the residents and on the incoming sides in the order given.  Class
+    indices follow (-side, k), so the sorted indices search the incoming
+    classes in that one fixed order, and an entry depends on its key alone,
+    whichever bin and items first asked for it.  Residents are built only
+    on a miss.  Callers hand bases to items through _distribute.
     """
-    cid = config._volumes.cid
-    key = (target, removed, tuple(sorted(cid[it.item_id] for it in incoming)))
-    if key not in memo:
-        residents = [] if target is None else [
-            PlacedCube(config.item(i).cls, config.positions[i])
-            for i in config._volumes.members[target]
-            if i not in removed
-        ]
+    m = config._volumes
+    key = tuple(sorted(m.cid[it.item_id] for it in incoming))
+    if key not in table:
+        residents = [PlacedCube(m.classes[c], base) for c, base in kept]
         bases = find_joint_positions(
-            residents, [it.side for it in incoming], config.d, node_cap=node_cap
+            residents, [m.classes[c].side for c in key], config.d, node_cap=node_cap
         )
-        memo[key] = None if bases is None else tuple(
-            zip((it.cls for it in incoming), bases)
+        table[key] = None if bases is None else tuple(
+            zip((m.classes[c] for c in key), bases)
         )
-    return memo[key]
+    return table[key]
+
+
+def _searches(memo: _Memo) -> int:
+    """Placement searches a memo holds: one per (kept, incoming) key."""
+    return sum(len(table) for table in memo.values())
 
 
 def _distribute(
@@ -403,6 +443,7 @@ class NashResult:
     is_nash: bool
     mode: str
     moves: Tuple[MoveProposal, ...]
+    geometry_checks: int = 0  # placement searches run, memo hits not counted
     note: str = FEASIBILITY_NOTE
 
     def __bool__(self) -> bool:
@@ -413,8 +454,9 @@ def is_nash(
     config: GameConfig, mode: str = "insertion", *, repack_cap: int = 8
 ) -> NashResult:
     """True iff no single item has a strictly improving migration."""
-    moves = improving_moves(config, mode, repack_cap=repack_cap)
-    return NashResult(not moves, mode, moves)
+    memo: _Memo = {}
+    moves = _improving_moves(config, mode, repack_cap, False, memo)
+    return NashResult(not moves, mode, moves, _searches(memo))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +502,11 @@ def best_response_dynamics(
     mode: str = "insertion",
     repack_cap: int = 8,
 ) -> DynamicsResult:
-    """Apply improving moves until none remain or the step budget runs out."""
+    """Apply improving moves until none remain or the step budget runs out.
+
+    Every step shares one placement memo: moves keep the items, so the
+    memo's keys (contents and class indices) mean the same in each config.
+    """
     try:
         policy = _POLICY_ALIASES[policy]
     except KeyError:
@@ -469,13 +515,13 @@ def best_response_dynamics(
     applied: List[MoveProposal] = []
     current = config
     last_potential = potential(current)
+    memo: _Memo = {}
     for _ in range(max_steps):
-        moves = improving_moves(
-            current, mode, repack_cap=repack_cap, first_only=policy == "first"
-        )
+        searched = _searches(memo)
+        moves = _improving_moves(current, mode, repack_cap, policy == "first", memo)
         if not moves:
             current.validate()
-            cert = NashResult(True, mode, ())
+            cert = NashResult(True, mode, (), _searches(memo) - searched)
             return DynamicsResult(current, len(applied), tuple(applied), "nash", cert)
         if policy == "first":
             move = moves[0]
@@ -568,9 +614,28 @@ def is_strong_nash(
     (counted in assignments_checked, bounded by assignment_cap) lets every
     member gain.  Only those reach the memoized joint insertion search,
     which is exact with residents kept in place; geometry_checks counts its
-    runs.  Fresh bins are interchangeable, so fresh slot j is used only once
-    the slots below j are.  A target bin cannot take a member whose class
-    would then exceed its per-bin capacity there.
+    distinct (residents kept, incoming classes) keys, one search each.  Fresh
+    bins are interchangeable, so fresh slot j is used only once the slots
+    below j are.  A target bin cannot take a member whose class would then
+    exceed its per-bin capacity there.
+
+    Bins of equal content (the same multiset of (class, base) pairs) are
+    interchangeable too.  Each item is labelled (content id of its bin, slot
+    of its cube in that content's sorted pairs); coincident cubes take
+    distinct slots.  Let pi permute the used bins, each onto a bin of the
+    same content, carrying each item to the item of the same slot there.
+    Pi maps the config onto itself, so it keeps every occupancy, cost and
+    resident layout, and it maps a gaining deviation of coalition C (fresh
+    bins staying fresh) onto a gaining deviation of pi(C), and back under
+    pi's inverse.  Give C the key: the sorted tuple, over the source bins C
+    touches, of (content id, sorted member slots).  Two coalitions with one
+    key are related by such a pi: pair the touched bins of equal entries,
+    then the other bins of each content in any order.  So only the first
+    coalition with each key is searched; coalitions_checked counts those.
+    The search stops at the first gaining coalition in enumeration order.
+    Every coalition before it, searched or skipped, admits no gaining
+    deviation, so the first gaining coalition is the first of its orbit and
+    is reported exactly as the search without the skip reports it.
     """
     if max_coalition_size < 1:
         raise ValueError("coalition size cap must be >= 1")
@@ -579,15 +644,33 @@ def is_strong_nash(
     src = config.assignment
     existing = sorted(m.iocc)
     fresh_base = (max(existing) + 1) if existing else 0
-    memo: Dict[tuple, Optional[tuple]] = {}
+    content_id: Dict[tuple, int] = {}
+    label: Dict[int, Tuple[int, int]] = {}
+    for b in existing:
+        content = config._contents[b]
+        c = content_id.setdefault(content, len(content_id))
+        slots: Dict[tuple, List[int]] = {}
+        for slot, cube in enumerate(content):
+            slots.setdefault(cube, []).append(slot)
+        for i in m.members[b]:
+            label[i] = (c, slots[(m.cid[i], config.positions[i])].pop())
+    seen: set = set()
+    memo: _Memo = {}
     coalitions_checked = 0
     assignments_checked = 0
     violation: Optional[CoalitionProposal] = None
     for coalition in chain.from_iterable(
         combinations(items, size) for size in range(1, max_coalition_size + 1)
     ):
-        coalitions_checked += 1
         member_ids = [it.item_id for it in coalition]
+        touched: Dict[int, List[Tuple[int, int]]] = {}
+        for i in member_ids:
+            touched.setdefault(src[i], []).append(label[i])
+        orbit = tuple(sorted(tuple(sorted(labels)) for labels in touched.values()))
+        if orbit in seen:
+            continue
+        seen.add(orbit)
+        coalitions_checked += 1
         out_vol: Dict[int, int] = {}
         removed_count: Dict[int, Dict[int, int]] = {}
         for i in member_ids:
@@ -641,13 +724,13 @@ def is_strong_nash(
         violation,
         coalitions_checked,
         assignments_checked,
-        len(memo),
+        _searches(memo),
     )
 
 
 def _coalition_move(
     config: GameConfig,
-    memo: Dict[tuple, Optional[tuple]],
+    memo: _Memo,
     coalition: Sequence[GameItem],
     targets: Sequence[object],
     fresh_base: int,
@@ -656,12 +739,16 @@ def _coalition_move(
     ("new", j), which becomes bin fresh_base + j) if every target takes its
     incoming members with the residents kept in place, else None."""
     member_ids = [it.item_id for it in coalition]
+    cid = config._volumes.cid
     placements: Dict[int, Tuple[Fraction, ...]] = {}
     for t in sorted(set(targets), key=str):
         movers = tuple(it for it, tt in zip(coalition, targets) if tt == t)
-        bin_id = t if isinstance(t, int) else None
-        removed = frozenset(i for i in member_ids if config.assignment[i] == bin_id)
-        layout = _place(config, memo, bin_id, removed, movers)
+        residents = list(config._contents[t]) if isinstance(t, int) else []
+        for i in member_ids:
+            if config.assignment[i] == t:
+                residents.remove((cid[i], config.positions[i]))
+        kept = tuple(residents)
+        layout = _place(config, memo.setdefault(kept, {}), kept, movers)
         if layout is None:
             return None
         placements.update(_distribute(layout, movers))

@@ -187,6 +187,19 @@ def test_two_grid_pairs_are_nash(d):
         assert is_nash(cfg), (d, k, ell)
 
 
+def test_nash_geometry_checks_do_not_grow_with_copies():
+    # n copies each of a full class-2 and a full class-3 grid bin.  Every
+    # item gains by volume from joining another copy of its grid, and the
+    # class-2 cubes from joining a class-3 grid, but none fits.  Whatever n
+    # is, those probes ask three placement questions: a class-2 cube into
+    # either grid, a class-3 cube into a class-3 grid.
+    grids = [build_homogeneous(k, 2, F(1, 9)).bin for k in (2, 3)]
+    for n in (2, 3, 5):
+        result = is_nash(config_from_bins(grids * n))
+        assert result
+        assert result.geometry_checks == 3
+
+
 def test_single_bin_config_has_no_moves():
     cfg = homogeneous_mixture([3], 2, F(1, 9))
     assert improving_moves(cfg) == ()
@@ -419,9 +432,9 @@ def repeated_content_configs(draw):
 @settings(deadline=None)
 @given(repeated_content_configs())
 def test_moves_match_unmemoized_reference(cfg):
-    # The placement memo (insertion by target bin and mover class, repack
-    # by the class multiset of residents plus mover) must not change a
-    # single proposal, base or relayout.
+    # The placement memo (keyed by the content of the residents kept and
+    # the incoming classes, so shared by bins of equal content) must not
+    # change a single proposal, base or relayout.
     cfg.validate()
     for mode in ("insertion", "repack"):
         assert improving_moves(cfg, mode) == _reference_moves(cfg, mode)
@@ -486,6 +499,39 @@ def test_dynamics_budget_exhaustion_reports_status():
     assert result.config == cfg
 
 
+def _reference_dynamics(cfg, policy, seed, mode):
+    """best_response_dynamics stepped by hand: a fresh improving_moves
+    call, with its own memo, before every apply_move."""
+    rng = random.Random(seed)
+    applied = []
+    while True:
+        moves = improving_moves(cfg, mode, first_only=policy == "first")
+        if not moves:
+            return tuple(applied), cfg
+        move = moves[0] if policy == "first" else rng.choice(moves)
+        cfg = apply_move(cfg, move)
+        applied.append(move)
+
+
+@settings(deadline=None)
+@given(repeated_content_configs(), st.integers(0, 2**16))
+def test_dynamics_shared_memo_matches_fresh_steps(cfg, seed):
+    # One placement memo serves every step of a run; keyed by contents, it
+    # must give each step the moves a fresh search gives.
+    cfg.validate()
+    for mode in ("insertion", "repack"):
+        for policy in ("first", "random"):
+            try:
+                expected = _reference_dynamics(cfg, policy, seed, mode)
+            except RepackSearchError:
+                with pytest.raises(RepackSearchError):
+                    best_response_dynamics(cfg, policy, seed=seed, mode=mode)
+                continue
+            result = best_response_dynamics(cfg, policy, seed=seed, mode=mode)
+            assert result.status == "nash"
+            assert (result.applied, result.config) == expected
+
+
 # ---------------------------------------------------------------------------
 # strong Nash
 
@@ -545,10 +591,11 @@ def test_coalition_found_when_two_singletons_can_merge():
 
 
 def test_strong_nash_assignment_cap():
-    # six lone side-3/4 cubes: every join passes the volume screen but no
-    # two fit together, so the search enumerates every pairing fruitlessly
-    wide = CubeClass(2, F(1, 2), 1)
-    items = tuple(GameItem(i, wide) for i in range(6))
+    # six lone cubes of sides 3/4, 2/3, 5/8, 3/5, 7/12 and 4/7: every join
+    # passes the gain test but no two fit together, so the search enumerates
+    # every pairing fruitlessly.  The six bins hold pairwise distinct
+    # contents, so no coalition shares an orbit with another.
+    items = tuple(GameItem(i, CubeClass(2, F(1, i + 2), 1)) for i in range(6))
     cfg = GameConfig(
         1, items, {i: i for i in range(6)}, {i: (F(0),) for i in range(6)}
     )
@@ -557,9 +604,10 @@ def test_strong_nash_assignment_cap():
 
 
 def _reference_strong_nash(cfg, cap, lattice):
-    """Unpruned oracle: does some coalition of at most cap members, each
-    sent to another used bin or to a fresh one, fit on the 1/L lattice with
-    every member's Fraction cost strictly lower?"""
+    """Unpruned oracle: the first coalition, smallest first and then in
+    item order, of at most cap members that can each be sent to another
+    used bin or to a fresh one, fitting on the 1/L lattice with every
+    member's Fraction cost strictly lower; None if there is none."""
     items = sorted(cfg.items, key=lambda it: it.item_id)
     used = sorted(cfg.bins_map)
     units = {
@@ -600,8 +648,29 @@ def _reference_strong_nash(cfg, cap, lattice):
                     )
                     for t in set(targets)
                 ):
-                    return True
-    return False
+                    return tuple(ids)
+    return None
+
+
+def _lattice_bins_config(d, lattice, specs):
+    """Bin b is filled run by run: each (q, count, k_extra) in specs[b]
+    adds up to count cubes of lattice side q, each at its least free
+    corner.  At most 6 items."""
+    items, assignment, positions = [], {}, {}
+    for b, runs in enumerate(specs):
+        cubes = []
+        for q, count, k_extra in runs:
+            cls = _lattice_class(k_extra, q, lattice, d)
+            for _ in range(count):
+                base = find_free_position(cubes, cls.side, d)
+                if base is None or len(items) == 6:
+                    break
+                cubes.append(PlacedCube(cls, base))
+                item_id = len(items)
+                items.append(GameItem(item_id, cls))
+                assignment[item_id] = b
+                positions[item_id] = base
+    return GameConfig(d, tuple(items), assignment, positions)
 
 
 @st.composite
@@ -618,34 +687,42 @@ def small_lattice_configs(draw):
     lattice = draw(st.integers(3, 8 if d == 1 else 4))
     specs = [(draw(st.integers(2, lattice)), draw(st.integers(1, 2)))]
     specs += [(draw(st.integers(1, lattice - 1)), 6)] * draw(st.integers(1, 2))
-    items, assignment, positions = [], {}, {}
-    for b, (q, count) in enumerate(specs):
-        k = max(2, -(-lattice // q)) + draw(st.integers(0, 1))
-        cls = CubeClass(k, F(k * q, lattice) - 1, d)
-        cubes = []
-        while len(cubes) < count and len(items) < 6:
-            base = find_free_position(cubes, cls.side, d)
-            if base is None:
-                break
-            cubes.append(PlacedCube(cls, base))
-            item_id = len(items)
-            items.append(GameItem(item_id, cls))
-            assignment[item_id] = b
-            positions[item_id] = base
-    config = GameConfig(d, tuple(items), assignment, positions)
-    return config, draw(st.integers(2, 3)), lattice
+    specs = [[(q, count, draw(st.integers(0, 1)))] for q, count in specs]
+    return _lattice_bins_config(d, lattice, specs), draw(st.integers(2, 3)), lattice
 
 
-@settings(deadline=None)
-@given(small_lattice_configs())
-def test_strong_nash_matches_unpruned_oracle(case):
+@st.composite
+def repeated_lattice_configs(draw):
+    """At most 6 items on the 1/L lattice in 2 to 4 bins, each bin a copy
+    of one of two drawn contents, so a coalition orbit under permutations
+    of equal bins has several members.
+
+    A content is one to three cubes of a drawn side, then up to two of
+    another, each at its least free corner as in small_lattice_configs, so
+    slots of one bin may hold different classes.
+    """
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(3, 8 if d == 1 else 4))
+    runs = st.tuples(st.integers(1, lattice), st.integers(1, 3), st.integers(0, 1))
+    contents = [
+        [draw(runs), draw(runs.filter(lambda run: run[1] <= 2))] for _ in range(2)
+    ]
+    specs = draw(st.lists(st.sampled_from(contents), min_size=2, max_size=4))
+    return _lattice_bins_config(d, lattice, specs), draw(st.integers(2, 3)), lattice
+
+
+def _check_strong_nash_case(case):
+    # verdict and first violating coalition as the unpruned oracle finds
+    # them; the reported deviation is valid and every member gains
     cfg, cap, lattice = case
     cfg.validate()
     result = is_strong_nash(cfg, cap)
-    assert result.is_strong_nash == (not _reference_strong_nash(cfg, cap, lattice))
+    first = _reference_strong_nash(cfg, cap, lattice)
+    assert result.is_strong_nash == (first is None)
     if result:
         return
     coalition = result.violation
+    assert coalition.members == first
     deviated = apply_coalition(cfg, coalition)
     deviated.validate()
     for member, before, after in zip(
@@ -656,14 +733,29 @@ def test_strong_nash_matches_unpruned_oracle(case):
         assert after < before
 
 
+@settings(deadline=None)
+@given(small_lattice_configs())
+def test_strong_nash_matches_unpruned_oracle(case):
+    _check_strong_nash_case(case)
+
+
+@settings(deadline=None)
+@given(repeated_lattice_configs())
+def test_strong_nash_on_repeated_bins_matches_unpruned_oracle(case):
+    _check_strong_nash_case(case)
+
+
 def test_strong_nash_toy_work_counters():
-    # P' of the d=2 (2,4) SPoA toy at coalition cap 3; counts work, not time
+    # P' of the d=2 (2,4) SPoA toy at coalition cap 3; counts work, not
+    # time.  Its 12 bins hold two contents, so 7,806 coalitions fall into
+    # 765 orbits; 59 complete assignments pass the branch and bound and ask 5
+    # distinct (residents kept, incoming classes) placement questions.
     inst = spoa_instance(power_of_two_toy_packing(), copies_cap=16, certify=False)
     result = is_strong_nash(inst.p_prime, 3)
     assert result
-    assert result.coalitions_checked == 7806
-    assert result.assignments_checked <= 116_304
-    assert 0 < result.geometry_checks <= result.assignments_checked
+    assert result.coalitions_checked == 765
+    assert result.assignments_checked == 59
+    assert result.geometry_checks == 5
 
 
 # ---------------------------------------------------------------------------
