@@ -535,7 +535,7 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
     try:
         if family is None:
             raise RuntimeError("family stage failed")
-        total = sum((k - 1) ** (d - 1) for k in family.classes)
+        total = sum(family.sizes().values())
         cap = None if total <= 20_000 else 200
         epsilon = Fraction(1, d * d)
         packing = build_packing(family, epsilon, per_class_cap=cap)

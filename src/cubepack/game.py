@@ -50,6 +50,8 @@ COPIES_CAP = 4096
 
 # Candidate bases one repack re-layout search may examine before it gives up.
 REPACK_NODE_CAP = 200_000
+# Items, residents plus the mover, one repack re-layout may place.
+REPACK_ITEM_CAP = 8
 
 
 # Placement memo: content of the residents kept -> incoming class indices
@@ -302,7 +304,6 @@ def improving_moves(
     config: GameConfig,
     mode: str = "insertion",
     *,
-    repack_cap: int = 8,
     first_only: bool = False,
 ) -> Tuple[MoveProposal, ...]:
     """All strictly improving single-item migrations, deterministically ordered.
@@ -315,13 +316,12 @@ def improving_moves(
     Both tests run on the config's integer volumes.  Fresh bins are never
     targets; a lone item's cost of 1 cannot improve.
     """
-    return _improving_moves(config, mode, repack_cap, first_only, {})
+    return _improving_moves(config, mode, first_only, {})
 
 
 def _improving_moves(
     config: GameConfig,
     mode: str,
-    repack_cap: int,
     first_only: bool,
     memo: _Memo,
 ) -> Tuple[MoveProposal, ...]:
@@ -340,10 +340,10 @@ def _improving_moves(
             if target == src or not joined > m.iocc[src]:
                 continue
             residents = m.members[target]
-            if mode == "repack" and len(residents) + 1 > repack_cap:
+            if mode == "repack" and len(residents) + 1 > REPACK_ITEM_CAP:
                 raise RepackSearchError(
                     f"bin {target} holds {len(residents)} items, repack cap "
-                    f"is {repack_cap - 1} plus the mover"
+                    f"is {REPACK_ITEM_CAP - 1} plus the mover"
                 )
             if joined > m.scale:
                 continue
@@ -450,12 +450,10 @@ class NashResult:
         return self.is_nash
 
 
-def is_nash(
-    config: GameConfig, mode: str = "insertion", *, repack_cap: int = 8
-) -> NashResult:
+def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     """True iff no single item has a strictly improving migration."""
     memo: _Memo = {}
-    moves = _improving_moves(config, mode, repack_cap, False, memo)
+    moves = _improving_moves(config, mode, False, memo)
     return NashResult(not moves, mode, moves, _searches(memo))
 
 
@@ -474,14 +472,7 @@ def potential(config: GameConfig) -> Tuple[Fraction, ...]:
     return tuple(sorted(config._occupied.values(), reverse=True))
 
 
-_POLICY_ALIASES = {
-    "first": "first",
-    "first-improving": "first",
-    "best": "best",
-    "best-improving": "best",
-    "random": "random",
-    "random-seeded": "random",
-}
+_POLICIES = ("first", "best", "random")
 
 
 @dataclass(frozen=True)
@@ -500,17 +491,14 @@ def best_response_dynamics(
     max_steps: int = 10_000,
     seed: int = 0,
     mode: str = "insertion",
-    repack_cap: int = 8,
 ) -> DynamicsResult:
     """Apply improving moves until none remain or the step budget runs out.
 
     Every step shares one placement memo: moves keep the items, so the
     memo's keys (contents and class indices) mean the same in each config.
     """
-    try:
-        policy = _POLICY_ALIASES[policy]
-    except KeyError:
-        raise ValueError(f"unknown policy {policy!r}") from None
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(seed)
     applied: List[MoveProposal] = []
     current = config
@@ -518,7 +506,7 @@ def best_response_dynamics(
     memo: _Memo = {}
     for _ in range(max_steps):
         searched = _searches(memo)
-        moves = _improving_moves(current, mode, repack_cap, policy == "first", memo)
+        moves = _improving_moves(current, mode, policy == "first", memo)
         if not moves:
             current.validate()
             cert = NashResult(True, mode, (), _searches(memo) - searched)
@@ -878,9 +866,7 @@ def anarchy_copies(
     N is the product of all (k-1)^d when that fits the cap, else the
     packing's regroup period, the fewest copies that regroup into full grids.
     """
-    n = 1
-    for k in packing.classes:
-        n *= (k - 1) ** packing.d
+    n = packing.grid_product()
     if n <= copies_cap:
         return n, False
     n = packing.regroup_period()
@@ -912,17 +898,13 @@ def poa_instance(
     n, scaled = anarchy_copies(packing, copies_cap)
     p = config_from_bins([packing.bin] * n)
     prime_bins: List[Bin] = []
-    for k in packing.classes:
-        total = n * packing.nu[k]
-        per_bin = (k - 1) ** packing.d
-        assert total % per_bin == 0
+    for k, count in packing.grid_bins(n).items():
         grid = build_homogeneous(k, packing.d, packing.epsilon).bin
-        prime_bins.extend([grid] * (total // per_bin))
+        prime_bins.extend([grid] * count)
     p_prime = config_from_bins(prime_bins)
     p.validate()
     p_prime.validate()
     ratio = Fraction(len(prime_bins), n)
-    assert ratio == packing.weight()
     nash = None
     if certify:
         nash = is_nash(p_prime)

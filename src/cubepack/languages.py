@@ -44,6 +44,11 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .geometry import as_rational, format_rational
 
+# budgeted selection from a rule-core language scans at most this many cores
+SELECT_SCAN_CAP = 5_000_000
+# sample_f_sets draws at most this many candidate sets before giving up
+F_SETS_DRAW_CAP = 200_000
+
 
 class FSetsSamplingError(RuntimeError):
     """Raised when index-set sampling exhausts its attempt budget."""
@@ -222,9 +227,7 @@ class Language:
             return core in self._core_set
         return self._good_core(core)
 
-    def select_words(
-        self, limit: Optional[int] = None, max_scan: int = 5_000_000
-    ) -> Iterator[tuple[int, ...]]:
+    def select_words(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Deterministic word selection for materializing packings.
 
         Without a limit, all words in ascending lexicographic order
@@ -251,9 +254,9 @@ class Language:
             if found >= limit:
                 return
             scanned += 1
-            if scanned > max_scan:
+            if scanned > SELECT_SCAN_CAP:
                 raise RuntimeError(
-                    f"scanned {max_scan} cores and found only {found} good ones; "
+                    f"scanned {SELECT_SCAN_CAP} cores and found only {found} good ones; "
                     f"the good-word density is too low for budgeted selection"
                 )
             if self._good_core(core):
@@ -454,7 +457,6 @@ def sample_f_sets(
     seed: int,
     threshold: Optional[Fraction] = None,
     indices: Optional[Sequence[int]] = None,
-    max_attempts: int = 200_000,
 ) -> FSets:
     """Sample index sets F_i (|F_i| = ceil(d/2)) with small pairwise overlap.
 
@@ -483,14 +485,14 @@ def sample_f_sets(
     attempts = 0
     rejections = 0
     per_set_budget = 2_000
-    while attempts < max_attempts:
+    while attempts < F_SETS_DRAW_CAP:
         chosen: dict[int, frozenset[int]] = {}
         stuck = False
         for key in idx:
             ok = False
             for _ in range(per_set_budget):
                 attempts += 1
-                if attempts > max_attempts:
+                if attempts > F_SETS_DRAW_CAP:
                     break
                 cand = frozenset(rng.sample(universe, size))
                 if all(len(cand & prev) < threshold for prev in chosen.values()):

@@ -1,10 +1,12 @@
 """Bounded-space online packing: adversarial streams, a strict harness, a baseline.
 
-The adversary rearranges C copies of a typed single-bin packing U into
-K class-homogeneous segments.  Any algorithm restricted to M open bins
-must then use at least (C/2) * w(U) bins, while the items trivially fit
-offline into C bins.  The harness replays a stream against an algorithm
-and re-verifies every placement exactly, so a completed run is a
+`adversarial_instance` rearranges C copies of a typed single-bin packing U
+into class-homogeneous segments.  Any algorithm restricted to M open bins
+must then use at least (C/2) * w(U) bins, the result's `lower_bound`, while
+the items trivially fit offline into C bins.  The default C and the
+per-class floors are TypedPacking's grid arithmetic (`grid_product`,
+`grid_bins`).  The harness replays a stream against an algorithm and
+re-verifies every placement exactly, so a completed run is a
 machine-checked certificate rather than a trusted simulation.
 """
 
@@ -25,6 +27,10 @@ from .geometry import (
     verify_bin,
 )
 from .packing import TypedPacking
+
+
+# offline_certificate materializes at most this many bins
+OFFLINE_BIN_CAP = 100_000
 
 
 class InvalidScaleError(ValueError):
@@ -113,50 +119,27 @@ def instance_from_dict(payload: Mapping[str, object]) -> Instance:
 # adversarial stream generator
 
 
-def paper_scale(packing: TypedPacking, m: int) -> int:
-    """The faithful scale C = 2*M*N with N the product of all (k-1)^d."""
-    n = 1
-    for k in packing.classes:
-        n *= (k - 1) ** packing.d
-    return 2 * m * n
+def _scale_bins(packing: TypedPacking, m: int, scale: int) -> Dict[int, int]:
+    """Class -> its bin floor (scale/2)*nu_k/(k-1)^d at this stream scale.
 
-
-def minimal_scale(packing: TypedPacking, m: int) -> int:
-    """Smallest even C whose half keeps every per-class bin count integral
-    and at least M.
-
-    C/2 must be a multiple of t0, the packing's regroup period; the floor
-    condition then fixes the smallest admissible multiple.
+    Raises InvalidScaleError unless `scale` is even and positive, regroups
+    its half into full grids of every class, and gives each class >= m bins.
     """
-    t0 = packing.regroup_period()
-    mult = 1
-    for k, nu_k in packing.nu.items():
-        denom = (k - 1) ** packing.d
-        # smallest mult with mult*t0*nu_k/denom >= m
-        need = -(-m * denom // (nu_k * t0))
-        mult = max(mult, need)
-    return 2 * t0 * mult
-
-
-def validate_scale(packing: TypedPacking, m: int, scale: int) -> None:
-    """Raise InvalidScaleError unless `scale` supports the counting bound."""
     if m < 1:
         raise ValueError(f"open-bin budget must be >= 1, got {m}")
     if scale < 2 or scale % 2 != 0:
         raise InvalidScaleError(f"scale must be a positive even integer, got {scale}")
-    half = scale // 2
-    for k, nu_k in sorted(packing.nu.items()):
-        denom = (k - 1) ** packing.d
-        if (half * nu_k) % denom != 0:
+    try:
+        bins = packing.grid_bins(scale // 2)
+    except ValueError as exc:
+        raise InvalidScaleError(f"scale {scale}: {exc}") from None
+    for k, n in bins.items():
+        if n < m:
             raise InvalidScaleError(
-                f"scale {scale}: (scale/2)*nu_{k} = {half * nu_k} is not divisible "
-                f"by (k-1)^d = {denom}"
+                f"scale {scale}: class {k} contributes {n} bins, below the "
+                f"open-bin budget {m}"
             )
-        if half * nu_k // denom < m:
-            raise InvalidScaleError(
-                f"scale {scale}: class {k} contributes {half * nu_k // denom} "
-                f"bins, below the open-bin budget {m}"
-            )
+    return bins
 
 
 @dataclass(frozen=True)
@@ -180,14 +163,21 @@ def adversarial_instance(
 ) -> AdversaryResult:
     """Rearrange `scale` copies of the packing into class-homogeneous segments.
 
-    With the default scale C = 2*M*N every bounded-space algorithm with at
-    most M open bins needs >= (C/2)*w(U) = M*N*w(U) bins, yet the stream
-    packs offline into C bins.  A custom even scale is accepted when C/2
-    keeps each per-class count (C/2)*nu_k/(k-1)^d integral and >= M.
+    The stream packs offline into `scale` bins, the copies themselves.  Yet
+    every algorithm that keeps at most `m` bins open needs lower_bound =
+    (scale/2) * w(U) bins.  The class-k segment holds scale*nu_k cubes and
+    a bin holds at most (k-1)^d of them, so the segment fills
+    B_k = scale*nu_k/(k-1)^d bins.  At most m of those were open before it,
+    so it opens at least B_k - m >= B_k/2 new bins, because B_k/2 >= m.
+    Summing B_k/2 over the segments gives (scale/2) * w(U).
+
+    The default scale C = 2*M*N, N = prod_k (k-1)^d, is the paper's.  A
+    custom scale must be even and keep each per-class floor integral and
+    >= m, else InvalidScaleError.
     """
     if scale is None:
-        scale = paper_scale(packing, m)
-    validate_scale(packing, m, scale)
+        scale = 2 * m * packing.grid_product()
+    bins = _scale_bins(packing, m, scale)
     if order == "ascending":
         ks: Tuple[int, ...] = tuple(sorted(packing.nu))
     elif order == "descending":
@@ -201,39 +191,11 @@ def adversarial_instance(
             )
     segments = tuple(Segment(k, scale * packing.nu[k]) for k in ks)
     instance = Instance(packing.d, packing.epsilon, segments)
-    half = scale // 2
-    per_segment = tuple(
-        half * packing.nu[k] // (k - 1) ** packing.d for k in ks
-    )
-    lower = sum(per_segment)
-    assert Fraction(lower) == Fraction(half) * packing.weight()
-    return AdversaryResult(instance, m, scale, lower, scale, per_segment)
+    per_segment = tuple(bins[k] for k in ks)
+    return AdversaryResult(instance, m, scale, sum(per_segment), scale, per_segment)
 
 
-def lower_bound_certificate(
-    packing: TypedPacking, m: int, scale: Optional[int] = None
-) -> int:
-    """Exact bin floor (scale/2) * w(U), valid for EVERY algorithm that keeps
-    at most `m` bins open on the stream generated at this scale.
-
-    Argument: segment ell holds scale*nu_k cubes of class k, which cannot
-    share a bin beyond (k-1)^d, so it needs scale*nu_k/(k-1)^d bins; at most
-    m of those can predate the segment, leaving at least half that many new
-    ones.  Summing over segments gives (scale/2)*w(U).
-    """
-    if scale is None:
-        scale = paper_scale(packing, m)
-    validate_scale(packing, m, scale)
-    half = scale // 2
-    total = 0
-    for k, nu_k in packing.nu.items():
-        total += half * nu_k // (k - 1) ** packing.d
-    return total
-
-
-def offline_certificate(
-    packing: TypedPacking, scale: int, *, max_bins: int = 100_000
-) -> Tuple[Bin, ...]:
+def offline_certificate(packing: TypedPacking, scale: int) -> Tuple[Bin, ...]:
     """The companion packing: `scale` verbatim copies of the single bin.
 
     The stream is a rearrangement of exactly these cubes, so the tuple
@@ -242,10 +204,9 @@ def offline_certificate(
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    if scale > max_bins:
+    if scale > OFFLINE_BIN_CAP:
         raise ValueError(
-            f"refusing to materialize {scale} bins (cap {max_bins}); "
-            "raise max_bins explicitly if this is intended"
+            f"refusing to materialize {scale} bins (cap {OFFLINE_BIN_CAP})"
         )
     check = verify_bin(packing.bin)
     if not check:
@@ -288,29 +249,21 @@ class RatioReport:
     bins_used: int
     opt_upper_bound: int
     certified_lower_bound: int
-    ratio: Fraction
 
     def __post_init__(self) -> None:
+        if self.opt_upper_bound < 1:
+            raise ValueError(
+                f"offline bin count must be >= 1, got {self.opt_upper_bound}"
+            )
         if self.certified_lower_bound > self.bins_used:
             raise ValueError(
                 f"counting bound {self.certified_lower_bound} exceeds the "
                 f"observed {self.bins_used} bins: the run or the bound is wrong"
             )
-        if self.ratio != Fraction(self.bins_used, self.opt_upper_bound):
-            raise ValueError("ratio field disagrees with bins_used/opt_upper_bound")
 
-
-def ratio_report(
-    bins_used: int, opt_upper_bound: int, certified_lower_bound: int
-) -> RatioReport:
-    if opt_upper_bound < 1:
-        raise ValueError(f"offline bin count must be >= 1, got {opt_upper_bound}")
-    return RatioReport(
-        bins_used,
-        opt_upper_bound,
-        certified_lower_bound,
-        Fraction(bins_used, opt_upper_bound),
-    )
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.bins_used, self.opt_upper_bound)
 
 
 @dataclass(frozen=True)
@@ -396,7 +349,7 @@ def run_bounded_space(
             item_index += 1
     report = None
     if opt_upper_bound is not None and certified_lower_bound is not None:
-        report = ratio_report(next_id, opt_upper_bound, certified_lower_bound)
+        report = RatioReport(next_id, opt_upper_bound, certified_lower_bound)
     return RunResult(
         bins_used=next_id,
         open_bin_ids=tuple(sorted(open_bins)),

@@ -35,6 +35,12 @@ from .languages import (
 )
 
 
+# build_packing refuses to materialize more cubes than this in one bin
+MATERIALIZE_CAP = 100_000
+# the report drivers assert their asymptotic weight targets from this d on
+ASYMPTOTIC_D0 = 1 << 20
+
+
 class PackingVerificationError(RuntimeError):
     """A constructed packing failed its own geometric certificate (a bug)."""
 
@@ -106,12 +112,29 @@ class TypedPacking:
     def k_max(self) -> int:
         return max(self.nu)
 
-    def weight(self) -> Fraction:
-        """Sum of nu_k / (k-1)^d: how many homogeneous bins the cubes regroup into."""
-        return sum(
-            (Fraction(n, (k - 1) ** self.d) for k, n in self.nu.items()),
-            start=Fraction(0),
-        )
+    def grid_size(self, k: int) -> int:
+        """(k-1)^d: the class-k cubes one bin holds on the grid H_k."""
+        return (k - 1) ** self.d
+
+    def grid_product(self) -> int:
+        """N = prod_k (k-1)^d: a copy count that regroups into full grids."""
+        return math.prod(self.grid_size(k) for k in self.classes)
+
+    def grid_bins(self, copies: int) -> dict[int, int]:
+        """Class -> full grid bins that `copies` copies of the bin regroup into.
+
+        Raises ValueError naming the first class left with a partial grid.
+        """
+        bins: dict[int, int] = {}
+        for k in self.classes:
+            cubes, size = copies * self.nu[k], self.grid_size(k)
+            if cubes % size:
+                raise ValueError(
+                    f"class {k} has {cubes} cubes at copy count {copies}, "
+                    f"not a multiple of the grid size (k-1)^d = {size}"
+                )
+            bins[k] = cubes // size
+        return bins
 
     def regroup_period(self) -> int:
         """Fewest copies of the bin whose cubes regroup into full class grids.
@@ -121,14 +144,20 @@ class TypedPacking:
         """
         t0 = 1
         for k, nu_k in self.nu.items():
-            denom = (k - 1) ** self.d
-            t0 = math.lcm(t0, denom // math.gcd(nu_k, denom))
+            size = self.grid_size(k)
+            t0 = math.lcm(t0, size // math.gcd(nu_k, size))
         return t0
 
+    def weight(self) -> Fraction:
+        """Sum of nu_k / (k-1)^d: how many grid bins one copy regroups into."""
+        t0 = self.regroup_period()
+        return Fraction(sum(self.grid_bins(t0).values()), t0)
+
     def full_weight(self) -> Fraction:
+        """As weight, over the full family sizes |L_k| when they are known."""
         sizes = self.family_sizes if self.family_sizes is not None else self.nu
         return sum(
-            (Fraction(n, (k - 1) ** self.d) for k, n in sizes.items()),
+            (Fraction(n, self.grid_size(k)) for k, n in sizes.items()),
             start=Fraction(0),
         )
 
@@ -154,7 +183,6 @@ def build_packing(
     epsilon,
     *,
     per_class_cap: Optional[int] = None,
-    materialize_cap: int = 100_000,
     verify: bool = True,
 ) -> TypedPacking:
     """Place a separated family's words as disjoint cubes in one bin.
@@ -187,9 +215,9 @@ def build_packing(
         lang = family.languages[k]
         selected = tuple(lang.select_words(per_class_cap))
         total += len(selected)
-        if total > materialize_cap:
+        if total > MATERIALIZE_CAP:
             raise ValueError(
-                f"materializing more than {materialize_cap} cubes; "
+                f"materializing more than {MATERIALIZE_CAP} cubes; "
                 f"pass per_class_cap to bound the packing"
             )
         nu[k] = len(selected)
@@ -264,7 +292,7 @@ class DensePackingReport:
     """Outcome of the many-classes construction at a given dimension.
 
     Targets involving log d are irrational, so they are reported as
-    floats and asserted only above the configured asymptotic scale d0;
+    floats and asserted only from the asymptotic scale ASYMPTOTIC_D0 on;
     every packing quantity stays exact.
     """
 
@@ -289,7 +317,6 @@ def dense_packing_report(
     seed: int = 0,
     *,
     log_base: str = "natural",
-    d0: int = 1 << 20,
     per_class_cap: int = 200,
     enumerate_cap: int = 1_000_000,
 ) -> DensePackingReport:
@@ -334,7 +361,7 @@ def dense_packing_report(
     target_fraction = Fraction(10, 11) * (s_eff - 1)
     meets_density = float(weight_full) >= target_density
     meets_fraction = weight_full >= target_fraction
-    asserted = d >= d0
+    asserted = d >= ASYMPTOTIC_D0
     if asserted and not (meets_density and meets_fraction):
         raise RuntimeError(
             f"asymptotic weight target failed at asserted scale d={d}: "
@@ -389,7 +416,6 @@ def power_of_two_packing_report(
     seed: int = 0,
     *,
     log_base: str = "natural",
-    d0: int = 1 << 20,
     s_prime: Optional[int] = None,
     per_class_cap: int = 200,
     enumerate_cap: int = 1_000_000,
@@ -404,7 +430,7 @@ def power_of_two_packing_report(
     sp = s_prime if s_prime is not None else formula
     overridden = s_prime is not None
     target = _log(d, log_base)
-    asserted = d >= d0
+    asserted = d >= ASYMPTOTIC_D0
     if sp < 2:
         if asserted:
             raise RuntimeError(f"S' = {sp} < 2 at asserted scale d={d}")

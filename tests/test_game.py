@@ -241,7 +241,7 @@ def test_repack_mode_finds_rearranged_fit():
 def test_repack_cap_enforced():
     cfg = homogeneous_mixture([2, 5], 2, F(1, 16))
     with pytest.raises(RepackSearchError):
-        improving_moves(cfg, "repack", repack_cap=3)
+        improving_moves(cfg, "repack")
 
 
 @st.composite
@@ -486,7 +486,7 @@ def test_dynamics_policies_reach_nash(policy):
 
 def test_dynamics_policy_aliases():
     cfg = underfilled_pair()
-    assert best_response_dynamics(cfg, "first-improving").status == "nash"
+    assert best_response_dynamics(cfg, "first").status == "nash"
     with pytest.raises(ValueError):
         best_response_dynamics(cfg, "greedy")
 

@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cubepack"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "cubepack"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# Exported functions that need no caller outside their module and its test.
+ALLOWED = {
+    "apply_move": "how a caller acts on a MoveProposal; the game oracles step it",
+    "apply_coalition": "how a caller acts on a CoalitionProposal; the oracles step it",
+    "improving_moves": "the moves is_nash summarises, for a caller to pick and apply",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -78,3 +86,58 @@ def test_every_private_helper_is_referenced():
             ):
                 orphans.append(f"{path.name}:{node.lineno} {node.name}")
     assert not orphans, f"private helpers nothing references: {orphans}"
+
+
+def _references(path: Path) -> set:
+    """Every Name id and Attribute attr in a file."""
+    refs = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_every_exported_function_has_a_caller():
+    # a public function that only its own module and its own test name is
+    # API nothing uses: call it from elsewhere, demote it, or say in ALLOWED
+    # why it stays
+    init = _tree(PACKAGE / "__init__.py")
+    source = {}  # exported name -> defining module
+    listed = None
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            source.update((alias.name, node.module) for alias in node.names)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            listed = ast.literal_eval(node.value)
+    assert sorted(listed) == sorted([*source, "__version__"]), (
+        f"__all__ and __init__'s imports differ: "
+        f"{sorted(set(listed) ^ set(source) ^ {'__version__'})}"
+    )
+
+    refs = {
+        path: _references(path)
+        for tree in ("src", "demos", "perfbench", "tests")
+        for path in (REPO / tree).rglob("*.py")
+    }
+    functions = {
+        module: {
+            node.name
+            for node in _tree(PACKAGE / f"{module}.py").body
+            if isinstance(node, ast.FunctionDef)
+        }
+        for module in set(source.values())
+    }
+    uncalled = []
+    for name, module in sorted(source.items()):
+        if name not in functions[module]:
+            continue  # classes are the result and exception types of the functions
+        own = {PACKAGE / f"{module}.py", PACKAGE / "__init__.py",
+               REPO / "tests" / f"test_{module}.py"}
+        if not any(name in names for path, names in refs.items() if path not in own):
+            uncalled.append(name)
+    orphans = sorted(set(uncalled) - set(ALLOWED))
+    assert not orphans, f"exported functions nothing else calls: {orphans}"
+    stale = sorted(set(ALLOWED) - set(uncalled))
+    assert not stale, f"ALLOWED entries that are called or not exported: {stale}"

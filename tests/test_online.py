@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubepack.geometry import Bin, CubeClass, PlacedCube, find_free_position, verify_bin
 from cubepack.languages import warmup_family
@@ -18,15 +20,10 @@ from cubepack.online import (
     adversarial_instance,
     instance_from_dict,
     instance_to_dict,
-    lower_bound_certificate,
-    minimal_scale,
     offline_certificate,
-    paper_scale,
-    ratio_report,
     run_bounded_space,
-    validate_scale,
 )
-from cubepack.packing import build_homogeneous, build_packing
+from cubepack.packing import TypedPacking, build_homogeneous, build_packing
 
 
 def remark_packing(d: int = 3):
@@ -67,9 +64,10 @@ def test_instance_json_round_trip():
 
 def test_paper_scale_remark_values():
     pack = remark_packing()
-    # N = 1^3 * 2^3 = 8
-    assert paper_scale(pack, 1) == 16
-    assert paper_scale(pack, 2) == 32
+    # N = 1^3 * 2^3 = 8, so the default scale is C = 2*M*N
+    assert pack.grid_product() == 8
+    assert adversarial_instance(pack, 1).scale == 16
+    assert adversarial_instance(pack, 2).scale == 32
 
 
 def test_adversarial_instance_paper_faithful():
@@ -85,8 +83,6 @@ def test_adversarial_instance_paper_faithful():
 
 def test_lower_bound_scales_with_m():
     pack = remark_packing()
-    assert lower_bound_certificate(pack, 1) == 12
-    assert lower_bound_certificate(pack, 2) == 24
     res = adversarial_instance(pack, 2)
     assert res.lower_bound == 24
     assert res.instance.total_items == 32 * 5
@@ -94,28 +90,78 @@ def test_lower_bound_scales_with_m():
 
 def test_minimal_scale_and_validation():
     pack = remark_packing()
-    c = minimal_scale(pack, 1)
-    assert c == 4
-    validate_scale(pack, 1, c)
-    assert lower_bound_certificate(pack, 1, c) == 3  # (C/2) * 3/2
-    with pytest.raises(InvalidScaleError):
-        validate_scale(pack, 1, 2)  # (C/2)*nu_3 = 4 not divisible by 8
-    with pytest.raises(InvalidScaleError):
-        validate_scale(pack, 1, 5)  # odd
-    with pytest.raises(InvalidScaleError):
-        validate_scale(pack, 3, 4)  # class 3 contributes 1 bin < M
-    with pytest.raises(InvalidScaleError):
-        adversarial_instance(pack, 1, scale=6)
-
-
-def test_minimal_scale_respects_budget():
-    pack = remark_packing()
+    # regroup period 2 (class 3 fills a grid of 8 from 2 copies of 4), so
+    # C/2 must be even; class 3 then gives C/4 bins, which must reach M
+    assert pack.regroup_period() == 2
+    assert adversarial_instance(pack, 1, scale=4).lower_bound == 3  # (C/2) * 3/2
     for m in (1, 2, 3, 7):
-        c = minimal_scale(pack, m)
-        validate_scale(pack, m, c)
+        assert adversarial_instance(pack, m, scale=4 * m).scale == 4 * m
         # the next smaller admissible-looking even value must fail
         with pytest.raises(InvalidScaleError):
-            validate_scale(pack, m, c - 2)
+            adversarial_instance(pack, m, scale=4 * m - 2)
+    with pytest.raises(InvalidScaleError):
+        adversarial_instance(pack, 1, scale=2)  # (C/2)*nu_3 = 4 not divisible by 8
+    with pytest.raises(InvalidScaleError):
+        adversarial_instance(pack, 1, scale=5)  # odd
+    with pytest.raises(InvalidScaleError):
+        adversarial_instance(pack, 3, scale=4)  # class 3 contributes 1 bin < M
+    with pytest.raises(InvalidScaleError):
+        adversarial_instance(pack, 1, scale=6)
+    with pytest.raises(ValueError):
+        adversarial_instance(pack, 0)
+
+
+@st.composite
+def typed_counts(draw):
+    """A TypedPacking with d <= 4, one to three classes and random nu_k;
+    the regrouping model reads only its counts, so the bin stays empty."""
+    d = draw(st.integers(1, 4))
+    classes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True))
+    nu = {k: draw(st.integers(0, (k - 1) ** d)) for k in sorted(classes)}
+    return TypedPacking(d, F(1, 36), Bin(d), nu, {})
+
+
+def _scale_is_valid(packing, m, scale):
+    # the counting bound's conditions, restated from their definition
+    half = scale // 2
+    return scale >= 2 and scale % 2 == 0 and all(
+        half * n % (k - 1) ** packing.d == 0 and half * n // (k - 1) ** packing.d >= m
+        for k, n in packing.nu.items()
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(typed_counts(), st.integers(1, 4), st.data())
+def test_regrouping_model_matches_counting_bound(packing, m, data):
+    t0 = packing.regroup_period()
+    assert packing.grid_product() % t0 == 0
+    t = data.draw(st.one_of(st.integers(1, 3 * t0), st.integers(1, 6).map(t0.__mul__)))
+    if t % t0:
+        with pytest.raises(ValueError):
+            packing.grid_bins(t)
+    else:
+        bins = packing.grid_bins(t)
+        assert list(bins) == list(packing.classes)
+        assert sum(bins.values()) == t * packing.weight()
+    # odd, indivisible, below-M and valid scales, near multiples of 2*t0
+    scale = data.draw(
+        st.one_of(
+            st.integers(-2, 4 * t0 + 1),
+            st.integers(1, 2 * m + 2).map(lambda j: 2 * t0 * j),
+            st.just(None),
+        )
+    )
+    expected = 2 * m * packing.grid_product() if scale is None else scale
+    if _scale_is_valid(packing, m, expected):
+        adv = adversarial_instance(packing, m, scale=scale)
+        assert adv.scale == adv.offline_bin_count == expected
+        assert adv.lower_bound == F(expected, 2) * packing.weight()
+        assert adv.per_segment_lower_bounds == tuple(
+            packing.grid_bins(expected // 2)[k] for k in packing.classes
+        )
+    else:
+        with pytest.raises(InvalidScaleError):
+            adversarial_instance(packing, m, scale=scale)
 
 
 def test_segment_order_options():
@@ -201,7 +247,8 @@ def test_baseline_on_remark_instance():
     for new, floor in zip(result.per_segment_new_bins, adv.per_segment_lower_bounds):
         assert new >= floor
     assert result.bins_used >= adv.lower_bound
-    assert result.report == RatioReport(24, 16, 12, F(3, 2))
+    assert result.report == RatioReport(24, 16, 12)
+    assert result.report.ratio == F(3, 2)
     assert result.open_bin_ids == ()
     assert len(result.closed_bin_ids) == 24
     assert all(verify_bin(b) for b in result.bins.values())
@@ -209,7 +256,7 @@ def test_baseline_on_remark_instance():
 
 def test_baseline_respects_budget_m2():
     pack = remark_packing()
-    adv = adversarial_instance(pack, 2, scale=minimal_scale(pack, 2))
+    adv = adversarial_instance(pack, 2, scale=8)  # the smallest valid scale at M=2
     result = run_bounded_space(ClassHarmonicBaseline(2), adv.instance, 2)
     assert result.bins_used >= adv.lower_bound
 
@@ -309,8 +356,8 @@ def test_grid_capacity_is_tight(k, d):
 
 
 def test_ratio_report_validation():
-    assert ratio_report(24, 16, 12).ratio == F(3, 2)
+    assert RatioReport(24, 16, 12).ratio == F(3, 2)
     with pytest.raises(ValueError):
-        RatioReport(10, 16, 12, F(10, 16))  # bound exceeds observed bins
+        RatioReport(10, 16, 12)  # bound exceeds observed bins
     with pytest.raises(ValueError):
-        RatioReport(24, 16, 12, F(1))  # ratio field inconsistent
+        RatioReport(24, 0, 12)  # no offline bin count to compare against
