@@ -21,9 +21,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .geometry import (
     Bin,
@@ -104,6 +115,37 @@ class _VolumeModel:
     members: Dict[int, List[int]]  # bin -> item ids, in item order
     census: Dict[int, List[int]]  # bin -> resident count per class index
 
+    def regrouped(
+        self,
+        items: Sequence[GameItem],
+        assignment: Mapping[int, int],
+        touched: Collection[int],
+    ) -> "_VolumeModel":
+        """The model of `assignment`, given that it differs from this
+        model's only in which items sit in the bins `touched`.  The
+        per-item data is shared, and only the touched bins are recomputed;
+        a touched bin left empty drops out."""
+        fresh: Dict[int, List[int]] = {b: [] for b in touched}
+        for it in items:
+            ids = fresh.get(assignment[it.item_id])
+            if ids is not None:
+                ids.append(it.item_id)
+        iocc, members, census = dict(self.iocc), dict(self.members), dict(self.census)
+        for b, ids in fresh.items():
+            if not ids:
+                for table in (iocc, members, census):
+                    table.pop(b, None)
+                continue
+            count = [0] * len(self.classes)
+            for i in ids:
+                count[self.cid[i]] += 1
+            iocc[b] = sum(self.ivol[i] for i in ids)
+            members[b], census[b] = ids, count
+        return _VolumeModel(
+            self.scale, self.ivol, self.cid, self.classes, self.capacity,
+            iocc, members, census,
+        )
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -158,23 +200,18 @@ class GameConfig:
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in index]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in index]
         ivol = {i: vols[c] for i, c in cid.items()}
-        m = _VolumeModel(scale, ivol, cid, order, caps, {}, {}, {})
-        for it in self.items:
-            i, b = it.item_id, self.assignment[it.item_id]
-            m.iocc[b] = m.iocc.get(b, 0) + m.ivol[i]
-            m.members.setdefault(b, []).append(i)
-            m.census.setdefault(b, [0] * len(index))[cid[i]] += 1
-        return m
+        empty = _VolumeModel(scale, ivol, cid, order, caps, {}, {}, {})
+        return empty.regrouped(self.items, self.assignment, set(self.assignment.values()))
 
     @cached_property
     def _contents(self) -> Dict[int, Tuple[Tuple[int, Tuple[Fraction, ...]], ...]]:
         """Bin -> its content: the sorted (class index, base) pairs of its
         cubes.  A sorted tuple, not a set, so coincident cubes stay two."""
+        return {b: self._content(b) for b in self._volumes.members}
+
+    def _content(self, bin_id: int) -> Tuple[Tuple[int, Tuple[Fraction, ...]], ...]:
         m = self._volumes
-        return {
-            b: tuple(sorted((m.cid[i], self.positions[i]) for i in members))
-            for b, members in m.members.items()
-        }
+        return tuple(sorted((m.cid[i], self.positions[i]) for i in m.members[bin_id]))
 
     @cached_property
     def _occupied(self) -> Dict[int, Fraction]:
@@ -207,13 +244,35 @@ class GameConfig:
     def with_moves(
         self, updates: Mapping[int, Tuple[int, Tuple[Fraction, ...]]]
     ) -> "GameConfig":
-        """New config with the given items reassigned to (bin, base)."""
+        """New config with the given items reassigned to (bin, base).
+
+        The new config inherits this one's item lookup, volume model and
+        bin contents, where this one has built them: only the bins a moved
+        item leaves or enters are recomputed.
+        """
         assignment = dict(self.assignment)
         positions = dict(self.positions)
         for item_id, (bin_id, base) in updates.items():
+            if item_id not in assignment:
+                raise ValueError(f"unknown item {item_id}")
             assignment[item_id] = bin_id
             positions[item_id] = tuple(base)
-        return GameConfig(self.d, self.items, assignment, positions)
+        new = GameConfig(self.d, self.items, assignment, positions)
+        cached, carried = self.__dict__, new.__dict__
+        if "_by_id" in cached:
+            carried["_by_id"] = self._by_id
+        if "_volumes" in cached:
+            touched = {self.assignment[i] for i in updates} | {
+                assignment[i] for i in updates
+            }
+            m = carried["_volumes"] = self._volumes.regrouped(
+                self.items, assignment, touched
+            )
+            if "_contents" in cached:
+                contents = {b: c for b, c in self._contents.items() if b not in touched}
+                contents.update((b, new._content(b)) for b in touched if b in m.members)
+                carried["_contents"] = contents
+        return new
 
 
 def config_from_bins(bins: Sequence[Bin]) -> GameConfig:
@@ -327,15 +386,40 @@ def _improving_moves(
 ) -> Tuple[MoveProposal, ...]:
     """improving_moves with the caller's placement memo; its keys name no
     bin or item, so one memo serves every config over the same items."""
+    _check_mode(mode)
+    candidates = _move_candidates(config, mode, memo)
+    if first_only:
+        candidates = islice(candidates, 1)
+    return tuple(_proposal(config, mode, c) for c in candidates)
+
+
+def _check_mode(mode: str) -> None:
     if mode not in ("insertion", "repack"):
         raise ValueError(f"unknown feasibility mode {mode!r}")
+
+
+class _Candidate(NamedTuple):
+    """A feasible improving move before its costs and bases are built."""
+
+    item: GameItem
+    source: int
+    target: int
+    joined: int  # occupied volume of the target after the move, times scale
+    layout: tuple  # _place's answer: (class, base) per mover
+    movers: Sequence[GameItem]  # the item, after the residents on a repack
+
+
+def _move_candidates(config: GameConfig, mode: str, memo: _Memo) -> Iterator[_Candidate]:
+    """The moves of improving_moves, lazily and in its order: item id, then
+    target bin.  Each passes the gain and volume screens and then the
+    memoized placement search; turn one into a MoveProposal by _proposal."""
     m = config._volumes
+    targets = sorted(m.iocc)
     # a content is a long tuple: hash it once per target bin, not per probe
     tables: Dict[int, Dict[tuple, Optional[tuple]]] = {}
-    proposals: List[MoveProposal] = []
     for it in sorted(config.items, key=lambda x: x.item_id):
         src, v = config.assignment[it.item_id], m.ivol[it.item_id]
-        for target in sorted(m.iocc):
+        for target in targets:
             joined = m.iocc[target] + v
             if target == src or not joined > m.iocc[src]:
                 continue
@@ -361,19 +445,22 @@ def _improving_moves(
                 layout = _place(config, table, kept, movers, cap)
             except SearchBudgetError as exc:
                 raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
-            if layout is None:
-                continue
-            assigned = _distribute(layout, movers)
-            relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
-            costs = (Fraction(v, m.iocc[src]), Fraction(v, joined))
-            proposals.append(
-                MoveProposal(
-                    it.item_id, src, target, mode, *costs, assigned[it.item_id], relayout
-                )
-            )
-            if first_only:
-                return tuple(proposals)
-    return tuple(proposals)
+            if layout is not None:
+                yield _Candidate(it, src, target, joined, layout, movers)
+
+
+def _gain(m: _VolumeModel, c: _Candidate) -> Fraction:
+    """cost_before - cost_after of the candidate's proposal."""
+    before = m.iocc[c.source]
+    return Fraction(m.ivol[c.item.item_id] * (c.joined - before), before * c.joined)
+
+
+def _proposal(config: GameConfig, mode: str, c: _Candidate) -> MoveProposal:
+    m, i = config._volumes, c.item.item_id
+    assigned = _distribute(c.layout, c.movers)
+    relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
+    costs = (Fraction(m.ivol[i], m.iocc[c.source]), Fraction(m.ivol[i], c.joined))
+    return MoveProposal(i, c.source, c.target, mode, *costs, assigned[i], relayout)
 
 
 def _place(
@@ -482,6 +569,7 @@ class DynamicsResult:
     applied: Tuple[MoveProposal, ...]
     status: str  # "nash" or "budget-exhausted"
     certificate: Optional[NashResult]
+    geometry_checks: int = 0  # placement searches over the whole run
 
 
 def best_response_dynamics(
@@ -494,39 +582,60 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Apply improving moves until none remain or the step budget runs out.
 
+    Each step screens the moves of improving_moves and builds a proposal
+    only for the one it applies: "first" takes the first, "random" draws
+    one with the seeded generator, and "best" takes the largest cost drop,
+    the lowest item id among equals, and else the first in move order.
     Every step shares one placement memo: moves keep the items, so the
-    memo's keys (contents and class indices) mean the same in each config.
+    memo's keys (contents and class indices) mean the same in each config,
+    and each config inherits its parent's volume model and contents.  The
+    potential is checked on integer occupancies; over one common
+    denominator they order exactly as potential() does.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    _check_mode(mode)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     rng = random.Random(seed)
     applied: List[MoveProposal] = []
     current = config
-    last_potential = potential(current)
+    last_potential = sorted(current._volumes.iocc.values(), reverse=True)
     memo: _Memo = {}
     for _ in range(max_steps):
         searched = _searches(memo)
-        moves = _improving_moves(current, mode, policy == "first", memo)
-        if not moves:
+        candidates = _move_candidates(current, mode, memo)
+        if policy == "first":
+            chosen = next(candidates, None)
+        else:
+            pool = list(candidates)
+            if not pool:
+                chosen = None
+            elif policy == "random":
+                chosen = rng.choice(pool)
+            else:
+                m = current._volumes
+                chosen = max(pool, key=lambda c: (_gain(m, c), -c.item.item_id))
+        if chosen is None:
             current.validate()
             cert = NashResult(True, mode, (), _searches(memo) - searched)
-            return DynamicsResult(current, len(applied), tuple(applied), "nash", cert)
-        if policy == "first":
-            move = moves[0]
-        elif policy == "best":
-            move = max(moves, key=lambda m: (m.cost_before - m.cost_after, -m.item_id))
-        else:
-            move = rng.choice(moves)
+            return DynamicsResult(
+                current, len(applied), tuple(applied), "nash", cert, _searches(memo)
+            )
+        move = _proposal(current, mode, chosen)
         current = apply_move(current, move)
         applied.append(move)
-        now = potential(current)
+        now = sorted(current._volumes.iocc.values(), reverse=True)
         if not now > last_potential:
             raise AssertionError(
-                f"potential did not increase: {last_potential} -> {now}"
+                f"potential did not increase: {last_potential} -> {now} "
+                f"(occupied volumes times {current._volumes.scale})"
             )
         last_potential = now
     current.validate()
-    return DynamicsResult(current, len(applied), tuple(applied), "budget-exhausted", None)
+    return DynamicsResult(
+        current, len(applied), tuple(applied), "budget-exhausted", None, _searches(memo)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from .geometry import as_rational, format_rational
 SELECT_SCAN_CAP = 5_000_000
 # sample_f_sets draws at most this many candidate sets before giving up
 F_SETS_DRAW_CAP = 200_000
+# enumerate mode materializes at most this many cores per class by default
+ENUMERATE_CAP = 1_000_000
 
 
 class FSetsSamplingError(RuntimeError):
@@ -653,7 +655,7 @@ def build_separated_family(
     mode: str = "enumerate",
     threshold: Optional[Fraction] = None,
     fsets: Optional[FSets] = None,
-    enumerate_cap: int = 1_000_000,
+    enumerate_cap: int = ENUMERATE_CAP,
     certify: bool = True,
 ) -> SeparatedFamily:
     """Randomized separated family over the given classes.

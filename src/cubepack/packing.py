@@ -26,6 +26,7 @@ from .geometry import (
     verify_bin,
 )
 from .languages import (
+    ENUMERATE_CAP,
     FamilyConstructionError,
     FSetsSamplingError,
     SeparatedFamily,
@@ -312,13 +313,20 @@ class DensePackingReport:
     asserted: bool
 
 
+def _build_family(d: int, classes: tuple, seed: int) -> SeparatedFamily:
+    """build_separated_family in enumerate mode when every class has at
+    most ENUMERATE_CAP cores, (k-1)^ceil(d/2) each, else in implicit mode."""
+    core_sizes = max((k - 1) ** (-(-d // 2)) for k in classes)
+    mode = "enumerate" if core_sizes <= ENUMERATE_CAP else "implicit"
+    return build_separated_family(d, classes, seed, mode=mode)
+
+
 def dense_packing_report(
     d: int,
     seed: int = 0,
     *,
     log_base: str = "natural",
     per_class_cap: int = 200,
-    enumerate_cap: int = 1_000_000,
 ) -> DensePackingReport:
     """Build the densest-available family at dimension d and report.
 
@@ -335,15 +343,7 @@ def dense_packing_report(
     s_eff = s_formula
     if s_formula >= 2:
         try:
-            core_sizes = max((k - 1) ** (-(-d // 2)) for k in range(2, s_formula + 1))
-            mode = "enumerate" if core_sizes <= enumerate_cap else "implicit"
-            family = build_separated_family(
-                d,
-                tuple(range(2, s_formula + 1)),
-                seed,
-                mode=mode,
-                enumerate_cap=enumerate_cap,
-            )
+            family = _build_family(d, tuple(range(2, s_formula + 1)), seed)
         except (FSetsSamplingError, FamilyConstructionError, ValueError) as exc:
             fallback_reason = str(exc)
     else:
@@ -418,7 +418,6 @@ def power_of_two_packing_report(
     log_base: str = "natural",
     s_prime: Optional[int] = None,
     per_class_cap: int = 200,
-    enumerate_cap: int = 1_000_000,
 ) -> PowerOfTwoPackingReport:
     """Build the family over classes {2, 4, ..., 2^(S'-1)} and report.
 
@@ -440,11 +439,7 @@ def power_of_two_packing_report(
         )
     classes = tuple(2 ** (j - 1) for j in range(2, sp + 1))
     epsilon = Fraction(1, 4 ** (sp - 1))
-    core_sizes = max((k - 1) ** (-(-d // 2)) for k in classes)
-    mode = "enumerate" if core_sizes <= enumerate_cap else "implicit"
-    family = build_separated_family(
-        d, classes, seed, mode=mode, enumerate_cap=enumerate_cap
-    )
+    family = _build_family(d, classes, seed)
     packing = build_packing(family, epsilon, per_class_cap=per_class_cap)
     weight_full = family.weight()
     meets = float(weight_full) >= target

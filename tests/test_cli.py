@@ -241,6 +241,11 @@ def test_dynamics_settles_broken_config(tmp_path, equilibrium_file, capsys):
     assert read(settled)["dynamics"]["status"] == "nash"
 
 
+def test_dynamics_negative_budget_is_bad_input(equilibrium_file, capsys):
+    assert run("game", "dynamics", equilibrium_file, "--max-steps", -1) == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
 def test_game_prop1_sweep_passes(capsys):
     assert run("game", "prop1", "--kmax", 20, "--dmax", 6) == 0
     assert "OK" in capsys.readouterr().out

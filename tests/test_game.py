@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cubepack.game import (
     FEASIBILITY_NOTE,
     AnarchyInstance,
+    CoalitionProposal,
     CoalitionSearchError,
     GameConfig,
     GameItem,
@@ -440,6 +441,66 @@ def test_moves_match_unmemoized_reference(cfg):
         assert improving_moves(cfg, mode) == _reference_moves(cfg, mode)
 
 
+@settings(deadline=None)
+@given(repeated_content_configs(), st.data())
+def test_moves_carry_caches_as_built_from_scratch(cfg, data):
+    # A moved config inherits its parent's volume model and contents and
+    # recomputes only the bins a mover leaves or enters.  Moves here are
+    # drawn at random, geometry unchecked: single moves (some re-laying
+    # the target's residents), coalitions and whole-bin evacuations, into
+    # used bins or fresh ids, so source bins empty and new bins appear.
+    for _ in range(data.draw(st.integers(1, 6))):
+        cfg._volumes
+        warm_contents = data.draw(st.booleans())
+        if warm_contents:
+            cfg._contents
+        else:
+            vars(cfg).pop("_contents", None)
+        ids = sorted(cfg.assignment)
+        bins = sorted(set(cfg.assignment.values()))
+        targets = st.sampled_from(bins + [bins[-1] + 1, bins[-1] + 7])
+
+        def base():
+            return tuple(F(data.draw(st.integers(0, 3)), 4) for _ in range(cfg.d))
+
+        kind = data.draw(st.sampled_from(["move", "relayout", "coalition", "evacuate"]))
+        if kind in ("move", "relayout"):
+            item, target = data.draw(st.sampled_from(ids)), data.draw(targets)
+            relayout = None
+            if kind == "relayout":
+                residents = [i for i in ids if cfg.assignment[i] == target and i != item]
+                relayout = tuple((i, base()) for i in sorted(residents + [item]))
+            move = MoveProposal(
+                item, cfg.assignment[item], target, "insertion", F(1), F(0), base(),
+                relayout,
+            )
+            moved = apply_move(cfg, move)
+        else:
+            if kind == "coalition":
+                members = data.draw(
+                    st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)
+                )
+            else:
+                source = data.draw(st.sampled_from(bins))
+                members = [i for i in ids if cfg.assignment[i] == source]
+            n = len(members)
+            proposal = CoalitionProposal(
+                tuple(members),
+                tuple(data.draw(targets) for _ in members),
+                tuple(base() for _ in members),
+                (F(1),) * n,
+                (F(0),) * n,
+            )
+            moved = apply_coalition(cfg, proposal)
+        assert "_volumes" in vars(moved)
+        assert ("_contents" in vars(moved)) == warm_contents
+        scratch = GameConfig(moved.d, moved.items, moved.assignment, moved.positions)
+        assert moved._volumes == scratch._volumes
+        assert moved._contents == scratch._contents
+        assert moved._occupied == scratch._occupied
+        cfg = moved
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         improving_moves(two_items_config(), "teleport")
@@ -499,18 +560,38 @@ def test_dynamics_budget_exhaustion_reports_status():
     assert result.config == cfg
 
 
-def _reference_dynamics(cfg, policy, seed, mode):
+def test_dynamics_rejects_unknown_mode_at_zero_budget():
+    # the mode is checked before the first step, not by the first step
+    with pytest.raises(ValueError, match="teleport"):
+        best_response_dynamics(underfilled_pair(), "first", max_steps=0, mode="teleport")
+
+
+def test_dynamics_rejects_negative_budget():
+    with pytest.raises(ValueError, match="max_steps"):
+        best_response_dynamics(underfilled_pair(), "first", max_steps=-1)
+
+
+def _reference_dynamics(cfg, policy, seed, mode, max_steps=None):
     """best_response_dynamics stepped by hand: a fresh improving_moves
-    call, with its own memo, before every apply_move."""
+    call, with its own memo, before every apply_move.  "best" takes the
+    first move, in improving_moves order, of the largest cost drop.  The
+    run stops after max_steps applied moves, if given."""
     rng = random.Random(seed)
     applied = []
-    while True:
+    while max_steps is None or len(applied) < max_steps:
         moves = improving_moves(cfg, mode, first_only=policy == "first")
         if not moves:
             return tuple(applied), cfg
-        move = moves[0] if policy == "first" else rng.choice(moves)
+        if policy == "first":
+            move = moves[0]
+        elif policy == "best":
+            top = max(m.cost_before - m.cost_after for m in moves)
+            move = next(m for m in moves if m.cost_before - m.cost_after == top)
+        else:
+            move = rng.choice(moves)
         cfg = apply_move(cfg, move)
         applied.append(move)
+    return tuple(applied), cfg
 
 
 @settings(deadline=None)
@@ -530,6 +611,86 @@ def test_dynamics_shared_memo_matches_fresh_steps(cfg, seed):
             result = best_response_dynamics(cfg, policy, seed=seed, mode=mode)
             assert result.status == "nash"
             assert (result.applied, result.config) == expected
+
+
+@settings(deadline=None)
+@given(repeated_content_configs(), st.integers(0, 2**16))
+def test_dynamics_best_policy_and_budgets_match_fresh_steps(cfg, seed):
+    # Dynamics builds a proposal only for the move it applies, so "best"
+    # must still pick the first move of largest cost drop, and a budget of
+    # n steps must stop after the first n moves of the unbudgeted run.
+    cfg.validate()
+    for mode in ("insertion", "repack"):
+        for policy in ("first", "best", "random"):
+            try:
+                full = _reference_dynamics(cfg, policy, seed, mode)
+            except RepackSearchError:
+                continue
+            result = best_response_dynamics(cfg, policy, seed=seed, mode=mode)
+            assert result.status == "nash"
+            assert (result.applied, result.config) == full
+            for budget in range(4):
+                run = best_response_dynamics(
+                    cfg, policy, seed=seed, mode=mode, max_steps=budget
+                )
+                if budget > len(full[0]):
+                    assert (run.status, run.applied) == ("nash", full[0])
+                    continue
+                assert run.status == "budget-exhausted"
+                assert run.certificate is None
+                assert run.applied == full[0][:budget]
+                expected = _reference_dynamics(cfg, policy, seed, mode, budget)
+                assert (run.applied, run.config) == expected
+
+
+def _start_states(seed, count):
+    """Lone d=2 cubes of classes 2..4, each in its own bin."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 10)
+        items = tuple(
+            GameItem(i, CubeClass(rng.choice((2, 3, 4)), F(1, 9), 2)) for i in range(n)
+        )
+        yield GameConfig(2, items, {i: i for i in range(n)}, {i: (F(0), F(0)) for i in range(n)})
+
+
+@pytest.mark.parametrize("policy", ["first", "best", "random"])
+def test_dynamics_builds_one_proposal_per_step(monkeypatch, policy):
+    built = []
+
+    class Counted(MoveProposal):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr("cubepack.game.MoveProposal", Counted)
+    for trial, cfg in enumerate(_start_states(3, 6)):
+        built.clear()
+        result = best_response_dynamics(cfg, policy, seed=trial)
+        assert result.status == "nash" and result.steps > 0
+        assert built == list(result.applied)
+
+
+def test_dynamics_counts_placement_searches_over_the_run(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_joint_positions(*args, **kwargs)
+
+    monkeypatch.setattr("cubepack.game.find_joint_positions", counted)
+    for trial, cfg in enumerate(_start_states(5, 6)):
+        calls.clear()
+        result = best_response_dynamics(cfg, "random", seed=trial)
+        assert result.geometry_checks == len(calls) > 0
+        # the certificate counts the final round only
+        assert 0 <= result.certificate.geometry_checks <= result.geometry_checks
+        # a field on the result, not state kept between runs
+        again = best_response_dynamics(cfg, "random", seed=trial)
+        assert again.geometry_checks == result.geometry_checks
+        calls.clear()
+        budgeted = best_response_dynamics(cfg, "random", seed=trial, max_steps=1)
+        assert budgeted.geometry_checks == len(calls)
 
 
 # ---------------------------------------------------------------------------
