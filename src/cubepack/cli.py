@@ -148,7 +148,7 @@ def cmd_pack_build(args) -> int:
             "mode": "warmup",
             "classes": list(packing.classes),
             "weight_placed": format_rational(packing.weight()),
-            "weight_full": format_rational(packing.full_weight()),
+            "weight_full": format_rational(packing.full_counts.weight()),
         }
     elif args.eps is not None:
         raise ValueError("--eps only applies to warmup mode; lemma modes fix epsilon")
@@ -245,7 +245,7 @@ def cmd_pack_weight(args) -> int:
     packing = read_json(args.packing, packing_from_dict, verify=False)
     print(f"classes: {list(packing.classes)}")
     print(f"weight (placed cubes): {packing.weight()}")
-    print(f"weight (full family):  {packing.full_weight()}")
+    print(f"weight (full family):  {packing.full_counts.weight()}")
     print(f"occupied volume:       {packing.occupied()}")
     return OK
 

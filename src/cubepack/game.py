@@ -63,6 +63,8 @@ COPIES_CAP = 4096
 REPACK_NODE_CAP = 200_000
 # Items, residents plus the mover, one repack re-layout may place.
 REPACK_ITEM_CAP = 8
+# Gaining assignments one strong-Nash coalition search may screen.
+COALITION_ASSIGNMENT_CAP = 5_000_000
 
 
 # Placement memo: content of the residents kept -> incoming class indices
@@ -187,9 +189,6 @@ class GameConfig:
             b = self.assignment[it.item_id]
             grouped.setdefault(b, []).append(PlacedCube(it.cls, self.positions[it.item_id]))
         return {b: Bin(self.d, tuple(cubes)) for b, cubes in grouped.items()}
-
-    def used_bins(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.bins_map))
 
     @cached_property
     def _volumes(self) -> _VolumeModel:
@@ -682,12 +681,7 @@ def apply_coalition(config: GameConfig, proposal: CoalitionProposal) -> GameConf
     return config.with_moves(updates)
 
 
-def is_strong_nash(
-    config: GameConfig,
-    max_coalition_size: int,
-    *,
-    assignment_cap: int = 5_000_000,
-) -> StrongNashResult:
+def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashResult:
     """Exhaustive coalition search up to the size cap, smallest first.
 
     Coalitions in which some member keeps its bin reduce to the sub-coalition
@@ -708,13 +702,13 @@ def is_strong_nash(
     in(t_i) is at most in(t_i) + rest, so no complete assignment below a cut
     lets every member gain: the cut is exact.  At the last member rest is 0
     and the rule is the full gain test, so every complete assignment reached
-    (counted in assignments_checked, bounded by assignment_cap) lets every
-    member gain.  Only those reach the memoized joint insertion search,
-    which is exact with residents kept in place; geometry_checks counts its
-    distinct (residents kept, incoming classes) keys, one search each.  Fresh
-    bins are interchangeable, so fresh slot j is used only once the slots
-    below j are.  A target bin cannot take a member whose class would then
-    exceed its per-bin capacity there.
+    (counted in assignments_checked, bounded by COALITION_ASSIGNMENT_CAP)
+    lets every member gain.  Only those reach the memoized joint insertion
+    search, which is exact with residents kept in place; geometry_checks
+    counts its distinct (residents kept, incoming classes) keys, one search
+    each.  Fresh bins are interchangeable, so fresh slot j is used only once
+    the slots below j are.  A target bin cannot take a member whose class
+    would then exceed its per-bin capacity there.
 
     Bins of equal content (the same multiset of (class, base) pairs) are
     interchangeable too.  Each item is labelled (content id of its bin, slot
@@ -806,9 +800,9 @@ def is_strong_nash(
             room,
         ):
             assignments_checked += 1
-            if assignments_checked > assignment_cap:
+            if assignments_checked > COALITION_ASSIGNMENT_CAP:
                 raise CoalitionSearchError(
-                    f"coalition search exceeded {assignment_cap} assignments"
+                    f"coalition search exceeded {COALITION_ASSIGNMENT_CAP} assignments"
                 )
             violation = _coalition_move(config, memo, coalition, targets, fresh_base)
             if violation is not None:
@@ -975,10 +969,10 @@ def anarchy_copies(
     N is the product of all (k-1)^d when that fits the cap, else the
     packing's regroup period, the fewest copies that regroup into full grids.
     """
-    n = packing.grid_product()
+    n = packing.counts.grid_product()
     if n <= copies_cap:
         return n, False
-    n = packing.regroup_period()
+    n = packing.counts.regroup_period()
     if n > copies_cap:
         raise ValueError(
             f"even the minimal regroupable copy count {n} exceeds the cap "
@@ -1007,7 +1001,7 @@ def poa_instance(
     n, scaled = anarchy_copies(packing, copies_cap)
     p = config_from_bins([packing.bin] * n)
     prime_bins: List[Bin] = []
-    for k, count in packing.grid_bins(n).items():
+    for k, count in packing.counts.grid_bins(n).items():
         grid = build_homogeneous(k, packing.d, packing.epsilon).bin
         prime_bins.extend([grid] * count)
     p_prime = config_from_bins(prime_bins)

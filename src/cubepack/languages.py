@@ -36,6 +36,7 @@ separated by construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -575,16 +576,78 @@ def count_good_words(
 # -- families ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ClassCounts:
+    """Per-class cube counts n_k in dimension d, and the regrouping arithmetic.
+
+    A bin holds at most (k-1)^d class-k cubes, the full grid H_k, so the
+    weight w = sum_k n_k/(k-1)^d counts the grid bins one copy of the cubes
+    regroups into: the counting step behind the online lower bound and the
+    price of anarchy, over a family's sizes |L_k| or a packing's nu_k.
+    """
+
+    d: int
+    counts: Mapping[int, int]  # class -> n_k, ascending by class
+
+    def __post_init__(self) -> None:
+        for k, n in self.counts.items():
+            if k < 2:
+                raise ValueError(f"class must be >= 2, got {k}")
+            if n < 0:
+                raise ValueError(f"class {k} count must be >= 0, got {n}")
+        object.__setattr__(self, "counts", dict(sorted(self.counts.items())))
+
+    @staticmethod
+    def grid_size(k: int, d: int) -> int:
+        """(k-1)^d: the class-k cubes one bin holds on the grid H_k."""
+        return (k - 1) ** d
+
+    def grid_product(self) -> int:
+        """N = prod_k (k-1)^d: a copy count that regroups into full grids."""
+        return math.prod(self.grid_size(k, self.d) for k in self.counts)
+
+    def grid_bins(self, copies: int) -> dict[int, int]:
+        """Class -> full grid bins that `copies` copies of the counts fill.
+
+        Raises ValueError naming the first class left with a partial grid.
+        """
+        bins: dict[int, int] = {}
+        for k, n in self.counts.items():
+            cubes, size = copies * n, self.grid_size(k, self.d)
+            if cubes % size:
+                raise ValueError(
+                    f"class {k} has {cubes} cubes at copy count {copies}, "
+                    f"not a multiple of the grid size (k-1)^d = {size}"
+                )
+            bins[k] = cubes // size
+        return bins
+
+    def regroup_period(self) -> int:
+        """Fewest copies whose cubes regroup into full class grids.
+
+        Class k fills whole (k-1)^d grids from t copies iff (k-1)^d divides
+        t*n_k, so the answer is lcm_k((k-1)^d / gcd(n_k, (k-1)^d)).
+        """
+        t0 = 1
+        for k, n in self.counts.items():
+            size = self.grid_size(k, self.d)
+            t0 = math.lcm(t0, size // math.gcd(n, size))
+        return t0
+
+    def weight(self) -> Fraction:
+        """Sum of n_k / (k-1)^d: the grid bins one copy regroups into."""
+        return sum(
+            (Fraction(n, self.grid_size(k, self.d)) for k, n in self.counts.items()),
+            start=Fraction(0),
+        )
+
+
 @dataclass
 class ClassStats:
     k: int
     f_size: int
     core_total: int
     core_good: int
-
-    @property
-    def bad_fraction(self) -> Fraction:
-        return Fraction(self.core_total - self.core_good, self.core_total)
 
 
 @dataclass
@@ -617,10 +680,7 @@ class SeparatedFamily:
 
     def weight(self) -> Fraction:
         """Sum over classes of |L_k| / (k-1)^d, the packing's bin count payoff."""
-        return sum(
-            (Fraction(self.languages[k].count(), (k - 1) ** self.d) for k in self.classes),
-            start=Fraction(0),
-        )
+        return ClassCounts(self.d, self.sizes()).weight()
 
     def certify(self) -> FamilyCertificate:
         gapped_ok = all(bool(is_gapped(self.languages[k])) for k in self.classes)

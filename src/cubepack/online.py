@@ -4,10 +4,11 @@
 into class-homogeneous segments.  Any algorithm restricted to M open bins
 must then use at least (C/2) * w(U) bins, the result's `lower_bound`, while
 the items trivially fit offline into C bins.  The default C and the
-per-class floors are TypedPacking's grid arithmetic (`grid_product`,
-`grid_bins`).  The harness replays a stream against an algorithm and
-re-verifies every placement exactly, so a completed run is a
-machine-checked certificate rather than a trusted simulation.
+per-class floors are the regrouping model over the placed counts,
+`packing.counts` (`grid_product`, `grid_bins`).  The harness replays a
+stream against an algorithm and re-verifies every placement exactly, so a
+completed run is a machine-checked certificate rather than a trusted
+simulation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .geometry import (
     Bin,
@@ -26,6 +27,7 @@ from .geometry import (
     format_rational,
     verify_bin,
 )
+from .languages import ClassCounts
 from .packing import TypedPacking
 
 
@@ -81,21 +83,8 @@ class Instance:
     def total_items(self) -> int:
         return sum(seg.count for seg in self.segments)
 
-    def classes(self) -> Tuple[int, ...]:
-        seen: list[int] = []
-        for seg in self.segments:
-            if seg.k not in seen:
-                seen.append(seg.k)
-        return tuple(seen)
-
     def cube_class(self, k: int) -> CubeClass:
         return CubeClass(k, self.epsilon, self.d)
-
-    def item_classes(self) -> Iterator[int]:
-        """Yield the class of every item in stream order."""
-        for seg in self.segments:
-            for _ in range(seg.count):
-                yield seg.k
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -119,8 +108,8 @@ def instance_from_dict(payload: Mapping[str, object]) -> Instance:
 # adversarial stream generator
 
 
-def _scale_bins(packing: TypedPacking, m: int, scale: int) -> Dict[int, int]:
-    """Class -> its bin floor (scale/2)*nu_k/(k-1)^d at this stream scale.
+def _scale_bins(counts: ClassCounts, m: int, scale: int) -> Dict[int, int]:
+    """Class -> its bin floor (scale/2)*n_k/(k-1)^d at this stream scale.
 
     Raises InvalidScaleError unless `scale` is even and positive, regroups
     its half into full grids of every class, and gives each class >= m bins.
@@ -130,7 +119,7 @@ def _scale_bins(packing: TypedPacking, m: int, scale: int) -> Dict[int, int]:
     if scale < 2 or scale % 2 != 0:
         raise InvalidScaleError(f"scale must be a positive even integer, got {scale}")
     try:
-        bins = packing.grid_bins(scale // 2)
+        bins = counts.grid_bins(scale // 2)
     except ValueError as exc:
         raise InvalidScaleError(f"scale {scale}: {exc}") from None
     for k, n in bins.items():
@@ -176,8 +165,8 @@ def adversarial_instance(
     >= m, else InvalidScaleError.
     """
     if scale is None:
-        scale = 2 * m * packing.grid_product()
-    bins = _scale_bins(packing, m, scale)
+        scale = 2 * m * packing.counts.grid_product()
+    bins = _scale_bins(packing.counts, m, scale)
     if order == "ascending":
         ks: Tuple[int, ...] = tuple(sorted(packing.nu))
     elif order == "descending":
@@ -388,10 +377,6 @@ class ClassHarmonicBaseline:
         self._slots: Dict[int, _Slot] = {}
 
     @staticmethod
-    def capacity(cls: CubeClass) -> int:
-        return (cls.k - 1) ** cls.d
-
-    @staticmethod
     def _grid_base(cls: CubeClass, index: int) -> Tuple[Fraction, ...]:
         if cls.epsilon > Fraction(1, cls.k - 1):
             raise ValueError(
@@ -405,7 +390,7 @@ class ClassHarmonicBaseline:
         return tuple(digit * cls.side for digit in digits)
 
     def decide(self, cls: CubeClass, open_bins: Mapping[int, Bin]) -> Decision:
-        cap = self.capacity(cls)
+        cap = ClassCounts.grid_size(cls.k, cls.d)
         slot = self._slots.get(cls.k)
         if slot is not None and slot.count < cap:
             return Decision(
@@ -427,6 +412,6 @@ class ClassHarmonicBaseline:
             self._slots[k] = slot
         slot.count += 1
         slot.last_used = item_index
-        cap = (k - 1) ** len(base)
+        cap = ClassCounts.grid_size(k, len(base))
         if slot.count >= cap:
             del self._slots[k]

@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .languages import (
     ENUMERATE_CAP,
+    ClassCounts,
     FamilyConstructionError,
     FSetsSamplingError,
     SeparatedFamily,
@@ -113,70 +114,51 @@ class TypedPacking:
     def k_max(self) -> int:
         return max(self.nu)
 
-    def grid_size(self, k: int) -> int:
-        """(k-1)^d: the class-k cubes one bin holds on the grid H_k."""
-        return (k - 1) ** self.d
+    @property
+    def counts(self) -> ClassCounts:
+        """The regrouping model over the placed counts nu."""
+        return ClassCounts(self.d, self.nu)
 
-    def grid_product(self) -> int:
-        """N = prod_k (k-1)^d: a copy count that regroups into full grids."""
-        return math.prod(self.grid_size(k) for k in self.classes)
-
-    def grid_bins(self, copies: int) -> dict[int, int]:
-        """Class -> full grid bins that `copies` copies of the bin regroup into.
-
-        Raises ValueError naming the first class left with a partial grid.
-        """
-        bins: dict[int, int] = {}
-        for k in self.classes:
-            cubes, size = copies * self.nu[k], self.grid_size(k)
-            if cubes % size:
-                raise ValueError(
-                    f"class {k} has {cubes} cubes at copy count {copies}, "
-                    f"not a multiple of the grid size (k-1)^d = {size}"
-                )
-            bins[k] = cubes // size
-        return bins
-
-    def regroup_period(self) -> int:
-        """Fewest copies of the bin whose cubes regroup into full class grids.
-
-        Class k fills whole (k-1)^d grids from t copies iff (k-1)^d divides
-        t*nu_k, so the answer is lcm_k((k-1)^d / gcd(nu_k, (k-1)^d)).
-        """
-        t0 = 1
-        for k, nu_k in self.nu.items():
-            size = self.grid_size(k)
-            t0 = math.lcm(t0, size // math.gcd(nu_k, size))
-        return t0
+    @property
+    def full_counts(self) -> ClassCounts:
+        """The regrouping model over the full family sizes, or nu without them."""
+        return ClassCounts(self.d, self.family_sizes or self.nu)
 
     def weight(self) -> Fraction:
         """Sum of nu_k / (k-1)^d: how many grid bins one copy regroups into."""
-        t0 = self.regroup_period()
-        return Fraction(sum(self.grid_bins(t0).values()), t0)
-
-    def full_weight(self) -> Fraction:
-        """As weight, over the full family sizes |L_k| when they are known."""
-        sizes = self.family_sizes if self.family_sizes is not None else self.nu
-        return sum(
-            (Fraction(n, self.grid_size(k)) for k, n in sizes.items()),
-            start=Fraction(0),
-        )
+        return self.counts.weight()
 
     def occupied(self) -> Fraction:
         return occupied_volume(self.bin)
 
-    @classmethod
-    def from_bin(cls, b: Bin) -> "TypedPacking":
-        """Re-derive per-class counts from a raw bin (e.g. one loaded from JSON)."""
-        if not b.cubes:
-            raise ValueError("cannot type an empty packing")
-        eps = b.cubes[0].cls.epsilon
-        nu: dict[int, int] = {}
-        for cube in b.cubes:
-            if cube.cls.epsilon != eps:
-                raise ValueError("mixed epsilon values in one typed packing")
-            nu[cube.cls.k] = nu.get(cube.cls.k, 0) + 1
-        return cls(b.d, eps, b, nu, {})
+
+def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optional[dict],
+                   verify: bool, failure: str) -> TypedPacking:
+    """The one way to a TypedPacking: check the family sizes, place one cube
+    per word, then verify the bin or raise `failure`.
+
+    Each |L_k| covers the distinct placed words of class k and is at most
+    (k-1)^d, the class-k cubes one bin holds.
+    """
+    if family_sizes is not None:
+        full = ClassCounts(d, family_sizes)
+        if full.counts.keys() != words.keys():
+            raise ValueError(f"family_sizes classes {list(full.counts)} are not "
+                             f"the word classes {sorted(words)}")
+        for k, n in full.counts.items():
+            if not len(set(words[k])) <= n <= full.grid_size(k, d):
+                raise ValueError(f"class {k} family size {n} is below its distinct "
+                                 f"words or above (k-1)^d = {full.grid_size(k, d)}")
+    b = Bin(d, tuple(place_word(Word(letters, k), epsilon)
+                     for k, selected in words.items() for letters in selected))
+    if verify:
+        report = verify_bin(b)
+        if not report:
+            raise PackingVerificationError(
+                f"{failure}: bad_cube={report.bad_cube} pair={report.offending_pair}"
+            )
+    nu = {k: len(selected) for k, selected in words.items()}
+    return TypedPacking(d, epsilon, b, nu, words, family_sizes)
 
 
 def build_packing(
@@ -208,34 +190,17 @@ def build_packing(
                 f"gap inequality fails for classes ({k}, {kp}) at epsilon {epsilon}"
             )
 
-    nu: dict[int, int] = {}
     words: dict[int, tuple[tuple[int, ...], ...]] = {}
-    cubes: list[PlacedCube] = []
-    total = 0
     for k in classes:
-        lang = family.languages[k]
-        selected = tuple(lang.select_words(per_class_cap))
-        total += len(selected)
-        if total > MATERIALIZE_CAP:
+        words[k] = tuple(family.languages[k].select_words(per_class_cap))
+        if sum(map(len, words.values())) > MATERIALIZE_CAP:
             raise ValueError(
                 f"materializing more than {MATERIALIZE_CAP} cubes; "
                 f"pass per_class_cap to bound the packing"
             )
-        nu[k] = len(selected)
-        words[k] = selected
-        for letters in selected:
-            cubes.append(place_word(Word(letters, k), epsilon))
-
-    b = Bin(family.d, tuple(cubes))
-    if verify:
-        report = verify_bin(b)
-        if not report:
-            raise PackingVerificationError(
-                f"packing failed verification: bad_cube={report.bad_cube} "
-                f"pair={report.offending_pair}"
-            )
-    sizes = {k: family.languages[k].count() for k in classes}
-    return TypedPacking(family.d, epsilon, b, nu, words, sizes)
+    return _typed_packing(
+        family.d, epsilon, words, family.sizes(), verify, "packing failed verification"
+    )
 
 
 @dataclass
@@ -249,7 +214,7 @@ class HomogeneousBin:
 
     @property
     def cube_count(self) -> int:
-        return (self.k - 1) ** self.d
+        return ClassCounts.grid_size(self.k, self.d)
 
 
 def build_homogeneous(k: int, d: int, epsilon, *, verify: bool = True) -> HomogeneousBin:
@@ -476,30 +441,19 @@ def packing_from_dict(data: Mapping, *, verify: bool = True) -> TypedPacking:
     """Inverse of packing_to_dict; unknown keys (manifest, report) are ignored."""
     d = expect_type(data["d"], int)
     epsilon = as_rational(data["epsilon"])
-    nu: dict[int, int] = {}
-    words: dict[int, tuple[tuple[int, ...], ...]] = {}
-    cubes: list[PlacedCube] = []
     rows = expect_type(data["words"], dict)
-    for key in sorted(rows, key=int):
-        k = int(key)
-        selected = tuple(
+    words = {
+        int(key): tuple(
             tuple(expect_type(x, int) for x in expect_type(w, list))
             for w in expect_type(rows[key], list)
         )
-        nu[k] = len(selected)
-        words[k] = selected
-        for letters in selected:
-            cubes.append(place_word(Word(letters, k), epsilon))
-    b = Bin(d, tuple(cubes))
-    if verify:
-        report = verify_bin(b)
-        if not report:
-            raise PackingVerificationError(
-                f"loaded packing fails verification: bad_cube={report.bad_cube} "
-                f"pair={report.offending_pair}"
-            )
+        for key in sorted(rows, key=int)
+    }
+    if len(words) != len(rows):
+        raise ValueError(f"words name a class twice: {sorted(rows)}")
     sizes = data.get("family_sizes")
     if sizes is not None:
         sizes = {int(k): expect_type(n, int) for k, n in expect_type(sizes, dict).items()}
-    family_sizes = sizes or None
-    return TypedPacking(d, epsilon, b, nu, words, family_sizes)
+    return _typed_packing(
+        d, epsilon, words, sizes, verify, "loaded packing fails verification"
+    )

@@ -342,17 +342,40 @@ def _argv(template, src, out):
 
 
 def _hostile_packings(packing_file):
-    """The three files that ended in a traceback or exit 1 before read_json."""
+    """Files that once ended in a traceback, in exit 1 or in a wrong weight:
+    the warm-up d=3 packing (family sizes {2: 1, 3: 4}) made malformed."""
     doc = read(packing_file)
+    sizes = doc["family_sizes"]
     return {
         "deep": "[" * 100_000 + "]" * 100_000,
         "family_sizes": json.dumps(dict(doc, family_sizes=[1, 2])),
         "zero_denominator": json.dumps(dict(doc, epsilon="1/0")),
+        # (k-1)^d = 0 for class 1: a ZeroDivisionError traceback
+        "sizes_class_1": json.dumps(dict(doc, family_sizes=dict(sizes, **{"1": 4}))),
+        # printed a full weight of -4
+        "sizes_negative": json.dumps(dict(doc, family_sizes={"2": -5, "3": 8})),
+        # a class with no placed words inflated the full weight
+        "sizes_extra_class": json.dumps(
+            dict(doc, family_sizes=dict(sizes, **{"9": 100_000}))
+        ),
+        # below the placed words: printed 0 under the placed weight 3/2
+        "sizes_below_placed": json.dumps(dict(doc, family_sizes={"2": 0, "3": 0})),
+        # a placed class with no family size: the full weight left it out
+        "sizes_missing_class": json.dumps(dict(doc, family_sizes={"2": 1})),
+        # "3" and "03" name one class: one of the two word lists was dropped
+        "words_class_twice": json.dumps(
+            dict(doc, words=dict(doc["words"], **{"03": doc["words"]["3"]}))
+        ),
     }
 
 
+HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
+                    "sizes_negative", "sizes_extra_class", "sizes_below_placed",
+                    "sizes_missing_class", "words_class_twice"]
+
+
 @pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))
-@pytest.mark.parametrize("name", ["deep", "family_sizes", "zero_denominator"])
+@pytest.mark.parametrize("name", HOSTILE_PACKINGS)
 def test_hostile_packing_is_bad_input(tmp_path, packing_file, capsys, template, name):
     src = tmp_path / f"{name}.json"
     src.write_text(_hostile_packings(packing_file)[name])

@@ -751,7 +751,7 @@ def test_coalition_found_when_two_singletons_can_merge():
         assert deviated.item_cost(member) == after
 
 
-def test_strong_nash_assignment_cap():
+def test_strong_nash_assignment_cap(monkeypatch):
     # six lone cubes of sides 3/4, 2/3, 5/8, 3/5, 7/12 and 4/7: every join
     # passes the gain test but no two fit together, so the search enumerates
     # every pairing fruitlessly.  The six bins hold pairwise distinct
@@ -760,8 +760,9 @@ def test_strong_nash_assignment_cap():
     cfg = GameConfig(
         1, items, {i: i for i in range(6)}, {i: (F(0),) for i in range(6)}
     )
+    monkeypatch.setattr("cubepack.game.COALITION_ASSIGNMENT_CAP", 10)
     with pytest.raises(CoalitionSearchError):
-        is_strong_nash(cfg, 3, assignment_cap=10)
+        is_strong_nash(cfg, 3)
 
 
 def _reference_strong_nash(cfg, cap, lattice):

@@ -141,3 +141,32 @@ def test_every_exported_function_has_a_caller():
     assert not orphans, f"exported functions nothing else calls: {orphans}"
     stale = sorted(set(ALLOWED) - set(uncalled))
     assert not stale, f"ALLOWED entries that are called or not exported: {stale}"
+
+
+def test_every_public_member_is_named():
+    # a public method or property of a package class that no file under
+    # src/, demos/, perfbench/ or tests/ names outside its own definition is
+    # API nothing uses; dunders and private members are exempt
+    uses = []  # (path, line, name) of every name or attribute use
+    for tree in ("src", "demos", "perfbench", "tests"):
+        for path in (REPO / tree).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Name):
+                    uses.append((path, node.lineno, node.id))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((path, node.lineno, node.attr))
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                inside = range(node.lineno, node.end_lineno + 1)
+                if not any(
+                    name == node.name and not (where == path and line in inside)
+                    for where, line, name in uses
+                ):
+                    unnamed.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
+    assert not unnamed, f"class members nothing names: {unnamed}"

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubepack.languages import (
+    ClassCounts,
     FamilyConstructionError,
     FSets,
     FSetsSamplingError,
@@ -320,6 +321,17 @@ def test_warmup_family_properties(d):
 
 def test_warmup_weight_d4_frozen():
     assert warmup_family(4).weight() == F(11, 6)
+
+
+def test_class_counts_orders_classes_and_rejects_bad_counts():
+    counts = ClassCounts(3, {3: 4, 2: 1})
+    assert list(counts.counts) == [2, 3]
+    assert counts.weight() == F(3, 2)
+    assert counts.grid_bins(2) == {2: 2, 3: 1}
+    with pytest.raises(ValueError, match="class must be >= 2"):
+        ClassCounts(3, {1: 4})
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        ClassCounts(3, {2: -5, 3: 8})
 
 
 # -- F-set sampling -----------------------------------------------------------

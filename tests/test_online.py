@@ -1,13 +1,15 @@
 """Adversarial stream generator, counting certificates, harness, baseline."""
 
+import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubepack.geometry import Bin, CubeClass, PlacedCube, find_free_position, verify_bin
-from cubepack.languages import warmup_family
+from cubepack.languages import ClassCounts, build_separated_family, warmup_family
 from cubepack.online import (
     AdversaryResult,
     ClassHarmonicBaseline,
@@ -23,7 +25,12 @@ from cubepack.online import (
     offline_certificate,
     run_bounded_space,
 )
-from cubepack.packing import TypedPacking, build_homogeneous, build_packing
+from cubepack.packing import (
+    build_homogeneous,
+    build_packing,
+    packing_from_dict,
+    packing_to_dict,
+)
 
 
 def remark_packing(d: int = 3):
@@ -39,8 +46,8 @@ def test_instance_validation():
     seg = (Segment(2, 3), Segment(3, 5))
     inst = Instance(2, F(1, 9), seg)
     assert inst.total_items == 8
-    assert inst.classes() == (2, 3)
-    assert list(inst.item_classes()) == [2, 2, 2, 3, 3, 3, 3, 3]
+    assert [s.k for s in inst.segments] == [2, 3]
+    assert [s.count for s in inst.segments] == [3, 5]
     with pytest.raises(ValueError):
         Instance(2, F(0), seg)
     with pytest.raises(ValueError):
@@ -65,7 +72,7 @@ def test_instance_json_round_trip():
 def test_paper_scale_remark_values():
     pack = remark_packing()
     # N = 1^3 * 2^3 = 8, so the default scale is C = 2*M*N
-    assert pack.grid_product() == 8
+    assert pack.counts.grid_product() == 8
     assert adversarial_instance(pack, 1).scale == 16
     assert adversarial_instance(pack, 2).scale == 32
 
@@ -92,7 +99,7 @@ def test_minimal_scale_and_validation():
     pack = remark_packing()
     # regroup period 2 (class 3 fills a grid of 8 from 2 copies of 4), so
     # C/2 must be even; class 3 then gives C/4 bins, which must reach M
-    assert pack.regroup_period() == 2
+    assert pack.counts.regroup_period() == 2
     assert adversarial_instance(pack, 1, scale=4).lower_bound == 3  # (C/2) * 3/2
     for m in (1, 2, 3, 7):
         assert adversarial_instance(pack, m, scale=4 * m).scale == 4 * m
@@ -111,14 +118,44 @@ def test_minimal_scale_and_validation():
         adversarial_instance(pack, 0)
 
 
+# enumerate-mode families small enough to build in a few milliseconds
+ENUMERATE_CASES = ((2, (2, 4)), (4, (2, 3)), (4, (2, 4)), (5, (2, 3)), (6, (2, 3, 4)))
+
+
+@lru_cache(maxsize=None)
+def _owners(d, classes, seed, cap):
+    """(family, packing, packing after a JSON round trip); classes None
+    means the warm-up family."""
+    if classes is None:
+        family = warmup_family(d)
+    else:
+        family = build_separated_family(d, classes, seed, mode="enumerate")
+    packing = build_packing(family, F(1, max(family.classes) ** 2), per_class_cap=cap)
+    return family, packing, packing_from_dict(packing_to_dict(packing))
+
+
 @st.composite
-def typed_counts(draw):
-    """A TypedPacking with d <= 4, one to three classes and random nu_k;
-    the regrouping model reads only its counts, so the bin stays empty."""
-    d = draw(st.integers(1, 4))
-    classes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True))
-    nu = {k: draw(st.integers(0, (k - 1) ** d)) for k in sorted(classes)}
-    return TypedPacking(d, F(1, 36), Bin(d), nu, {})
+def regrouping_cases(draw):
+    """(ClassCounts, owners): the model drawn directly with no owners, d <= 4
+    and one to three classes, or the placed counts of a warm-up (d 2..6) or
+    small enumerate-mode family's packing, per_class_cap None or drawn."""
+    kind = draw(st.sampled_from(("model", "warmup", "enumerate")))
+    if kind == "model":
+        d = draw(st.integers(1, 4))
+        classes = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True))
+        return ClassCounts(d, {k: draw(st.integers(0, (k - 1) ** d)) for k in classes}), None
+    cap = draw(st.one_of(st.none(), st.integers(1, 12)))
+    if kind == "warmup":
+        owners = _owners(draw(st.integers(2, 6)), None, 0, cap)
+    else:
+        d, classes = draw(st.sampled_from(ENUMERATE_CASES))
+        owners = _owners(d, classes, draw(st.integers(0, 2)), cap)
+    return owners[1].counts, owners
+
+
+def _regrouped(d, counts):
+    # the weight restated from its definition: sum of n_k / (k-1)^d
+    return sum((F(n, (k - 1) ** d) for k, n in counts.items()), F(0))
 
 
 def _scale_is_valid(packing, m, scale):
@@ -131,18 +168,29 @@ def _scale_is_valid(packing, m, scale):
 
 
 @settings(deadline=None, max_examples=300)
-@given(typed_counts(), st.integers(1, 4), st.data())
-def test_regrouping_model_matches_counting_bound(packing, m, data):
-    t0 = packing.regroup_period()
-    assert packing.grid_product() % t0 == 0
+@given(regrouping_cases(), st.integers(1, 4), st.data())
+def test_regrouping_model_matches_counting_bound(case, m, data):
+    counts, owners = case
+    assert counts.weight() == _regrouped(counts.d, counts.counts)
+    assert counts.grid_product() == math.prod((k - 1) ** counts.d for k in counts.counts)
+    t0 = counts.regroup_period()
+    assert counts.grid_product() % t0 == 0
     t = data.draw(st.one_of(st.integers(1, 3 * t0), st.integers(1, 6).map(t0.__mul__)))
     if t % t0:
         with pytest.raises(ValueError):
-            packing.grid_bins(t)
+            counts.grid_bins(t)
     else:
-        bins = packing.grid_bins(t)
-        assert list(bins) == list(packing.classes)
-        assert sum(bins.values()) == t * packing.weight()
+        bins = counts.grid_bins(t)
+        assert list(bins) == sorted(counts.counts)
+        assert sum(bins.values()) == t * counts.weight()
+    if owners is None:
+        return
+    family, packing, loaded = owners
+    sizes = {k: family.language(k).count() for k in family.classes}
+    for owner in (packing, loaded):
+        assert owner.counts == counts
+        assert owner.weight() == _regrouped(owner.d, owner.nu)
+        assert family.weight() == owner.full_counts.weight() == _regrouped(owner.d, sizes)
     # odd, indivisible, below-M and valid scales, near multiples of 2*t0
     scale = data.draw(
         st.one_of(
@@ -151,13 +199,13 @@ def test_regrouping_model_matches_counting_bound(packing, m, data):
             st.just(None),
         )
     )
-    expected = 2 * m * packing.grid_product() if scale is None else scale
+    expected = 2 * m * counts.grid_product() if scale is None else scale
     if _scale_is_valid(packing, m, expected):
         adv = adversarial_instance(packing, m, scale=scale)
         assert adv.scale == adv.offline_bin_count == expected
         assert adv.lower_bound == F(expected, 2) * packing.weight()
         assert adv.per_segment_lower_bounds == tuple(
-            packing.grid_bins(expected // 2)[k] for k in packing.classes
+            counts.grid_bins(expected // 2)[k] for k in packing.classes
         )
     else:
         with pytest.raises(InvalidScaleError):

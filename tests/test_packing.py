@@ -10,7 +10,6 @@ import pytest
 from cubepack.geometry import occupied_volume, verify_bin
 from cubepack.languages import Word, build_separated_family, warmup_family
 from cubepack.packing import (
-    TypedPacking,
     base_coordinate,
     build_homogeneous,
     build_packing,
@@ -114,7 +113,7 @@ def test_build_packing_warmup_d3_frozen():
     assert packing.classes == (2, 3)
     assert packing.k_max == 3
     assert packing.weight() == F(3, 2)
-    assert packing.full_weight() == F(3, 2)
+    assert packing.full_counts.weight() == F(3, 2)
     assert len(packing.bin.cubes) == 5
     assert verify_bin(packing.bin)
     assert packing.occupied() == F(7375, 19683)
@@ -141,7 +140,7 @@ def test_build_packing_per_class_cap():
     assert packing.nu == {2: 1, 3: 2, 4: 2}
     assert packing.family_sizes == {2: 1, 3: 8, 4: 27}
     assert packing.weight() == 1 + F(2, 16) + F(2, 81)
-    assert packing.full_weight() == F(11, 6)
+    assert packing.full_counts.weight() == F(11, 6)
     assert verify_bin(packing.bin)
 
 
@@ -154,14 +153,6 @@ def test_build_packing_implicit_budgeted_is_deterministic():
     for k in fam.classes:
         for letters in p1.words[k]:
             assert fam.language(k).contains(letters)
-
-
-def test_typed_packing_from_bin_round_trip():
-    packing = build_packing(warmup_family(4), F(1, 16))
-    derived = TypedPacking.from_bin(packing.bin)
-    assert derived.nu == packing.nu
-    assert derived.epsilon == packing.epsilon
-    assert derived.weight() == packing.weight()
 
 
 def test_nu_respects_gapped_cap():
