@@ -63,8 +63,8 @@ OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
 # Most items `online run` replays from an outside instance file.  The
 # largest stream this package generates has 16,640 items (`reproduce
-# --d-list 7`), which the harness replays at about 1,474 us per item
-# (2 cores, Python 3.11.7): 24.5 s.  The cap is six times that stream, so
+# --d-list 7`), which the harness replays at about 586 us per item
+# (2 cores, Python 3.11.7): 9.7 s.  The cap is six times that stream, so
 # a hostile count ends in exit 2 instead of hours of replay.
 STREAM_ITEM_CAP = 100_000
 
@@ -709,6 +709,8 @@ def _csv_row(row: dict) -> dict:
 
 
 def cmd_reproduce(args) -> int:
+    if min(args.d_list) < 2 or len(set(args.d_list)) < len(args.d_list):
+        raise ValueError(f"--d-list needs distinct dimensions >= 2, got {args.d_list}")
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     base_command = ["reproduce", "--d-list", *map(str, args.d_list),

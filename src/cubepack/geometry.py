@@ -1,8 +1,10 @@
 """Exact rational geometry for open hypercubes inside the unit bin.
 
-Every coordinate, side length and volume is a `fractions.Fraction`, and
-every comparison is exact; floats are rejected at the boundary so no
-rounding can sneak into a correctness path.  Cubes are open boxes: two
+Every coordinate, side length and volume at the API is a
+`fractions.Fraction`; floats are rejected at the boundary so no rounding
+can sneak into a correctness path.  Inside, verify_bin and the placement
+searches scale the rationals they compare onto one integer grid and
+compare ints, which is exact and far cheaper.  Cubes are open boxes: two
 cubes that merely share a boundary facet count as disjoint.
 """
 
@@ -110,10 +112,6 @@ class PlacedCube:
                 f"base has {len(base)} coordinates for a {self.cls.d}-dimensional cube"
             )
 
-    def fits_unit_bin(self) -> bool:
-        room = 1 - self.cls.side
-        return all(0 <= x <= room for x in self.base)
-
 
 def cubes_disjoint(a: PlacedCube, b: PlacedCube) -> bool:
     """True iff the two open cubes do not intersect.
@@ -184,33 +182,25 @@ def _member_masks(groups: Sequence[Sequence[int]], n: int) -> list[int]:
 def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
-    Pairwise disjointness is decided without enumerating cube pairs:
-    per dimension the distinct open intervals are tabulated (packings
-    built from class grids reuse a handful of interval values), their
-    mutual overlaps are decided exactly once, and each cube then gets a
-    big-int mask of the cubes overlapping it in that dimension.  ANDing
-    a cube's d masks leaves exactly the cubes that overlap it in every
-    dimension, i.e. its open-box intersectors.  The first offending
-    pair (lowest indices) is reported for debugging.
+    Works one axis at a time.  The cubes are grouped by their interval on
+    the axis (packings built from class grids reuse a handful of interval
+    values), and the distinct intervals are scaled onto integers over the
+    lcm of their denominators: comparisons never cross axes, so one scale
+    per axis is exact.  Each distinct interval is checked once against
+    [0, 1], and the overlaps between distinct intervals are decided once;
+    each cube then gets a big-int mask of the cubes overlapping it on the
+    axis.  ANDing a cube's d masks leaves exactly the cubes that overlap
+    it on every axis, i.e. its open-box intersectors.  The first cube out
+    of the bin and the first offending pair (lowest indices) are reported
+    for debugging.
     """
     n = len(b.cubes)
-    containment_ok = True
-    bad_cube: Optional[int] = None
-    for idx, cube in enumerate(b.cubes):
-        if not cube.fits_unit_bin():
-            containment_ok = False
-            bad_cube = idx
-            break
-    if n < 2:
-        return BinVerification(containment_ok, True, n, bad_cube, None)
-
-    # Per-dimension overlap masks over distinct intervals.
+    outside: list[int] = []  # first member of each interval leaving [0, 1]
     per_dim_overlap: list[list[int]] = []
     per_dim_ids: list[list[int]] = []
     for dim in range(b.d):
         key_to_id: dict[tuple[int, int, int, int], int] = {}
         ids: list[int] = []
-        intervals: list[tuple[Fraction, Fraction]] = []
         groups: list[list[int]] = []
         for idx, cube in enumerate(b.cubes):
             # Keyed by the ints of the normalised base and side, which
@@ -219,28 +209,31 @@ def verify_bin(b: Bin) -> BinVerification:
             key = (lo.numerator, lo.denominator, side.numerator, side.denominator)
             t = key_to_id.get(key)
             if t is None:
-                t = len(intervals)
-                key_to_id[key] = t
-                intervals.append((lo, lo + side))
+                t = key_to_id[key] = len(groups)
                 groups.append([])
             ids.append(t)
             groups[t].append(idx)
+        scale = lcm(*(q for key in key_to_id for q in key[1::2]))
+        intervals = []
+        for t, (p, q, sp, sq) in enumerate(key_to_id):
+            lo = p * (scale // q)
+            hi = lo + sp * (scale // sq)
+            intervals.append((lo, hi))
+            if lo < 0 or hi > scale:
+                outside.append(groups[t][0])
         member = _member_masks(groups, n)
-        t_count = len(intervals)
-        overlap = [0] * t_count
-        for i in range(t_count):
-            lo_i, hi_i = intervals[i]
-            acc = member[i]  # an interval always overlaps itself
-            for j in range(t_count):
-                if j == i:
-                    continue
-                lo_j, hi_j = intervals[j]
+        overlap = []
+        for lo_i, hi_i in intervals:
+            acc = 0  # picks up the interval's own members too
+            for (lo_j, hi_j), mask in zip(intervals, member):
                 if lo_i < hi_j and lo_j < hi_i:
-                    acc |= member[j]
-            overlap[i] = acc
+                    acc |= mask
+            overlap.append(acc)
         per_dim_overlap.append(overlap)
         per_dim_ids.append(ids)
 
+    bad_cube = min(outside, default=None)
+    containment_ok = bad_cube is None
     for idx in range(n):
         acc = per_dim_overlap[0][per_dim_ids[0][idx]]
         for dim in range(1, b.d):
@@ -249,9 +242,9 @@ def verify_bin(b: Bin) -> BinVerification:
                 break
         extra = acc & ~(1 << idx)
         if extra:
+            # no lower cube had an intersector, so the partner is above idx
             partner = (extra & -extra).bit_length() - 1
-            pair = (partner, idx) if partner < idx else (idx, partner)
-            return BinVerification(containment_ok, False, n, bad_cube, pair)
+            return BinVerification(containment_ok, False, n, bad_cube, (idx, partner))
     return BinVerification(containment_ok, True, n, bad_cube, None)
 
 

@@ -49,8 +49,10 @@ from .geometry import as_rational, format_rational
 SELECT_SCAN_CAP = 5_000_000
 # sample_f_sets draws at most this many candidate sets before giving up
 F_SETS_DRAW_CAP = 200_000
-# enumerate mode materializes at most this many cores per class by default
+# enumerate mode materializes at most this many cores per class
 ENUMERATE_CAP = 1_000_000
+# count_good_words sums at most this many inclusion-exclusion terms
+GOOD_WORDS_TERM_CAP = 1 << 20
 
 
 class FSetsSamplingError(RuntimeError):
@@ -458,7 +460,6 @@ class FSets:
 def sample_f_sets(
     d: int,
     seed: int,
-    threshold: Optional[Fraction] = None,
     indices: Optional[Sequence[int]] = None,
 ) -> FSets:
     """Sample index sets F_i (|F_i| = ceil(d/2)) with small pairwise overlap.
@@ -466,12 +467,12 @@ def sample_f_sets(
     Each set is drawn uniformly and redrawn until it meets the overlap
     threshold against all previously accepted sets; a stuck prefix
     triggers a full restart.  The total number of redraws is recorded
-    so callers can see how hard the constraint was.  Default threshold
-    is 7d/26, the strict bound the asymptotic argument needs.
+    so callers can see how hard the constraint was.  The threshold is
+    7d/26, the strict bound the asymptotic argument needs.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    threshold = as_rational(threshold) if threshold is not None else Fraction(7 * d, 26)
+    threshold = Fraction(7 * d, 26)
     idx = tuple(indices) if indices is not None else tuple(range(1, d + 1))
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices {idx}")
@@ -544,14 +545,13 @@ def count_good_words(
     k: int,
     f_coords: Sequence[int],
     j_sets: Sequence[Sequence[int]],
-    max_terms: int = 1 << 20,
 ) -> int:
     """Exact number of core words that are bad for no difference set.
 
     Inclusion-exclusion over subsets T of the difference sets: a word
     avoids k on the union U(T) in (k-2)^|U(T)| * (k-1)^(|F|-|U(T)|)
-    ways, signed by |T|.  2^len(j_sets) terms; past max_terms it
-    raises ValueError.
+    ways, signed by |T|.  2^len(j_sets) terms; past GOOD_WORDS_TERM_CAP
+    it raises ValueError.
     """
     f = frozenset(int(i) for i in f_coords)
     js = [frozenset(int(i) for i in j) for j in j_sets]
@@ -559,8 +559,10 @@ def count_good_words(
         if not j <= f:
             raise ValueError(f"difference set {sorted(j)} leaves F {sorted(f)}")
     m = len(js)
-    if 1 << m > max_terms:
-        raise ValueError(f"2^{m} inclusion-exclusion terms exceed cap {max_terms}")
+    if 1 << m > GOOD_WORDS_TERM_CAP:
+        raise ValueError(
+            f"2^{m} inclusion-exclusion terms exceed cap {GOOD_WORDS_TERM_CAP}"
+        )
     unions: list[frozenset[int]] = [frozenset()] * (1 << m)
     total = 0
     for mask in range(1 << m):
@@ -713,10 +715,7 @@ def build_separated_family(
     classes: Sequence[int],
     seed: int,
     mode: str = "enumerate",
-    threshold: Optional[Fraction] = None,
     fsets: Optional[FSets] = None,
-    enumerate_cap: int = ENUMERATE_CAP,
-    certify: bool = True,
 ) -> SeparatedFamily:
     """Randomized separated family over the given classes.
 
@@ -727,7 +726,7 @@ def build_separated_family(
     good core shows letter k inside F_k minus F_l, where the smaller
     language only has letters below l.
 
-    enumerate mode materializes cores (refusing past enumerate_cap);
+    enumerate mode materializes cores (refusing past ENUMERATE_CAP);
     implicit mode keeps the difference sets as the language's rule,
     with the exact inclusion-exclusion count.  Failures (empty class, empty
     difference set, infeasible sampling) raise rather than repair.
@@ -740,7 +739,7 @@ def build_separated_family(
     if mode not in ("enumerate", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
     if fsets is None:
-        fsets = sample_f_sets(d, seed, threshold=threshold, indices=cls)
+        fsets = sample_f_sets(d, seed, indices=cls)
     missing = [k for k in cls if k not in fsets.sets]
     if missing:
         raise ValueError(f"fsets lacks entries for classes {missing}")
@@ -764,9 +763,9 @@ def build_separated_family(
         total = (k - 1) ** len(coords)
         lang = Language(k, d, f_coords=coords, core_rules=j_sets)
         if mode == "enumerate":
-            if total > enumerate_cap:
+            if total > ENUMERATE_CAP:
                 raise ValueError(
-                    f"class {k}: {total} cores exceed enumerate cap {enumerate_cap}; "
+                    f"class {k}: {total} cores exceed enumerate cap {ENUMERATE_CAP}; "
                     f"use implicit mode"
                 )
             cores = tuple(
@@ -785,10 +784,9 @@ def build_separated_family(
         stats[k] = ClassStats(k, len(coords), total, good_count)
 
     family = SeparatedFamily(d, cls, languages, fsets, seed, mode, stats)
-    if certify:
-        cert = family.certify()
-        if not cert:
-            raise FamilyConstructionError(f"family failed certification: {cert.checks}")
+    cert = family.certify()
+    if not cert:
+        raise FamilyConstructionError(f"family failed certification: {cert.checks}")
     return family
 
 

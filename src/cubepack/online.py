@@ -311,8 +311,8 @@ def run_bounded_space(
                         f"{step}: placement into bin {bin_id}, which is not open"
                     )
                 target = open_bins[bin_id]
-            base = tuple(as_rational(x) for x in decision.base)
-            updated = target.with_cube(PlacedCube(cls, base))
+            updated = target.with_cube(PlacedCube(cls, decision.base))
+            base = updated.cubes[-1].base
             check = verify_bin(updated)
             if not check:
                 raise HarnessViolation(f"{step}: invalid placement, {check}")

@@ -134,12 +134,17 @@ class TypedPacking:
 
 def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optional[dict],
                    verify: bool, failure: str) -> TypedPacking:
-    """The one way to a TypedPacking: check the family sizes, place one cube
-    per word, then verify the bin or raise `failure`.
+    """The one way to a TypedPacking: check the shape and the family sizes,
+    place one cube per word, then verify the bin or raise `failure`.
 
-    Each |L_k| covers the distinct placed words of class k and is at most
-    (k-1)^d, the class-k cubes one bin holds.
+    d is at least 1 and every class places at least one word.  Each |L_k|
+    covers the distinct placed words of class k and is at most (k-1)^d,
+    the class-k cubes one bin holds.
     """
+    nu = {k: len(selected) for k, selected in words.items()}
+    if d < 1 or not nu or 0 in nu.values():
+        raise ValueError(f"a packing needs d >= 1 and at least one class, each placing "
+                         f"a word; got d={d} and words per class {nu}")
     if family_sizes is not None:
         full = ClassCounts(d, family_sizes)
         if full.counts.keys() != words.keys():
@@ -157,7 +162,6 @@ def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optiona
             raise PackingVerificationError(
                 f"{failure}: bad_cube={report.bad_cube} pair={report.offending_pair}"
             )
-    nu = {k: len(selected) for k, selected in words.items()}
     return TypedPacking(d, epsilon, b, nu, words, family_sizes)
 
 
@@ -166,7 +170,6 @@ def build_packing(
     epsilon,
     *,
     per_class_cap: Optional[int] = None,
-    verify: bool = True,
 ) -> TypedPacking:
     """Place a separated family's words as disjoint cubes in one bin.
 
@@ -199,7 +202,7 @@ def build_packing(
                 f"pass per_class_cap to bound the packing"
             )
     return _typed_packing(
-        family.d, epsilon, words, family.sizes(), verify, "packing failed verification"
+        family.d, epsilon, words, family.sizes(), True, "packing failed verification"
     )
 
 
@@ -217,7 +220,7 @@ class HomogeneousBin:
         return ClassCounts.grid_size(self.k, self.d)
 
 
-def build_homogeneous(k: int, d: int, epsilon, *, verify: bool = True) -> HomogeneousBin:
+def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
     """Grid packing with bases i*(1+eps)/k, i in {0..k-2}^d.
 
     Needs 0 < eps <= 1/(k-1); at the boundary the last cube ends exactly
@@ -235,10 +238,9 @@ def build_homogeneous(k: int, d: int, epsilon, *, verify: bool = True) -> Homoge
         for idx in itertools.product(range(k - 1), repeat=d)
     )
     b = Bin(d, cubes)
-    if verify:
-        report = verify_bin(b)
-        if not report:
-            raise PackingVerificationError(f"grid packing failed: {report}")
+    report = verify_bin(b)
+    if not report:
+        raise PackingVerificationError(f"grid packing failed: {report}")
     return HomogeneousBin(k, d, epsilon, b)
 
 

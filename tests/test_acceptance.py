@@ -56,15 +56,15 @@ def test_01_geometry_exactness():
     t0 = time.perf_counter()
     failures = []
     for d in range(2, 7):
-        packing = build_packing(warmup_family(d), F(1, d * d), verify=False)
+        packing = build_packing(warmup_family(d), F(1, d * d))
         if not verify_bin(packing.bin):
             failures.append(("warmup", d))
         for k in range(2, 8):
-            hom = build_homogeneous(k, d, F(1, k - 1), verify=False)
+            hom = build_homogeneous(k, d, F(1, k - 1))
             if not verify_bin(hom.bin):
                 failures.append(("homogeneous", k, d))
     six = build_separated_family(4, (2, 3, 4, 5, 6, 7), seed=0)
-    packing = build_packing(six, F(1, 49), verify=False)
+    packing = build_packing(six, F(1, 49))
     if not verify_bin(packing.bin):
         failures.append(("six-class", 4))
     elapsed = time.perf_counter() - t0

@@ -99,6 +99,14 @@ def test_pack_build_lemma_b_degenerate_at_small_d(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_pack_build_rejects_zero_per_class_cap(tmp_path, capsys):
+    # a cap of 0 wrote a packing with no cubes
+    out = tmp_path / "p.json"
+    assert run("pack", "build", "--d", 3, "--per-class-cap", 0, "--out", out) == 2
+    assert "each placing a word" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pack_build_rejects_eps_outside_warmup(tmp_path):
     out = tmp_path / "x.json"
     code = run("pack", "build", "--d", 4, "--mode", "lemmaA",
@@ -287,6 +295,16 @@ def test_reproduce_is_bit_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("d_list", [(3, 3), (1,), (4, 0, 3)])
+def test_reproduce_rejects_bad_d_list_before_writing(tmp_path, capsys, d_list):
+    # a repeated d listed its files twice in bundle.sha256; d < 2 wrote
+    # error rows and exited 0
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", *d_list) == 2
+    assert "--d-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reproduce_continues_past_stage_errors(tmp_path):
     # d=3 has no power-of-two pair: the spoa stage records a skip, the
     # pipeline still exits 0 and the other stages fill their rows
@@ -366,12 +384,19 @@ def _hostile_packings(packing_file):
         "words_class_twice": json.dumps(
             dict(doc, words=dict(doc["words"], **{"03": doc["words"]["3"]}))
         ),
+        # an empty bin in dimension -1: pack verify printed OK
+        "d_below_1": json.dumps({"d": -1, "epsilon": "1/9", "words": {}}),
+        # no classes: online adversary wrote a 0-item stream, bound 0 bins
+        "no_classes": json.dumps({"d": 3, "epsilon": "1/9", "words": {}}),
+        # a class placing no words: pack verify printed OK
+        "class_without_words": json.dumps({"d": 3, "epsilon": "1/9", "words": {"2": []}}),
     }
 
 
 HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
                     "sizes_negative", "sizes_extra_class", "sizes_below_placed",
-                    "sizes_missing_class", "words_class_twice"]
+                    "sizes_missing_class", "words_class_twice", "d_below_1",
+                    "no_classes", "class_without_words"]
 
 
 @pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))

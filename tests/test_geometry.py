@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -87,9 +86,9 @@ def test_placed_cube_intervals_and_containment():
     c = PlacedCube(CubeClass(3, F(1, 9), 2), (F(10, 27), F(17, 27)))
     extent = [(lo, lo + c.cls.side) for lo in c.base]
     assert extent == [(F(10, 27), F(20, 27)), (F(17, 27), F(1))]
-    assert c.fits_unit_bin()
+    assert verify_bin(Bin(2, (c,))).containment_ok
     out = PlacedCube(CubeClass(3, F(1, 9), 2), (F(20, 27), F(0)))
-    assert not out.fits_unit_bin()  # 20/27 + 10/27 > 1
+    assert not verify_bin(Bin(2, (out,))).containment_ok  # 20/27 + 10/27 > 1
 
 
 def test_placed_cube_dimension_mismatch():
@@ -199,25 +198,53 @@ def test_verify_bin_finds_cross_class_overlap():
     assert report.offending_pair == (0, 1)
 
 
-def test_verify_bin_randomized_against_pairwise_oracle():
-    rng = random.Random(20260815)
-    for trial in range(40):
-        d = rng.choice([1, 2, 3])
-        cubes = []
-        for _ in range(rng.randrange(2, 7)):
-            k = rng.choice([2, 3, 4])
-            eps = F(rng.randrange(0, 3), 9)
-            cls = CubeClass(k, eps, d)
-            lim = 1 - cls.side
-            base = tuple(
-                F(rng.randrange(0, 13), 16) * lim if lim > 0 else F(0) for _ in range(d)
-            )
-            cubes.append(PlacedCube(cls, base))
-        report = verify_bin(Bin(d, tuple(cubes)))
-        oracle = all(
-            cubes_disjoint(a, b) for a, b in itertools.combinations(cubes, 2)
-        )
-        assert report.disjoint_ok == oracle, (trial, report.offending_pair)
+@st.composite
+def verification_bins(draw):
+    """d in 1..4 and 0..8 cubes.  Most coordinates lie on the 1/24 lattice,
+    capped at the room 1 - side; with eps in {0, 1/2, 1} the sides are on
+    that lattice too, so cubes touch each other and the bin's faces.
+    About one coordinate in eight lies up to 1/4 below 0 or above the
+    room.  Re-drawn cubes are coincident, and eps = 1/9 mixes
+    denominators."""
+    d = draw(st.integers(1, 4))
+    cubes = []
+    for _ in range(draw(st.integers(0, 8))):
+        if cubes and draw(st.booleans()):
+            cubes.append(cubes[draw(st.integers(0, len(cubes) - 1))])
+            continue
+        eps = draw(st.sampled_from([F(0), F(1, 2), F(1), F(1, 9)]))
+        cls = CubeClass(draw(st.integers(2, 4)), eps, d)
+        room = 1 - cls.side
+        base = []
+        for _ in range(d):
+            kind = draw(st.integers(0, 7))
+            off = F(draw(st.integers(1, 6)), 24)
+            base.append(-off if kind == 0 else room + off if kind == 1
+                        else min(room, F(draw(st.integers(0, 24)), 24)))
+        cubes.append(PlacedCube(cls, tuple(base)))
+    return Bin(d, tuple(cubes))
+
+
+@given(verification_bins())
+def test_verify_bin_matches_per_cube_and_pairwise_oracles(b):
+    # the first cube with a coordinate outside [0, 1 - side], and the
+    # lexicographically least pair that cubes_disjoint rejects
+    outside = [
+        i
+        for i, c in enumerate(b.cubes)
+        if any(not 0 <= x <= 1 - c.cls.side for x in c.base)
+    ]
+    overlapping = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(b.cubes)), 2)
+        if not cubes_disjoint(b.cubes[i], b.cubes[j])
+    ]
+    report = verify_bin(b)
+    assert report.cube_count == len(b.cubes)
+    assert report.bad_cube == (outside[0] if outside else None)
+    assert report.containment_ok == (not outside)
+    assert report.offending_pair == (overlapping[0] if overlapping else None)
+    assert report.disjoint_ok == (not overlapping)
 
 
 def test_occupied_volume_grid_and_empty():
@@ -371,7 +398,6 @@ def test_find_joint_positions_matches_lattice_oracle(case):
     if found is None:
         return
     placed = tuple(PlacedCube(c, base) for c, base in zip(classes, found))
-    assert all(c.fits_unit_bin() for c in placed)
     assert verify_bin(Bin(d, placed))
     assert all(cubes_disjoint(a, b) for a in placed for b in cubes)
     # one-by-one least-corner placement, when it succeeds, is kept

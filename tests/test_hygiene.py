@@ -170,3 +170,89 @@ def test_every_public_member_is_named():
                 ):
                     unnamed.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
     assert not unnamed, f"class members nothing names: {unnamed}"
+
+
+# Defaulted parameters of exported functions that no call under src/, demos/
+# or perfbench/ passes, and why each stays.
+ALLOWED_KNOBS = {
+    "improving_moves.mode": "public API: a caller lists repack moves as well",
+    "improving_moves.first_only": "public API: a caller asks whether any move exists",
+    "packing_from_dict.verify": "passed through read_json by pack verify and pack weight",
+}
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> dict:
+    """Defaulted parameter name -> its position, or None if keyword-only."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    params = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    params.update(
+        (a.arg, None)
+        for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    )
+    return params
+
+
+def _splat_keys(tree: ast.Module) -> dict:
+    """Name -> the constant keys a file binds in it as a dict, through
+    `x = {"key": ...}` or `x["key"] = ...`."""
+    keys = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Dict):
+                keys.setdefault(target.id, set()).update(
+                    k.value for k in node.value.keys if isinstance(k, ast.Constant)
+                )
+            elif (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                  and isinstance(target.slice, ast.Constant)):
+                keys.setdefault(target.value.id, set()).add(target.slice.value)
+    return keys
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a knob nothing turns: make it a
+    # constant, or say in ALLOWED_KNOBS why it stays.  A call passes a
+    # parameter by keyword, by position or through a ** splat; a splat of a
+    # dict the file fills with constant keys passes just those keys
+    source = {}
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            source.update((alias.name, node.module) for alias in node.names)
+    knobs = {}  # "function.param" -> position or None
+    for module in set(source.values()):
+        for node in _tree(PACKAGE / f"{module}.py").body:
+            if isinstance(node, ast.FunctionDef) and source.get(node.name) == module:
+                knobs.update(
+                    (f"{node.name}.{param}", pos)
+                    for param, pos in _defaulted_params(node).items()
+                )
+    passed = set()
+    for root in ("src", "demos", "perfbench"):
+        for path in (REPO / root).rglob("*.py"):
+            tree = _tree(path)
+            dict_keys = _splat_keys(tree)
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords = {kw.arg for kw in call.keywords if kw.arg is not None}
+                for kw in call.keywords:
+                    if kw.arg is None:
+                        splat = getattr(kw.value, "id", None)
+                        keywords |= dict_keys.get(splat, {"**"})
+                for knob, pos in knobs.items():
+                    fn, param = knob.split(".")
+                    if fn == name and (
+                        param in keywords
+                        or "**" in keywords
+                        or (pos is not None and pos < len(call.args))
+                    ):
+                        passed.add(knob)
+    unturned = sorted(set(knobs) - passed - set(ALLOWED_KNOBS))
+    assert not unturned, f"defaulted parameters no caller passes: {unturned}"
+    stale = sorted(set(ALLOWED_KNOBS) - (set(knobs) - passed))
+    assert not stale, f"ALLOWED_KNOBS entries that are passed or gone: {stale}"

@@ -414,7 +414,7 @@ def test_count_good_words_matches_brute_force():
 
 def test_count_good_words_term_cap():
     with pytest.raises(ValueError):
-        count_good_words(30, tuple(range(1, 11)), [(1,)] * 25, max_terms=1 << 10)
+        count_good_words(30, tuple(range(1, 11)), [(1,)] * 25)  # 2^25 terms
 
 
 # -- randomized family ---------------------------------------------------------
@@ -472,9 +472,10 @@ def test_build_family_weight_is_good_density_times_classes():
     assert fam.weight() == expected
 
 
-def test_build_family_enumerate_cap_refuses():
-    with pytest.raises(ValueError):
-        build_separated_family(8, (2, 5), seed=0, enumerate_cap=10)
+def test_build_family_enumerate_cap_refuses(monkeypatch):
+    monkeypatch.setattr("cubepack.languages.ENUMERATE_CAP", 10)
+    with pytest.raises(ValueError, match="exceed enumerate cap 10"):
+        build_separated_family(8, (2, 5), seed=0)
 
 
 def test_build_family_reports_empty_difference_set():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cubepack.geometry import occupied_volume, verify_bin
+from cubepack.geometry import Bin, occupied_volume, verify_bin
 from cubepack.languages import Word, build_separated_family, warmup_family
 from cubepack.packing import (
     base_coordinate,
@@ -70,7 +70,7 @@ def test_place_word_frozen_example():
     cube = place_word(Word((2, 3), 3), F(1, 9))
     assert cube.base == (F(10, 27), F(17, 27))
     assert cube.cls.side == F(10, 27)
-    assert cube.fits_unit_bin()
+    assert verify_bin(Bin(2, (cube,))).containment_ok
 
 
 def test_place_word_matches_interval_structure():
