@@ -1,17 +1,23 @@
 """Selfish cube packing: costs, improving moves, dynamics, equilibria, anarchy.
 
 Each cube is a player whose cost is its volume divided by the occupied
-volume of its bin; the social cost is the number of used bins.  Because
-insertion cost depends only on volumes, never on positions, every move
-and coalition search runs an exact prefilter on the config's integer
-volumes before touching geometry.  Every geometric question goes through
-one memoized joint placement search, keyed by what decides its answer:
-the content of the residents kept (the multiset of their (class, base)
-pairs) and the incoming classes in one fixed order.  An insertion keeps
-the whole target bin, a repack re-layout keeps nothing, and a coalition
-target keeps what its members leave behind.  Bins of equal content share
-every entry, and best-response dynamics keeps one memo for its whole run.
-Bin permutations that preserve content preserve every cost and layout, so
+volume of its bin; the social cost is the number of used bins.  A config
+answers every per-bin question (occupancy, members, class census,
+content, cost) from one bin model: integer volumes over one common
+denominator, with each bin's content built the first time it is asked
+for.  A moved config inherits its parent's model and recomputes only the
+bins the move touched.  Because insertion cost depends only on volumes,
+never on positions, every move and coalition search runs an exact
+prefilter on those integers before touching geometry, and a coalition's
+costs after its move are read off them without building the moved
+config.  Every geometric question goes through one memoized joint
+placement search, keyed by what decides its answer: the content of the
+residents kept (the multiset of their (class, base) pairs) and the
+incoming classes in one fixed order.  An insertion keeps the whole target
+bin, a repack re-layout keeps nothing, and a coalition target keeps what
+its members leave behind.  Bins of equal content share every entry, and
+best-response dynamics keeps one memo for its whole run.  Bin
+permutations that preserve content preserve every cost and layout, so
 the coalition search checks one coalition per orbit of them.
 """
 
@@ -21,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import lcm
 from typing import (
     Collection,
@@ -48,13 +54,6 @@ from .geometry import (
     verify_bin,
 )
 from .packing import TypedPacking, build_homogeneous
-
-FEASIBILITY_NOTE = (
-    "exact: insertion places one cube, or a coalition's cubes jointly, by a "
-    "complete search with the residents kept in place; repack re-lays the "
-    "whole target bin by a complete search"
-)
-
 
 # Default cap on the copies N of the source bin in an anarchy instance.
 COPIES_CAP = 4096
@@ -100,39 +99,55 @@ class GameItem:
 
 @dataclass(frozen=True)
 class _VolumeModel:
-    """A config's volumes as exact integers over one common denominator.
+    """The one per-bin model of a config: its volumes as exact integers
+    over one common denominator, who sits in each bin, and each bin's
+    content.
 
     Classes are indexed in one fixed order, by (-side, k): larger cubes
     first, and k tells apart the classes of one side.  A class of side s
     fits at most floor(1/s)^d disjoint open cubes into one bin, whatever
-    else sits there (interval-graph colouring per axis).
+    else sits there (interval-graph colouring per axis).  A bin's content
+    is built the first time it is asked for.
     """
 
     scale: int
-    ivol: Dict[int, int]  # item id -> volume * scale
-    cid: Dict[int, int]  # item id -> class index
+    ivol: Dict[int, int]  # item id -> volume * scale, in item order
+    cid: Dict[int, int]  # item id -> class index, in item order
     classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
+    positions: Mapping[int, Tuple[Fraction, ...]]  # item id -> base
     iocc: Dict[int, int]  # bin -> occupied volume * scale
     members: Dict[int, List[int]]  # bin -> item ids, in item order
     census: Dict[int, List[int]]  # bin -> resident count per class index
+    contents: Dict[int, tuple]  # bin -> content, for the bins asked so far
+
+    def content(self, bin_id: int) -> Tuple[Tuple[int, Tuple[Fraction, ...]], ...]:
+        """The bin's content: the sorted (class index, base) pairs of its
+        cubes.  A sorted tuple, not a set, so coincident cubes stay two."""
+        if bin_id not in self.contents:
+            self.contents[bin_id] = tuple(
+                sorted((self.cid[i], self.positions[i]) for i in self.members[bin_id])
+            )
+        return self.contents[bin_id]
 
     def regrouped(
         self,
-        items: Sequence[GameItem],
         assignment: Mapping[int, int],
+        positions: Mapping[int, Tuple[Fraction, ...]],
         touched: Collection[int],
     ) -> "_VolumeModel":
-        """The model of `assignment`, given that it differs from this
-        model's only in which items sit in the bins `touched`.  The
-        per-item data is shared, and only the touched bins are recomputed;
-        a touched bin left empty drops out."""
+        """The model of `assignment` and `positions`, given that they differ
+        from this model's only in the items that sit in the bins `touched`.
+        The per-item data is shared, and only the touched bins are
+        recomputed; their contents are dropped, and a touched bin left empty
+        drops out."""
         fresh: Dict[int, List[int]] = {b: [] for b in touched}
-        for it in items:
-            ids = fresh.get(assignment[it.item_id])
+        for i in self.cid:
+            ids = fresh.get(assignment[i])
             if ids is not None:
-                ids.append(it.item_id)
+                ids.append(i)
         iocc, members, census = dict(self.iocc), dict(self.members), dict(self.census)
+        contents = {b: c for b, c in self.contents.items() if b not in fresh}
         for b, ids in fresh.items():
             if not ids:
                 for table in (iocc, members, census):
@@ -144,8 +159,8 @@ class _VolumeModel:
             iocc[b] = sum(self.ivol[i] for i in ids)
             members[b], census[b] = ids, count
         return _VolumeModel(
-            self.scale, self.ivol, self.cid, self.classes, self.capacity,
-            iocc, members, census,
+            self.scale, self.ivol, self.cid, self.classes, self.capacity, positions,
+            iocc, members, census, contents,
         )
 
 
@@ -184,49 +199,40 @@ class GameConfig:
 
     @cached_property
     def bins_map(self) -> Dict[int, Bin]:
-        grouped: Dict[int, List[PlacedCube]] = {}
-        for it in self.items:
-            b = self.assignment[it.item_id]
-            grouped.setdefault(b, []).append(PlacedCube(it.cls, self.positions[it.item_id]))
-        return {b: Bin(self.d, tuple(cubes)) for b, cubes in grouped.items()}
+        m = self._volumes
+        return {
+            b: Bin(self.d, tuple(PlacedCube(m.classes[m.cid[i]], m.positions[i])
+                                 for i in ids))
+            for b, ids in m.members.items()
+        }
 
     @cached_property
     def _volumes(self) -> _VolumeModel:
-        order = sorted({it.cls for it in self.items}, key=lambda c: (-c.side, c.k))
-        index = {c: i for i, c in enumerate(order)}
-        scale = lcm(*(c.volume.denominator for c in index))
-        cid = {it.item_id: index[it.cls] for it in self.items}
-        vols = [c.volume.numerator * (scale // c.volume.denominator) for c in index]
-        caps = [(c.side.denominator // c.side.numerator) ** self.d for c in index]
+        # a class hashes its Fraction slack, and copies of one bin share their
+        # class objects: hash each distinct object once, not each item's class
+        objects = {id(it.cls): it.cls for it in self.items}
+        order = sorted(set(objects.values()), key=lambda c: (-c.side, c.k))
+        index = {o: order.index(c) for o, c in objects.items()}
+        cid = {it.item_id: index[id(it.cls)] for it in self.items}
+        scale = lcm(*(c.volume.denominator for c in order))
+        vols = [c.volume.numerator * (scale // c.volume.denominator) for c in order]
+        caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
         ivol = {i: vols[c] for i, c in cid.items()}
-        empty = _VolumeModel(scale, ivol, cid, order, caps, {}, {}, {})
-        return empty.regrouped(self.items, self.assignment, set(self.assignment.values()))
-
-    @cached_property
-    def _contents(self) -> Dict[int, Tuple[Tuple[int, Tuple[Fraction, ...]], ...]]:
-        """Bin -> its content: the sorted (class index, base) pairs of its
-        cubes.  A sorted tuple, not a set, so coincident cubes stay two."""
-        return {b: self._content(b) for b in self._volumes.members}
-
-    def _content(self, bin_id: int) -> Tuple[Tuple[int, Tuple[Fraction, ...]], ...]:
-        m = self._volumes
-        return tuple(sorted((m.cid[i], self.positions[i]) for i in m.members[bin_id]))
-
-    @cached_property
-    def _occupied(self) -> Dict[int, Fraction]:
-        m = self._volumes
-        return {b: Fraction(v, m.scale) for b, v in m.iocc.items()}
+        empty = _VolumeModel(scale, ivol, cid, order, caps, self.positions, {}, {}, {}, {})
+        touched = set(self.assignment.values())
+        return empty.regrouped(self.assignment, self.positions, touched)
 
     def occupied(self, bin_id: int) -> Fraction:
-        return self._occupied[bin_id]
+        m = self._volumes
+        return Fraction(m.iocc[bin_id], m.scale)
 
     def item_cost(self, item_id: int) -> Fraction:
-        it = self.item(item_id)
-        return it.volume / self._occupied[self.assignment[item_id]]
+        m = self._volumes
+        return Fraction(m.ivol[item_id], m.iocc[self.assignment[item_id]])
 
     def social_cost(self) -> int:
         """Number of used bins; cross-checked against the exact cost sum."""
-        bins = len(self.bins_map)
+        bins = len(self._volumes.iocc)
         total = sum((self.item_cost(it.item_id) for it in self.items), Fraction(0))
         if total != bins:
             raise AssertionError(
@@ -245,9 +251,8 @@ class GameConfig:
     ) -> "GameConfig":
         """New config with the given items reassigned to (bin, base).
 
-        The new config inherits this one's item lookup, volume model and
-        bin contents, where this one has built them: only the bins a moved
-        item leaves or enters are recomputed.
+        The new config inherits this one's item lookup and bin model: only
+        the bins a moved item leaves or enters are recomputed.
         """
         assignment = dict(self.assignment)
         positions = dict(self.positions)
@@ -257,20 +262,11 @@ class GameConfig:
             assignment[item_id] = bin_id
             positions[item_id] = tuple(base)
         new = GameConfig(self.d, self.items, assignment, positions)
-        cached, carried = self.__dict__, new.__dict__
-        if "_by_id" in cached:
-            carried["_by_id"] = self._by_id
-        if "_volumes" in cached:
-            touched = {self.assignment[i] for i in updates} | {
-                assignment[i] for i in updates
-            }
-            m = carried["_volumes"] = self._volumes.regrouped(
-                self.items, assignment, touched
-            )
-            if "_contents" in cached:
-                contents = {b: c for b, c in self._contents.items() if b not in touched}
-                contents.update((b, new._content(b)) for b in touched if b in m.members)
-                carried["_contents"] = contents
+        touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
+        new.__dict__.update(
+            _by_id=self._by_id,
+            _volumes=self._volumes.regrouped(assignment, new.positions, touched),
+        )
         return new
 
 
@@ -321,10 +317,16 @@ def config_to_dict(config: GameConfig) -> dict:
 
 def config_from_dict(payload: Mapping[str, object]) -> GameConfig:
     d = expect_type(payload["d"], int)
+    rows = expect_type(payload["cubes"], list)
+    if d < 1 or not rows:
+        raise ValueError(
+            f"a game config needs d >= 1 and at least one cube; got d={d} and "
+            f"{len(rows)} cubes"
+        )
     items: List[GameItem] = []
     assignment: Dict[int, int] = {}
     positions: Dict[int, Tuple[Fraction, ...]] = {}
-    for row in expect_type(payload["cubes"], list):
+    for row in rows:
         item_id = expect_type(row["id"], int)
         cls = CubeClass(expect_type(row["k"], int), as_rational(row["epsilon"]), d)
         items.append(GameItem(item_id, cls))
@@ -359,10 +361,7 @@ class MoveProposal:
 
 
 def improving_moves(
-    config: GameConfig,
-    mode: str = "insertion",
-    *,
-    first_only: bool = False,
+    config: GameConfig, mode: str = "insertion"
 ) -> Tuple[MoveProposal, ...]:
     """All strictly improving single-item migrations, deterministically ordered.
 
@@ -374,22 +373,16 @@ def improving_moves(
     Both tests run on the config's integer volumes.  Fresh bins are never
     targets; a lone item's cost of 1 cannot improve.
     """
-    return _improving_moves(config, mode, first_only, {})
+    return _improving_moves(config, mode, {})
 
 
 def _improving_moves(
-    config: GameConfig,
-    mode: str,
-    first_only: bool,
-    memo: _Memo,
+    config: GameConfig, mode: str, memo: _Memo
 ) -> Tuple[MoveProposal, ...]:
     """improving_moves with the caller's placement memo; its keys name no
     bin or item, so one memo serves every config over the same items."""
     _check_mode(mode)
-    candidates = _move_candidates(config, mode, memo)
-    if first_only:
-        candidates = islice(candidates, 1)
-    return tuple(_proposal(config, mode, c) for c in candidates)
+    return tuple(_proposal(config, mode, c) for c in _move_candidates(config, mode, memo))
 
 
 def _check_mode(mode: str) -> None:
@@ -431,7 +424,7 @@ def _move_candidates(config: GameConfig, mode: str, memo: _Memo) -> Iterator[_Ca
             if joined > m.scale:
                 continue
             if mode == "insertion":
-                kept, movers, cap = config._contents[target], [it], None
+                kept, movers, cap = m.content(target), [it], None
                 if target not in tables:
                     tables[target] = memo.setdefault(kept, {})
                 table = tables[target]
@@ -530,7 +523,6 @@ class NashResult:
     mode: str
     moves: Tuple[MoveProposal, ...]
     geometry_checks: int = 0  # placement searches run, memo hits not counted
-    note: str = FEASIBILITY_NOTE
 
     def __bool__(self) -> bool:
         return self.is_nash
@@ -539,7 +531,7 @@ class NashResult:
 def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     """True iff no single item has a strictly improving migration."""
     memo: _Memo = {}
-    moves = _improving_moves(config, mode, False, memo)
+    moves = _improving_moves(config, mode, memo)
     return NashResult(not moves, mode, moves, _searches(memo))
 
 
@@ -555,7 +547,8 @@ def potential(config: GameConfig) -> Tuple[Fraction, ...]:
     vector strictly increases lexicographically; with volumes drawn from a
     finite set, dynamics must terminate.
     """
-    return tuple(sorted(config._occupied.values(), reverse=True))
+    m = config._volumes
+    return tuple(sorted((Fraction(v, m.scale) for v in m.iocc.values()), reverse=True))
 
 
 _POLICIES = ("first", "best", "random")
@@ -587,7 +580,7 @@ def best_response_dynamics(
     the lowest item id among equals, and else the first in move order.
     Every step shares one placement memo: moves keep the items, so the
     memo's keys (contents and class indices) mean the same in each config,
-    and each config inherits its parent's volume model and contents.  The
+    and each config inherits its parent's bin model.  The
     potential is checked on integer occupancies; over one common
     denominator they order exactly as potential() does.
     """
@@ -665,7 +658,6 @@ class StrongNashResult:
     coalitions_checked: int
     assignments_checked: int
     geometry_checks: int = 0
-    note: str = FEASIBILITY_NOTE
 
     def __bool__(self) -> bool:
         return self.is_strong_nash
@@ -738,13 +730,13 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     content_id: Dict[tuple, int] = {}
     label: Dict[int, Tuple[int, int]] = {}
     for b in existing:
-        content = config._contents[b]
+        content = m.content(b)
         c = content_id.setdefault(content, len(content_id))
         slots: Dict[tuple, List[int]] = {}
         for slot, cube in enumerate(content):
             slots.setdefault(cube, []).append(slot)
         for i in m.members[b]:
-            label[i] = (c, slots[(m.cid[i], config.positions[i])].pop())
+            label[i] = (c, slots[(m.cid[i], m.positions[i])].pop())
     seen: set = set()
     memo: _Memo = {}
     coalitions_checked = 0
@@ -804,7 +796,7 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
                 raise CoalitionSearchError(
                     f"coalition search exceeded {COALITION_ASSIGNMENT_CAP} assignments"
                 )
-            violation = _coalition_move(config, memo, coalition, targets, fresh_base)
+            violation = _coalition_move(config, memo, coalition, targets, room, fresh_base)
             if violation is not None:
                 break
         if violation is not None:
@@ -824,38 +816,39 @@ def _coalition_move(
     memo: _Memo,
     coalition: Sequence[GameItem],
     targets: Sequence[object],
+    room: Mapping[int, int],
     fresh_base: int,
 ) -> Optional[CoalitionProposal]:
     """The coalition's deviation to `targets` (per member a used bin or
     ("new", j), which becomes bin fresh_base + j) if every target takes its
-    incoming members with the residents kept in place, else None."""
+    incoming members with the residents kept in place, else None.  room[t]
+    is what stays in used bin t once the coalition has left, times scale."""
+    m = config._volumes
     member_ids = [it.item_id for it in coalition]
-    cid = config._volumes.cid
     placements: Dict[int, Tuple[Fraction, ...]] = {}
-    for t in sorted(set(targets), key=str):
+    incoming: Dict[object, int] = {}
+    for i, t in zip(member_ids, targets):
+        incoming[t] = incoming.get(t, 0) + m.ivol[i]
+    for t in sorted(incoming, key=str):
         movers = tuple(it for it, tt in zip(coalition, targets) if tt == t)
-        residents = list(config._contents[t]) if isinstance(t, int) else []
+        residents = list(m.content(t)) if isinstance(t, int) else []
         for i in member_ids:
             if config.assignment[i] == t:
-                residents.remove((cid[i], config.positions[i]))
+                residents.remove((m.cid[i], m.positions[i]))
         kept = tuple(residents)
         layout = _place(config, memo.setdefault(kept, {}), kept, movers)
         if layout is None:
             return None
         placements.update(_distribute(layout, movers))
-    real_targets = tuple(
-        t if isinstance(t, int) else fresh_base + t[1] for t in targets
-    )
-    bases = tuple(placements[i] for i in member_ids)
-    after = config.with_moves(
-        {i: (t, base) for i, t, base in zip(member_ids, real_targets, bases)}
-    )
     return CoalitionProposal(
         tuple(member_ids),
-        real_targets,
-        bases,
+        tuple(t if isinstance(t, int) else fresh_base + t[1] for t in targets),
+        tuple(placements[i] for i in member_ids),
         tuple(config.item_cost(i) for i in member_ids),
-        tuple(after.item_cost(i) for i in member_ids),
+        tuple(
+            Fraction(m.ivol[i], room.get(t, 0) + incoming[t])
+            for i, t in zip(member_ids, targets)
+        ),
     )
 
 
@@ -1083,12 +1076,9 @@ def sparse_bin_report(
     of the emptier one join the other (the joined volume stays packable by
     the largest-side volume criterion), strictly lowering its cost.
     """
+    m = config._volumes
     threshold = Fraction(1, 2**config.d)
-    sparse = tuple(
-        b for b in sorted(config.bins_map) if config.occupied(b) < threshold
-    )
+    sparse = tuple(b for b in sorted(m.iocc) if config.occupied(b) < threshold)
     conditioned = bool(nash_result) and nash_result.is_nash
-    total = sum((config.occupied(b) for b in config.bins_map), Fraction(0))
-    return SparseBinReport(
-        sparse, threshold, conditioned, len(config.bins_map), total
-    )
+    total = Fraction(sum(m.iocc.values()), m.scale)
+    return SparseBinReport(sparse, threshold, conditioned, len(m.iocc), total)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .geometry import as_rational, format_rational
+from .geometry import format_rational
 
 # budgeted selection from a rule-core language scans at most this many cores
 SELECT_SCAN_CAP = 5_000_000
@@ -790,7 +790,7 @@ def build_separated_family(
     return family
 
 
-# -- JSON round-trip ---------------------------------------------------------
+# -- JSON encoding -----------------------------------------------------------
 #
 # Family file format:
 #   {"d": int, "classes": [...], "seed": int|null, "mode": str,
@@ -823,29 +823,3 @@ def family_to_dict(family: SeparatedFamily) -> dict:
         ),
         "languages": langs,
     }
-
-
-def family_from_dict(data: Mapping) -> SeparatedFamily:
-    d = int(data["d"])
-    classes = tuple(int(k) for k in data["classes"])
-    seed = data.get("seed")
-    mode = data.get("mode", "enumerate")
-    fsets = None
-    if data.get("fsets"):
-        threshold = as_rational(data["threshold"])
-        sets = {int(k): frozenset(v) for k, v in data["fsets"].items()}
-        fsets = FSets(d, threshold, sets)
-    if any("core_count" in entry for entry in data["languages"]):
-        if seed is None or fsets is None:
-            raise ValueError("implicit families need their seed and fsets to rebuild")
-        return build_separated_family(d, classes, int(seed), mode="implicit", fsets=fsets)
-    langs = {}
-    for entry in data["languages"]:
-        k = int(entry["k"])
-        langs[k] = Language(
-            k,
-            d,
-            f_coords=tuple(entry["F"]),
-            core_words=tuple(tuple(v) for v in entry["core_words"]),
-        )
-    return SeparatedFamily(d, classes, langs, fsets, seed, mode)

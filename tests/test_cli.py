@@ -409,6 +409,25 @@ def test_hostile_packing_is_bad_input(tmp_path, packing_file, capsys, template, 
     assert err.startswith("error: ") and "verification failure" not in err
 
 
+# Configs with no cubes: nash-check printed "Nash equilibrium: no improving
+# insertion move among 0 items in 0 bins" and dynamics "nash after 0 steps".
+HOSTILE_CONFIGS = {
+    "d_below_1": {"d": -1, "cubes": []},
+    "no_cubes": {"d": 3, "cubes": []},
+}
+GAME_CONFIG_COMMANDS = [*CONFIG_COMMANDS, ("game", "dynamics", "IN", "--out", "OUT")]
+
+
+@pytest.mark.parametrize("template", GAME_CONFIG_COMMANDS, ids=lambda t: " ".join(t[:2]))
+@pytest.mark.parametrize("name", sorted(HOSTILE_CONFIGS))
+def test_hostile_config_is_bad_input(tmp_path, capsys, template, name):
+    src = tmp_path / f"{name}.json"
+    src.write_text(json.dumps(HOSTILE_CONFIGS[name]))
+    assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_zero_denominator_is_bad_input_in_every_reader(tmp_path, capsys):
     config = config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9)))
     config["cubes"][1]["base"][0] = "3/0"

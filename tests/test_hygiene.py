@@ -9,11 +9,16 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "cubepack"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
-# Exported functions that need no caller outside their module and its test.
+# Exported functions that need no caller outside their module and its test,
+# and unexported public functions that nothing outside their definition
+# names under src/, demos/ or perfbench/.
 ALLOWED = {
     "apply_move": "how a caller acts on a MoveProposal; the game oracles step it",
     "apply_coalition": "how a caller acts on a CoalitionProposal; the oracles step it",
     "improving_moves": "the moves is_nash summarises, for a caller to pick and apply",
+    "potential": "test oracle: the Fraction potential dynamics checks in integers",
+    "is_bad_word": "test oracle: the definition the core counts are checked against",
+    "end_coordinate": "test oracle: the interval end place_word computes inline",
 }
 
 
@@ -99,6 +104,20 @@ def _references(path: Path) -> set:
     return refs
 
 
+def _name_uses(*roots: str) -> list:
+    """(path, line, name) of every Name id and Attribute attr under the
+    given top-level directories."""
+    uses = []
+    for root in roots:
+        for path in (REPO / root).rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Name):
+                    uses.append((path, node.lineno, node.id))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((path, node.lineno, node.attr))
+    return uses
+
+
 def test_every_exported_function_has_a_caller():
     # a public function that only its own module and its own test name is
     # API nothing uses: call it from elsewhere, demote it, or say in ALLOWED
@@ -139,22 +158,43 @@ def test_every_exported_function_has_a_caller():
             uncalled.append(name)
     orphans = sorted(set(uncalled) - set(ALLOWED))
     assert not orphans, f"exported functions nothing else calls: {orphans}"
-    stale = sorted(set(ALLOWED) - set(uncalled))
-    assert not stale, f"ALLOWED entries that are called or not exported: {stale}"
+    stale = sorted((set(ALLOWED) & set(source)) - set(uncalled))
+    assert not stale, f"ALLOWED entries for exported functions that are called: {stale}"
+
+
+def test_every_unexported_function_is_named():
+    # a public module-level function that __init__ does not export and no
+    # file under src/, demos/ or perfbench/ names outside its own definition
+    # is dead code only tests keep alive: delete it, or say in ALLOWED why
+    # it stays
+    exported = set()
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            exported.update(alias.name for alias in node.names)
+    uses = _name_uses("src", "demos", "perfbench")
+    unnamed = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                    or node.name in exported):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                name == node.name and not (where == path and line in inside)
+                for where, line, name in uses
+            ):
+                unnamed.append(node.name)
+    orphans = sorted(set(unnamed) - set(ALLOWED))
+    assert not orphans, f"unexported functions nothing names: {orphans}"
+    stale = sorted(set(ALLOWED) - exported - set(unnamed))
+    assert not stale, f"ALLOWED entries for unexported functions named or gone: {stale}"
 
 
 def test_every_public_member_is_named():
     # a public method or property of a package class that no file under
     # src/, demos/, perfbench/ or tests/ names outside its own definition is
     # API nothing uses; dunders and private members are exempt
-    uses = []  # (path, line, name) of every name or attribute use
-    for tree in ("src", "demos", "perfbench", "tests"):
-        for path in (REPO / tree).rglob("*.py"):
-            for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Name):
-                    uses.append((path, node.lineno, node.id))
-                elif isinstance(node, ast.Attribute):
-                    uses.append((path, node.lineno, node.attr))
+    uses = _name_uses("src", "demos", "perfbench", "tests")
     unnamed = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.walk(_tree(path)):
@@ -176,8 +216,9 @@ def test_every_public_member_is_named():
 # or perfbench/ passes, and why each stays.
 ALLOWED_KNOBS = {
     "improving_moves.mode": "public API: a caller lists repack moves as well",
-    "improving_moves.first_only": "public API: a caller asks whether any move exists",
     "packing_from_dict.verify": "passed through read_json by pack verify and pack weight",
+    "build_separated_family.fsets": "public API: rebuilds an implicit family from the "
+                                    "F-sets its family file records",
 }
 
 
