@@ -24,7 +24,6 @@ from .game import (
     COPIES_CAP,
     CoalitionSearchError,
     RepackSearchError,
-    anarchy_copies,
     best_response_dynamics,
     config_from_dict,
     config_to_dict,
@@ -406,8 +405,8 @@ def _anarchy_doc(inst, kind: str) -> dict:
         "kind": kind,
         "copies": inst.copies,
         "scaled": inst.scaled,
-        "optimum_bins": len(inst.p.bins_map),
-        "equilibrium_bins": len(inst.p_prime.bins_map),
+        "optimum_bins": inst.copies,
+        "equilibrium_bins": int(inst.ratio * inst.copies),
         "items": len(inst.p.items),
         "ratio": format_rational(inst.ratio),
         "equilibrium_certified": inst.nash is not None and bool(inst.nash),
@@ -617,25 +616,17 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         if slim_packing is None:
             # the packing was not built: report why, as stage 3 did
             raise RuntimeError(row["adversary"]["error"])
-        copies, _ = anarchy_copies(slim_packing)
-        items = copies * len(slim_packing.bin.cubes)
-        certify = items <= 200
-        inst = poa_instance(slim_packing, certify=certify)
+        inst = poa_instance(slim_packing)
         doc = _anarchy_doc(inst, "price-of-anarchy")
         doc["manifest"] = manifest("poa")
         emit(f"poa_d{d}.json", doc)
         row["poa"] = {
             "status": "ok",
-            "ratio": format_rational(inst.ratio),
-            "optimum_bins": len(inst.p.bins_map),
-            "equilibrium_bins": len(inst.p_prime.bins_map),
-            "certified": certify,
+            "ratio": doc["ratio"],
+            "optimum_bins": doc["optimum_bins"],
+            "equilibrium_bins": doc["equilibrium_bins"],
+            "certified": doc["equilibrium_certified"],
         }
-        if not certify:
-            row["poa"]["note"] = (
-                f"{items} items: equilibrium reported, "
-                f"not exhaustively certified at desk scale"
-            )
     except Exception as exc:
         row["poa"] = {"status": "error", "error": str(exc)}
 
@@ -658,23 +649,17 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
             }
             return row
         spoa_packing = build_packing(spoa_family, Fraction(1, 16))
-        copies, _ = anarchy_copies(spoa_packing, copies_cap=16)
-        items = copies * len(spoa_packing.bin.cubes)
-        cap = 3 if items <= 60 else 2
-        certify = items <= 120
-        inst = spoa_instance(
-            spoa_packing, coalition_cap=cap, copies_cap=16, certify=certify
-        )
+        inst = spoa_instance(spoa_packing, coalition_cap=3, copies_cap=16)
         doc = _anarchy_doc(inst, "strong-price-of-anarchy")
         doc["manifest"] = manifest("spoa")
         emit(f"spoa_d{d}.json", doc)
         row["spoa"] = {
             "status": "ok",
-            "ratio": format_rational(inst.ratio),
-            "optimum_bins": len(inst.p.bins_map),
-            "equilibrium_bins": len(inst.p_prime.bins_map),
-            "certified": certify,
-            "coalition_cap": cap if certify else None,
+            "ratio": doc["ratio"],
+            "optimum_bins": doc["optimum_bins"],
+            "equilibrium_bins": doc["equilibrium_bins"],
+            "certified": doc["coalition_proof"],
+            "coalition_cap": doc["max_coalition_size"],
         }
     except Exception as exc:
         row["spoa"] = {"status": "error", "error": str(exc)}

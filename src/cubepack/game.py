@@ -714,22 +714,47 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     touches, of (content id, sorted member slots).  Two coalitions with one
     key are related by such a pi: pair the touched bins of equal entries,
     then the other bins of each content in any order.  So only the first
-    coalition with each key is searched; coalitions_checked counts those.
+    coalition with each key is searched.
     The search stops at the first gaining coalition in enumeration order.
     Every coalition before it, searched or skipped, admits no gaining
     deviation, so the first gaining coalition is the first of its orbit and
     is reported exactly as the search without the skip reports it.
+
+    Before any enumeration, every item that can gain in no coalition within
+    the cap is dropped.  Let V be the sum of the max_coalition_size largest
+    item volumes.  Member i's target t_i != src_i ends at
+    occ(t_i) - out(t_i) + in(t_i) <= occ(t_i) + V if t_i is used, and at
+    in(t_i) <= V if it is fresh.  So i gains in no coalition unless
+
+        max(occ(t) over used t != src_i, or 0 if there is none) + V > occ(src_i),
+
+    and a coalition holding an item that fails this admits no gaining
+    deviation.  Coalitions are enumerated over the passing items alone, in
+    the same order, so the verdict and the first gaining coalition are
+    those of the full enumeration.  The test reads only occupancies and
+    item volumes, which every pi above keeps, so an orbit passes whole or
+    not at all, and the orbit skip is unchanged.  coalitions_checked counts
+    the orbits searched, over the passing items.
     """
     if max_coalition_size < 1:
         raise ValueError("coalition size cap must be >= 1")
     m = config._volumes
-    items = sorted(config.items, key=lambda x: x.item_id)
     src = config.assignment
     existing = sorted(m.iocc)
     fresh_base = (max(existing) + 1) if existing else 0
+    # the test depends on the source bin alone: keep the bins that pass it
+    reach = sum(sorted(m.ivol.values(), reverse=True)[:max_coalition_size])
+    fullest = sorted(existing, key=m.iocc.__getitem__, reverse=True)[:2]
+    sources = [
+        b for b in existing
+        if max((m.iocc[t] for t in fullest if t != b), default=0) + reach > m.iocc[b]
+    ]
+    items = sorted(
+        (config.item(i) for b in sources for i in m.members[b]), key=lambda x: x.item_id
+    )
     content_id: Dict[tuple, int] = {}
     label: Dict[int, Tuple[int, int]] = {}
-    for b in existing:
+    for b in sources:
         content = m.content(b)
         c = content_id.setdefault(content, len(content_id))
         slots: Dict[tuple, List[int]] = {}
@@ -915,7 +940,13 @@ def prop1_check(k: int, ell: int, d: int) -> bool:
 
 
 def prop1_sweep(k_max: int = 100, d_max: int = 20) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
-    """Check every 2 <= k < ell <= k_max, 2 <= d <= d_max; return failures."""
+    """Check every 2 <= k < ell <= k_max, 2 <= d <= d_max; return the count
+    checked and the failures.  A range with no triple is rejected, so an
+    empty sweep never passes for a proof."""
+    if k_max < 3 or d_max < 2:
+        raise ValueError(
+            f"the sweep needs k_max >= 3 and d_max >= 2, got k_max={k_max} and d_max={d_max}"
+        )
     checked = 0
     failures: List[Tuple[int, int, int]] = []
     for k in range(2, k_max):
@@ -984,13 +1015,18 @@ def poa_instance(
 
     |P'| / |P| = w(U) exactly, and P' is an equilibrium: moving a large cube
     into a smaller-class bin raises its cost (the grid cost inequality), and
-    smaller cubes find no room in the full grids of larger classes.
+    smaller cubes find no room in the full grids of larger classes.  Every
+    bin of P is a copy of the packing's bin, verified here once, and every
+    bin of P' a copy of a grid that build_homogeneous verified.
     """
     eps_cap = Fraction(1, packing.k_max - 1)
     if packing.epsilon > eps_cap:
         raise ValueError(
             f"epsilon {packing.epsilon} exceeds 1/(k_max-1) = {eps_cap}"
         )
+    check = verify_bin(packing.bin)
+    if not check:
+        raise ValueError(f"the packing's bin is invalid: {check}")
     n, scaled = anarchy_copies(packing, copies_cap)
     p = config_from_bins([packing.bin] * n)
     prime_bins: List[Bin] = []
@@ -998,8 +1034,6 @@ def poa_instance(
         grid = build_homogeneous(k, packing.d, packing.epsilon).bin
         prime_bins.extend([grid] * count)
     p_prime = config_from_bins(prime_bins)
-    p.validate()
-    p_prime.validate()
     ratio = Fraction(len(prime_bins), n)
     nash = None
     if certify:
@@ -1022,8 +1056,8 @@ def spoa_instance(
 
     With every side of the form (1+eps)/2^j, any joint deviation could be
     re-expressed in units of its smallest cube, contradicting the fullness
-    of that cube's grid bin; the exhaustive search confirms this at desk
-    scale up to the coalition cap.
+    of that cube's grid bin; with certify, the exhaustive search of
+    is_strong_nash proves this for every coalition up to the cap.
     """
     for k in packing.classes:
         if k & (k - 1):

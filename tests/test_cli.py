@@ -259,6 +259,16 @@ def test_game_prop1_sweep_passes(capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [("--kmax", 2), ("--kmax", 5, "--dmax", 1)])
+def test_game_prop1_rejects_an_empty_sweep(capsys, flags):
+    # a range holding no (k, l, d) triple certifies nothing: bad input, and
+    # no OK line
+    assert run("game", "prop1", *flags) == 2
+    captured = capsys.readouterr()
+    assert "k_max >= 3 and d_max >= 2" in captured.err
+    assert "OK" not in captured.out
+
+
 # -- reproduce -----------------------------------------------------------------
 
 
@@ -282,6 +292,23 @@ def test_reproduce_emits_expected_row_and_bundle(tmp_path, capsys):
     csv_text = (out / "summary.csv").read_text()
     assert "3,2,1/9" in csv_text
     assert "bundle" in capsys.readouterr().out
+
+
+def test_reproduce_certifies_poa_and_spoa_at_cap_three(tmp_path):
+    # every d takes one path: the equilibrium is certified Nash and
+    # coalition-proof up to size 3 at d=5 as at d=4, with no note
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 4, 5) == 0
+    for row in read(out / "summary.json")["rows"]:
+        for stage in ("poa", "spoa"):
+            assert row[stage]["status"] == "ok"
+            assert row[stage]["certified"] is True
+            assert "note" not in row[stage]
+        assert row["spoa"]["coalition_cap"] == 3
+    assert read(out / "poa_d5.json")["equilibrium_certified"] is True
+    spoa = read(out / "spoa_d5.json")
+    assert spoa["coalition_proof"] is True
+    assert spoa["max_coalition_size"] == 3
 
 
 def test_reproduce_is_bit_deterministic(tmp_path):

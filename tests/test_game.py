@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -43,7 +44,7 @@ from cubepack.geometry import (
     find_joint_positions,
     verify_bin,
 )
-from cubepack.languages import build_separated_family, warmup_family
+from cubepack.languages import SeparatedFamily, build_separated_family, warmup_family
 from cubepack.packing import build_homogeneous, build_packing
 from test_geometry import _lattice_class, _lattice_joint_oracle
 
@@ -63,6 +64,17 @@ def remark_packing():
 def power_of_two_toy_packing():
     family = build_separated_family(2, (2, 4), seed=0)
     return build_packing(family, F(1, 16))
+
+
+def reproduce_spoa_packing(d):
+    """The packing of reproduce's SPoA stage at d >= 4: the (2, 4) slice of
+    the warm-up family at epsilon 1/16."""
+    family = warmup_family(d)
+    sliced = SeparatedFamily(
+        d, (2, 4), {k: family.languages[k] for k in (2, 4)}, family.fsets,
+        family.seed, family.mode,
+    )
+    return build_packing(sliced, F(1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -912,6 +924,32 @@ def test_strong_nash_on_repeated_bins_matches_unpruned_oracle(case):
     _check_strong_nash_case(case)
 
 
+@st.composite
+def dominant_bin_configs(draw):
+    """Four cubes of a drawn lattice side q in bin 0, and one cube of a side
+    at most q in each of one or two more bins.  With a cap of 2 or 3, bin 0
+    is then at least as full as any other bin plus the cap's largest
+    volumes, so the coalition screen drops its items, while the lone cubes
+    may still gain by joining it or each other."""
+    d = draw(st.integers(1, 2))
+    lattice = draw(st.integers(4, 8 if d == 1 else 5))
+    q = draw(st.integers(1, lattice // (4 if d == 1 else 2)))
+    specs = [[(q, 4, draw(st.integers(0, 1)))]]
+    for _ in range(draw(st.integers(1, 2))):
+        specs.append([(draw(st.integers(1, q)), 1, draw(st.integers(0, 1)))])
+    return _lattice_bins_config(d, lattice, specs), draw(st.integers(2, 3)), lattice
+
+
+@settings(deadline=None)
+@given(dominant_bin_configs())
+def test_strong_nash_with_a_dominant_bin_matches_unpruned_oracle(case):
+    cfg, cap, _ = case
+    largest = sorted((it.volume for it in cfg.items), reverse=True)[:cap]
+    others = max(cfg.occupied(b) for b in cfg.bins_map if b != 0)
+    assert cfg.occupied(0) >= others + sum(largest)
+    _check_strong_nash_case(case)
+
+
 @settings(deadline=None)
 @given(repeated_content_configs(), st.integers(1, 3))
 def test_coalition_costs_after_match_the_moved_config(cfg, cap):
@@ -945,6 +983,40 @@ def test_strong_nash_toy_work_counters():
     assert result.coalitions_checked == 765
     assert result.assignments_checked == 59
     assert result.geometry_checks == 5
+
+
+def test_strong_nash_screen_keeps_a_bin_only_a_full_coalition_lifts():
+    # d=1, sides 2/7: bin 0 holds cubes at [1/7, 3/7] and [4/7, 6/7], so no
+    # third fits, and bin 1 one at [0, 2/7].  No single move gains, but both
+    # cubes of bin 0 joining bin 1 lift it from 2/7 to 6/7, above their 4/7.
+    # Bin 0 passes the screen only because V counts both volumes:
+    # 2/7 + 4/7 > 4/7.
+    cls = _lattice_class(0, 2, 7, 1)
+    items = tuple(GameItem(i, cls) for i in range(3))
+    cfg = GameConfig(
+        1, items, {0: 0, 1: 0, 2: 1}, {0: (F(1, 7),), 1: (F(4, 7),), 2: (F(0),)}
+    )
+    assert is_nash(cfg)
+    result = is_strong_nash(cfg, 2)
+    assert not result
+    assert (result.violation.members, result.violation.targets) == ((0, 1), (1, 1))
+    assert _reference_strong_nash(cfg, 2, 7) == (0, 1)
+
+
+@pytest.mark.parametrize("d, items", [(4, 84), (5, 246)])
+def test_strong_nash_screen_on_the_reproduced_equilibrium(d, items):
+    # P' of reproduce's SPoA stage: three one-cube class-2 bins and one full
+    # class-4 grid.  No class-4 cube can end in a bin fuller than its grid,
+    # so only the three class-2 cubes are enumerated, one orbit per size.
+    inst = spoa_instance(reproduce_spoa_packing(d), copies_cap=16, certify=False)
+    assert len(inst.p_prime.items) == items
+    t0 = time.perf_counter()
+    result = is_strong_nash(inst.p_prime, 3)
+    elapsed = time.perf_counter() - t0
+    assert result
+    assert result.coalitions_checked == 3
+    assert result.assignments_checked == 11
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1075,14 @@ def test_poa_epsilon_precondition():
     object.__setattr__(big, "epsilon", F(3, 4))
     with pytest.raises(ValueError):
         poa_instance(big)
+
+
+def test_poa_rejects_an_invalid_packing_bin():
+    # P copies the packing's bin, so one overlap there is checked once
+    pack = remark_packing()
+    overlapping = Bin(pack.d, pack.bin.cubes + pack.bin.cubes[:1])
+    with pytest.raises(ValueError, match="invalid"):
+        poa_instance(dataclasses.replace(pack, bin=overlapping))
 
 
 def test_poa_scaled_copies():
