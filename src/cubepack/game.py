@@ -252,7 +252,8 @@ class GameConfig:
         """New config with the given items reassigned to (bin, base).
 
         The new config inherits this one's item lookup and bin model: only
-        the bins a moved item leaves or enters are recomputed.
+        the bins a moved item leaves or enters are recomputed.  The rest was
+        checked when this config was built: only the moved bases are coerced.
         """
         assignment = dict(self.assignment)
         positions = dict(self.positions)
@@ -260,12 +261,13 @@ class GameConfig:
             if item_id not in assignment:
                 raise ValueError(f"unknown item {item_id}")
             assignment[item_id] = bin_id
-            positions[item_id] = tuple(base)
-        new = GameConfig(self.d, self.items, assignment, positions)
+            positions[item_id] = tuple(map(as_rational, base))
+        new = object.__new__(GameConfig)
         touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
         new.__dict__.update(
+            d=self.d, items=self.items, assignment=assignment, positions=positions,
             _by_id=self._by_id,
-            _volumes=self._volumes.regrouped(assignment, new.positions, touched),
+            _volumes=self._volumes.regrouped(assignment, positions, touched),
         )
         return new
 

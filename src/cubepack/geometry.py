@@ -4,8 +4,11 @@ Every coordinate, side length and volume at the API is a
 `fractions.Fraction`; floats are rejected at the boundary so no rounding
 can sneak into a correctness path.  Inside, verify_bin and the placement
 searches scale the rationals they compare onto one integer grid and
-compare ints, which is exact and far cheaper.  Cubes are open boxes: two
-cubes that merely share a boundary facet count as disjoint.
+compare ints, which is exact and far cheaper.  verify_bin also reads the
+lattice the constructions place on: two cubes are compared only when
+they share the interval on every axis whose intervals are disjoint.
+Cubes are open boxes: two cubes that merely share a boundary facet
+count as disjoint.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -92,7 +96,7 @@ class CubeClass:
         return self.side ** self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedCube:
     """A class cube anchored at an exact base corner.
 
@@ -105,7 +109,7 @@ class PlacedCube:
     base: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        base = tuple(as_rational(x) for x in self.base)
+        base = tuple(map(as_rational, self.base))
         object.__setattr__(self, "base", base)
         if len(base) != self.cls.d:
             raise ValueError(
@@ -168,84 +172,104 @@ class BinVerification:
         return self.containment_ok and self.disjoint_ok
 
 
-def _member_masks(groups: Sequence[Sequence[int]], n: int) -> list[int]:
-    # One big-int bitmask of cube indices per distinct interval.
-    masks = []
-    for members in groups:
-        buf = bytearray((n + 7) // 8)
-        for idx in members:
-            buf[idx >> 3] |= 1 << (idx & 7)
-        masks.append(int.from_bytes(bytes(buf), "little"))
-    return masks
+def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
+    """(ids, intervals, firsts, scale) of the cubes on one axis: cube i
+    lies on distinct interval ids[i], whose lowest cube is firsts[ids[i]].
+    The intervals are scaled onto ints over the lcm of their denominators;
+    comparisons never cross axes, so one scale per axis is exact."""
+    by_value: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    ids: list[int] = []
+    firsts: list[int] = []
+    for idx, cube in enumerate(cubes):
+        # keyed by the integer ratios of the base and the side, which hash
+        # far faster than Fractions and name the same interval
+        key = (cube.base[dim].as_integer_ratio(), cube.cls.side.as_integer_ratio())
+        t = by_value.get(key)
+        if t is None:
+            t = by_value[key] = len(firsts)
+            firsts.append(idx)
+        ids.append(t)
+    scale = lcm(*(q for lo, side in by_value for q in (lo[1], side[1])))
+    intervals = [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
+                 for (p, q), (sp, sq) in by_value]
+    return ids, intervals, firsts, scale
+
+
+def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
+    """Lowest pair of `members` (ascending cube indices) overlapping on every
+    axis in `loose`, a list of (ids, intervals), or None.
+
+    On each axis a member's big-int mask holds the members whose interval
+    overlaps its own, itself included; ANDing its masks leaves those that
+    overlap it on every axis.  The first member with a partner left has no
+    lower one, so it and its lowest partner form the lowest pair.
+    """
+    g = len(members)
+    axes = []
+    for ids, intervals in loose:
+        local: dict[int, bytearray] = {}  # interval -> bitmap of its members
+        for pos, idx in enumerate(members):
+            bits = local.get(ids[idx])
+            if bits is None:
+                bits = local[ids[idx]] = bytearray((g + 7) // 8)
+            bits[pos >> 3] |= 1 << (pos & 7)
+        masks = [(intervals[t], int.from_bytes(buf, "little")) for t, buf in local.items()]
+        overlap = {}
+        for t in local:
+            lo, hi = intervals[t]
+            overlap[t] = 0
+            for (lo_u, hi_u), mask in masks:
+                if lo < hi_u and lo_u < hi:
+                    overlap[t] |= mask
+        axes.append((ids, overlap))
+    everyone = (1 << g) - 1
+    for pos, idx in enumerate(members):
+        acc = everyone
+        for ids, overlap in axes:
+            acc &= overlap[ids[idx]]
+        extra = acc & ~(1 << pos)
+        if extra:
+            return idx, members[(extra & -extra).bit_length() - 1]
+    return None
 
 
 def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
-    Works one axis at a time.  The cubes are grouped by their interval on
-    the axis (packings built from class grids reuse a handful of interval
-    values), and the distinct intervals are scaled onto integers over the
-    lcm of their denominators: comparisons never cross axes, so one scale
-    per axis is exact.  Each distinct interval is checked once against
-    [0, 1], and the overlaps between distinct intervals are decided once;
-    each cube then gets a big-int mask of the cubes overlapping it on the
-    axis.  ANDing a cube's d masks leaves exactly the cubes that overlap
-    it on every axis, i.e. its open-box intersectors.  The first cube out
-    of the bin and the first offending pair (lowest indices) are reported
-    for debugging.
+    Works one axis at a time: the cubes are grouped by their interval on
+    the axis (constructions place on a lattice, so an axis carries a
+    handful of values), and each distinct interval is checked once
+    against [0, 1].  Lattice-axis lemma: on an axis whose distinct
+    intervals are pairwise disjoint, two cubes overlap iff they share the
+    interval, as an open interval meets itself and no other.  Such an
+    axis adds its interval id as one mixed-radix digit to a per-cube code,
+    so cubes agree on every lattice axis iff their codes are equal.  Open
+    boxes intersect iff they overlap on every axis, so each intersecting
+    pair lies in one code group and is decided there on the loose axes
+    alone.  One sort brings the groups together; when every axis is a
+    lattice axis, as on the grids H_k, the bin is disjoint iff all codes
+    differ.  The first cube out of the bin and the first offending pair
+    (lowest indices) are reported for debugging; the lowest pair is the
+    least of the groups' lowest pairs.
     """
     n = len(b.cubes)
-    outside: list[int] = []  # first member of each interval leaving [0, 1]
-    per_dim_overlap: list[list[int]] = []
-    per_dim_ids: list[list[int]] = []
+    outside: list[int] = []  # lowest cube of each interval leaving [0, 1]
+    codes, radix, loose = [0] * n, 1, []
     for dim in range(b.d):
-        key_to_id: dict[tuple[int, int, int, int], int] = {}
-        ids: list[int] = []
-        groups: list[list[int]] = []
-        for idx, cube in enumerate(b.cubes):
-            # Keyed by the ints of the normalised base and side, which
-            # hash far faster than Fractions and name the same interval.
-            lo, side = cube.base[dim], cube.cls.side
-            key = (lo.numerator, lo.denominator, side.numerator, side.denominator)
-            t = key_to_id.get(key)
-            if t is None:
-                t = key_to_id[key] = len(groups)
-                groups.append([])
-            ids.append(t)
-            groups[t].append(idx)
-        scale = lcm(*(q for key in key_to_id for q in key[1::2]))
-        intervals = []
-        for t, (p, q, sp, sq) in enumerate(key_to_id):
-            lo = p * (scale // q)
-            hi = lo + sp * (scale // sq)
-            intervals.append((lo, hi))
-            if lo < 0 or hi > scale:
-                outside.append(groups[t][0])
-        member = _member_masks(groups, n)
-        overlap = []
-        for lo_i, hi_i in intervals:
-            acc = 0  # picks up the interval's own members too
-            for (lo_j, hi_j), mask in zip(intervals, member):
-                if lo_i < hi_j and lo_j < hi_i:
-                    acc |= mask
-            overlap.append(acc)
-        per_dim_overlap.append(overlap)
-        per_dim_ids.append(ids)
-
+        ids, intervals, firsts, scale = _axis_intervals(b.cubes, dim)
+        outside += [firsts[t] for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale]
+        ordered = sorted(intervals)
+        if all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:])):
+            codes = [code + radix * t for code, t in zip(codes, ids)]
+            radix *= len(intervals)
+        else:
+            loose.append((ids, intervals))
     bad_cube = min(outside, default=None)
-    containment_ok = bad_cube is None
-    for idx in range(n):
-        acc = per_dim_overlap[0][per_dim_ids[0][idx]]
-        for dim in range(1, b.d):
-            acc &= per_dim_overlap[dim][per_dim_ids[dim][idx]]
-            if acc == 0:
-                break
-        extra = acc & ~(1 << idx)
-        if extra:
-            # no lower cube had an intersector, so the partner is above idx
-            partner = (extra & -extra).bit_length() - 1
-            return BinVerification(containment_ok, False, n, bad_cube, (idx, partner))
-    return BinVerification(containment_ok, True, n, bad_cube, None)
+    groups = (list(g) for _, g in groupby(sorted(range(n), key=codes.__getitem__),
+                                          codes.__getitem__))
+    pairs = [_lowest_overlap(members, loose) for members in groups if len(members) > 1]
+    pair = min(filter(None, pairs), default=None)
+    return BinVerification(bad_cube is None, pair is None, n, bad_cube, pair)
 
 
 def occupied_volume(b: Bin) -> Fraction:

@@ -87,12 +87,18 @@ def gap_inequality_holds(k: int, kp: int, epsilon) -> bool:
     return (k - 1) * (1 + epsilon) / k < 1 - (1 + epsilon) / kp
 
 
+def _class_placer(k: int, epsilon, d: int, letters):
+    """Placer of class-k words: each letter picks its base from one table,
+    base_coordinate (and its checks) for each of `letters`, once per class."""
+    cls = CubeClass(k, epsilon, d)
+    epsilon = _check_eps_for_base(k, cls.epsilon)
+    table = {j: base_coordinate(k, j, epsilon) for j in letters}
+    return lambda word: PlacedCube(cls, tuple(map(table.__getitem__, word)))
+
+
 def place_word(word: Word, epsilon) -> PlacedCube:
     """Cube of class word.k whose dimension-i interval is picked by letter i."""
-    epsilon = _check_eps_for_base(word.k, as_rational(epsilon))
-    cls = CubeClass(word.k, epsilon, word.d)
-    base = tuple(base_coordinate(word.k, j, epsilon) for j in word.letters)
-    return PlacedCube(cls, base)
+    return _class_placer(word.k, epsilon, word.d, word.letters)(word.letters)
 
 
 @dataclass
@@ -154,8 +160,8 @@ def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optiona
             if not len(set(words[k])) <= n <= full.grid_size(k, d):
                 raise ValueError(f"class {k} family size {n} is below its distinct "
                                  f"words or above (k-1)^d = {full.grid_size(k, d)}")
-    b = Bin(d, tuple(place_word(Word(letters, k), epsilon)
-                     for k, selected in words.items() for letters in selected))
+    place = {k: _class_placer(k, epsilon, d, set().union(*ws)) for k, ws in words.items()}
+    b = Bin(d, tuple(place[k](letters) for k, ws in words.items() for letters in ws))
     if verify:
         report = verify_bin(b)
         if not report:
@@ -233,10 +239,7 @@ def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
         raise ValueError(f"need 0 < epsilon <= 1/{k - 1}, got {epsilon}")
     cls = CubeClass(k, epsilon, d)
     coords = [i * cls.side for i in range(k - 1)]
-    cubes = tuple(
-        PlacedCube(cls, tuple(coords[i] for i in idx))
-        for idx in itertools.product(range(k - 1), repeat=d)
-    )
+    cubes = tuple(PlacedCube(cls, base) for base in itertools.product(coords, repeat=d))
     b = Bin(d, cubes)
     report = verify_bin(b)
     if not report:

@@ -387,10 +387,12 @@ def _argv(template, src, out):
 
 
 def _hostile_packings(packing_file):
-    """Files that once ended in a traceback, in exit 1 or in a wrong weight:
-    the warm-up d=3 packing (family sizes {2: 1, 3: 4}) made malformed."""
+    """Files that once ended in a traceback, in exit 1 or in a wrong weight,
+    or whose letters or epsilon the class placer must refuse: the warm-up
+    d=3 packing (family sizes {2: 1, 3: 4}) made malformed."""
     doc = read(packing_file)
     sizes = doc["family_sizes"]
+    words = doc["words"]
     return {
         "deep": "[" * 100_000 + "]" * 100_000,
         "family_sizes": json.dumps(dict(doc, family_sizes=[1, 2])),
@@ -411,6 +413,15 @@ def _hostile_packings(packing_file):
         "words_class_twice": json.dumps(
             dict(doc, words=dict(doc["words"], **{"03": doc["words"]["3"]}))
         ),
+        # letters outside [1..3] in place of a class-3 word
+        "letter_above_k": json.dumps(
+            dict(doc, words=dict(words, **{"3": [[4, 1, 1], *words["3"][1:]]}))
+        ),
+        "letter_zero": json.dumps(
+            dict(doc, words=dict(words, **{"3": [[0, 1, 1], *words["3"][1:]]}))
+        ),
+        # class 3 needs epsilon < 1/2 for its base points
+        "epsilon_at_class_bound": json.dumps(dict(doc, epsilon="1/2")),
         # an empty bin in dimension -1: pack verify printed OK
         "d_below_1": json.dumps({"d": -1, "epsilon": "1/9", "words": {}}),
         # no classes: online adversary wrote a 0-item stream, bound 0 bins
@@ -423,7 +434,8 @@ def _hostile_packings(packing_file):
 HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
                     "sizes_negative", "sizes_extra_class", "sizes_below_placed",
                     "sizes_missing_class", "words_class_twice", "d_below_1",
-                    "no_classes", "class_without_words"]
+                    "no_classes", "class_without_words", "letter_above_k",
+                    "letter_zero", "epsilon_at_class_bound"]
 
 
 @pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))

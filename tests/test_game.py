@@ -518,6 +518,31 @@ def test_moves_carry_caches_as_built_from_scratch(cfg, data):
         cfg = moved
 
 
+def test_outside_configs_are_checked_and_moves_coerce_their_bases():
+    big, small = CubeClass(4, 0, 1), CubeClass(8, 0, 1)
+    items = (GameItem(0, big), GameItem(1, small))
+    bad = [
+        ((GameItem(0, big), GameItem(0, small)), {0: 0}, {0: (F(0),)}),
+        ((GameItem(0, CubeClass(4, 0, 2)),), {0: 0}, {0: (F(0), F(0))}),
+        (items, {0: 0}, {0: (F(0),), 1: (F(1, 4),)}),
+        (items, {0: 0, 1: 0}, {0: (F(0),)}),
+    ]
+    for its, assignment, positions in bad:
+        with pytest.raises(ValueError):
+            GameConfig(1, its, assignment, positions)
+    with pytest.raises(TypeError):
+        GameConfig(1, items, {0: 0, 1: 0}, {0: (0.0,), 1: (F(1, 4),)})
+    cfg = two_items_config()
+    moved = cfg.with_moves({1: (1, ("0",))})
+    assert moved.positions[1] == (F(0),) and type(moved.positions[1][0]) is F
+    assert moved.positions[0] is cfg.positions[0]
+    assert moved == GameConfig(1, cfg.items, {0: 0, 1: 1}, {0: (F(0),), 1: (F(0),)})
+    with pytest.raises(TypeError):
+        cfg.with_moves({1: (1, (0.5,))})
+    with pytest.raises(ValueError):
+        cfg.with_moves({7: (1, (F(0),))})
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         improving_moves(two_items_config(), "teleport")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from cubepack.geometry import (
     occupied_volume,
     verify_bin,
 )
+from cubepack.packing import build_homogeneous
 
 
 def test_as_rational_accepts_int_str_fraction():
@@ -245,6 +247,63 @@ def test_verify_bin_matches_per_cube_and_pairwise_oracles(b):
     assert report.containment_ok == (not outside)
     assert report.offending_pair == (overlapping[0] if overlapping else None)
     assert report.disjoint_ok == (not overlapping)
+
+
+@st.composite
+def faulted_grids(draw):
+    """Class grids on their lattice, some cubes dropped, faults added.
+
+    d in 1..3 and one class k in 2..5, sometimes a second, filling the
+    grid i * side, i in 0..k-2.  Then up to three faults go in at random
+    places: a copy of a cube, a cube shifted one lattice step along one
+    axis, one shifted off the lattice by a part of a step, or one pushed
+    out of the bin.  Faults on a single axis leave the other axes
+    lattice-aligned, so verify_bin sees both kinds of axis together."""
+    d = draw(st.integers(1, 3))
+    cubes = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, 5))
+        cls = CubeClass(k, draw(st.sampled_from([F(1, k - 1), F(1, 2 * k), F(1, 7)])), d)
+        grid = [PlacedCube(cls, tuple(i * cls.side for i in idx))
+                for idx in itertools.product(range(k - 1), repeat=d)]
+        drop = draw(st.sets(st.integers(0, len(grid) - 1), max_size=len(grid) - 1))
+        cubes += [c for i, c in enumerate(grid) if i not in drop]
+    for _ in range(draw(st.integers(0, 3))):
+        cube = cubes[draw(st.integers(0, len(cubes) - 1))]
+        kind = draw(st.sampled_from(["copy", "step", "off", "out"]))
+        dim = draw(st.integers(0, d - 1))
+        side = cube.cls.side
+        shift = {"copy": F(0), "step": draw(st.sampled_from([side, -side])),
+                 "off": side * F(draw(st.integers(1, 3)), 4),
+                 "out": 1 - side + F(1, 5) - cube.base[dim]}[kind]
+        base = list(cube.base)
+        base[dim] += shift
+        cubes.insert(draw(st.integers(0, len(cubes))), PlacedCube(cube.cls, tuple(base)))
+    return Bin(d, tuple(cubes))
+
+
+@given(faulted_grids())
+def test_verify_bin_grouping_matches_the_oracles(b):
+    # lattice axes put cubes in code groups; the report must not change
+    test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(b)
+
+
+def test_verify_bin_traced_peak_stays_below_the_bin():
+    # verify_bin keeps O(n d) per-cube codes and ids; a structure per cube
+    # pair, or a tuple per cube and axis, would outgrow the bin itself
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes
+        size = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        report = verify_bin(grid.bin)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert report and report.cube_count == 15_625
+    assert peak < size, (peak, size)
 
 
 def test_occupied_volume_grid_and_empty():

@@ -19,6 +19,7 @@ ALLOWED = {
     "potential": "test oracle: the Fraction potential dynamics checks in integers",
     "is_bad_word": "test oracle: the definition the core counts are checked against",
     "end_coordinate": "test oracle: the interval end place_word computes inline",
+    "place_word": "one word through the class placer that every packing uses",
 }
 
 

@@ -6,8 +6,17 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cubepack.geometry import Bin, occupied_volume, verify_bin
+from cubepack.geometry import (
+    Bin,
+    CubeClass,
+    PlacedCube,
+    format_rational,
+    occupied_volume,
+    verify_bin,
+)
 from cubepack.languages import Word, build_separated_family, warmup_family
 from cubepack.packing import (
     base_coordinate,
@@ -16,6 +25,7 @@ from cubepack.packing import (
     dense_packing_report,
     end_coordinate,
     gap_inequality_holds,
+    packing_from_dict,
     place_word,
     power_of_two_packing_report,
     power_of_two_s_prime,
@@ -80,6 +90,29 @@ def test_place_word_matches_interval_structure():
     for i, j in enumerate(w.letters):
         extent = (cube.base[i], cube.base[i] + cube.cls.side)
         assert extent == (base_coordinate(4, j, eps), end_coordinate(4, j, eps))
+
+
+@given(st.data())
+def test_class_tables_place_like_base_coordinate(data):
+    # every word of a class picks its bases from one table per class;
+    # each cube must be the one base_coordinate gives letter by letter
+    d = data.draw(st.integers(1, 4))
+    classes = data.draw(st.sets(st.integers(2, 8), min_size=1, max_size=3))
+    bound = F(1, max(classes) - 1)
+    eps = data.draw(st.fractions(0, bound, max_denominator=60).filter(lambda e: 0 < e < bound))
+    words = {
+        k: data.draw(st.lists(st.tuples(*[st.integers(1, k)] * d), min_size=1, max_size=5))
+        for k in sorted(classes)
+    }
+    doc = {"d": d, "epsilon": format_rational(eps),
+           "words": {str(k): [list(w) for w in ws] for k, ws in words.items()}}
+    placed = packing_from_dict(doc, verify=False).bin.cubes
+    expected = [
+        PlacedCube(CubeClass(k, eps, d), tuple(base_coordinate(k, j, eps) for j in w))
+        for k, ws in words.items() for w in ws
+    ]
+    assert list(placed) == expected
+    assert [place_word(Word(w, k), eps) for k, ws in words.items() for w in ws] == expected
 
 
 def test_build_homogeneous_counts_and_boundary():
