@@ -407,7 +407,7 @@ def _anarchy_doc(inst, kind: str) -> dict:
         "scaled": inst.scaled,
         "optimum_bins": inst.copies,
         "equilibrium_bins": int(inst.ratio * inst.copies),
-        "items": len(inst.p.items),
+        "items": inst.copies * len(inst.source_bin.cubes),
         "ratio": format_rational(inst.ratio),
         "equilibrium_certified": inst.nash is not None and bool(inst.nash),
     }

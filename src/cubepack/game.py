@@ -4,30 +4,34 @@ Each cube is a player whose cost is its volume divided by the occupied
 volume of its bin; the social cost is the number of used bins.  A config
 answers every per-bin question (occupancy, members, class census,
 content, cost) from one bin model: integer volumes over one common
-denominator, with each bin's content built the first time it is asked
-for.  A moved config inherits its parent's model and recomputes only the
-bins the move touched.  Because insertion cost depends only on volumes,
-never on positions, every move and coalition search runs an exact
-prefilter on those integers before touching geometry, and a coalition's
-costs after its move are read off them without building the moved
-config.  Every geometric question goes through one memoized joint
-placement search, keyed by what decides its answer: the content of the
-residents kept (the multiset of their (class, base) pairs) and the
-incoming classes in one fixed order.  An insertion keeps the whole target
-bin, a repack re-layout keeps nothing, and a coalition target keeps what
-its members leave behind.  Bins of equal content share every entry, and
-best-response dynamics keeps one memo for its whole run.  Bin
-permutations that preserve content preserve every cost and layout, so
-the coalition search checks one coalition per orbit of them.
+denominator, and each bin's content in integers, built the first time it
+is asked for.  A moved config inherits its parent's model and recomputes
+only the bins the move touched.  Because insertion cost depends only on
+volumes, never on positions, every move and coalition search runs an
+exact prefilter on those integers before touching geometry.  Every
+geometric question goes through one memoized integer placement search,
+keyed by the content of the residents kept and the incoming classes in
+one fixed order: an insertion keeps the whole target bin, a repack
+re-layout nothing, and a coalition target what its members leave behind.
+Bases become Fractions only in the moves reported or applied.
+
+The checks read types, not items.  A move's gain depends on
+(occ(source), class, occ(target)) and its room on (target content,
+class), so the move screen runs per type (proof at _move_candidates).
+Bin permutations that preserve content preserve every cost and layout,
+so the coalition search enumerates one coalition per orbit of them,
+directly and in the order of each orbit's least member, and runs its
+branch and bound once per type pattern, searching only the orbits of
+patterns that can gain (proofs at is_strong_nash and _Orbits.levels).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from typing import (
     Collection,
@@ -47,9 +51,9 @@ from .geometry import (
     CubeClass,
     PlacedCube,
     SearchBudgetError,
+    _joint_corners,
     as_rational,
     expect_type,
-    find_joint_positions,
     format_rational,
     verify_bin,
 )
@@ -115,20 +119,42 @@ class _VolumeModel:
     cid: Dict[int, int]  # item id -> class index, in item order
     classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
+    unit: int  # lcm of the class side denominators
     positions: Mapping[int, Tuple[Fraction, ...]]  # item id -> base
     iocc: Dict[int, int]  # bin -> occupied volume * scale
     members: Dict[int, List[int]]  # bin -> item ids, in item order
     census: Dict[int, List[int]]  # bin -> resident count per class index
     contents: Dict[int, tuple]  # bin -> content, for the bins asked so far
 
-    def content(self, bin_id: int) -> Tuple[Tuple[int, Tuple[Fraction, ...]], ...]:
-        """The bin's content: the sorted (class index, base) pairs of its
-        cubes.  A sorted tuple, not a set, so coincident cubes stay two."""
+    def cube(self, item_id: int, unit: int) -> Tuple[int, Tuple[int, ...]]:
+        """The item's (class index, base), its base in ints over `unit`."""
+        return self.cid[item_id], tuple(
+            [x.numerator * (unit // x.denominator) for x in self.positions[item_id]]
+        )
+
+    def content(self, bin_id: int) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+        """The bin's content: its unit (the lcm of `unit` and its bases'
+        denominators, so it depends on the cubes alone) and the sorted
+        (class index, base) pairs of its cubes, bases in ints over it.  A
+        sorted tuple, not a set, so coincident cubes stay two."""
         if bin_id not in self.contents:
-            self.contents[bin_id] = tuple(
-                sorted((self.cid[i], self.positions[i]) for i in self.members[bin_id])
-            )
+            ids = self.members[bin_id]
+            cubes = [(self.cid[i], self.positions[i]) for i in ids]
+            # copies of one bin share a content: comparing their bases (mostly
+            # shared Fraction objects) is far cheaper than rescaling them
+            peers = self._built.setdefault((self.iocc[bin_id], len(ids)), [])
+            content = next((c for other, c in peers if other == cubes), None)
+            if content is None:
+                unit = lcm(self.unit, *{x.denominator for _, base in cubes for x in base})
+                content = unit, tuple(sorted(self.cube(i, unit) for i in ids))
+                peers.append((cubes, content))
+            self.contents[bin_id] = content
         return self.contents[bin_id]
+
+    @cached_property
+    def _built(self) -> Dict[Tuple[int, int], list]:
+        """(occupancy, cube count) -> (cubes, content) of each content built."""
+        return {}
 
     def regrouped(
         self,
@@ -140,7 +166,8 @@ class _VolumeModel:
         from this model's only in the items that sit in the bins `touched`.
         The per-item data is shared, and only the touched bins are
         recomputed; their contents are dropped, and a touched bin left empty
-        drops out."""
+        drops out.  Each content has its own unit, so no moved base can
+        fall off the grid of a content kept."""
         fresh: Dict[int, List[int]] = {b: [] for b in touched}
         for i in self.cid:
             ids = fresh.get(assignment[i])
@@ -159,8 +186,8 @@ class _VolumeModel:
             iocc[b] = sum(self.ivol[i] for i in ids)
             members[b], census[b] = ids, count
         return _VolumeModel(
-            self.scale, self.ivol, self.cid, self.classes, self.capacity, positions,
-            iocc, members, census, contents,
+            self.scale, self.ivol, self.cid, self.classes, self.capacity, self.unit,
+            positions, iocc, members, census, contents,
         )
 
 
@@ -191,13 +218,6 @@ class GameConfig:
         object.__setattr__(self, "positions", pos)
 
     @cached_property
-    def _by_id(self) -> Dict[int, GameItem]:
-        return {it.item_id: it for it in self.items}
-
-    def item(self, item_id: int) -> GameItem:
-        return self._by_id[item_id]
-
-    @cached_property
     def bins_map(self) -> Dict[int, Bin]:
         m = self._volumes
         return {
@@ -218,7 +238,10 @@ class GameConfig:
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in order]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
         ivol = {i: vols[c] for i, c in cid.items()}
-        empty = _VolumeModel(scale, ivol, cid, order, caps, self.positions, {}, {}, {}, {})
+        unit = lcm(*(c.side.denominator for c in order))
+        empty = _VolumeModel(
+            scale, ivol, cid, order, caps, unit, self.positions, {}, {}, {}, {}
+        )
         touched = set(self.assignment.values())
         return empty.regrouped(self.assignment, self.positions, touched)
 
@@ -251,9 +274,9 @@ class GameConfig:
     ) -> "GameConfig":
         """New config with the given items reassigned to (bin, base).
 
-        The new config inherits this one's item lookup and bin model: only
-        the bins a moved item leaves or enters are recomputed.  The rest was
-        checked when this config was built: only the moved bases are coerced.
+        The new config inherits this one's bin model: only the bins a moved
+        item leaves or enters are recomputed.  The rest was checked when this
+        config was built: only the moved bases are coerced.
         """
         assignment = dict(self.assignment)
         positions = dict(self.positions)
@@ -266,7 +289,6 @@ class GameConfig:
         touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
         new.__dict__.update(
             d=self.d, items=self.items, assignment=assignment, positions=positions,
-            _by_id=self._by_id,
             _volumes=self._volumes.regrouped(assignment, positions, touched),
         )
         return new
@@ -375,16 +397,7 @@ def improving_moves(
     Both tests run on the config's integer volumes.  Fresh bins are never
     targets; a lone item's cost of 1 cannot improve.
     """
-    return _improving_moves(config, mode, {})
-
-
-def _improving_moves(
-    config: GameConfig, mode: str, memo: _Memo
-) -> Tuple[MoveProposal, ...]:
-    """improving_moves with the caller's placement memo; its keys name no
-    bin or item, so one memo serves every config over the same items."""
-    _check_mode(mode)
-    return tuple(_proposal(config, mode, c) for c in _move_candidates(config, mode, memo))
+    return is_nash(config, mode).moves
 
 
 def _check_mode(mode: str) -> None:
@@ -395,63 +408,93 @@ def _check_mode(mode: str) -> None:
 class _Candidate(NamedTuple):
     """A feasible improving move before its costs and bases are built."""
 
-    item: GameItem
+    item: int  # the mover's id
     source: int
     target: int
     joined: int  # occupied volume of the target after the move, times scale
-    layout: tuple  # _place's answer: (class, base) per mover
-    movers: Sequence[GameItem]  # the item, after the residents on a repack
+    unit: int  # the layout's bases are ints over this
+    layout: tuple  # _place's answer: (class index, base) per mover
+    movers: Sequence[int]  # the item, after the residents on a repack
 
 
 def _move_candidates(config: GameConfig, mode: str, memo: _Memo) -> Iterator[_Candidate]:
     """The moves of improving_moves, lazily and in its order: item id, then
     target bin.  Each passes the gain and volume screens and then the
-    memoized placement search; turn one into a MoveProposal by _proposal."""
+    memoized placement search; turn one into a MoveProposal by _proposal.
+
+    Every test on (item i, target t) reads i only through its type,
+    (occ(source), class): the gain test, the repack cap, the volume test
+    and the placement, which reads the content of t.  So the gain test
+    runs once per type and target, and a target whose volume test or
+    placement fails is dropped from the type for good.  A type keeps its
+    probing item's own source unprobed, for its items in other bins.  Each
+    item still walks its type's targets in order, skipping its source, so
+    the candidates, their order, the searches and the point at which a
+    repack cap raises are those of the walk over every (item, target)
+    pair.  A search runs once per (target content, incoming classes).
+    """
     m = config._volumes
     targets = sorted(m.iocc)
+    # type -> [target, joined volume, unit, layout once probed and fitting]
+    screens: Dict[Tuple[int, int], list] = {}
     # a content is a long tuple: hash it once per target bin, not per probe
     tables: Dict[int, Dict[tuple, Optional[tuple]]] = {}
-    for it in sorted(config.items, key=lambda x: x.item_id):
-        src, v = config.assignment[it.item_id], m.ivol[it.item_id]
-        for target in targets:
-            joined = m.iocc[target] + v
-            if target == src or not joined > m.iocc[src]:
+    empty = (m.unit, ())
+    for i in sorted(m.cid):
+        src, c = config.assignment[i], m.cid[i]
+        kind = (m.iocc[src], c)
+        if kind not in screens:
+            v = m.ivol[i]
+            screens[kind] = [
+                (t, m.iocc[t] + v, None, None) for t in targets if m.iocc[t] + v > kind[0]
+            ]
+        alive = []
+        for entry in screens[kind]:
+            t, joined, unit, layout = entry
+            if t == src:
+                alive.append(entry)
                 continue
-            residents = m.members[target]
-            if mode == "repack" and len(residents) + 1 > REPACK_ITEM_CAP:
-                raise RepackSearchError(
-                    f"bin {target} holds {len(residents)} items, repack cap "
-                    f"is {REPACK_ITEM_CAP - 1} plus the mover"
-                )
-            if joined > m.scale:
-                continue
-            if mode == "insertion":
-                kept, movers, cap = m.content(target), [it], None
-                if target not in tables:
-                    tables[target] = memo.setdefault(kept, {})
-                table = tables[target]
-            else:
-                # re-lay the whole bin: an empty bin takes residents plus mover
-                movers = [config.item(i) for i in residents] + [it]
-                kept, cap = (), REPACK_NODE_CAP
-                table = memo.setdefault(kept, {})
-            try:
-                layout = _place(config, table, kept, movers, cap)
-            except SearchBudgetError as exc:
-                raise RepackSearchError(f"re-layout of bin {target}: {exc}") from exc
-            if layout is not None:
-                yield _Candidate(it, src, target, joined, layout, movers)
+            residents = m.members[t]
+            if layout is None:
+                if mode == "repack" and len(residents) + 1 > REPACK_ITEM_CAP:
+                    raise RepackSearchError(
+                        f"bin {t} holds {len(residents)} items, repack cap "
+                        f"is {REPACK_ITEM_CAP - 1} plus the mover"
+                    )
+                if joined > m.scale:
+                    continue
+                if mode == "insertion":
+                    if t not in tables:
+                        tables[t] = memo.setdefault(m.content(t), {})
+                    kept, key, cap, table = m.content(t), (c,), None, tables[t]
+                else:
+                    # re-lay the whole bin: an empty bin takes residents plus mover
+                    kept, cap, table = empty, REPACK_NODE_CAP, memo.setdefault(empty, {})
+                    key = tuple(sorted([m.cid[r] for r in residents] + [c]))
+                if key not in table:
+                    try:
+                        table[key] = _place(config, kept, key, cap)
+                    except SearchBudgetError as exc:
+                        raise RepackSearchError(f"re-layout of bin {t}: {exc}") from exc
+                unit, layout = kept[0], table[key]
+                if layout is None:
+                    continue
+                entry = (t, joined, unit, layout)
+            alive.append(entry)
+            movers = [i] if mode == "insertion" else residents + [i]
+            yield _Candidate(i, src, t, joined, unit, layout, movers)
+        screens[kind] = alive
 
 
 def _gain(m: _VolumeModel, c: _Candidate) -> Fraction:
     """cost_before - cost_after of the candidate's proposal."""
     before = m.iocc[c.source]
-    return Fraction(m.ivol[c.item.item_id] * (c.joined - before), before * c.joined)
+    return Fraction(m.ivol[c.item] * (c.joined - before), before * c.joined)
 
 
 def _proposal(config: GameConfig, mode: str, c: _Candidate) -> MoveProposal:
-    m, i = config._volumes, c.item.item_id
-    assigned = _distribute(c.layout, c.movers)
+    m, i = config._volumes, c.item
+    assigned = _distribute(m, c.unit, c.layout, c.movers)
     relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
     costs = (Fraction(m.ivol[i], m.iocc[c.source]), Fraction(m.ivol[i], c.joined))
     return MoveProposal(i, c.source, c.target, mode, *costs, assigned[i], relayout)
@@ -459,35 +502,28 @@ def _proposal(config: GameConfig, mode: str, c: _Candidate) -> MoveProposal:
 
 def _place(
     config: GameConfig,
-    table: Dict[tuple, Optional[tuple]],
-    kept: Tuple[Tuple[int, Tuple[Fraction, ...]], ...],
-    incoming: Sequence[GameItem],
+    kept: Tuple[int, tuple],
+    key: Tuple[int, ...],
     node_cap: Optional[int] = None,
-) -> Optional[Tuple[Tuple[CubeClass, Tuple[Fraction, ...]], ...]]:
-    """(class, base) per incoming item, placed jointly among the resident
-    cubes `kept` (a content: sorted (class index, base) pairs, () for an
-    empty bin); None if they do not fit.
+) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
+    """(class index, base) per incoming class of `key` (sorted class
+    indices), placed jointly among the residents `kept` (a content; no
+    pairs for an empty bin), bases in ints over its unit; None if they do
+    not fit.  Callers keep the answer in the memo, memo[kept][key], and
+    hand bases to items, as Fractions, through _distribute.
 
-    The placement memo maps a content to its `table`, memo[kept], which
-    maps the sorted incoming class indices to the answer.
-    find_joint_positions is exact and complete, and its answer depends only
-    on the residents and on the incoming sides in the order given.  Class
-    indices follow (-side, k), so the sorted indices search the incoming
-    classes in that one fixed order, and an entry depends on its key alone,
-    whichever bin and items first asked for it.  Residents are built only
-    on a miss.  Callers hand bases to items through _distribute.
+    geometry's integer core is exact and complete, and its answer depends
+    only on the residents and the incoming sides in the order given; a
+    sorted key searches the classes in the one order (-side, k), so a memo
+    entry depends on its key alone.  The residents' boxes are read off the
+    content.
     """
     m = config._volumes
-    key = tuple(sorted(m.cid[it.item_id] for it in incoming))
-    if key not in table:
-        residents = [PlacedCube(m.classes[c], base) for c, base in kept]
-        bases = find_joint_positions(
-            residents, [m.classes[c].side for c in key], config.d, node_cap=node_cap
-        )
-        table[key] = None if bases is None else tuple(
-            zip((m.classes[c] for c in key), bases)
-        )
-    return table[key]
+    unit, pairs = kept
+    sides = [c.side.numerator * (unit // c.side.denominator) for c in m.classes]
+    boxes = [(base, tuple([v + sides[c] for v in base])) for c, base in pairs]
+    found = _joint_corners(boxes, unit, [sides[c] for c in key], config.d, node_cap)
+    return None if found is None else tuple(zip(key, found))
 
 
 def _searches(memo: _Memo) -> int:
@@ -496,17 +532,19 @@ def _searches(memo: _Memo) -> int:
 
 
 def _distribute(
-    layout: Iterable[Tuple[CubeClass, Tuple[Fraction, ...]]],
-    items: Sequence[GameItem],
+    m: _VolumeModel,
+    unit: int,
+    layout: Iterable[Tuple[int, Tuple[int, ...]]],
+    items: Iterable[int],
 ) -> Dict[int, Tuple[Fraction, ...]]:
-    """Hand the found bases back to concrete items, matching by cube class."""
-    pool: Dict[CubeClass, List[Tuple[Fraction, ...]]] = {}
-    for cls, base in layout:
-        pool.setdefault(cls, []).append(base)
-    assigned: Dict[int, Tuple[Fraction, ...]] = {}
-    for it in sorted(items, key=lambda x: (-x.side, x.item_id)):
-        assigned[it.item_id] = pool[it.cls].pop()
-    return assigned
+    """Hand the found bases, ints over `unit`, back to concrete items as
+    Fractions, matching by class index."""
+    pool: Dict[int, List[Tuple[int, ...]]] = {}
+    for c, base in layout:
+        pool.setdefault(c, []).append(base)
+    return {
+        i: tuple(Fraction(v, unit) for v in pool[m.cid[i]].pop()) for i in sorted(items)
+    }
 
 
 def apply_move(config: GameConfig, move: MoveProposal) -> GameConfig:
@@ -531,9 +569,11 @@ class NashResult:
 
 
 def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
-    """True iff no single item has a strictly improving migration."""
+    """True iff no single item has a strictly improving migration; the
+    moves are those of improving_moves."""
+    _check_mode(mode)
     memo: _Memo = {}
-    moves = _improving_moves(config, mode, memo)
+    moves = tuple(_proposal(config, mode, c) for c in _move_candidates(config, mode, memo))
     return NashResult(not moves, mode, moves, _searches(memo))
 
 
@@ -609,7 +649,7 @@ def best_response_dynamics(
                 chosen = rng.choice(pool)
             else:
                 m = current._volumes
-                chosen = max(pool, key=lambda c: (_gain(m, c), -c.item.item_id))
+                chosen = max(pool, key=lambda c: (_gain(m, c), -c.item))
         if chosen is None:
             current.validate()
             cert = NashResult(True, mode, (), _searches(memo) - searched)
@@ -678,65 +718,50 @@ def apply_coalition(config: GameConfig, proposal: CoalitionProposal) -> GameConf
 def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashResult:
     """Exhaustive coalition search up to the size cap, smallest first.
 
-    Coalitions in which some member keeps its bin reduce to the sub-coalition
-    of actual movers (the outcome configuration is identical and movers are
-    members too), so only all-mover coalitions are enumerated; members may
-    not swap positions inside their current bins.
-
-    Costs depend on the assignment alone: member i gains iff its target t_i
-    ends up fuller than its source src_i is now.  Targets are assigned member
-    by member, depth first, as a branch and bound on the config's integer
-    volumes.  After a member is assigned, the subtree is cut when some
+    A member that keeps its bin can leave the coalition (the outcome is the
+    same), so only all-mover coalitions are enumerated; members may not
+    swap positions inside their bins.  Member i gains iff its target t_i
+    ends fuller than its source src_i is now, so targets are assigned member
+    by member as a branch and bound on integer volumes, cut once an
     assigned member i cannot gain even if every unassigned member joins t_i:
 
         occ(t_i) - out(t_i) + in(t_i) + rest <= occ(src_i),
 
-    where out(t) is the volume the coalition takes out of t, in(t) the volume
-    assigned into t so far and rest the volume still unassigned.  The final
-    in(t_i) is at most in(t_i) + rest, so no complete assignment below a cut
-    lets every member gain: the cut is exact.  At the last member rest is 0
-    and the rule is the full gain test, so every complete assignment reached
-    (counted in assignments_checked, bounded by COALITION_ASSIGNMENT_CAP)
-    lets every member gain.  Only those reach the memoized joint insertion
-    search, which is exact with residents kept in place; geometry_checks
-    counts its distinct (residents kept, incoming classes) keys, one search
-    each.  Fresh bins are interchangeable, so fresh slot j is used only once
-    the slots below j are.  A target bin cannot take a member whose class
-    would then exceed its per-bin capacity there.
+    with out(t) the volume the coalition takes out of t, in(t) the volume
+    assigned into t so far and rest the volume unassigned.  The final in(t_i)
+    is at most in(t_i) + rest, so the cut is exact, and at the last member it
+    is the full gain test: every complete assignment reached (counted in
+    assignments_checked, bounded by COALITION_ASSIGNMENT_CAP) lets every
+    member gain, and only those reach the memoized joint insertion search
+    (geometry_checks counts its keys, one search each).  Fresh slot j is
+    used only once the slots below j are, and a target cannot take a member
+    whose class would exceed its per-bin capacity there.
 
-    Bins of equal content (the same multiset of (class, base) pairs) are
-    interchangeable too.  Each item is labelled (content id of its bin, slot
-    of its cube in that content's sorted pairs); coincident cubes take
-    distinct slots.  Let pi permute the used bins, each onto a bin of the
-    same content, carrying each item to the item of the same slot there.
-    Pi maps the config onto itself, so it keeps every occupancy, cost and
-    resident layout, and it maps a gaining deviation of coalition C (fresh
-    bins staying fresh) onto a gaining deviation of pi(C), and back under
-    pi's inverse.  Give C the key: the sorted tuple, over the source bins C
-    touches, of (content id, sorted member slots).  Two coalitions with one
-    key are related by such a pi: pair the touched bins of equal entries,
-    then the other bins of each content in any order.  So only the first
-    coalition with each key is searched.
-    The search stops at the first gaining coalition in enumeration order.
-    Every coalition before it, searched or skipped, admits no gaining
-    deviation, so the first gaining coalition is the first of its orbit and
-    is reported exactly as the search without the skip reports it.
+    Source screen: with V the sum of the cap's largest item volumes, t_i
+    ends at most at occ(t_i) + V if used and at V if fresh, so item i is
+    dropped unless max(occ(t) over used t != src_i, or 0) + V > occ(src_i).
 
-    Before any enumeration, every item that can gain in no coalition within
-    the cap is dropped.  Let V be the sum of the max_coalition_size largest
-    item volumes.  Member i's target t_i != src_i ends at
-    occ(t_i) - out(t_i) + in(t_i) <= occ(t_i) + V if t_i is used, and at
-    in(t_i) <= V if it is fresh.  So i gains in no coalition unless
+    Orbits.  Let pi permute the used bins, each onto a bin of equal content,
+    carrying each item to the item of the same slot there.  Pi maps the
+    config onto itself, so C admits a gaining deviation iff pi(C) does.
+    Coalitions of one key (_Orbits.signature) are related by such a pi
+    (pair the touched bins of equal entries, then the other bins of each
+    content), so only one per key is searched: its least sorted tuple of
+    item ids.  _Orbits.levels visits these size by size, in item order, so
+    the first gaining one is the first gaining coalition of the plain walk
+    over every combination of items.
 
-        max(occ(t) over used t != src_i, or 0 if there is none) + V > occ(src_i),
-
-    and a coalition holding an item that fails this admits no gaining
-    deviation.  Coalitions are enumerated over the passing items alone, in
-    the same order, so the verdict and the first gaining coalition are
-    those of the full enumeration.  The test reads only occupancies and
-    item volumes, which every pi above keeps, so an orbit passes whole or
-    not at all, and the orbit skip is unchanged.  coalitions_checked counts
-    the orbits searched, over the passing items.
+    Types.  The branch and bound reads a coalition only through its type
+    pattern (per touched bin, its content and member classes): coalitions of
+    one pattern are related by a pi up to which items of a class they take
+    in a bin, so they reach equally many complete gaining assignments.  The
+    patterns are the keys of the items labelled by class, so the same walk
+    gives one coalition per pattern, and the branch and bound runs once on
+    it.  Representatives are built only along the sub-patterns of the
+    patterns that reach an assignment (each prefix of a representative has
+    one), and only those of such patterns are searched (counted in
+    coalitions_checked).  The rest reach no assignment and no search, so
+    the verdict and the first violation are unchanged.
     """
     if max_coalition_size < 1:
         raise ValueError("coalition size cap must be >= 1")
@@ -751,154 +776,195 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
         b for b in existing
         if max((m.iocc[t] for t in fullest if t != b), default=0) + reach > m.iocc[b]
     ]
-    items = sorted(
-        (config.item(i) for b in sources for i in m.members[b]), key=lambda x: x.item_id
-    )
-    content_id: Dict[tuple, int] = {}
-    label: Dict[int, Tuple[int, int]] = {}
-    for b in sources:
-        content = m.content(b)
-        c = content_id.setdefault(content, len(content_id))
-        slots: Dict[tuple, List[int]] = {}
-        for slot, cube in enumerate(content):
-            slots.setdefault(cube, []).append(slot)
-        for i in m.members[b]:
-            label[i] = (c, slots[(m.cid[i], m.positions[i])].pop())
-    seen: set = set()
+    types = _Orbits(m, sources, by_class=True)
+    live = {
+        pattern: coalition
+        for level in types.levels(max_coalition_size)
+        for coalition, pattern in level
+        if next(_gaining_assignments(m, src, existing, coalition), None)
+    }
+    # the sub-patterns of a pattern are those of its coalition's parts
+    allowed = {
+        types.signature(part)[0]
+        for coalition in live.values()
+        for size in range(1, len(coalition) + 1)
+        for part in combinations(coalition, size)
+    }
     memo: _Memo = {}
     coalitions_checked = 0
     assignments_checked = 0
-    violation: Optional[CoalitionProposal] = None
-    for coalition in chain.from_iterable(
-        combinations(items, size) for size in range(1, max_coalition_size + 1)
-    ):
-        member_ids = [it.item_id for it in coalition]
-        touched: Dict[int, List[Tuple[int, int]]] = {}
-        for i in member_ids:
-            touched.setdefault(src[i], []).append(label[i])
-        orbit = tuple(sorted(tuple(sorted(labels)) for labels in touched.values()))
-        if orbit in seen:
-            continue
-        seen.add(orbit)
-        coalitions_checked += 1
-        out_vol: Dict[int, int] = {}
-        removed_count: Dict[int, Dict[int, int]] = {}
-        for i in member_ids:
-            b, c = src[i], m.cid[i]
-            out_vol[b] = out_vol.get(b, 0) + m.ivol[i]
-            here = removed_count.setdefault(b, {})
-            here[c] = here.get(c, 0) + 1
-        total_in = sum(m.ivol[i] for i in member_ids)
-        # optimistic per-member target lists; exact check comes later
-        cands: List[List[object]] = []
-        for i in member_ids:
-            c, need = m.cid[i], m.iocc[src[i]]
-            opts: List[object] = []
-            for t in existing:
-                if t == src[i]:
-                    continue
-                kept = m.census[t][c] - removed_count.get(t, {}).get(c, 0)
-                if kept + 1 > m.capacity[c]:
-                    continue
-                # every member could join the same bin
-                if m.iocc[t] - out_vol.get(t, 0) + total_in > need:
-                    opts.append(t)
-            if total_in > need:
-                opts.extend(("new", slot) for slot in range(len(coalition)))
-            if not opts:
-                cands = []
-                break
-            cands.append(opts)
-        if not cands:
-            continue
-        room = {t: m.iocc[t] - out_vol.get(t, 0) for t in existing}
-        for targets in _gaining_assignments(
-            cands,
-            [m.ivol[i] for i in member_ids],
-            [m.iocc[src[i]] for i in member_ids],
-            room,
-        ):
-            assignments_checked += 1
-            if assignments_checked > COALITION_ASSIGNMENT_CAP:
-                raise CoalitionSearchError(
-                    f"coalition search exceeded {COALITION_ASSIGNMENT_CAP} assignments"
-                )
-            violation = _coalition_move(config, memo, coalition, targets, room, fresh_base)
-            if violation is not None:
-                break
-        if violation is not None:
-            break
+    for level in _Orbits(m, sources).levels(max_coalition_size, allowed):
+        for coalition, pattern in level:
+            if pattern not in live:
+                continue
+            coalitions_checked += 1
+            for targets in _gaining_assignments(m, src, existing, coalition):
+                assignments_checked += 1
+                if assignments_checked > COALITION_ASSIGNMENT_CAP:
+                    raise CoalitionSearchError(
+                        f"coalition search exceeded {COALITION_ASSIGNMENT_CAP} assignments"
+                    )
+                violation = _coalition_move(config, memo, coalition, targets, fresh_base)
+                if violation is not None:
+                    return StrongNashResult(
+                        False, max_coalition_size, violation, coalitions_checked,
+                        assignments_checked, _searches(memo),
+                    )
     return StrongNashResult(
-        violation is None,
-        max_coalition_size,
-        violation,
-        coalitions_checked,
-        assignments_checked,
+        True, max_coalition_size, None, coalitions_checked, assignments_checked,
         _searches(memo),
     )
+
+
+class _Orbits:
+    """The items of the given source bins, each labelled (bin, content id of
+    the bin, slot): its place among the bin's cubes sorted by (class, base),
+    coincident cubes in item order, or with `by_class` its class index."""
+
+    def __init__(self, m: _VolumeModel, sources: Iterable[int], by_class: bool = False):
+        self.m = m
+        ids: Dict[tuple, int] = {}
+        self.label: Dict[int, Tuple[int, int, int]] = {}
+        for b in sources:
+            content = m.content(b)
+            k = ids.setdefault(content, len(ids))
+            slots = sorted(m.members[b], key=lambda i: m.cube(i, content[0]))
+            for slot, i in enumerate(slots):
+                self.label[i] = (b, k, m.cid[i] if by_class else slot)
+        self.items = sorted(self.label)
+
+    def signature(self, coalition: Iterable[int]) -> Tuple[tuple, tuple]:
+        """The coalition's type pattern and key: sorted over the bins it
+        touches, (content id, sorted member classes) and (content id,
+        sorted member labels)."""
+        touched: Dict[int, List[int]] = {}
+        for i in coalition:
+            touched.setdefault(self.label[i][0], []).append(i)
+        pattern, key = [], []
+        for ids in touched.values():
+            k = self.label[ids[0]][1]
+            pattern.append((k, tuple(sorted(self.m.cid[i] for i in ids))))
+            key.append((k, tuple(sorted(self.label[i][2] for i in ids))))
+        return tuple(sorted(pattern)), tuple(sorted(key))
+
+    def levels(self, cap: int, allowed: Optional[Collection[tuple]] = None) -> Iterator[list]:
+        """Per size 1..cap, the (least coalition, pattern) pair of each key
+        whose pattern is `allowed` (all if None; else closed under
+        sub-patterns), in item order.
+
+        A level extends the one below, in order, by each larger item, and
+        keeps an extension with a key new at its level.  Coalitions share a
+        key iff an item permutation pi of the kind in is_strong_nash maps
+        one onto the other, and a prefix of a least coalition is least:
+        were pi(P) below P, first differing at j, then pi(P + (x,)) with
+        x > max P would be below P + (x,), as pi(x) enters pi(P) either
+        under P's entry at a place below j or at or above j, keeping the
+        difference at j.  So each least coalition extends one of the level
+        below, and as extensions come in lexicographic order, the first of
+        a key is the least.  A prefix has a sub-pattern of its extension's.
+        """
+        position = {i: n for n, i in enumerate(self.items)}
+        level: List[Tuple[int, ...]] = [()]
+        for _ in range(cap):
+            seen: set = set()
+            found = []
+            for prefix in level:
+                for i in self.items[position[prefix[-1]] + 1 if prefix else 0 :]:
+                    coalition = prefix + (i,)
+                    pattern, key = self.signature(coalition)
+                    if (allowed is None or pattern in allowed) and key not in seen:
+                        seen.add(key)
+                        found.append((coalition, pattern))
+            if not found:
+                return
+            yield found
+            level = [coalition for coalition, _ in found]
 
 
 def _coalition_move(
     config: GameConfig,
     memo: _Memo,
-    coalition: Sequence[GameItem],
+    members: Sequence[int],
     targets: Sequence[object],
-    room: Mapping[int, int],
     fresh_base: int,
 ) -> Optional[CoalitionProposal]:
     """The coalition's deviation to `targets` (per member a used bin or
     ("new", j), which becomes bin fresh_base + j) if every target takes its
-    incoming members with the residents kept in place, else None.  room[t]
-    is what stays in used bin t once the coalition has left, times scale."""
+    incoming members with the residents kept in place, else None."""
     m = config._volumes
-    member_ids = [it.item_id for it in coalition]
     placements: Dict[int, Tuple[Fraction, ...]] = {}
-    incoming: Dict[object, int] = {}
-    for i, t in zip(member_ids, targets):
-        incoming[t] = incoming.get(t, 0) + m.ivol[i]
-    for t in sorted(incoming, key=str):
-        movers = tuple(it for it, tt in zip(coalition, targets) if tt == t)
-        residents = list(m.content(t)) if isinstance(t, int) else []
-        for i in member_ids:
-            if config.assignment[i] == t:
-                residents.remove((m.cid[i], m.positions[i]))
-        kept = tuple(residents)
-        layout = _place(config, memo.setdefault(kept, {}), kept, movers)
+    # the occupancy of each target after the move, times scale
+    after: Dict[object, int] = {t: m.iocc.get(t, 0) for t in targets}
+    for i, t in zip(members, targets):
+        after[t] += m.ivol[i]
+        if config.assignment[i] in after:
+            after[config.assignment[i]] -= m.ivol[i]
+    for t in sorted(after, key=str):
+        movers = [i for i, tt in zip(members, targets) if tt == t]
+        if isinstance(t, int):
+            unit, pairs = m.content(t)
+            residents = list(pairs)
+            for i in members:
+                if config.assignment[i] == t:
+                    residents.remove(m.cube(i, unit))
+            kept = (unit, tuple(residents))
+        else:
+            kept = (m.unit, ())
+        key = tuple(sorted(m.cid[i] for i in movers))
+        table = memo.setdefault(kept, {})
+        if key not in table:
+            table[key] = _place(config, kept, key)
+        layout = table[key]
         if layout is None:
             return None
-        placements.update(_distribute(layout, movers))
+        placements.update(_distribute(m, kept[0], layout, movers))
     return CoalitionProposal(
-        tuple(member_ids),
+        tuple(members),
         tuple(t if isinstance(t, int) else fresh_base + t[1] for t in targets),
-        tuple(placements[i] for i in member_ids),
-        tuple(config.item_cost(i) for i in member_ids),
-        tuple(
-            Fraction(m.ivol[i], room.get(t, 0) + incoming[t])
-            for i, t in zip(member_ids, targets)
-        ),
+        tuple(placements[i] for i in members),
+        tuple(config.item_cost(i) for i in members),
+        tuple(Fraction(m.ivol[i], after[t]) for i, t in zip(members, targets)),
     )
 
 
 def _gaining_assignments(
-    cands: Sequence[Sequence[object]],
-    vols: Sequence[int],
-    needs: Sequence[int],
-    room: Mapping[object, int],
-):
-    """Target tuples, in product order over cands, under which every member
-    gains; the branch and bound of is_strong_nash.
+    m: _VolumeModel, src: Mapping[int, int], existing: Sequence[int], members: Sequence[int]
+) -> Iterator[tuple]:
+    """Target tuples (per member a used bin or ("new", j)), in product order
+    over the members' target lists, under which every member gains; the
+    branch and bound of is_strong_nash.
 
-    Member j moves volume vols[j] and gains iff its target ends above
-    needs[j]; room[t] is what stays in t once the coalition has left (0 for
-    fresh slots).  Fresh slot j may appear only after the slots below j are
-    in use by earlier members.
+    Member i's list holds the used bins t != src_i where its class stays
+    within capacity and that end above occ(src_i) if every member joins
+    them, then the fresh slots if the whole coalition beats occ(src_i).
+    room[t] is what stays in t once the coalition has left (0 for fresh
+    slots).  Fresh slot j may appear only after the slots below j are in
+    use by earlier members.
     """
-    m = len(cands)
-    targets: List[object] = [None] * m
+    room = {t: m.iocc[t] for t in existing}
+    removed: Dict[Tuple[int, int], int] = {}
+    for i in members:
+        room[src[i]] -= m.ivol[i]
+        removed[src[i], m.cid[i]] = removed.get((src[i], m.cid[i]), 0) + 1
+    vols = [m.ivol[i] for i in members]
+    needs = [m.iocc[src[i]] for i in members]
+    total = sum(vols)
+    cands: List[List[object]] = []
+    for i, need in zip(members, needs):
+        c = m.cid[i]
+        cands.append([
+            t for t in existing
+            if t != src[i]
+            and m.census[t][c] - removed.get((t, c), 0) < m.capacity[c]
+            and room[t] + total > need
+        ])
+        if total > need:
+            cands[-1].extend(("new", slot) for slot in range(len(members)))
+    targets: List[object] = [None] * len(members)
     in_vol: Dict[object, int] = {}
 
     def rec(j: int, used_new: int, rest: int):
-        if j == m:
+        if j == len(members):
             yield tuple(targets)
             return
         v = vols[j]
@@ -919,7 +985,7 @@ def _gaining_assignments(
                 )
             in_vol[t] -= v
 
-    return rec(0, 0, sum(vols))
+    return rec(0, 0, total)
 
 
 # ---------------------------------------------------------------------------
@@ -976,15 +1042,20 @@ def meir_moser_predicate(volumes: Sequence, ell, d: int) -> bool:
 
 @dataclass(frozen=True)
 class AnarchyInstance:
-    """A worst-case equilibrium P' next to the optimal regrouping P."""
+    """A worst-case equilibrium P' next to the optimal regrouping P, which
+    is `copies` copies of `source_bin`, built on first read."""
 
-    p: GameConfig
+    source_bin: Bin
     p_prime: GameConfig
     ratio: Fraction
     copies: int
     scaled: bool
     nash: Optional[NashResult]
     strong: Optional[StrongNashResult] = None
+
+    @cached_property
+    def p(self) -> GameConfig:
+        return config_from_bins([self.source_bin] * self.copies)
 
 
 def anarchy_copies(
@@ -1030,7 +1101,6 @@ def poa_instance(
     if not check:
         raise ValueError(f"the packing's bin is invalid: {check}")
     n, scaled = anarchy_copies(packing, copies_cap)
-    p = config_from_bins([packing.bin] * n)
     prime_bins: List[Bin] = []
     for k, count in packing.counts.grid_bins(n).items():
         grid = build_homogeneous(k, packing.d, packing.epsilon).bin
@@ -1044,7 +1114,7 @@ def poa_instance(
             raise AssertionError(
                 f"regrouped config unexpectedly admits moves: {nash.moves[:1]}"
             )
-    return AnarchyInstance(p, p_prime, ratio, n, scaled, nash)
+    return AnarchyInstance(packing.bin, p_prime, ratio, n, scaled, nash)
 
 
 def spoa_instance(
@@ -1072,9 +1142,7 @@ def spoa_instance(
             raise AssertionError(
                 f"regrouped config admits a coalition: {strong.violation}"
             )
-    return AnarchyInstance(
-        inst.p, inst.p_prime, inst.ratio, inst.copies, inst.scaled, inst.nash, strong
-    )
+    return replace(inst, strong=strong)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,15 @@ class PlacedCube:
             )
 
 
+def _placed(cls: CubeClass, base: tuple[Fraction, ...]) -> PlacedCube:
+    """A PlacedCube without the checks of its constructor, for builders
+    that take `base`, d Fractions, from their own tables."""
+    cube = object.__new__(PlacedCube)
+    object.__setattr__(cube, "cls", cls)
+    object.__setattr__(cube, "base", base)
+    return cube
+
+
 def cubes_disjoint(a: PlacedCube, b: PlacedCube) -> bool:
     """True iff the two open cubes do not intersect.
 
@@ -280,31 +289,6 @@ def occupied_volume(b: Bin) -> Fraction:
     return sum((cls.volume * cnt for cls, cnt in counts.items()), start=Fraction(0))
 
 
-def _int_boxes(
-    cubes: Sequence[PlacedCube], d: int, *extra: Fraction
-) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Scale cubes onto one integer grid: (D, [(lo, hi), ...]).
-
-    D is the lcm of the denominators of `extra` and of every cube's first
-    d base coordinates and side.  Each cube becomes its base corner `lo`
-    and top corner `hi` times D, as ints, so that comparisons between any
-    of these values are exact integer comparisons.
-    """
-    dens = {x.denominator for x in extra}
-    for cube in cubes:
-        dens.add(cube.cls.side.denominator)
-        dens.update(x.denominator for x in cube.base[:d])
-    scale = lcm(*dens)
-    mult = {q: scale // q for q in dens}
-    boxes = []
-    for cube in cubes:
-        side = cube.cls.side
-        s = side.numerator * mult[side.denominator]
-        lo = tuple(x.numerator * mult[x.denominator] for x in cube.base[:d])
-        boxes.append((lo, tuple(v + s for v in lo)))
-    return scale, boxes
-
-
 def _checked_side(side: Rational) -> Fraction:
     side = as_rational(side)
     if side <= 0 or side > 1:
@@ -410,8 +394,35 @@ def find_joint_positions(
     has examined more than that many candidate bases over all cubes.
     """
     sides = [_checked_side(x) for x in sides]
-    scale, boxes = _int_boxes(cubes, d, *sides)
-    ints = [x.numerator * (scale // x.denominator) for x in sides]
+    # one integer grid for every coordinate and side compared
+    scale = lcm(*(x.denominator for x in sides),
+                *{x.denominator for c in cubes for x in (c.cls.side, *c.base[:d])})
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    boxes = []
+    for cube in cubes:
+        lo = tuple(map(scaled, cube.base[:d]))
+        boxes.append((lo, tuple(v + scaled(cube.cls.side) for v in lo)))
+    found = _joint_corners(boxes, scale, list(map(scaled, sides)), d, node_cap)
+    return None if found is None else tuple(
+        tuple(Fraction(v, scale) for v in base) for base in found
+    )
+
+
+def _joint_corners(
+    boxes: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    scale: int,
+    ints: Sequence[int],
+    d: int,
+    node_cap: Optional[int] = None,
+) -> Optional[list[tuple[int, ...]]]:
+    """find_joint_positions on one integer grid: resident boxes as (lo, hi)
+    int corners and incoming sides as ints over `scale` (the bin is
+    [0, scale]^d), bases returned as ints over it.  Scaling every input by
+    one factor scales every candidate and keeps every comparison, so the
+    bases found are the same rationals at any common scale."""
     rests = [{0, *(hi[dim] for _, hi in boxes)} for dim in range(d)]
     axes = []
     for j, s in enumerate(ints):
@@ -445,6 +456,4 @@ def find_joint_positions(
 
         return _free_corner(obstacles, s, axes[j], accept, budget) is not None
 
-    if not place(0, boxes):
-        return None
-    return tuple(tuple(Fraction(v, scale) for v in base) for base in placed)
+    return placed if place(0, list(boxes)) else None

@@ -19,6 +19,7 @@ from .geometry import (
     Bin,
     CubeClass,
     PlacedCube,
+    _placed,
     as_rational,
     expect_type,
     format_rational,
@@ -93,7 +94,7 @@ def _class_placer(k: int, epsilon, d: int, letters):
     cls = CubeClass(k, epsilon, d)
     epsilon = _check_eps_for_base(k, cls.epsilon)
     table = {j: base_coordinate(k, j, epsilon) for j in letters}
-    return lambda word: PlacedCube(cls, tuple(map(table.__getitem__, word)))
+    return lambda word: _placed(cls, tuple(map(table.__getitem__, word)))
 
 
 def place_word(word: Word, epsilon) -> PlacedCube:
@@ -239,7 +240,7 @@ def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
         raise ValueError(f"need 0 < epsilon <= 1/{k - 1}, got {epsilon}")
     cls = CubeClass(k, epsilon, d)
     coords = [i * cls.side for i in range(k - 1)]
-    cubes = tuple(PlacedCube(cls, base) for base in itertools.product(coords, repeat=d))
+    cubes = tuple(_placed(cls, base) for base in itertools.product(coords, repeat=d))
     b = Bin(d, cubes)
     report = verify_bin(b)
     if not report:

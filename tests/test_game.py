@@ -18,6 +18,9 @@ from cubepack.game import (
     GameItem,
     MoveProposal,
     RepackSearchError,
+    _gaining_assignments,
+    _Orbits,
+    _place,
     apply_coalition,
     apply_move,
     best_response_dynamics,
@@ -40,6 +43,7 @@ from cubepack.geometry import (
     Bin,
     CubeClass,
     PlacedCube,
+    _joint_corners,
     find_free_position,
     find_joint_positions,
     verify_bin,
@@ -66,15 +70,19 @@ def power_of_two_toy_packing():
     return build_packing(family, F(1, 16))
 
 
+def _warmup_slice(d, classes, epsilon):
+    family = warmup_family(d)
+    sliced = SeparatedFamily(
+        d, classes, {k: family.languages[k] for k in classes}, family.fsets,
+        family.seed, family.mode,
+    )
+    return build_packing(sliced, epsilon)
+
+
 def reproduce_spoa_packing(d):
     """The packing of reproduce's SPoA stage at d >= 4: the (2, 4) slice of
     the warm-up family at epsilon 1/16."""
-    family = warmup_family(d)
-    sliced = SeparatedFamily(
-        d, (2, 4), {k: family.languages[k] for k in (2, 4)}, family.fsets,
-        family.seed, family.mode,
-    )
-    return build_packing(sliced, F(1, 16))
+    return _warmup_slice(d, (2, 4), F(1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +365,7 @@ def test_volume_screen_skips_overfull_target(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("geometric search ran on an overfull target")
 
-    monkeypatch.setattr("cubepack.game.find_joint_positions", no_search)
+    monkeypatch.setattr("cubepack.game._joint_corners", no_search)
     assert improving_moves(cfg, "insertion") == ()
     assert improving_moves(cfg, "repack") == ()
 
@@ -516,6 +524,34 @@ def test_moves_carry_caches_as_built_from_scratch(cfg, data):
             assert getattr(carried, name) == getattr(scratch._volumes, name), name
         assert moved.bins_map == scratch.bins_map
         cfg = moved
+
+
+def test_moves_carry_a_base_off_the_unit_of_its_bin():
+    # d=1, side 1/4: every content starts on the unit 4.  Moving item 1 to
+    # base 1/3 puts its bin on the unit 12; the untouched bin keeps its
+    # content, and the search reads the moved bin in twelfths.  Moving the
+    # item back puts the bin on the unit 4 again, as a fresh model has it.
+    quarter = CubeClass(4, 0, 1)
+    items = tuple(GameItem(i, quarter) for i in range(3))
+    cfg = GameConfig(
+        1, items, {0: 0, 1: 0, 2: 1}, {0: (F(0),), 1: (F(1, 4),), 2: (F(0),)}
+    )
+    parent = cfg._volumes
+    assert parent.unit == 4
+    assert parent.content(0) == (4, ((0, (0,)), (0, (1,))))
+    alone = parent.content(1)
+    moved = cfg.with_moves({1: (0, (F(1, 3),))})
+    carried = vars(moved)["_volumes"]
+    assert carried.contents == {1: alone}
+    assert carried.content(0) == (12, ((0, (0,)), (0, (4,))))
+    (move,) = improving_moves(moved)
+    assert (move.item_id, move.target_bin, move.base) == (2, 0, (F(7, 12),))
+    scratch = GameConfig(1, items, moved.assignment, moved.positions)
+    assert improving_moves(scratch) == (move,)
+    back = moved.with_moves({1: (0, (F(1, 4),))})
+    assert back._volumes.content(0) == parent.content(0)
+    for name in ("unit", "iocc", "members", "census", "contents"):
+        assert getattr(back._volumes, name) == getattr(cfg._volumes, name), name
 
 
 def test_outside_configs_are_checked_and_moves_coerce_their_bases():
@@ -718,9 +754,9 @@ def test_dynamics_counts_placement_searches_over_the_run(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return find_joint_positions(*args, **kwargs)
+        return _joint_corners(*args, **kwargs)
 
-    monkeypatch.setattr("cubepack.game.find_joint_positions", counted)
+    monkeypatch.setattr("cubepack.game._joint_corners", counted)
     for trial, cfg in enumerate(_start_states(5, 6)):
         calls.clear()
         result = best_response_dynamics(cfg, "random", seed=trial)
@@ -975,6 +1011,47 @@ def test_strong_nash_with_a_dominant_bin_matches_unpruned_oracle(case):
     _check_strong_nash_case(case)
 
 
+def _check_orbit_levels(cfg, cap):
+    # The levels of _Orbits, every pattern allowed, are the first
+    # coalition of each orbit key in a plain walk over every combination,
+    # in that walk's order.  Labelled by class, it gives one coalition per
+    # type pattern of the combinations, and every coalition of one pattern
+    # reaches as many complete gaining assignments.
+    m = cfg._volumes
+    bins = sorted(m.iocc)
+    orbits = _Orbits(m, bins)
+    types = [rep for level in _Orbits(m, bins, by_class=True).levels(cap) for rep in level]
+    patterns = {pattern for _, pattern in types}
+    assert len(patterns) == len(types)
+    levels = list(orbits.levels(cap, patterns))
+    walked, assignments = set(), {}
+    for size in range(1, cap + 1):
+        firsts = {}
+        for coalition in itertools.combinations(sorted(cfg.assignment), size):
+            pattern, key = orbits.signature(coalition)
+            firsts.setdefault(key, (coalition, pattern))
+            walked.add(pattern)
+            count = sum(1 for _ in _gaining_assignments(m, cfg.assignment, bins, coalition))
+            assert assignments.setdefault(pattern, count) == count
+        expected = list(firsts.values())
+        got = levels[size - 1] if size <= len(levels) else []
+        assert got == expected, size
+    assert patterns == walked
+
+
+@settings(deadline=None)
+@given(repeated_lattice_configs())
+def test_orbit_levels_match_a_combinations_walk_on_lattice_bins(case):
+    cfg, cap, _ = case
+    _check_orbit_levels(cfg, cap)
+
+
+@settings(deadline=None)
+@given(repeated_content_configs())
+def test_orbit_levels_match_a_combinations_walk_on_repeated_contents(cfg):
+    _check_orbit_levels(cfg, 2)
+
+
 @settings(deadline=None)
 @given(repeated_content_configs(), st.integers(1, 3))
 def test_coalition_costs_after_match_the_moved_config(cfg, cap):
@@ -1000,12 +1077,14 @@ def test_coalition_costs_after_match_the_moved_config(cfg, cap):
 def test_strong_nash_toy_work_counters():
     # P' of the d=2 (2,4) SPoA toy at coalition cap 3; counts work, not
     # time.  Its 12 bins hold two contents, so 7,806 coalitions fall into
-    # 765 orbits; 59 complete assignments pass the branch and bound and ask 5
-    # distinct (residents kept, incoming classes) placement questions.
+    # 765 orbits.  Only 3 of them have a type pattern that the branch and
+    # bound lets gain, and only those are searched (coalitions_checked read
+    # 765 while every orbit was searched); their 59 complete assignments
+    # ask 5 distinct (residents kept, incoming classes) placement questions.
     inst = spoa_instance(power_of_two_toy_packing(), copies_cap=16, certify=False)
     result = is_strong_nash(inst.p_prime, 3)
     assert result
-    assert result.coalitions_checked == 765
+    assert result.coalitions_checked == 3
     assert result.assignments_checked == 59
     assert result.geometry_checks == 5
 
@@ -1041,6 +1120,52 @@ def test_strong_nash_screen_on_the_reproduced_equilibrium(d, items):
     assert result
     assert result.coalitions_checked == 3
     assert result.assignments_checked == 11
+    assert elapsed < 0.5
+
+
+def test_is_nash_on_the_d7_regrouped_equilibrium_reads_types(monkeypatch):
+    # P' of reproduce's PoA stage at d=7: 64 full class-3 grids and 128
+    # one-cube class-2 bins, 8,320 items.  A placement is asked for at
+    # most once per (target content, class): 2 contents times 2 classes,
+    # and three of those are asked, one search each.  A walk over (item,
+    # target) pairs asked 540,564 times here.
+    inst = poa_instance(_warmup_slice(7, (2, 3), F(1, 9)), certify=False)
+    cfg = inst.p_prime
+    assert len(cfg.items) == 8320
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return _place(*args, **kwargs)
+
+    monkeypatch.setattr("cubepack.game._place", counted)
+    t0 = time.process_time()
+    result = is_nash(cfg)
+    elapsed = time.process_time() - t0
+    assert result
+    assert result.geometry_checks == 3
+    m = cfg._volumes
+    pairs = {(m.content(t), c) for t in m.iocc for c in set(m.cid.values())}
+    assert len(pairs) == 4
+    assert len(calls) == len(set(calls)) == 3 <= len(pairs)
+    assert elapsed < 0.5
+
+
+def test_strong_nash_on_equal_grids_reads_types():
+    # 4 copies of the full d=3 class-4 grid and 8 one-cube class-2 bins at
+    # epsilon 1/16, cap 3: 116 items and about 260,000 combinations in
+    # 17,598 orbits.  Only the orbits of gaining type patterns are
+    # searched: 3 of them, with 110 complete assignments and 5 searches.
+    grids = [build_homogeneous(4, 3, F(1, 16)).bin] * 4
+    grids += [build_homogeneous(2, 3, F(1, 16)).bin] * 8
+    cfg = config_from_bins(grids)
+    t0 = time.process_time()
+    result = is_strong_nash(cfg, 3)
+    elapsed = time.process_time() - t0
+    assert result
+    assert result.coalitions_checked == 3
+    assert result.assignments_checked == 110
+    assert result.geometry_checks == 5
     assert elapsed < 0.5
 
 

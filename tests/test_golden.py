@@ -1,0 +1,78 @@
+"""Golden outputs: the hashes of files the command line writes.
+
+Speed work must leave every output byte-identical.  These pins catch a
+change in any of them: the reproduce bundles at two dimension lists, and
+the files of game dynamics, game poa and game spoa on the fixtures of
+test_cli.  A deliberate output change updates its pin and says so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from test_cli import (  # noqa: F401  (fixtures)
+    _break_one_bin,
+    equilibrium_file,
+    packing_file,
+    pow_packing_file,
+    read,
+    run,
+)
+
+
+def _bundle_hash(out):
+    last = (out / "bundle.sha256").read_text().strip().splitlines()[-1]
+    return last.split()[1]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "d_list, bundle",
+    [
+        ((), "d0f224b4f22be824a0841e19db57e8a5b37dac69dd928aea90c43febca36527a"),
+        ((5,), "a09c22a5bcd5e75ff6849b4e4ed6619ee3711868392bd36e567ff7dfae3eb284"),
+    ],
+)
+def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
+    out = tmp_path / "bundle"
+    flags = ("--d-list", *d_list) if d_list else ()
+    assert run("--out-dir", out, "reproduce", *flags) == 0
+    assert _bundle_hash(out) == bundle
+
+
+def test_game_poa_file_is_pinned(tmp_path, packing_file):
+    out = tmp_path / "poa.json"
+    assert run("game", "poa", "--packing", packing_file, "--out", out) == 0
+    assert _sha256(out) == (
+        "2131511ac7a3cb69aab4019d6ed9a2ff8dd8288919dcdb0f43aec8feaa5785f8"
+    )
+
+
+def test_game_spoa_file_is_pinned(tmp_path, pow_packing_file):
+    out = tmp_path / "spoa.json"
+    assert run("game", "spoa", "--packing", pow_packing_file, "--out", out) == 0
+    assert _sha256(out) == (
+        "f21e9219826d23277d790823c0790c65b30c9df9f5f25ba60591f74f9bd03547"
+    )
+
+
+@pytest.mark.parametrize(
+    "policy, digest",
+    [
+        ("best", "b2958c3c636bb8e77420291612080d0cfc3accfb56638988232bd52a922272c3"),
+        ("first", "2a8528220c60a904ac1a3ff194b5db29b01087ffdbcd756f3749c11852c8cd69"),
+        ("random", "d9ed605567b02caecf2f0b989672deec75f1068e7b9311df40ab290156462d13"),
+    ],
+)
+def test_game_dynamics_file_is_pinned(tmp_path, equilibrium_file, policy, digest):
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(_break_one_bin(read(equilibrium_file))))
+    out = tmp_path / "settled.json"
+    code = run("game", "dynamics", broken, "--policy", policy, "--seed", 7,
+               "--out", out)
+    assert code == 0
+    assert _sha256(out) == digest

@@ -83,6 +83,22 @@ def test_place_word_frozen_example():
     assert verify_bin(Bin(2, (cube,))).containment_ok
 
 
+def test_builders_make_the_cubes_the_checked_constructor_makes():
+    # the builders skip PlacedCube's checks on bases from their own tables;
+    # their cubes must equal the checked ones, with Fraction coordinates,
+    # while an outside base is still coerced or rejected
+    eps = F(1, 9)
+    built = build_homogeneous(3, 2, eps).bin.cubes + (place_word(Word((2, 3), 3), eps),)
+    for cube in built:
+        assert cube == PlacedCube(cube.cls, tuple(map(format_rational, cube.base)))
+        assert all(type(x) is F for x in cube.base) and len(cube.base) == 2
+    cls = CubeClass(3, eps, 2)
+    with pytest.raises(TypeError):
+        PlacedCube(cls, (0.5, F(0)))
+    with pytest.raises(ValueError):
+        PlacedCube(cls, (F(0),))
+
+
 def test_place_word_matches_interval_structure():
     eps = F(1, 16)
     w = Word((1, 4, 2), 4)
