@@ -17,7 +17,10 @@ Bases become Fractions only in the moves reported or applied.
 
 The checks read types, not items.  A move's gain depends on
 (occ(source), class, occ(target)) and its room on (target content,
-class), so the move screen runs per type (proof at _move_candidates).
+class), so the move screen runs per type (proof at _MoveScreen).  A move
+changes the occupancy and content of its two bins only, so best-response
+dynamics carries the screen from step to step and re-tests only the
+entries whose target the last move touched.
 Bin permutations that preserve content preserve every cost and layout,
 so the coalition search enumerates one coalition per orbit of them,
 directly and in the order of each orbit's least member, and runs its
@@ -117,6 +120,7 @@ class _VolumeModel:
     scale: int
     ivol: Dict[int, int]  # item id -> volume * scale, in item order
     cid: Dict[int, int]  # item id -> class index, in item order
+    rank: Dict[int, int]  # item id -> its place in item order
     classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
     unit: int  # lcm of the class side denominators
@@ -160,19 +164,23 @@ class _VolumeModel:
         self,
         assignment: Mapping[int, int],
         positions: Mapping[int, Tuple[Fraction, ...]],
+        movers: Collection[int],
         touched: Collection[int],
     ) -> "_VolumeModel":
         """The model of `assignment` and `positions`, given that they differ
-        from this model's only in the items that sit in the bins `touched`.
-        The per-item data is shared, and only the touched bins are
-        recomputed; their contents are dropped, and a touched bin left empty
+        from this model's only in the `movers`, which leave or enter the
+        bins `touched`.  The per-item data is shared, and only the touched
+        bins are recomputed, from the members that stay plus the movers that
+        arrive; their contents are dropped, and a touched bin left empty
         drops out.  Each content has its own unit, so no moved base can
         fall off the grid of a content kept."""
-        fresh: Dict[int, List[int]] = {b: [] for b in touched}
-        for i in self.cid:
-            ids = fresh.get(assignment[i])
-            if ids is not None:
-                ids.append(i)
+        moving = set(movers)
+        fresh: Dict[int, List[int]] = {
+            b: [i for i in self.members.get(b, ()) if i not in moving] for b in touched
+        }
+        for i in movers:
+            fresh[assignment[i]].append(i)
+        rank = self.rank.__getitem__
         iocc, members, census = dict(self.iocc), dict(self.members), dict(self.census)
         contents = {b: c for b, c in self.contents.items() if b not in fresh}
         for b, ids in fresh.items():
@@ -180,14 +188,15 @@ class _VolumeModel:
                 for table in (iocc, members, census):
                     table.pop(b, None)
                 continue
+            ids.sort(key=rank)
             count = [0] * len(self.classes)
             for i in ids:
                 count[self.cid[i]] += 1
             iocc[b] = sum(self.ivol[i] for i in ids)
             members[b], census[b] = ids, count
         return _VolumeModel(
-            self.scale, self.ivol, self.cid, self.classes, self.capacity, self.unit,
-            positions, iocc, members, census, contents,
+            self.scale, self.ivol, self.cid, self.rank, self.classes, self.capacity,
+            self.unit, positions, iocc, members, census, contents,
         )
 
 
@@ -217,6 +226,17 @@ class GameConfig:
         pos = {i: tuple(as_rational(x) for x in p) for i, p in self.positions.items()}
         object.__setattr__(self, "positions", pos)
 
+    @classmethod
+    def _trusted(cls, d: int, items: tuple, assignment: dict, positions: dict, **cached):
+        """A config without the constructor's checks, for callers whose
+        items, bins and Fraction bases are checked already; `cached` seeds
+        its cached properties."""
+        new = object.__new__(cls)
+        new.__dict__.update(
+            d=d, items=items, assignment=assignment, positions=positions, **cached
+        )
+        return new
+
     @cached_property
     def bins_map(self) -> Dict[int, Bin]:
         m = self._volumes
@@ -239,11 +259,12 @@ class GameConfig:
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
         ivol = {i: vols[c] for i, c in cid.items()}
         unit = lcm(*(c.side.denominator for c in order))
+        rank = {i: n for n, i in enumerate(cid)}
         empty = _VolumeModel(
-            scale, ivol, cid, order, caps, unit, self.positions, {}, {}, {}, {}
+            scale, ivol, cid, rank, order, caps, unit, self.positions, {}, {}, {}, {}
         )
         touched = set(self.assignment.values())
-        return empty.regrouped(self.assignment, self.positions, touched)
+        return empty.regrouped(self.assignment, self.positions, cid, touched)
 
     def occupied(self, bin_id: int) -> Fraction:
         m = self._volumes
@@ -285,17 +306,17 @@ class GameConfig:
                 raise ValueError(f"unknown item {item_id}")
             assignment[item_id] = bin_id
             positions[item_id] = tuple(map(as_rational, base))
-        new = object.__new__(GameConfig)
         touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
-        new.__dict__.update(
-            d=self.d, items=self.items, assignment=assignment, positions=positions,
-            _volumes=self._volumes.regrouped(assignment, positions, touched),
-        )
-        return new
+        model = self._volumes.regrouped(assignment, positions, updates, touched)
+        return GameConfig._trusted(self.d, self.items, assignment, positions, _volumes=model)
 
 
 def config_from_bins(bins: Sequence[Bin]) -> GameConfig:
-    """Number the cubes of the given bins 0.. and wrap them as a game state."""
+    """Number the cubes of the given bins 0.. and wrap them as a game state.
+
+    Each Bin holds cubes of its own dimension and each PlacedCube a base of
+    d Fractions, so the config is built without re-checking them, and the
+    copies of one bin share their base tuples."""
     if not bins:
         raise ValueError("need at least one bin")
     d = bins[0].d
@@ -311,7 +332,7 @@ def config_from_bins(bins: Sequence[Bin]) -> GameConfig:
             assignment[next_id] = bin_id
             positions[next_id] = cube.base
             next_id += 1
-    return GameConfig(d, tuple(items), assignment, positions)
+    return GameConfig._trusted(d, tuple(items), assignment, positions)
 
 
 def homogeneous_mixture(
@@ -393,9 +414,11 @@ def improving_moves(
     occupied volume of its current bin: cost never depends on positions, so
     this arithmetic filter is complete and geometry runs only on survivors.
     Disjoint open cubes in the unit bin have total volume at most 1, so a
-    target whose occupied(t) + volume exceeds 1 is skipped without a search.
-    Both tests run on the config's integer volumes.  Fresh bins are never
-    targets; a lone item's cost of 1 cannot improve.
+    target whose occupied(t) + volume exceeds 1 is skipped without a search,
+    and so is a target that already holds floor(1/side)^d cubes of the
+    mover's class, the most one bin can hold.  These tests run on the
+    config's integers.  Fresh bins are never targets; a lone item's cost
+    of 1 cannot improve.
     """
     return is_nash(config, mode).moves
 
@@ -417,73 +440,164 @@ class _Candidate(NamedTuple):
     movers: Sequence[int]  # the item, after the residents on a repack
 
 
-def _move_candidates(config: GameConfig, mode: str, memo: _Memo) -> Iterator[_Candidate]:
-    """The moves of improving_moves, lazily and in its order: item id, then
-    target bin.  Each passes the gain and volume screens and then the
-    memoized placement search; turn one into a MoveProposal by _proposal.
+class _MoveScreen:
+    """The moves of improving_moves, lazily and in its order (item id, then
+    target bin), carried along a run of moves.  Each candidate passes the
+    gain, volume and capacity screens and then the memoized placement
+    search; turn one into a MoveProposal by _proposal.
 
     Every test on (item i, target t) reads i only through its type,
-    (occ(source), class): the gain test, the repack cap, the volume test
-    and the placement, which reads the content of t.  So the gain test
-    runs once per type and target, and a target whose volume test or
-    placement fails is dropped from the type for good.  A type keeps its
-    probing item's own source unprobed, for its items in other bins.  Each
-    item still walks its type's targets in order, skipping its source, so
-    the candidates, their order, the searches and the point at which a
-    repack cap raises are those of the walk over every (item, target)
-    pair.  A search runs once per (target content, incoming classes).
+    (occ(source), class), and only the gain test reads occ(source): the
+    repack cap, the volume and capacity tests and the placement read t
+    and the class alone.  So the screen keeps, per type, an entry for each
+    target that passes the gain test, and per target and class whether a
+    mover fits.  That fit is probed (the other tests, then the search) the
+    first time a walk reaches an entry that needs it, and an entry whose
+    fit fails is dropped.  Each item walks its type's entries in target
+    order, skipping its own source, so the candidates, their order, the
+    searches and the point at which a repack cap raises are those of the
+    walk over every (item, target) pair, and no walk runs a search that
+    walk would not.  A search runs once per (target content, incoming
+    classes), through the memo.
+
+    Capacity: a bin holds at most capacity[c] class-c cubes (see
+    _VolumeModel), so a class-c mover into a bin that holds that many
+    already has no room, kept in place or re-laid, and gets no search.
+
+    Carry (moved): the fit of class c in target u reads only occ(u) and
+    content(u), which also fixes u's cube count for the repack cap, and an
+    entry adds the gain test on the type and occ(u).  A move from bin s to
+    bin t changes the occupancies and contents of s and t alone, so every
+    fit and entry for another target stays valid.  A step forgets the fits
+    of s and t, re-tests every type's gain on them, drops the types no item
+    has any more, and screens only the new types, over every target.
     """
-    m = config._volumes
-    targets = sorted(m.iocc)
-    # type -> [target, joined volume, unit, layout once probed and fitting]
-    screens: Dict[Tuple[int, int], list] = {}
-    # a content is a long tuple: hash it once per target bin, not per probe
-    tables: Dict[int, Dict[tuple, Optional[tuple]]] = {}
-    empty = (m.unit, ())
-    for i in sorted(m.cid):
-        src, c = config.assignment[i], m.cid[i]
-        kind = (m.iocc[src], c)
-        if kind not in screens:
-            v = m.ivol[i]
-            screens[kind] = [
-                (t, m.iocc[t] + v, None, None) for t in targets if m.iocc[t] + v > kind[0]
-            ]
-        alive = []
-        for entry in screens[kind]:
-            t, joined, unit, layout = entry
-            if t == src:
-                alive.append(entry)
-                continue
+
+    def __init__(self, config: GameConfig, mode: str) -> None:
+        self.mode = mode
+        self.memo: _Memo = {}
+        self.searches = 0  # placement searches run, memo hits not counted
+        m = config._volumes
+        self.ids = sorted(m.cid)
+        self.vols = dict(zip(m.cid.values(), m.ivol.values()))  # class -> volume
+        # target -> class -> (unit, layout) if a mover fits, else False
+        self.fits: Dict[int, Dict[int, object]] = {t: {} for t in m.iocc}
+        # type -> {target: its fit, None until probed}
+        self.types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
+        self.moved(config, ())
+
+    def moved(self, config: GameConfig, touched: Collection[int]) -> None:
+        """Carry the screen to `config`, which differs from the screen's
+        config only in the bins `touched`."""
+        self.config = config
+        m, src, fits = config._volumes, config.assignment, self.fits
+        iocc, cid = m.iocc, m.cid
+        for t in touched:
+            del fits[t]
+            if t in iocc:
+                fits[t] = {}
+        back = [t for t in touched if t in iocc]
+        types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
+        # per item, in id order: (id, class, source bin, type entries)
+        self.walk = []
+        for i in self.ids:
+            c, s = cid[i], src[i]
+            occ = iocc[s]
+            entries = types.get((occ, c))
+            if entries is None:
+                v, entries = self.vols[c], self.types.get((occ, c))
+                if entries is None:
+                    entries = {
+                        t: fit for t in iocc
+                        if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
+                    }
+                else:
+                    for t in touched:
+                        entries.pop(t, None)
+                    for t in back:
+                        if iocc[t] + v > occ:
+                            entries[t] = None
+                types[occ, c] = entries
+            self.walk.append((i, c, s, entries))
+        self.types = types
+
+    def _probe(self, entries: Dict[int, Optional[tuple]], c: int, t: int):
+        """Fill in the entry of target t for a type of class c: its fit, or
+        drop it and return False."""
+        fits = self.fits[t]
+        if c not in fits:
+            m = self.config._volumes
             residents = m.members[t]
-            if layout is None:
-                if mode == "repack" and len(residents) + 1 > REPACK_ITEM_CAP:
-                    raise RepackSearchError(
-                        f"bin {t} holds {len(residents)} items, repack cap "
-                        f"is {REPACK_ITEM_CAP - 1} plus the mover"
-                    )
-                if joined > m.scale:
-                    continue
-                if mode == "insertion":
-                    if t not in tables:
-                        tables[t] = memo.setdefault(m.content(t), {})
-                    kept, key, cap, table = m.content(t), (c,), None, tables[t]
+            if self.mode == "repack" and len(residents) + 1 > REPACK_ITEM_CAP:
+                raise RepackSearchError(
+                    f"bin {t} holds {len(residents)} items, repack cap "
+                    f"is {REPACK_ITEM_CAP - 1} plus the mover"
+                )
+            fits[c] = False
+            if m.iocc[t] + self.vols[c] <= m.scale and m.census[t][c] < m.capacity[c]:
+                if self.mode == "insertion":
+                    kept, key, cap = m.content(t), (c,), None
                 else:
                     # re-lay the whole bin: an empty bin takes residents plus mover
-                    kept, cap, table = empty, REPACK_NODE_CAP, memo.setdefault(empty, {})
+                    kept, cap = (m.unit, ()), REPACK_NODE_CAP
                     key = tuple(sorted([m.cid[r] for r in residents] + [c]))
+                table = self.memo.setdefault(kept, {})
                 if key not in table:
                     try:
-                        table[key] = _place(config, kept, key, cap)
+                        table[key] = _place(self.config, kept, key, cap)
                     except SearchBudgetError as exc:
                         raise RepackSearchError(f"re-layout of bin {t}: {exc}") from exc
-                unit, layout = kept[0], table[key]
-                if layout is None:
-                    continue
-                entry = (t, joined, unit, layout)
-            alive.append(entry)
-            movers = [i] if mode == "insertion" else residents + [i]
-            yield _Candidate(i, src, t, joined, unit, layout, movers)
-        screens[kind] = alive
+                    self.searches += 1
+                if table[key] is not None:
+                    fits[c] = kept[0], table[key]
+        if fits[c]:
+            entries[t] = fits[c]
+        else:
+            del entries[t]
+        return fits[c]
+
+    def _candidate(self, i: int, s: int, t: int, fit: tuple) -> _Candidate:
+        m = self.config._volumes
+        movers = [i] if self.mode == "insertion" else m.members[t] + [i]
+        return _Candidate(i, s, t, m.iocc[t] + m.ivol[i], *fit, movers)
+
+    def candidates(self) -> Iterator[_Candidate]:
+        """The candidates in move order, probing entries as they are reached."""
+        for i, c, s, entries in self.walk:
+            for t in sorted(entries):
+                fit = entries[t]
+                if t != s and (fit or (fit := self._probe(entries, c, t))):
+                    yield self._candidate(i, s, t, fit)
+
+    def pick(self, policy: str, rng: random.Random) -> Optional[_Candidate]:
+        """The candidate a dynamics step under `policy` applies, or None.
+
+        "random" draws pool[rng.randrange(len(pool))], as rng.choice(pool)
+        does, without building the pool: it probes every entry a walk
+        reaches, in walk order, after which an item's entries other than its
+        source are its candidates, and counts them.
+        """
+        if policy == "first":
+            return next(self.candidates(), None)
+        if policy == "best":
+            m = self.config._volumes
+            return max(self.candidates(), key=lambda c: (_gain(m, c), -c.item), default=None)
+        counts = []
+        for i, c, s, entries in self.walk:
+            if None in entries.values():
+                pending = [t for t, fit in entries.items() if fit is None and t != s]
+                for t in sorted(pending):
+                    self._probe(entries, c, t)
+            counts.append(len(entries) - (s in entries))
+        size = sum(counts)
+        if not size:
+            return None
+        index = rng.randrange(size)
+        for (i, c, s, entries), n in zip(self.walk, counts):
+            if index < n:
+                t = sorted(t for t in entries if t != s)[index]
+                return self._candidate(i, s, t, entries[t])
+            index -= n
 
 
 def _gain(m: _VolumeModel, c: _Candidate) -> Fraction:
@@ -572,9 +686,9 @@ def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     """True iff no single item has a strictly improving migration; the
     moves are those of improving_moves."""
     _check_mode(mode)
-    memo: _Memo = {}
-    moves = tuple(_proposal(config, mode, c) for c in _move_candidates(config, mode, memo))
-    return NashResult(not moves, mode, moves, _searches(memo))
+    screen = _MoveScreen(config, mode)
+    moves = tuple(_proposal(config, mode, c) for c in screen.candidates())
+    return NashResult(not moves, mode, moves, screen.searches)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +739,15 @@ def best_response_dynamics(
     and each config inherits its parent's bin model.  The
     potential is checked on integer occupancies; over one common
     denominator they order exactly as potential() does.
+
+    The move screen is carried, not rebuilt.  Its entry for a type
+    (occ(source), class) and a target u reads only the type, occ(u) and
+    content(u), and the move from s to t changes occ and content of s and
+    t alone.  So after each move only the entries for s and t are
+    re-tested, the types no item has any more are dropped and only the new
+    types are screened; every other entry, probed or not, is what a screen
+    built for the new config would hold, and each step offers the same
+    moves in the same order (see _MoveScreen).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -635,29 +758,19 @@ def best_response_dynamics(
     applied: List[MoveProposal] = []
     current = config
     last_potential = sorted(current._volumes.iocc.values(), reverse=True)
-    memo: _Memo = {}
+    screen = _MoveScreen(current, mode)
     for _ in range(max_steps):
-        searched = _searches(memo)
-        candidates = _move_candidates(current, mode, memo)
-        if policy == "first":
-            chosen = next(candidates, None)
-        else:
-            pool = list(candidates)
-            if not pool:
-                chosen = None
-            elif policy == "random":
-                chosen = rng.choice(pool)
-            else:
-                m = current._volumes
-                chosen = max(pool, key=lambda c: (_gain(m, c), -c.item))
+        searched = screen.searches
+        chosen = screen.pick(policy, rng)
         if chosen is None:
             current.validate()
-            cert = NashResult(True, mode, (), _searches(memo) - searched)
+            cert = NashResult(True, mode, (), screen.searches - searched)
             return DynamicsResult(
-                current, len(applied), tuple(applied), "nash", cert, _searches(memo)
+                current, len(applied), tuple(applied), "nash", cert, screen.searches
             )
         move = _proposal(current, mode, chosen)
         current = apply_move(current, move)
+        screen.moved(current, {move.source_bin, move.target_bin})
         applied.append(move)
         now = sorted(current._volumes.iocc.values(), reverse=True)
         if not now > last_potential:
@@ -668,7 +781,7 @@ def best_response_dynamics(
         last_potential = now
     current.validate()
     return DynamicsResult(
-        current, len(applied), tuple(applied), "budget-exhausted", None, _searches(memo)
+        current, len(applied), tuple(applied), "budget-exhausted", None, screen.searches
     )
 
 

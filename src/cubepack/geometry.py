@@ -312,32 +312,30 @@ def _free_corner(
     iterator drawn once per complete base examined; SearchBudgetError
     is raised when it runs out.
     """
-    d = len(candidates)
-    los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
-    his = [[hi[dim] for _, hi in boxes] for dim in range(d)]
+    last = len(candidates) - 1
+    los = [[lo[dim] for lo, _ in boxes] for dim in range(last + 1)]
+    his = [[hi[dim] for _, hi in boxes] for dim in range(last + 1)]
 
-    def rec(dim: int, live: list[int], prefix: tuple[int, ...]):
-        if dim == d:
+    def rec(dim: int, live: Sequence[int], prefix: tuple[int, ...]):
+        lo, hi = los[dim], his[dim]
+        for v in candidates[dim]:
+            top = v + s
+            rest = [i for i in live if lo[i] < top and v < hi[i]]
+            base = prefix + (v,)
+            if dim < last:
+                found = rec(dim + 1, rest, base)
+                if found is not None:
+                    return found
+                continue
             if budget is not None and next(budget, None) is None:
                 raise SearchBudgetError(
                     "placement search exceeded its budget of candidate bases"
                 )
-            if live or (accept is not None and not accept(prefix)):
-                return None
-            return prefix
-        lo, hi = los[dim], his[dim]
-        for v in candidates[dim]:
-            top = v + s
-            found = rec(
-                dim + 1,
-                [i for i in live if lo[i] < top and v < hi[i]],
-                prefix + (v,),
-            )
-            if found is not None:
-                return found
+            if not rest and (accept is None or accept(base)):
+                return base
         return None
 
-    return rec(0, list(range(len(boxes))), ())
+    return rec(0, range(len(boxes)), ())
 
 
 def find_free_position(
@@ -423,7 +421,7 @@ def _joint_corners(
     [0, scale]^d), bases returned as ints over it.  Scaling every input by
     one factor scales every candidate and keeps every comparison, so the
     bases found are the same rationals at any common scale."""
-    rests = [{0, *(hi[dim] for _, hi in boxes)} for dim in range(d)]
+    rests = [{0, *[hi[dim] for _, hi in boxes]} for dim in range(d)]
     axes = []
     for j, s in enumerate(ints):
         sums = {0}
@@ -432,18 +430,30 @@ def _joint_corners(
         limit = scale - s
         axes.append(
             [
-                sorted({r + t for r in axis for t in sums if 0 <= r + t <= limit})
+                sorted({r + t for t in sums for r in axis if 0 <= r + t <= limit})
                 for axis in rests
             ]
         )
     placed: list[tuple[int, ...]] = []
     budget = None if node_cap is None else iter(range(node_cap))
+    if len(ints) == 1:
+        # a lone cube has no floor and needs no backtracking
+        found = _free_corner(boxes, ints[0], axes[0], None, budget)
+        return None if found is None else [found]
 
     def place(j: int, obstacles: list) -> bool:
         if j == len(ints):
             return True
         s = ints[j]
         floor = next((placed[i] for i in range(j - 1, -1, -1) if ints[i] == s), None)
+        if j == len(ints) - 1:
+            # the last cube needs no backtracking: its first free base
+            # above the floor completes the layout
+            above = None if floor is None else floor.__lt__
+            found = _free_corner(obstacles, s, axes[j], above, budget)
+            if found is not None:
+                placed.append(found)
+            return found is not None
 
         def accept(base: tuple[int, ...]) -> bool:
             if floor is not None and base <= floor:

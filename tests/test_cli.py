@@ -467,6 +467,17 @@ def test_hostile_config_is_bad_input(tmp_path, capsys, template, name):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("template", GAME_CONFIG_COMMANDS, ids=lambda t: " ".join(t[:2]))
+def test_float_base_in_config_is_bad_input(tmp_path, capsys, template):
+    doc = config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9)))
+    doc["cubes"][0]["base"][0] = 0.5
+    src = tmp_path / "float.json"
+    src.write_text(json.dumps(doc))
+    assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_zero_denominator_is_bad_input_in_every_reader(tmp_path, capsys):
     config = config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9)))
     config["cubes"][1]["base"][0] = "3/0"

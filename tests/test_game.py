@@ -19,8 +19,10 @@ from cubepack.game import (
     MoveProposal,
     RepackSearchError,
     _gaining_assignments,
+    _MoveScreen,
     _Orbits,
     _place,
+    _proposal,
     apply_coalition,
     apply_move,
     best_response_dynamics,
@@ -211,12 +213,13 @@ def test_nash_geometry_checks_do_not_grow_with_copies():
     # item gains by volume from joining another copy of its grid, and the
     # class-2 cubes from joining a class-3 grid, but none fits.  Whatever n
     # is, those probes ask three placement questions: a class-2 cube into
-    # either grid, a class-3 cube into a class-3 grid.
+    # either grid, a class-3 cube into a class-3 grid.  A full grid already
+    # holds its class's capacity, so two are answered without a search.
     grids = [build_homogeneous(k, 2, F(1, 9)).bin for k in (2, 3)]
     for n in (2, 3, 5):
         result = is_nash(config_from_bins(grids * n))
         assert result
-        assert result.geometry_checks == 3
+        assert result.geometry_checks == 1
 
 
 def test_single_bin_config_has_no_moves():
@@ -261,6 +264,23 @@ def test_repack_cap_enforced():
     cfg = homogeneous_mixture([2, 5], 2, F(1, 16))
     with pytest.raises(RepackSearchError):
         improving_moves(cfg, "repack")
+
+
+def test_repack_cap_raises_at_the_first_target_in_walk_order():
+    # Items 1-8 fill bin 0 and items 9-16 bin 1, eight side-1/5 cubes each;
+    # item 0 sits alone in bin 2.  Item 0 walks first, and the first of its
+    # targets past the repack cap is bin 0, so every walk must name bin 0.
+    fifth = CubeClass(5, 0, 2)
+    spots = [(F(x, 5), F(y, 5)) for x in range(3) for y in range(3)][:8]
+    bins = {0: 2, **{i: 0 for i in range(1, 9)}, **{i: 1 for i in range(9, 17)}}
+    bases = {0: (F(0), F(0)), **{i: spots[(i - 1) % 8] for i in range(1, 17)}}
+    cfg = GameConfig(2, tuple(GameItem(i, fifth) for i in range(17)), bins, bases)
+    cfg.validate()
+    with pytest.raises(RepackSearchError, match="bin 0 holds 8 items"):
+        improving_moves(cfg, "repack")
+    for policy in ("first", "best", "random"):
+        with pytest.raises(RepackSearchError, match="bin 0 holds 8 items"):
+            best_response_dynamics(cfg, policy, mode="repack")
 
 
 @st.composite
@@ -579,6 +599,22 @@ def test_outside_configs_are_checked_and_moves_coerce_their_bases():
         cfg.with_moves({7: (1, (F(0),))})
 
 
+def test_config_from_bins_skips_the_checks_its_bins_already_passed():
+    # config_from_bins builds from verified PlacedCubes, so it neither
+    # re-coerces their bases nor copies them: copies of one bin share their
+    # base tuples.  The result equals the checked constructor's, and that
+    # constructor still refuses a float base.
+    grid = build_homogeneous(3, 2, F(1, 9)).bin
+    cfg = config_from_bins([grid, grid])
+    n = len(grid.cubes)
+    for j, cube in enumerate(grid.cubes):
+        assert cfg.positions[j] is cfg.positions[n + j] is cube.base
+    assert cfg == GameConfig(2, cfg.items, cfg.assignment, cfg.positions)
+    floats = {i: tuple(float(x) for x in base) for i, base in cfg.positions.items()}
+    with pytest.raises(TypeError):
+        GameConfig(2, cfg.items, cfg.assignment, floats)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         improving_moves(two_items_config(), "teleport")
@@ -769,6 +805,175 @@ def test_dynamics_counts_placement_searches_over_the_run(monkeypatch):
         calls.clear()
         budgeted = best_response_dynamics(cfg, "random", seed=trial, max_steps=1)
         assert budgeted.geometry_checks == len(calls)
+
+
+def _policy_choice(cfg, mode, policy, pool, rng):
+    """The candidate best_response_dynamics applies from the listed pool."""
+    if not pool:
+        return None
+    if policy == "random":
+        return rng.choice(pool)
+    if policy == "first":
+        return pool[0]
+    drops = [(p.cost_before - p.cost_after, -p.item_id) for p in
+             (_proposal(cfg, mode, c) for c in pool)]
+    return pool[drops.index(max(drops))]
+
+
+def _check_carried_run(cfg, mode, policy, seed, listed):
+    """Step a carried screen as best_response_dynamics does, and check every
+    step against a screen built fresh for that step's config: the policy
+    picks the same candidate, the steps in `listed` walk the same whole
+    candidate sequence (item, target, layout and movers), and where the
+    fresh walk raises RepackSearchError the carried one raises it too."""
+    carried_rng, fresh_rng = random.Random(seed), random.Random(seed)
+    screen = _MoveScreen(cfg, mode)
+    for step in itertools.count():
+        fresh = _MoveScreen(cfg, mode)
+        walk = fresh.candidates()
+        try:
+            pool = [next(walk)] if policy == "first" else list(walk)
+        except StopIteration:
+            pool = []
+        except RepackSearchError as exc:
+            with pytest.raises(RepackSearchError) as raised:
+                screen.pick(policy, carried_rng)
+            assert str(raised.value) == str(exc)
+            return
+        chosen = screen.pick(policy, carried_rng)
+        assert chosen == _policy_choice(cfg, mode, policy, pool, fresh_rng), step
+        if step in listed:
+            try:
+                whole = list(fresh.candidates())
+            except RepackSearchError as exc:
+                with pytest.raises(RepackSearchError) as raised:
+                    list(screen.candidates())
+                assert str(raised.value) == str(exc)
+                return
+            assert list(screen.candidates()) == whole, step
+        if chosen is None:
+            return
+        move = _proposal(cfg, mode, chosen)
+        cfg = apply_move(cfg, move)
+        screen.moved(cfg, {move.source_bin, move.target_bin})
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.one_of(
+        repeated_content_configs(),
+        st.integers(0, 2**16).map(lambda seed: next(_start_states(seed, 1))),
+    ),
+    st.integers(0, 2**16),
+    st.sets(st.integers(0, 12)),
+)
+def test_carried_screen_matches_a_fresh_screen_at_every_step(cfg, seed, listed):
+    # The screen carried from step to step re-tests only the bins a move
+    # touched.  At every step it must offer what a screen built from scratch
+    # offers.  Walking the whole sequence only at some steps leaves the
+    # other steps' entries unprobed, as the policies leave them.
+    cfg.validate()
+    for mode in ("insertion", "repack"):
+        for policy in ("first", "best", "random"):
+            _check_carried_run(cfg, mode, policy, seed, listed)
+
+
+# Placement searches of each run on _start_states(3, 6), run i with seed i,
+# when every step re-screened from scratch and no capacity screen ran.
+SEARCHES_BEFORE_THE_CARRIED_SCREEN = {
+    ("first", "insertion"): [5, 11, 17, 13, 23, 10],
+    ("best", "insertion"): [12, 20, 24, 19, 24, 14],
+    ("random", "insertion"): [15, 21, 23, 33, 38, 27],
+    ("first", "repack"): [5, 11, 17, 12, 16, 9],
+    ("best", "repack"): [9, 16, 17, 16, 18, 12],
+    ("random", "repack"): [10, 18, 18, 21, 27, 19],
+}
+
+
+def test_carried_screen_searches_no_more_than_a_fresh_screen_per_step(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _joint_corners(*args, **kwargs)
+
+    monkeypatch.setattr("cubepack.game._joint_corners", counted)
+    for (policy, mode), before in SEARCHES_BEFORE_THE_CARRIED_SCREEN.items():
+        for trial, (cfg, bound) in enumerate(zip(_start_states(3, 6), before)):
+            calls.clear()
+            result = best_response_dynamics(cfg, policy, seed=trial, mode=mode)
+            assert result.geometry_checks == len(calls) <= bound, (policy, mode, trial)
+
+
+@pytest.mark.parametrize("mode", ["insertion", "repack"])
+@pytest.mark.parametrize("policy", ["first", "best", "random"])
+def test_carried_screen_probes_an_entry_again_only_after_a_touch(monkeypatch, policy, mode):
+    # Step k starts after the k-th move.  An entry (type, target) is probed
+    # again only if a move touched its target or re-screened its type since
+    # its last probe, and the fit of a class in a target, which costs a
+    # content and a memo probe, is worked out again only after a touch.
+    probes, touched_at, types_at = [], [], []
+    probe, moved = _MoveScreen._probe, _MoveScreen.moved
+
+    def logged_probe(self, entries, c, t):
+        kind = next(k for k, e in self.types.items() if e is entries)
+        probes.append((len(touched_at) - 1, kind, t, c in self.fits[t]))
+        return probe(self, entries, c, t)
+
+    def logged_moved(self, config, touched):
+        touched_at.append(set(touched))
+        moved(self, config, touched)
+        types_at.append(set(self.types))
+
+    monkeypatch.setattr(_MoveScreen, "_probe", logged_probe)
+    monkeypatch.setattr(_MoveScreen, "moved", logged_moved)
+    for trial, cfg in enumerate(_start_states(11, 8)):
+        probes.clear(), touched_at.clear(), types_at.clear()
+        try:
+            best_response_dynamics(cfg, policy, seed=trial, mode=mode)
+        except RepackSearchError:
+            pass
+        assert probes and len(touched_at) > 1
+
+        def refreshed(after, step, t, kind=None):
+            return any(
+                t in touched_at[k] or (kind is not None and kind not in types_at[k - 1])
+                for k in range(after + 1, step + 1)
+            )
+
+        last_probe, last_fit = {}, {}
+        for step, kind, t, cached in probes:
+            if (kind, t) in last_probe:
+                assert refreshed(last_probe[kind, t], step, t, kind), (trial, step, kind, t)
+            last_probe[kind, t] = step
+            if not cached:
+                if (t, kind[1]) in last_fit:
+                    assert refreshed(last_fit[t, kind[1]], step, t), (trial, step, t)
+                last_fit[t, kind[1]] = step
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        repeated_content_configs(),
+        st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3, unique=True).map(
+            lambda ks: homogeneous_mixture(ks, 2, F(1, 9))
+        ),
+    )
+)
+def test_capacity_screen_skips_only_placements_the_search_rejects(cfg):
+    # A bin that holds capacity[c] class-c cubes takes no further class-c
+    # cube, kept in place or re-laid, so the screen skips the search: the
+    # search itself must reject every such (content, class).
+    m = cfg._volumes
+    for t in m.iocc:
+        for c, cap in enumerate(m.capacity):
+            if m.census[t][c] < cap:
+                continue
+            assert _place(cfg, m.content(t), (c,)) is None
+            residents = sorted([m.cid[r] for r in m.members[t]] + [c])
+            if len(residents) <= 5:
+                assert _place(cfg, (m.unit, ()), tuple(residents)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1127,8 +1332,9 @@ def test_is_nash_on_the_d7_regrouped_equilibrium_reads_types(monkeypatch):
     # P' of reproduce's PoA stage at d=7: 64 full class-3 grids and 128
     # one-cube class-2 bins, 8,320 items.  A placement is asked for at
     # most once per (target content, class): 2 contents times 2 classes,
-    # and three of those are asked, one search each.  A walk over (item,
-    # target) pairs asked 540,564 times here.
+    # and three of those are asked.  Two are a cube into a bin that holds
+    # its class's capacity already, answered without a search, so one
+    # search runs.  A walk over (item, target) pairs asked 540,564 times here.
     inst = poa_instance(_warmup_slice(7, (2, 3), F(1, 9)), certify=False)
     cfg = inst.p_prime
     assert len(cfg.items) == 8320
@@ -1143,11 +1349,11 @@ def test_is_nash_on_the_d7_regrouped_equilibrium_reads_types(monkeypatch):
     result = is_nash(cfg)
     elapsed = time.process_time() - t0
     assert result
-    assert result.geometry_checks == 3
+    assert result.geometry_checks == 1
     m = cfg._volumes
     pairs = {(m.content(t), c) for t in m.iocc for c in set(m.cid.values())}
     assert len(pairs) == 4
-    assert len(calls) == len(set(calls)) == 3 <= len(pairs)
+    assert len(calls) == len(set(calls)) == 1 <= len(pairs)
     assert elapsed < 0.5
 
 
