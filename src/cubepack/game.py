@@ -19,8 +19,8 @@ The checks read types, not items.  A move's gain depends on
 (occ(source), class, occ(target)) and its room on (target content,
 class), so the move screen runs per type (proof at _MoveScreen).  A move
 changes the occupancy and content of its two bins only, so best-response
-dynamics carries the screen from step to step and re-tests only the
-entries whose target the last move touched.
+dynamics carries the screen's fits from step to step and works out again
+only those of the two bins the last move touched.
 Bin permutations that preserve content preserve every cost and layout,
 so the coalition search enumerates one coalition per orbit of them,
 directly and in the order of each orbit's least member, and runs its
@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 from math import lcm
 from typing import (
     Collection,
@@ -465,25 +465,22 @@ class _MoveScreen:
     already has no room, kept in place or re-laid, and gets no search.
 
     Carry (moved): the fit of class c in target u reads only occ(u) and
-    content(u), which also fixes u's cube count for the repack cap, and an
-    entry adds the gain test on the type and occ(u).  A move from bin s to
-    bin t changes the occupancies and contents of s and t alone, so every
-    fit and entry for another target stays valid.  A step forgets the fits
-    of s and t, re-tests every type's gain on them, drops the types no item
-    has any more, and screens only the new types, over every target.
+    content(u), which also fixes u's cube count for the repack cap.  A move
+    from bin s to bin t changes the occupancies and contents of s and t
+    alone, so every fit for another target stays valid.  A step forgets the
+    fits of s and t and rebuilds each type's entries by the gain test,
+    taking every fit still known, so only the fits forgotten or never
+    worked out are probed.
     """
 
     def __init__(self, config: GameConfig, mode: str) -> None:
         self.mode = mode
         self.memo: _Memo = {}
-        self.searches = 0  # placement searches run, memo hits not counted
         m = config._volumes
         self.ids = sorted(m.cid)
         self.vols = dict(zip(m.cid.values(), m.ivol.values()))  # class -> volume
         # target -> class -> (unit, layout) if a mover fits, else False
         self.fits: Dict[int, Dict[int, object]] = {t: {} for t in m.iocc}
-        # type -> {target: its fit, None until probed}
-        self.types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
         self.moved(config, ())
 
     def moved(self, config: GameConfig, touched: Collection[int]) -> None:
@@ -496,7 +493,7 @@ class _MoveScreen:
             del fits[t]
             if t in iocc:
                 fits[t] = {}
-        back = [t for t in touched if t in iocc]
+        # type -> {target: its fit, None until probed}
         types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
         # per item, in id order: (id, class, source bin, type entries)
         self.walk = []
@@ -505,21 +502,12 @@ class _MoveScreen:
             occ = iocc[s]
             entries = types.get((occ, c))
             if entries is None:
-                v, entries = self.vols[c], self.types.get((occ, c))
-                if entries is None:
-                    entries = {
-                        t: fit for t in iocc
-                        if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
-                    }
-                else:
-                    for t in touched:
-                        entries.pop(t, None)
-                    for t in back:
-                        if iocc[t] + v > occ:
-                            entries[t] = None
-                types[occ, c] = entries
+                v = self.vols[c]
+                entries = types[occ, c] = {
+                    t: fit for t in iocc
+                    if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
+                }
             self.walk.append((i, c, s, entries))
-        self.types = types
 
     def _probe(self, entries: Dict[int, Optional[tuple]], c: int, t: int):
         """Fill in the entry of target t for a type of class c: its fit, or
@@ -547,7 +535,6 @@ class _MoveScreen:
                         table[key] = _place(self.config, kept, key, cap)
                     except SearchBudgetError as exc:
                         raise RepackSearchError(f"re-layout of bin {t}: {exc}") from exc
-                    self.searches += 1
                 if table[key] is not None:
                     fits[c] = kept[0], table[key]
         if fits[c]:
@@ -561,43 +548,32 @@ class _MoveScreen:
         movers = [i] if self.mode == "insertion" else m.members[t] + [i]
         return _Candidate(i, s, t, m.iocc[t] + m.ivol[i], *fit, movers)
 
-    def candidates(self) -> Iterator[_Candidate]:
-        """The candidates in move order, probing entries as they are reached."""
+    def _moves(self) -> Iterator[Tuple[int, int, int, tuple]]:
+        """(item, source, target, fit) of each candidate, in move order,
+        probing entries as they are reached."""
         for i, c, s, entries in self.walk:
             for t in sorted(entries):
                 fit = entries[t]
                 if t != s and (fit or (fit := self._probe(entries, c, t))):
-                    yield self._candidate(i, s, t, fit)
+                    yield i, s, t, fit
+
+    def candidates(self) -> Iterator[_Candidate]:
+        """The candidates in move order."""
+        return starmap(self._candidate, self._moves())
 
     def pick(self, policy: str, rng: random.Random) -> Optional[_Candidate]:
         """The candidate a dynamics step under `policy` applies, or None.
 
-        "random" draws pool[rng.randrange(len(pool))], as rng.choice(pool)
-        does, without building the pool: it probes every entry a walk
-        reaches, in walk order, after which an item's entries other than its
-        source are its candidates, and counts them.
+        "random" draws with rng.choice from the walk's moves and builds the
+        candidate for the drawn move alone.
         """
         if policy == "first":
             return next(self.candidates(), None)
         if policy == "best":
             m = self.config._volumes
             return max(self.candidates(), key=lambda c: (_gain(m, c), -c.item), default=None)
-        counts = []
-        for i, c, s, entries in self.walk:
-            if None in entries.values():
-                pending = [t for t, fit in entries.items() if fit is None and t != s]
-                for t in sorted(pending):
-                    self._probe(entries, c, t)
-            counts.append(len(entries) - (s in entries))
-        size = sum(counts)
-        if not size:
-            return None
-        index = rng.randrange(size)
-        for (i, c, s, entries), n in zip(self.walk, counts):
-            if index < n:
-                t = sorted(t for t in entries if t != s)[index]
-                return self._candidate(i, s, t, entries[t])
-            index -= n
+        pool = list(self._moves())
+        return self._candidate(*rng.choice(pool)) if pool else None
 
 
 def _gain(m: _VolumeModel, c: _Candidate) -> Fraction:
@@ -688,7 +664,7 @@ def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     _check_mode(mode)
     screen = _MoveScreen(config, mode)
     moves = tuple(_proposal(config, mode, c) for c in screen.candidates())
-    return NashResult(not moves, mode, moves, screen.searches)
+    return NashResult(not moves, mode, moves, _searches(screen.memo))
 
 
 # ---------------------------------------------------------------------------
@@ -740,14 +716,13 @@ def best_response_dynamics(
     potential is checked on integer occupancies; over one common
     denominator they order exactly as potential() does.
 
-    The move screen is carried, not rebuilt.  Its entry for a type
-    (occ(source), class) and a target u reads only the type, occ(u) and
-    content(u), and the move from s to t changes occ and content of s and
-    t alone.  So after each move only the entries for s and t are
-    re-tested, the types no item has any more are dropped and only the new
-    types are screened; every other entry, probed or not, is what a screen
-    built for the new config would hold, and each step offers the same
-    moves in the same order (see _MoveScreen).
+    The move screen's fits are carried, not rebuilt.  Whether a class fits
+    into a target u reads only occ(u) and content(u), and the move from s
+    to t changes occ and content of s and t alone.  So after each move only
+    the fits for s and t are worked out again, each step re-runs the
+    integer gain test per type and target, and each step offers the moves
+    of a screen built for the new config, in the same order (see
+    _MoveScreen).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -760,13 +735,14 @@ def best_response_dynamics(
     last_potential = sorted(current._volumes.iocc.values(), reverse=True)
     screen = _MoveScreen(current, mode)
     for _ in range(max_steps):
-        searched = screen.searches
+        searched = _searches(screen.memo)
         chosen = screen.pick(policy, rng)
         if chosen is None:
             current.validate()
-            cert = NashResult(True, mode, (), screen.searches - searched)
+            total = _searches(screen.memo)
+            cert = NashResult(True, mode, (), total - searched)
             return DynamicsResult(
-                current, len(applied), tuple(applied), "nash", cert, screen.searches
+                current, len(applied), tuple(applied), "nash", cert, total
             )
         move = _proposal(current, mode, chosen)
         current = apply_move(current, move)
@@ -781,7 +757,8 @@ def best_response_dynamics(
         last_potential = now
     current.validate()
     return DynamicsResult(
-        current, len(applied), tuple(applied), "budget-exhausted", None, screen.searches
+        current, len(applied), tuple(applied), "budget-exhausted", None,
+        _searches(screen.memo),
     )
 
 

@@ -437,7 +437,8 @@ def _joint_corners(
     placed: list[tuple[int, ...]] = []
     budget = None if node_cap is None else iter(range(node_cap))
     if len(ints) == 1:
-        # a lone cube has no floor and needs no backtracking
+        # one cube, as in every insertion search: no floor, no backtracking,
+        # and none of the closures below
         found = _free_corner(boxes, ints[0], axes[0], None, budget)
         return None if found is None else [found]
 

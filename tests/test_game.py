@@ -907,49 +907,42 @@ def test_carried_screen_searches_no_more_than_a_fresh_screen_per_step(monkeypatc
 
 @pytest.mark.parametrize("mode", ["insertion", "repack"])
 @pytest.mark.parametrize("policy", ["first", "best", "random"])
-def test_carried_screen_probes_an_entry_again_only_after_a_touch(monkeypatch, policy, mode):
-    # Step k starts after the k-th move.  An entry (type, target) is probed
-    # again only if a move touched its target or re-screened its type since
-    # its last probe, and the fit of a class in a target, which costs a
-    # content and a memo probe, is worked out again only after a touch.
-    probes, touched_at, types_at = [], [], []
+def test_carried_screen_probes_a_fit_again_only_after_a_touch(monkeypatch, policy, mode):
+    # Step k starts after the k-th move.  The fit of a class in a target,
+    # which costs a content and a memo probe, is worked out again only after
+    # a move touched the target, and an entry whose fit is known when its
+    # step starts is never probed: a probe that finds the fit known finds
+    # one worked out earlier in its own step.
+    probes, touched_at = [], []
     probe, moved = _MoveScreen._probe, _MoveScreen.moved
 
     def logged_probe(self, entries, c, t):
-        kind = next(k for k, e in self.types.items() if e is entries)
-        probes.append((len(touched_at) - 1, kind, t, c in self.fits[t]))
+        probes.append((len(touched_at) - 1, c, t, c in self.fits[t]))
         return probe(self, entries, c, t)
 
     def logged_moved(self, config, touched):
         touched_at.append(set(touched))
         moved(self, config, touched)
-        types_at.append(set(self.types))
 
     monkeypatch.setattr(_MoveScreen, "_probe", logged_probe)
     monkeypatch.setattr(_MoveScreen, "moved", logged_moved)
     for trial, cfg in enumerate(_start_states(11, 8)):
-        probes.clear(), touched_at.clear(), types_at.clear()
+        probes.clear(), touched_at.clear()
         try:
             best_response_dynamics(cfg, policy, seed=trial, mode=mode)
         except RepackSearchError:
             pass
         assert probes and len(touched_at) > 1
-
-        def refreshed(after, step, t, kind=None):
-            return any(
-                t in touched_at[k] or (kind is not None and kind not in types_at[k - 1])
-                for k in range(after + 1, step + 1)
-            )
-
-        last_probe, last_fit = {}, {}
-        for step, kind, t, cached in probes:
-            if (kind, t) in last_probe:
-                assert refreshed(last_probe[kind, t], step, t, kind), (trial, step, kind, t)
-            last_probe[kind, t] = step
-            if not cached:
-                if (t, kind[1]) in last_fit:
-                    assert refreshed(last_fit[t, kind[1]], step, t), (trial, step, t)
-                last_fit[t, kind[1]] = step
+        last_fit = {}
+        for step, c, t, cached in probes:
+            if cached:
+                assert last_fit[t, c] == step, (trial, step, c, t)
+                continue
+            if (t, c) in last_fit:
+                assert any(
+                    t in touched_at[k] for k in range(last_fit[t, c] + 1, step + 1)
+                ), (trial, step, c, t)
+            last_fit[t, c] = step
 
 
 @settings(deadline=None)
