@@ -62,8 +62,8 @@ OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
 # Most items `online run` replays from an outside instance file.  The
 # largest stream this package generates has 16,640 items (`reproduce
-# --d-list 7`), which the harness replays at about 586 us per item
-# (2 cores, Python 3.11.7): 9.7 s.  The cap is six times that stream, so
+# --d-list 7`), which `online run` replays at about 250 us per item
+# (2 cores, Python 3.11.7): 4.2 s.  The cap is six times that stream, so
 # a hostile count ends in exit 2 instead of hours of replay.
 STREAM_ITEM_CAP = 100_000
 

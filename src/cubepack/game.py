@@ -223,6 +223,8 @@ class GameConfig:
                 raise ValueError(f"item {it.item_id} has no bin")
             if it.item_id not in self.positions:
                 raise ValueError(f"item {it.item_id} has no position")
+            if len(self.positions[it.item_id]) != self.d:
+                raise ValueError(f"item {it.item_id} has a base not of length d={self.d}")
         pos = {i: tuple(as_rational(x) for x in p) for i, p in self.positions.items()}
         object.__setattr__(self, "positions", pos)
 
@@ -304,6 +306,8 @@ class GameConfig:
         for item_id, (bin_id, base) in updates.items():
             if item_id not in assignment:
                 raise ValueError(f"unknown item {item_id}")
+            if len(base) != self.d:
+                raise ValueError(f"item {item_id} has a base not of length d={self.d}")
             assignment[item_id] = bin_id
             positions[item_id] = tuple(map(as_rational, base))
         touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
@@ -493,21 +497,23 @@ class _MoveScreen:
             del fits[t]
             if t in iocc:
                 fits[t] = {}
-        # type -> {target: its fit, None until probed}
-        types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
-        # per item, in id order: (id, class, source bin, type entries)
+        # type -> ({target: its fit, None until probed}, its targets in order)
+        types: Dict[Tuple[int, int], Tuple[Dict[int, Optional[tuple]], List[int]]] = {}
+        # per item, in id order: (id, class, source bin, type entries, targets)
         self.walk = []
+        bins = sorted(iocc)
         for i in self.ids:
             c, s = cid[i], src[i]
             occ = iocc[s]
-            entries = types.get((occ, c))
-            if entries is None:
+            screen = types.get((occ, c))
+            if screen is None:
                 v = self.vols[c]
-                entries = types[occ, c] = {
-                    t: fit for t in iocc
+                entries = {
+                    t: fit for t in bins
                     if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
                 }
-            self.walk.append((i, c, s, entries))
+                screen = types[occ, c] = entries, list(entries)
+            self.walk.append((i, c, s, *screen))
 
     def _probe(self, entries: Dict[int, Optional[tuple]], c: int, t: int):
         """Fill in the entry of target t for a type of class c: its fit, or
@@ -550,12 +556,14 @@ class _MoveScreen:
 
     def _moves(self) -> Iterator[Tuple[int, int, int, tuple]]:
         """(item, source, target, fit) of each candidate, in move order,
-        probing entries as they are reached."""
-        for i, c, s, entries in self.walk:
-            for t in sorted(entries):
-                fit = entries[t]
-                if t != s and (fit or (fit := self._probe(entries, c, t))):
-                    yield i, s, t, fit
+        probing entries as they are reached.  A type's targets are sorted
+        once; the entries a probe dropped are skipped."""
+        for i, c, s, entries, targets in self.walk:
+            for t in targets:
+                if t != s and t in entries:
+                    fit = entries[t] or self._probe(entries, c, t)
+                    if fit:
+                        yield i, s, t, fit
 
     def candidates(self) -> Iterator[_Candidate]:
         """The candidates in move order."""

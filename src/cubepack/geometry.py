@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice
 from math import lcm
+from operator import lt
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -186,21 +187,22 @@ def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
     lies on distinct interval ids[i], whose lowest cube is firsts[ids[i]].
     The intervals are scaled onto ints over the lcm of their denominators;
     comparisons never cross axes, so one scale per axis is exact."""
-    by_value: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    by_value: dict[tuple[int, int, int, int], int] = {}
     ids: list[int] = []
     firsts: list[int] = []
     for idx, cube in enumerate(cubes):
-        # keyed by the integer ratios of the base and the side, which hash
-        # far faster than Fractions and name the same interval
-        key = (cube.base[dim].as_integer_ratio(), cube.cls.side.as_integer_ratio())
+        # the ints of the normalised base and side, read off the Fractions'
+        # slots with no call per cube, name the interval and hash far faster
+        lo, side = cube.base[dim], cube.cls.side
+        key = (lo._numerator, lo._denominator, side._numerator, side._denominator)
         t = by_value.get(key)
         if t is None:
             t = by_value[key] = len(firsts)
             firsts.append(idx)
         ids.append(t)
-    scale = lcm(*(q for lo, side in by_value for q in (lo[1], side[1])))
+    scale = lcm(*(q for _, lq, _, sq in by_value for q in (lq, sq)))
     intervals = [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
-                 for (p, q), (sp, sq) in by_value]
+                 for p, q, sp, sq in by_value]
     return ids, intervals, firsts, scale
 
 
@@ -255,11 +257,12 @@ def verify_bin(b: Bin) -> BinVerification:
     so cubes agree on every lattice axis iff their codes are equal.  Open
     boxes intersect iff they overlap on every axis, so each intersecting
     pair lies in one code group and is decided there on the loose axes
-    alone.  One sort brings the groups together; when every axis is a
-    lattice axis, as on the grids H_k, the bin is disjoint iff all codes
-    differ.  The first cube out of the bin and the first offending pair
-    (lowest indices) are reported for debugging; the lowest pair is the
-    least of the groups' lowest pairs.
+    alone.  When the codes all differ, as on the grids H_k and on most
+    harness bins, no two cubes share a group and the bin is disjoint:
+    sorting the codes and comparing neighbours decides it.  Otherwise one
+    sort of the cubes brings the groups together.  The first cube out of
+    the bin and the first offending pair (lowest indices) are reported for
+    debugging; the lowest pair is the least of the groups' lowest pairs.
     """
     n = len(b.cubes)
     outside: list[int] = []  # lowest cube of each interval leaving [0, 1]
@@ -274,6 +277,9 @@ def verify_bin(b: Bin) -> BinVerification:
         else:
             loose.append((ids, intervals))
     bad_cube = min(outside, default=None)
+    ordered = sorted(codes)  # a sorted copy of the ints: no set table on big grids
+    if all(map(lt, ordered, islice(ordered, 1, None))):
+        return BinVerification(bad_cube is None, True, n, bad_cube)
     groups = (list(g) for _, g in groupby(sorted(range(n), key=codes.__getitem__),
                                           codes.__getitem__))
     pairs = [_lowest_overlap(members, loose) for members in groups if len(members) > 1]

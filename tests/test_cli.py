@@ -453,6 +453,8 @@ def test_hostile_packing_is_bad_input(tmp_path, packing_file, capsys, template, 
 HOSTILE_CONFIGS = {
     "d_below_1": {"d": -1, "cubes": []},
     "no_cubes": {"d": 3, "cubes": []},
+    "short_base": {"d": 2, "cubes": [{"id": 0, "bin": 0, "k": 2, "epsilon": "1/9",
+                                      "base": ["0"]}]},
 }
 GAME_CONFIG_COMMANDS = [*CONFIG_COMMANDS, ("game", "dynamics", "IN", "--out", "OUT")]
 

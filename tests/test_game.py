@@ -137,6 +137,18 @@ def test_config_validation_rejects_overlap():
         cfg.validate()
 
 
+def test_config_rejects_a_base_of_the_wrong_length():
+    # a one-coordinate base in a d=2 config used to build, by the constructor
+    # or by a move, and is_nash then certified it with no placement search
+    cls = CubeClass(2, F(1, 9), 2)
+    items = (GameItem(0, cls), GameItem(1, cls))
+    with pytest.raises(ValueError, match="item 0 has a base not of length d=2"):
+        GameConfig(2, items, {0: 0, 1: 1}, {0: (F(0),), 1: (F(0), F(0))})
+    cfg = GameConfig(2, items, {0: 0, 1: 1}, {0: (F(0), F(0)), 1: (F(0), F(0))})
+    with pytest.raises(ValueError, match="item 0 has a base not of length d=2"):
+        cfg.with_moves({0: (1, (F(1, 2),))})
+
+
 def test_config_json_round_trip():
     cfg = homogeneous_mixture([2, 3], 2, F(1, 9))
     payload = config_to_dict(cfg)

@@ -288,6 +288,79 @@ def test_verify_bin_grouping_matches_the_oracles(b):
     test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(b)
 
 
+# Classes whose coordinates coincide: 0 in every table, 1/3 in (3, 0) and
+# (4, 1/3), and the side 3/4 in both (2, 1/2) and (3, 5/4).
+SHARING_CLASSES = [(2, F(1, 2)), (3, F(5, 4)), (3, F(0)), (4, F(1, 3)), (3, F(1, 9))]
+
+
+@st.composite
+def table_bins(draw):
+    """A bin as (d, cubes), each cube (k, eps, base values): d in 1..3 and
+    1..8 cubes of the SHARING_CLASSES, each coordinate i * side for i in
+    0..k-1 (i = k-1 leaves the bin when eps > 0) or half a step above
+    such a value, off the lattice."""
+    d = draw(st.integers(1, 3))
+    cubes = []
+    for _ in range(draw(st.integers(1, 8))):
+        k, eps = draw(st.sampled_from(SHARING_CLASSES))
+        side = (1 + eps) / k
+        base = tuple(draw(st.integers(0, k - 1)) * side + draw(st.sampled_from([0, 0, 0, side / 2]))
+                     for _ in range(d))
+        cubes.append((k, eps, base))
+    return d, cubes
+
+
+@given(table_bins())
+def test_verify_bin_reads_values_not_objects(case):
+    # the same bin built from one table of shared Fraction objects (equal
+    # values one object, across classes too) and from fresh Fractions
+    d, cubes = case
+    table, classes = {}, {}
+    shared = Bin(d, tuple(
+        PlacedCube(classes.setdefault((k, eps), CubeClass(k, eps, d)),
+                   tuple(table.setdefault(x, x) for x in base))
+        for k, eps, base in cubes))
+    fresh = Bin(d, tuple(
+        PlacedCube(CubeClass(k, F(eps.numerator, eps.denominator), d),
+                   tuple(F(x.numerator, x.denominator) for x in base))
+        for k, eps, base in cubes))
+    assert verify_bin(shared) == verify_bin(fresh)
+    test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(shared)
+
+
+def test_verify_bin_reports_a_cube_out_of_the_bin_when_every_code_differs():
+    # every axis is a lattice axis and no two cubes share a code, so no
+    # group is formed: containment must still be reported
+    cls = CubeClass(3, F(1, 9), 2)
+    s = cls.side
+    bases = [(0, 0), (2 * s, 0), (s, 0), (0, 2 * s), (s, s)]
+    report = verify_bin(Bin(2, tuple(PlacedCube(cls, b) for b in bases)))
+    assert (report.containment_ok, report.disjoint_ok) == (False, True)
+    assert (report.bad_cube, report.offending_pair) == (1, None)
+
+
+def test_verify_bin_makes_no_fraction_call_per_cube(monkeypatch):
+    # the interval keys are ints read off the Fractions: the calls that
+    # reading a Fraction's value makes may not grow with the cube count
+    grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes, 5 intervals per axis
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("as_integer_ratio", "__hash__"):
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(F, name, property(counted(getattr(F, name).fget)))
+    report = verify_bin(grid.bin)
+    monkeypatch.undo()
+    assert report and report.cube_count == 15_625
+    assert len(calls) <= 6 * 5, len(calls)
+
+
 def test_verify_bin_traced_peak_stays_below_the_bin():
     # verify_bin keeps O(n d) per-cube codes and ids; a structure per cube
     # pair, or a tuple per cube and axis, would outgrow the bin itself
