@@ -253,7 +253,7 @@ def cmd_pack_weight(args) -> int:
 # online
 
 
-def _adversary_doc(result, manifest: dict) -> dict:
+def _adversary_doc(result) -> dict:
     doc = instance_to_dict(result.instance)
     doc.update(
         m=result.m,
@@ -261,18 +261,26 @@ def _adversary_doc(result, manifest: dict) -> dict:
         lower_bound=result.lower_bound,
         offline_bin_count=result.offline_bin_count,
         per_segment_lower_bounds=list(result.per_segment_lower_bounds),
-        manifest=manifest,
     )
     return doc
 
 
-def _ratio_doc(report) -> dict:
-    return {
-        "bins_used": report.bins_used,
-        "opt_upper_bound": report.opt_upper_bound,
-        "certified_lower_bound": report.certified_lower_bound,
-        "ratio": format_rational(report.ratio),
+def _run_doc(algorithm: str, m: int, run) -> dict:
+    doc = {
+        "algorithm": algorithm,
+        "m": m,
+        "bins_used": run.bins_used,
+        "per_segment_new_bins": list(run.per_segment_new_bins),
+        "placements": len(run.placements),
     }
+    if run.report is not None:
+        doc["ratio_report"] = {
+            "bins_used": run.report.bins_used,
+            "opt_upper_bound": run.report.opt_upper_bound,
+            "certified_lower_bound": run.report.certified_lower_bound,
+            "ratio": format_rational(run.report.ratio),
+        }
+    return doc
 
 
 def cmd_online_adversary(args) -> int:
@@ -281,8 +289,11 @@ def cmd_online_adversary(args) -> int:
     command = ["online", "adversary", "--packing", Path(args.packing).name,
                "--M", str(args.m), "--scale", str(result.scale),
                "--out", Path(args.out).name]
-    manifest = make_manifest(command, args.seed, args.log_base, {"packing": args.packing})
-    write_json(args.out, _adversary_doc(result, manifest))
+    doc = _adversary_doc(result)
+    doc["manifest"] = make_manifest(
+        command, args.seed, args.log_base, {"packing": args.packing}
+    )
+    write_json(args.out, doc)
     print(
         f"wrote {args.out}: {result.instance.total_items} items in "
         f"{len(result.instance.segments)} segments, scale={result.scale}, "
@@ -317,21 +328,15 @@ def cmd_online_run(args) -> int:
     command = ["online", "run", "--alg", args.alg,
                "--instance", Path(args.instance).name,
                "--M", str(args.m), "--report", Path(args.report).name]
-    out = {
-        "algorithm": args.alg,
-        "m": args.m,
-        "bins_used": result.bins_used,
-        "open_bins": len(result.open_bin_ids),
-        "closed_bins": len(result.closed_bin_ids),
-        "per_segment_new_bins": list(result.per_segment_new_bins),
-        "placements": len(result.placements),
-        "manifest": make_manifest(
+    doc = _run_doc(args.alg, args.m, result)
+    doc.update(
+        open_bins=len(result.open_bin_ids),
+        closed_bins=len(result.closed_bin_ids),
+        manifest=make_manifest(
             command, args.seed, args.log_base, {"instance": args.instance}
         ),
-    }
-    if result.report is not None:
-        out["ratio_report"] = _ratio_doc(result.report)
-    write_json(args.report, out)
+    )
+    write_json(args.report, doc)
     line = f"{args.alg}: {result.bins_used} bins for {len(result.placements)} items"
     if result.report is not None:
         line += (
@@ -417,6 +422,17 @@ def _anarchy_doc(inst, kind: str) -> dict:
     return doc
 
 
+def _anarchy_row(doc: dict) -> dict:
+    """A reproduce row of a poa or spoa document, whose certificate it names."""
+    row = {key: doc[key] for key in ("ratio", "optimum_bins", "equilibrium_bins")}
+    if "coalition_proof" in doc:
+        row.update(certified=doc["coalition_proof"],
+                   coalition_cap=doc["max_coalition_size"])
+    else:
+        row["certified"] = doc["equilibrium_certified"]
+    return row
+
+
 def _write_anarchy(args, inst, doc: dict, subcommand: str, *flags: str) -> None:
     """The --out tail of poa and spoa: both configurations plus a manifest."""
     if args.out is None:
@@ -496,174 +512,106 @@ def _slice_family(family: SeparatedFamily, classes: tuple) -> SeparatedFamily:
 
 def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
                          base_command: list, artifacts: list) -> dict:
+    """One summary row: each stage ok, skipped, or failed with its reason."""
     row: dict = {"d": d}
+    built: dict = {}  # family, slim packing, adversary and its instance file
 
-    def manifest(stage: str, inputs: Optional[Mapping[str, Path]] = None) -> dict:
-        return make_manifest(base_command, seed, log_base, inputs,
-                             stage=f"{stage}_d{d}")
+    def run(stage: str, body: Callable[[], dict]) -> None:
+        # a body that skips its stage returns its own status
+        try:
+            row[stage] = {"status": "ok", **body()}
+        except Exception as exc:
+            row[stage] = {"status": "error", "error": str(exc)}
 
-    def emit(name: str, doc: Mapping) -> Path:
-        path = out_dir / name
+    def need(stage: str):
+        if stage not in built:
+            raise RuntimeError(f"{stage} stage failed")
+        return built[stage]
+
+    def emit(name: str, stage: str, doc: dict, inputs=None) -> Path:
+        doc["manifest"] = make_manifest(base_command, seed, log_base, inputs,
+                                        stage=f"{stage}_d{d}")
+        path = out_dir / f"{name}_d{d}.json"
         write_json(path, doc)
         artifacts.append(path)
         return path
 
-    # stage 1: the hand-built family, certified
-    family = None
-    try:
-        family = warmup_family(d)
-        cert = family.certify()
-        sizes = family.sizes()
-        doc = family_to_dict(family)
-        doc["manifest"] = manifest("family")
-        emit(f"family_d{d}.json", doc)
-        row["family"] = {
-            "status": "ok",
-            "S": len(family.classes),
-            "classes": list(family.classes),
-            "sizes": {str(k): v for k, v in sorted(sizes.items())},
-            "gapped": cert.gapped_ok,
-            "separated": cert.separated_ok,
-            "weight": format_rational(family.weight()),
-        }
-    except Exception as exc:
-        row["family"] = {"status": "error", "error": str(exc)}
+    def family() -> dict:
+        # the hand-built family, certified
+        fam = built["family"] = warmup_family(d)
+        cert = fam.certify()
+        emit("family", "family", family_to_dict(fam))
+        return {"S": len(fam.classes), "classes": list(fam.classes),
+                "sizes": {str(k): v for k, v in sorted(fam.sizes().items())},
+                "gapped": cert.gapped_ok, "separated": cert.separated_ok,
+                "weight": format_rational(fam.weight())}
 
-    # stage 2: the induced packing, verified cube by cube
-    packing = None
-    try:
-        if family is None:
-            raise RuntimeError("family stage failed")
-        total = sum(family.sizes().values())
-        cap = None if total <= 20_000 else 200
+    def packing() -> dict:
+        # the induced packing, verified cube by cube
+        fam = need("family")
+        cap = None if sum(fam.sizes().values()) <= 20_000 else 200
         epsilon = Fraction(1, d * d)
-        packing = build_packing(family, epsilon, per_class_cap=cap)
-        doc = packing_to_dict(packing)
-        doc["manifest"] = manifest("packing")
-        emit(f"packing_d{d}.json", doc)
-        row["packing"] = {
-            "status": "ok",
-            "epsilon": format_rational(epsilon),
-            "cubes": sum(packing.nu.values()),
-            "truncated": cap is not None,
-            "weight": format_rational(packing.weight()),
-            "occupied": format_rational(packing.occupied()),
-        }
-    except Exception as exc:
-        row["packing"] = {"status": "error", "error": str(exc)}
+        pk = build_packing(fam, epsilon, per_class_cap=cap)
+        emit("packing", "packing", packing_to_dict(pk))
+        return {"epsilon": format_rational(epsilon), "cubes": sum(pk.nu.values()),
+                "truncated": cap is not None, "weight": format_rational(pk.weight()),
+                "occupied": format_rational(pk.occupied())}
 
-    # stage 3: adversarial stream at M=1 on the two smallest classes; stage
-    # 5 reuses its packing
-    instance_path = None
-    adversary = None
-    slim_packing = None
-    try:
-        if family is None:
-            raise RuntimeError("family stage failed")
+    def adversary() -> dict:
+        # the adversarial stream at M=1 on the two smallest classes, whose
+        # packing the poa stage reuses
         classes = (2, 3) if d >= 3 else (2,)
-        slim = _slice_family(family, classes)
-        slim_packing = build_packing(slim, Fraction(1, max(classes) ** 2))
-        adversary = adversarial_instance(slim_packing, 1)
-        instance_path = emit(
-            f"instance_d{d}.json", _adversary_doc(adversary, manifest("adversary"))
-        )
-        row["adversary"] = {
-            "status": "ok",
-            "classes": list(classes),
-            "m": 1,
-            "scale": adversary.scale,
-            "items": adversary.instance.total_items,
-            "lower_bound": adversary.lower_bound,
-            "offline_bins": adversary.offline_bin_count,
-        }
-    except Exception as exc:
-        row["adversary"] = {"status": "error", "error": str(exc)}
+        slim = _slice_family(need("family"), classes)
+        built["slim"] = build_packing(slim, Fraction(1, max(classes) ** 2))
+        adv = built["adversary"] = adversarial_instance(built["slim"], 1)
+        built["instance"] = emit("instance", "adversary", _adversary_doc(adv))
+        return {"classes": list(classes), "m": 1, "scale": adv.scale,
+                "items": adv.instance.total_items, "lower_bound": adv.lower_bound,
+                "offline_bins": adv.offline_bin_count}
 
-    # stage 4: the one-bin-per-class baseline against that stream
-    try:
-        if adversary is None:
-            raise RuntimeError("adversary stage failed")
-        run = run_bounded_space(
-            ClassHarmonicBaseline(1),
-            adversary.instance,
-            1,
-            opt_upper_bound=adversary.offline_bin_count,
-            certified_lower_bound=adversary.lower_bound,
-        )
-        doc = {
-            "algorithm": "class-harmonic",
-            "m": 1,
-            "bins_used": run.bins_used,
-            "per_segment_new_bins": list(run.per_segment_new_bins),
-            "placements": len(run.placements),
-            "ratio_report": _ratio_doc(run.report),
-            "manifest": manifest(
-                "online", {"instance": instance_path} if instance_path else None
-            ),
-        }
-        emit(f"online_d{d}.json", doc)
-        row["online"] = {
-            "status": "ok",
-            "bins_used": run.bins_used,
-            "ratio": format_rational(run.report.ratio),
-            "meets_lower_bound": run.bins_used >= adversary.lower_bound,
-        }
-    except Exception as exc:
-        row["online"] = {"status": "error", "error": str(exc)}
+    def online() -> dict:
+        # the one-bin-per-class baseline against that stream
+        adv = need("adversary")
+        result = run_bounded_space(ClassHarmonicBaseline(1), adv.instance, 1,
+                                   opt_upper_bound=adv.offline_bin_count,
+                                   certified_lower_bound=adv.lower_bound)
+        path = built.get("instance")
+        emit("online", "online", _run_doc("class-harmonic", 1, result),
+             {"instance": path} if path else None)
+        return {"bins_used": result.bins_used,
+                "ratio": format_rational(result.report.ratio),
+                "meets_lower_bound": result.bins_used >= adv.lower_bound}
 
-    # stage 5: optimum vs selfish regrouping on the adversary's classes
-    try:
-        if slim_packing is None:
-            # the packing was not built: report why, as stage 3 did
+    def poa() -> dict:
+        # optimum vs selfish regrouping on the adversary's classes
+        if "slim" not in built:
+            # the packing was not built: report why, as the adversary did
             raise RuntimeError(row["adversary"]["error"])
-        inst = poa_instance(slim_packing)
-        doc = _anarchy_doc(inst, "price-of-anarchy")
-        doc["manifest"] = manifest("poa")
-        emit(f"poa_d{d}.json", doc)
-        row["poa"] = {
-            "status": "ok",
-            "ratio": doc["ratio"],
-            "optimum_bins": doc["optimum_bins"],
-            "equilibrium_bins": doc["equilibrium_bins"],
-            "certified": doc["equilibrium_certified"],
-        }
-    except Exception as exc:
-        row["poa"] = {"status": "error", "error": str(exc)}
+        doc = _anarchy_doc(poa_instance(built["slim"]), "price-of-anarchy")
+        emit("poa", "poa", doc)
+        return _anarchy_row(doc)
 
-    # stage 6: the same comparison under coalitions, power-of-two classes
-    try:
-        if d >= 4:
-            if family is None:
-                raise RuntimeError("family stage failed")
-            spoa_family = _slice_family(family, (2, 4))
-        elif d == 2:
-            spoa_family = build_separated_family(
-                d, (2, 4), _sub_seed(seed, "spoa", d)
-            )
-        else:
+    def spoa() -> dict:
+        # the same comparison under coalitions, power-of-two classes
+        if d == 3:
             # class 4 pins letter 4 at coordinate 4 and the sampled index
             # sets cannot be disjoint inside [1..3]: no power-of-two pair
-            row["spoa"] = {
-                "status": "skipped",
-                "reason": "no power-of-two class pair fits dimension 3",
-            }
-            return row
-        spoa_packing = build_packing(spoa_family, Fraction(1, 16))
-        inst = spoa_instance(spoa_packing, coalition_cap=3, copies_cap=16)
+            return {"status": "skipped",
+                    "reason": "no power-of-two class pair fits dimension 3"}
+        if d == 2:
+            fam = build_separated_family(d, (2, 4), _sub_seed(seed, "spoa", d))
+        else:
+            fam = _slice_family(need("family"), (2, 4))
+        inst = spoa_instance(build_packing(fam, Fraction(1, 16)),
+                             coalition_cap=3, copies_cap=16)
         doc = _anarchy_doc(inst, "strong-price-of-anarchy")
-        doc["manifest"] = manifest("spoa")
-        emit(f"spoa_d{d}.json", doc)
-        row["spoa"] = {
-            "status": "ok",
-            "ratio": doc["ratio"],
-            "optimum_bins": doc["optimum_bins"],
-            "equilibrium_bins": doc["equilibrium_bins"],
-            "certified": doc["coalition_proof"],
-            "coalition_cap": doc["max_coalition_size"],
-        }
-    except Exception as exc:
-        row["spoa"] = {"status": "error", "error": str(exc)}
+        emit("spoa", "spoa", doc)
+        return _anarchy_row(doc)
 
+    for stage, body in (("family", family), ("packing", packing),
+                        ("adversary", adversary), ("online", online),
+                        ("poa", poa), ("spoa", spoa)):
+        run(stage, body)
     return row
 
 
@@ -732,17 +680,16 @@ def cmd_reproduce(args) -> int:
     bundle = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     hash_path.write_text("\n".join(lines) + f"\nbundle {bundle}\n")
 
+    failed = False
     for row in rows:
-        stages = [s for s in row if s != "d"]
-        line = f"d={row['d']}: " + ", ".join(
-            f"{s}={row[s].get('status')}" for s in stages
-        )
-        print(line)
-        for s in stages:
-            if row[s].get("status") == "error":
-                print(f"  {s}: {row[s]['error']}", file=sys.stderr)
+        stages = {s: block for s, block in row.items() if s != "d"}
+        print(f"d={row['d']}: " + ", ".join(f"{s}={b['status']}" for s, b in stages.items()))
+        for s, block in stages.items():
+            if block["status"] == "error":
+                failed = True
+                print(f"  {s}: {block['error']}", file=sys.stderr)
     print(f"bundle {bundle} ({len(artifacts)} files in {out_dir})")
-    return OK
+    return VERIFY_FAIL if failed else OK
 
 
 # ---------------------------------------------------------------------------

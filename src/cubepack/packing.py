@@ -370,7 +370,6 @@ class PowerOfTwoPackingReport:
     weight_full: Optional[Fraction]
     target_log_d: float
     meets_target: Optional[bool]
-    class_count_ok: Optional[bool]  # len(classes) == S' - 1
     status: str  # "built" | "degenerate"
     asserted: bool
 
@@ -405,7 +404,7 @@ def power_of_two_packing_report(
         if asserted:
             raise RuntimeError(f"S' = {sp} < 2 at asserted scale d={d}")
         return PowerOfTwoPackingReport(
-            d, log_base, sp, overridden, (), None, None, None, target, None, None,
+            d, log_base, sp, overridden, (), None, None, None, target, None,
             "degenerate", asserted,
         )
     classes = tuple(2 ** (j - 1) for j in range(2, sp + 1))
@@ -414,7 +413,6 @@ def power_of_two_packing_report(
     packing = build_packing(family, epsilon, per_class_cap=per_class_cap)
     weight_full = family.weight()
     meets = float(weight_full) >= target
-    class_count_ok = len(classes) == sp - 1
     if asserted and not meets:
         raise RuntimeError(
             f"power-of-two weight target failed at asserted scale d={d}: "
@@ -422,7 +420,7 @@ def power_of_two_packing_report(
         )
     return PowerOfTwoPackingReport(
         d, log_base, sp, overridden, classes, epsilon, packing, weight_full,
-        target, meets, class_count_ok, "built", asserted,
+        target, meets, "built", asserted,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubepack import cli
 from cubepack.cli import main
 from cubepack.game import config_to_dict, homogeneous_mixture
 from cubepack.languages import warmup_family
@@ -340,6 +341,55 @@ def test_reproduce_continues_past_stage_errors(tmp_path):
     row = read(out / "summary.json")["rows"][0]
     assert row["spoa"]["status"] == "skipped"
     assert row["online"]["status"] == "ok"
+
+
+def _raise_boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_reproduce_fails_the_run_when_a_stage_fails(tmp_path, monkeypatch, capsys):
+    # a failed certificate once left an error row behind an exit 0; every
+    # stage still runs and the bundle is still written
+    monkeypatch.setattr(cli, "poa_instance", _raise_boom)
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 3) == 1
+    row = read(out / "summary.json")["rows"][0]
+    assert row["poa"] == {"status": "error", "error": "boom"}
+    assert row["online"]["status"] == "ok"
+    assert row["spoa"]["status"] == "skipped"
+    for name in ("summary.csv", "bundle.sha256", "online_d3.json"):
+        assert (out / name).exists()
+    assert not (out / "poa_d3.json").exists()
+    assert "poa: boom" in capsys.readouterr().err
+
+
+def test_reproduce_names_the_failed_upstream_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "warmup_family", _raise_boom)
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 3, 4) == 1
+    d3, d4 = read(out / "summary.json")["rows"]
+    for row in (d3, d4):
+        assert row["family"] == {"status": "error", "error": "boom"}
+        for stage in ("packing", "adversary", "poa"):
+            assert row[stage] == {"status": "error", "error": "family stage failed"}
+        assert row["online"] == {"status": "error", "error": "adversary stage failed"}
+    assert d3["spoa"]["status"] == "skipped"
+    assert d4["spoa"] == {"status": "error", "error": "family stage failed"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bundle.sha256", "summary.csv", "summary.json",
+    ]
+
+
+def test_reproduce_runs_poa_when_the_adversary_fails(tmp_path, monkeypatch):
+    # the slim packing is handed on before the adversary runs
+    monkeypatch.setattr(cli, "adversarial_instance", _raise_boom)
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 4) == 1
+    row = read(out / "summary.json")["rows"][0]
+    assert row["adversary"] == {"status": "error", "error": "boom"}
+    assert row["online"] == {"status": "error", "error": "adversary stage failed"}
+    for stage in ("family", "packing", "poa", "spoa"):
+        assert row[stage]["status"] == "ok"
 
 
 # -- process level -------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Speed work must leave every output byte-identical.  These pins catch a
 change in any of them: the reproduce bundles at two dimension lists, and
-the files of game dynamics, game poa and game spoa on the fixtures of
-test_cli.  A deliberate output change updates its pin and says so.
+the files of online adversary, online run, game dynamics, game poa and
+game spoa on the fixtures of test_cli.  A deliberate output change updates its pin and says so.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ import pytest
 from test_cli import (  # noqa: F401  (fixtures)
     _break_one_bin,
     equilibrium_file,
+    instance_file,
     packing_file,
     pow_packing_file,
     read,
@@ -42,6 +43,22 @@ def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
     flags = ("--d-list", *d_list) if d_list else ()
     assert run("--out-dir", out, "reproduce", *flags) == 0
     assert _bundle_hash(out) == bundle
+
+
+def test_online_adversary_file_is_pinned(instance_file):
+    assert _sha256(instance_file) == (
+        "0942643066d452a37f147dcbff6f6876c92469b7b4fe6bdd98e570d4d6de0e72"
+    )
+
+
+def test_online_run_report_is_pinned(tmp_path, instance_file):
+    report = tmp_path / "report.json"
+    code = run("online", "run", "--alg", "class-harmonic",
+               "--instance", instance_file, "--M", 1, "--report", report)
+    assert code == 0
+    assert _sha256(report) == (
+        "a81bf023c7f0caba87970fa0464937ae49308cda17b9638efa9f7e3264267237"
+    )
 
 
 def test_game_poa_file_is_pinned(tmp_path, packing_file):

@@ -262,7 +262,6 @@ def test_power_of_two_report_with_override():
     assert rep.status == "built"
     assert rep.classes == (2, 4)
     assert rep.epsilon == F(1, 16)
-    assert rep.class_count_ok
     assert verify_bin(rep.packing.bin)
     assert rep.s_prime_overridden
 
@@ -272,5 +271,4 @@ def test_power_of_two_report_large_d_implicit():
     assert rep.status == "built"
     assert rep.classes == (2, 4, 8)
     assert rep.epsilon == F(1, 64)
-    assert rep.class_count_ok
     assert verify_bin(rep.packing.bin)
