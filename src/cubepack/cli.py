@@ -537,9 +537,14 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         return path
 
     def family() -> dict:
-        # the hand-built family, certified
-        fam = built["family"] = warmup_family(d)
+        # the hand-built family, handed on only once its certificate holds
+        fam = warmup_family(d)
         cert = fam.certify()
+        if not cert:
+            failed = [name for name, ok in (("gapped", cert.gapped_ok),
+                                            ("separated", cert.separated_ok)) if not ok]
+            raise RuntimeError(f"family certificate failed: not {' and '.join(failed)}")
+        built["family"] = fam
         emit("family", "family", family_to_dict(fam))
         return {"S": len(fam.classes), "classes": list(fam.classes),
                 "sizes": {str(k): v for k, v in sorted(fam.sizes().items())},

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import groupby, islice, product
 from math import lcm
 from operator import lt
 from typing import Optional, Sequence, Union
@@ -152,6 +152,10 @@ class Bin:
 
     d: int
     cubes: tuple[PlacedCube, ...] = ()
+    # (cls, coords) on a bin that _grid_bin built as the cubes of class cls
+    # based at product(coords, repeat=d); not a field, so a Bin built any
+    # other way, through with_cube or dataclasses.replace too, carries none
+    _factors = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cubes", tuple(self.cubes))
@@ -180,6 +184,33 @@ class BinVerification:
 
     def __bool__(self) -> bool:
         return self.containment_ok and self.disjoint_ok
+
+
+def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
+    """The bin of class-cls cubes based at every point of coords^d, in
+    itertools.product order, carrying (cls, coords) for verify_bin."""
+    coords = tuple(coords)
+    b = Bin(cls.d, tuple(_placed(cls, base) for base in product(coords, repeat=cls.d)))
+    object.__setattr__(b, "_factors", (cls, coords))
+    return b
+
+
+def _grid_holds(cls: CubeClass, coords: tuple[Fraction, ...]) -> bool:
+    """True iff every coordinate lies in [0, 1 - side] and the sorted
+    coordinates step by at least the side, in ints over one lcm.
+
+    Lemma: then the product grid over coords is a valid bin.  Two distinct
+    product cubes differ in the table position on some axis, and distinct
+    positions name pairwise disjoint open intervals, so the two cubes are
+    disjoint on that axis and therefore disjoint.  Every cube coordinate is
+    one of the coordinates, so containment needs only those.
+    """
+    side = cls.side
+    scale = lcm(side.denominator, *(x.denominator for x in coords))
+    s = side.numerator * (scale // side.denominator)
+    ints = sorted(x.numerator * (scale // x.denominator) for x in coords)
+    return (bool(ints) and ints[0] >= 0 and ints[-1] + s <= scale
+            and all(hi - lo >= s for lo, hi in zip(ints, ints[1:])))
 
 
 def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
@@ -247,24 +278,31 @@ def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
 def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
-    Works one axis at a time: the cubes are grouped by their interval on
-    the axis (constructions place on a lattice, so an axis carries a
-    handful of values), and each distinct interval is checked once
-    against [0, 1].  Lattice-axis lemma: on an axis whose distinct
-    intervals are pairwise disjoint, two cubes overlap iff they share the
-    interval, as an open interval meets itself and no other.  Such an
-    axis adds its interval id as one mixed-radix digit to a per-cube code,
-    so cubes agree on every lattice axis iff their codes are equal.  Open
-    boxes intersect iff they overlap on every axis, so each intersecting
-    pair lies in one code group and is decided there on the loose axes
-    alone.  When the codes all differ, as on the grids H_k and on most
-    harness bins, no two cubes share a group and the bin is disjoint:
-    sorting the codes and comparing neighbours decides it.  Otherwise one
-    sort of the cubes brings the groups together.  The first cube out of
-    the bin and the first offending pair (lowest indices) are reported for
-    debugging; the lowest pair is the least of the groups' lowest pairs.
+    A grid that _grid_bin built, as for the H_k, is certified from its
+    factors alone when they pass _grid_holds, in O(k) work for (k-1)^d
+    cubes.  Every other bin, a grid whose factors fail included, goes to
+    the generic kernel below, so every failure report is the same.
+
+    The generic kernel works one axis at a time: the cubes are grouped by
+    their interval on the axis (constructions place on a lattice, so an
+    axis carries a handful of values), and each distinct interval is
+    checked once against [0, 1].  Lattice-axis lemma: on an axis whose
+    distinct intervals are pairwise disjoint, two cubes overlap iff they
+    share the interval, as an open interval meets itself and no other.
+    Such an axis adds its interval id as one mixed-radix digit to a
+    per-cube code, so cubes agree on every lattice axis iff their codes
+    are equal.  Open boxes intersect iff they overlap on every axis, so
+    each intersecting pair lies in one code group and is decided there on
+    the loose axes alone.  When the codes all differ, as on most harness
+    bins, no two cubes share a group and the bin is disjoint: sorting the
+    codes and comparing neighbours decides it.  Otherwise one sort of the
+    cubes brings the groups together.  The first cube out of the bin and
+    the first offending pair (lowest indices) are reported for debugging;
+    the lowest pair is the least of the groups' lowest pairs.
     """
     n = len(b.cubes)
+    if b._factors is not None and _grid_holds(*b._factors):
+        return BinVerification(True, True, n)
     outside: list[int] = []  # lowest cube of each interval leaving [0, 1]
     codes, radix, loose = [0] * n, 1, []
     for dim in range(b.d):

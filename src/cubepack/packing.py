@@ -19,6 +19,7 @@ from .geometry import (
     Bin,
     CubeClass,
     PlacedCube,
+    _grid_bin,
     _placed,
     as_rational,
     expect_type,
@@ -232,6 +233,8 @@ def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
 
     Needs 0 < eps <= 1/(k-1); at the boundary the last cube ends exactly
     at 1 and neighbouring cubes share facets, which open cubes allow.
+    The bin is a product grid over the k-1 coordinates, so verify_bin
+    certifies it from them rather than cube by cube.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -239,9 +242,7 @@ def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
     if not 0 < epsilon <= Fraction(1, k - 1):
         raise ValueError(f"need 0 < epsilon <= 1/{k - 1}, got {epsilon}")
     cls = CubeClass(k, epsilon, d)
-    coords = [i * cls.side for i in range(k - 1)]
-    cubes = tuple(_placed(cls, base) for base in itertools.product(coords, repeat=d))
-    b = Bin(d, cubes)
+    b = _grid_bin(cls, [i * cls.side for i in range(k - 1)])
     report = verify_bin(b)
     if not report:
         raise PackingVerificationError(f"grid packing failed: {report}")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cubepack import cli
 from cubepack.cli import main
 from cubepack.game import config_to_dict, homogeneous_mixture
-from cubepack.languages import warmup_family
+from cubepack.languages import FamilyCertificate, SeparatedFamily, warmup_family
 from cubepack.online import Instance, Segment, instance_to_dict
 from cubepack.packing import build_packing, packing_from_dict, packing_to_dict
 
@@ -375,6 +375,29 @@ def test_reproduce_names_the_failed_upstream_stage(tmp_path, monkeypatch):
         assert row["online"] == {"status": "error", "error": "adversary stage failed"}
     assert d3["spoa"]["status"] == "skipped"
     assert d4["spoa"] == {"status": "error", "error": "family stage failed"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "bundle.sha256", "summary.csv", "summary.json",
+    ]
+
+
+def _uncertified(*args, **kwargs):
+    return FamilyCertificate(True, False, ((2, 3, "product-core", False),))
+
+
+@pytest.mark.parametrize("certify, error", [
+    (_raise_boom, "boom"),
+    (_uncertified, "family certificate failed: not separated"),
+])
+def test_reproduce_hands_on_only_a_certified_family(tmp_path, monkeypatch, certify, error):
+    # a family whose certificate raises or fails feeds no later stage
+    monkeypatch.setattr(SeparatedFamily, "certify", certify)
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 3, 4) == 1
+    for row in read(out / "summary.json")["rows"]:
+        assert row["family"] == {"status": "error", "error": error}
+        for stage in ("packing", "adversary", "poa"):
+            assert row[stage] == {"status": "error", "error": "family stage failed"}
+        assert row["online"] == {"status": "error", "error": "adversary stage failed"}
     assert sorted(p.name for p in out.iterdir()) == [
         "bundle.sha256", "summary.csv", "summary.json",
     ]

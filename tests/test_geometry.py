@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubepack import geometry
 from cubepack.geometry import (
     Bin,
+    BinVerification,
     CubeClass,
     PlacedCube,
     as_rational,
@@ -339,10 +342,8 @@ def test_verify_bin_reports_a_cube_out_of_the_bin_when_every_code_differs():
     assert (report.bad_cube, report.offending_pair) == (1, None)
 
 
-def test_verify_bin_makes_no_fraction_call_per_cube(monkeypatch):
-    # the interval keys are ints read off the Fractions: the calls that
-    # reading a Fraction's value makes may not grow with the cube count
-    grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes, 5 intervals per axis
+def _fraction_calls(monkeypatch, b: Bin):
+    """verify_bin(b) and the number of Fraction methods it called."""
     calls = []
 
     def counted(fn):
@@ -355,10 +356,28 @@ def test_verify_bin_makes_no_fraction_call_per_cube(monkeypatch):
         monkeypatch.setattr(F, name, counted(getattr(F, name)))
     for name in ("numerator", "denominator"):
         monkeypatch.setattr(F, name, property(counted(getattr(F, name).fget)))
-    report = verify_bin(grid.bin)
+    report = verify_bin(b)
     monkeypatch.undo()
+    return report, len(calls)
+
+
+def test_verify_bin_makes_no_fraction_call_per_cube(monkeypatch):
+    # the interval keys are ints read off the Fractions: the calls that
+    # reading a Fraction's value makes may not grow with the cube count.
+    # Bin(6, cubes) holds the grid's cubes without its factors, so it takes
+    # the generic kernel
+    grid = build_homogeneous(6, 6, F(1, 5)).bin  # 15,625 cubes, 5 intervals per axis
+    report, calls = _fraction_calls(monkeypatch, Bin(6, grid.cubes))
     assert report and report.cube_count == 15_625
-    assert len(calls) <= 6 * 5, len(calls)
+    assert calls <= 6 * 5, calls
+
+
+def test_verify_bin_certifies_a_grid_with_no_fraction_call_per_cube(monkeypatch):
+    # a grid is certified from its 5 coordinates, within the same bound
+    grid = build_homogeneous(6, 6, F(1, 5)).bin
+    report, calls = _fraction_calls(monkeypatch, grid)
+    assert report and report.cube_count == 15_625
+    assert calls <= 6 * 5, calls
 
 
 def test_verify_bin_traced_peak_stays_below_the_bin():
@@ -369,14 +388,68 @@ def test_verify_bin_traced_peak_stays_below_the_bin():
         before = tracemalloc.get_traced_memory()[0]
         grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes
         size = tracemalloc.get_traced_memory()[0] - before
+        plain = Bin(6, grid.bin.cubes)  # the same cubes, for the generic kernel
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        report = verify_bin(grid.bin)
+        report = verify_bin(plain)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert report and report.cube_count == 15_625
     assert peak < size, (peak, size)
+
+
+@st.composite
+def grid_factors(draw):
+    """(cls, coords) for _grid_bin: d in 1..3, k in 2..5 and 0..k coordinates,
+    each i * side for i in -1..k-1, sometimes moved by half a side or by
+    1/50.  Tables hold duplicates, coordinates closer than a side, below 0
+    and past 1 - side, and often the coordinates of a valid grid."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    cls = CubeClass(k, draw(st.sampled_from([F(1, k - 1), F(1, 2 * k), F(1, 7)])), d)
+    side = cls.side
+    shifts = [F(0), F(0), F(0), side / 2, F(1, 50), F(-1, 50)]
+    coords = [draw(st.integers(-1, k - 1)) * side + draw(st.sampled_from(shifts))
+              for _ in range(draw(st.integers(0, k)))]
+    return cls, coords
+
+
+@given(grid_factors())
+def test_grid_bin_verifies_as_its_plain_bin_and_the_oracles(factors):
+    # the factor path returns only when the generic kernel would say valid
+    grid = geometry._grid_bin(*factors)
+    plain = Bin(grid.d, grid.cubes)
+    assert grid == plain and plain._factors is None
+    assert verify_bin(grid) == verify_bin(plain)
+    test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(grid)
+
+
+def test_grid_bin_keeps_the_product_order():
+    cls = CubeClass(4, F(1, 8), 2)
+    coords = [i * cls.side for i in range(3)]
+    grid = geometry._grid_bin(cls, coords)
+    assert [c.base for c in grid.cubes] == list(itertools.product(coords, repeat=2))
+    assert grid == _grid_bin(4, 2, F(1, 8))
+
+
+def test_a_grid_is_certified_from_its_factors(monkeypatch):
+    # no interval is built for a grid whose factors hold
+    grid = build_homogeneous(5, 3, F(1, 4)).bin
+    monkeypatch.setattr(geometry, "_axis_intervals", None)
+    assert verify_bin(grid) == BinVerification(True, True, 64)
+
+
+def test_grid_factors_do_not_survive_a_change_of_cubes():
+    grid = build_homogeneous(3, 2, F(1, 9)).bin
+    cube = grid.cubes[0]
+    grown = grid.with_cube(PlacedCube(cube.cls, cube.base))  # overlaps cube 0
+    assert grown._factors is None
+    report = verify_bin(grown)
+    assert not report and report.offending_pair == (0, 4)
+    swapped = replace(grid, cubes=grid.cubes[:1] * 2)
+    assert swapped._factors is None
+    assert verify_bin(swapped).offending_pair == (0, 1)
+    assert grid == Bin(2, grid.cubes) and hash(grid) == hash(Bin(2, grid.cubes))
 
 
 def test_occupied_volume_grid_and_empty():

@@ -94,6 +94,29 @@ def test_every_private_helper_is_referenced():
     assert not orphans, f"private helpers nothing references: {orphans}"
 
 
+def test_only_build_homogeneous_builds_a_grid_bin():
+    # verify_bin certifies a _grid_bin from its factors, so only the builder
+    # of the H_k may make one; any other module's use must go through it
+    tree = _tree(PACKAGE / "packing.py")
+    builder = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "build_homogeneous")
+    inside = range(builder.lineno, builder.end_lineno + 1)
+    uses = []
+    for path in MODULES:
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                named = any(alias.name == "_grid_bin" for alias in node.names)
+                allowed = path.name == "packing.py"
+            else:
+                named = "_grid_bin" in (getattr(node, "id", None), getattr(node, "attr", None))
+                allowed = path.name == "packing.py" and getattr(node, "lineno", 0) in inside
+            if named and not allowed:
+                uses.append(f"{path.name}:{node.lineno}")
+    assert not uses, f"_grid_bin named outside packing.build_homogeneous: {uses}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()
