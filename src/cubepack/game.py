@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, starmap
 from math import lcm
 from typing import (
@@ -535,14 +535,12 @@ class _MoveScreen:
                     # re-lay the whole bin: an empty bin takes residents plus mover
                     kept, cap = (m.unit, ()), REPACK_NODE_CAP
                     key = tuple(sorted([m.cid[r] for r in residents] + [c]))
-                table = self.memo.setdefault(kept, {})
-                if key not in table:
-                    try:
-                        table[key] = _place(self.config, kept, key, cap)
-                    except SearchBudgetError as exc:
-                        raise RepackSearchError(f"re-layout of bin {t}: {exc}") from exc
-                if table[key] is not None:
-                    fits[c] = kept[0], table[key]
+                try:
+                    layout = _asked(self.config, self.memo, kept, key, cap)
+                except SearchBudgetError as exc:
+                    raise RepackSearchError(f"re-layout of bin {t}: {exc}") from exc
+                if layout is not None:
+                    fits[c] = kept[0], layout
         if fits[c]:
             entries[t] = fits[c]
         else:
@@ -607,8 +605,8 @@ def _place(
     """(class index, base) per incoming class of `key` (sorted class
     indices), placed jointly among the residents `kept` (a content; no
     pairs for an empty bin), bases in ints over its unit; None if they do
-    not fit.  Callers keep the answer in the memo, memo[kept][key], and
-    hand bases to items, as Fractions, through _distribute.
+    not fit.  Callers ask through _asked, which keeps it in memo[kept][key],
+    and hand bases to items, as Fractions, through _distribute.
 
     geometry's integer core is exact and complete, and its answer depends
     only on the residents and the incoming sides in the order given; a
@@ -622,6 +620,16 @@ def _place(
     boxes = [(base, tuple([v + sides[c] for v in base])) for c, base in pairs]
     found = _joint_corners(boxes, unit, [sides[c] for c in key], config.d, node_cap)
     return None if found is None else tuple(zip(key, found))
+
+
+def _asked(
+    config: GameConfig, memo: _Memo, kept: tuple, key: tuple, node_cap: Optional[int] = None
+) -> Optional[tuple]:
+    """memo[kept][key], searched by _place the first time it is asked."""
+    table = memo.setdefault(kept, {})
+    if key not in table:
+        table[key] = _place(config, kept, key, node_cap)
+    return table[key]
 
 
 def _searches(memo: _Memo) -> int:
@@ -831,9 +839,10 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     is the full gain test: every complete assignment reached (counted in
     assignments_checked, bounded by COALITION_ASSIGNMENT_CAP) lets every
     member gain, and only those reach the memoized joint insertion search
-    (geometry_checks counts its keys, one search each).  Fresh slot j is
-    used only once the slots below j are, and a target cannot take a member
-    whose class would exceed its per-bin capacity there.
+    (geometry_checks counts its keys, one search each).  Every target is a
+    bin id: a used bin, or a fresh one numbered from fresh_base, one past
+    the largest used id; fresh bins are taken in order, and a target cannot
+    take a member whose class would exceed its per-bin capacity there.
 
     Source screen: with V the sum of the cap's largest item volumes, t_i
     ends at most at occ(t_i) + V if used and at V if fresh, so item i is
@@ -875,11 +884,12 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
         if max((m.iocc[t] for t in fullest if t != b), default=0) + reach > m.iocc[b]
     ]
     types = _Orbits(m, sources, by_class=True)
+    gaining = partial(_gaining_assignments, m, src, existing, fresh_base)
     live = {
         pattern: coalition
         for level in types.levels(max_coalition_size)
         for coalition, pattern in level
-        if next(_gaining_assignments(m, src, existing, coalition), None)
+        if next(gaining(coalition), None)
     }
     # the sub-patterns of a pattern are those of its coalition's parts
     allowed = {
@@ -896,13 +906,13 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
             if pattern not in live:
                 continue
             coalitions_checked += 1
-            for targets in _gaining_assignments(m, src, existing, coalition):
+            for targets, after in gaining(coalition):
                 assignments_checked += 1
                 if assignments_checked > COALITION_ASSIGNMENT_CAP:
                     raise CoalitionSearchError(
                         f"coalition search exceeded {COALITION_ASSIGNMENT_CAP} assignments"
                     )
-                violation = _coalition_move(config, memo, coalition, targets, fresh_base)
+                violation = _coalition_move(config, memo, coalition, targets, after)
                 if violation is not None:
                     return StrongNashResult(
                         False, max_coalition_size, violation, coalitions_checked,
@@ -980,66 +990,54 @@ class _Orbits:
 
 
 def _coalition_move(
-    config: GameConfig,
-    memo: _Memo,
-    members: Sequence[int],
-    targets: Sequence[object],
-    fresh_base: int,
+    config: GameConfig, memo: _Memo, members: Sequence[int], targets: Sequence[int],
+    after: Mapping[int, int],
 ) -> Optional[CoalitionProposal]:
-    """The coalition's deviation to `targets` (per member a used bin or
-    ("new", j), which becomes bin fresh_base + j) if every target takes its
-    incoming members with the residents kept in place, else None."""
+    """The coalition's deviation to `targets` (per member a bin id, used or
+    fresh) if every target takes its incoming members with the residents
+    kept in place, else None.  `after` is each target's occupancy after
+    the move, times scale; targets are searched in id order."""
     m = config._volumes
     placements: Dict[int, Tuple[Fraction, ...]] = {}
-    # the occupancy of each target after the move, times scale
-    after: Dict[object, int] = {t: m.iocc.get(t, 0) for t in targets}
-    for i, t in zip(members, targets):
-        after[t] += m.ivol[i]
-        if config.assignment[i] in after:
-            after[config.assignment[i]] -= m.ivol[i]
-    for t in sorted(after, key=str):
-        movers = [i for i, tt in zip(members, targets) if tt == t]
-        if isinstance(t, int):
-            unit, pairs = m.content(t)
-            residents = list(pairs)
-            for i in members:
-                if config.assignment[i] == t:
-                    residents.remove(m.cube(i, unit))
-            kept = (unit, tuple(residents))
-        else:
-            kept = (m.unit, ())
-        key = tuple(sorted(m.cid[i] for i in movers))
-        table = memo.setdefault(kept, {})
-        if key not in table:
-            table[key] = _place(config, kept, key)
-        layout = table[key]
+    for t in sorted(after):
+        movers = [i for i, u in zip(members, targets) if u == t]
+        unit, pairs = m.content(t) if t in m.iocc else (m.unit, ())
+        residents = list(pairs)
+        for i in members:
+            if config.assignment[i] == t:
+                residents.remove(m.cube(i, unit))
+        kept = (unit, tuple(residents))
+        layout = _asked(config, memo, kept, tuple(sorted(m.cid[i] for i in movers)))
         if layout is None:
             return None
-        placements.update(_distribute(m, kept[0], layout, movers))
+        placements.update(_distribute(m, unit, layout, movers))
     return CoalitionProposal(
-        tuple(members),
-        tuple(t if isinstance(t, int) else fresh_base + t[1] for t in targets),
-        tuple(placements[i] for i in members),
+        tuple(members), tuple(targets), tuple(placements[i] for i in members),
         tuple(config.item_cost(i) for i in members),
         tuple(Fraction(m.ivol[i], after[t]) for i, t in zip(members, targets)),
     )
 
 
 def _gaining_assignments(
-    m: _VolumeModel, src: Mapping[int, int], existing: Sequence[int], members: Sequence[int]
-) -> Iterator[tuple]:
-    """Target tuples (per member a used bin or ("new", j)), in product order
-    over the members' target lists, under which every member gains; the
-    branch and bound of is_strong_nash.
+    m: _VolumeModel, src: Mapping[int, int], existing: Sequence[int], fresh_base: int,
+    members: Sequence[int],
+) -> Iterator[Tuple[Tuple[int, ...], Dict[int, int]]]:
+    """(targets, after) per assignment under which every member gains, in
+    product order over the members' target lists; the branch and bound of
+    is_strong_nash.  targets holds a bin id per member, and after maps
+    each target to its occupancy after the move, times scale.
 
     Member i's list holds the used bins t != src_i where its class stays
     within capacity and that end above occ(src_i) if every member joins
-    them, then the fresh slots if the whole coalition beats occ(src_i).
-    room[t] is what stays in t once the coalition has left (0 for fresh
-    slots).  Fresh slot j may appear only after the slots below j are in
-    use by earlier members.
+    them, then the fresh bins fresh_base, fresh_base + 1, ... (one per
+    member) if the whole coalition beats occ(src_i).  room[t] is what
+    stays in t once the coalition has left (0 for a fresh bin).  Fresh
+    bins are taken in order: a fresh bin only once the one before it
+    holds an earlier member.
     """
-    room = {t: m.iocc[t] for t in existing}
+    fresh = range(fresh_base, fresh_base + len(members))
+    room = {t: m.iocc[t] for t in existing} | dict.fromkeys(fresh, 0)
+    before = {t: t - 1 for t in fresh[1:]}
     removed: Dict[Tuple[int, int], int] = {}
     for i in members:
         room[src[i]] -= m.ivol[i]
@@ -1047,7 +1045,7 @@ def _gaining_assignments(
     vols = [m.ivol[i] for i in members]
     needs = [m.iocc[src[i]] for i in members]
     total = sum(vols)
-    cands: List[List[object]] = []
+    cands: List[List[int]] = []
     for i, need in zip(members, needs):
         c = m.cid[i]
         cands.append([
@@ -1057,33 +1055,30 @@ def _gaining_assignments(
             and room[t] + total > need
         ])
         if total > need:
-            cands[-1].extend(("new", slot) for slot in range(len(members)))
-    targets: List[object] = [None] * len(members)
-    in_vol: Dict[object, int] = {}
+            cands[-1].extend(fresh)
+    targets: List[int] = [0] * len(members)
+    in_vol = dict.fromkeys(room, 0)
 
-    def rec(j: int, used_new: int, rest: int):
+    def rec(j: int, rest: int):
         if j == len(members):
-            yield tuple(targets)
+            yield tuple(targets), {t: room[t] + in_vol[t] for t in targets}
             return
         v = vols[j]
         rest -= v
         for t in cands[j]:
-            fresh = isinstance(t, tuple)
-            if fresh and t[1] > used_new:
+            if t in before and not in_vol[before[t]]:
                 continue
             targets[j] = t
-            in_vol[t] = in_vol.get(t, 0) + v
+            in_vol[t] += v
             for i in range(j + 1):
                 u = targets[i]
-                if room.get(u, 0) + in_vol[u] + rest <= needs[i]:
+                if room[u] + in_vol[u] + rest <= needs[i]:
                     break
             else:
-                yield from rec(
-                    j + 1, max(used_new, t[1] + 1) if fresh else used_new, rest
-                )
+                yield from rec(j + 1, rest)
             in_vol[t] -= v
 
-    return rec(0, 0, total)
+    return rec(0, total)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,6 @@ class Language:
         if words is not None:
             if f_coords is not None or core_words is not None or core_rules is not None:
                 raise ValueError("explicit and product forms are mutually exclusive")
-            seen = []
             had = set()
             for w in words:
                 w = tuple(w)
@@ -128,10 +127,8 @@ class Language:
                     raise ValueError(f"word {w} has length {len(w)}, expected {d}")
                 if any(not 1 <= a <= k for a in w):
                     raise ValueError(f"word {w} uses letters outside [1..{k}]")
-                if w not in had:
-                    had.add(w)
-                    seen.append(w)
-            self.words = tuple(sorted(seen))
+                had.add(w)
+            self.words = tuple(sorted(had))
             self._word_set = had
             return
         if f_coords is None:
@@ -150,7 +147,6 @@ class Language:
             self._rule_masks = tuple(sum(1 << i for i in j) for j in self.core_rules)
         else:
             alpha = set(core_alphabet(k))
-            cores = []
             had_c = set()
             for v in core_words:
                 v = tuple(v)
@@ -158,10 +154,8 @@ class Language:
                     raise ValueError(f"core word {v} does not match |F|={len(fc)}")
                 if any(a not in alpha for a in v):
                     raise ValueError(f"core word {v} uses letters outside [k] minus k-1")
-                if v not in had_c:
-                    had_c.add(v)
-                    cores.append(v)
-            self.core_words = tuple(sorted(cores))
+                had_c.add(v)
+            self.core_words = tuple(sorted(had_c))
             self._core_set = had_c
 
     # -- sizes -------------------------------------------------------------

@@ -12,10 +12,32 @@ from hypothesis import strategies as st
 
 from cubepack import cli
 from cubepack.cli import main
-from cubepack.game import config_to_dict, homogeneous_mixture
-from cubepack.languages import FamilyCertificate, SeparatedFamily, warmup_family
-from cubepack.online import Instance, Segment, instance_to_dict
-from cubepack.packing import build_packing, packing_from_dict, packing_to_dict
+from cubepack.game import (
+    CoalitionSearchError,
+    RepackSearchError,
+    config_to_dict,
+    homogeneous_mixture,
+)
+from cubepack.languages import (
+    FamilyCertificate,
+    FamilyConstructionError,
+    FSetsSamplingError,
+    SeparatedFamily,
+    warmup_family,
+)
+from cubepack.online import (
+    HarnessViolation,
+    Instance,
+    InvalidScaleError,
+    Segment,
+    instance_to_dict,
+)
+from cubepack.packing import (
+    PackingVerificationError,
+    build_packing,
+    packing_from_dict,
+    packing_to_dict,
+)
 
 
 def run(*argv):
@@ -345,6 +367,27 @@ def test_reproduce_continues_past_stage_errors(tmp_path):
 
 def _raise_boom(*args, **kwargs):
     raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("error, code", [
+    (PackingVerificationError, 1),
+    (HarnessViolation, 1),
+    (FamilyConstructionError, 1),
+    (FSetsSamplingError, 1),
+    (CoalitionSearchError, 1),
+    (RepackSearchError, 1),
+    (AssertionError, 1),
+    (InvalidScaleError, 2),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_each_failure_class_maps_to_its_exit_code(monkeypatch, capsys, error, code):
+    # a certifier or search budget failing is exit 1 and bad input exit 2,
+    # each reported on one stderr line, never as a traceback
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "prop1_sweep", fail)
+    assert run("game", "prop1") == code
+    assert capsys.readouterr().err.strip().endswith(": boom")
 
 
 def test_reproduce_fails_the_run_when_a_stage_fails(tmp_path, monkeypatch, capsys):

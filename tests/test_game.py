@@ -1196,6 +1196,25 @@ def test_strong_nash_on_repeated_bins_matches_unpruned_oracle(case):
 
 
 @st.composite
+def relabelled_lattice_configs(draw):
+    """repeated_lattice_configs with its bins renumbered to distinct ids
+    drawn from 7 to 13, so targets order bin 9 against bin 10, fresh bins
+    get ids of 10 and more, and bin order no longer follows item order."""
+    cfg, cap, lattice = draw(repeated_lattice_configs())
+    bins = sorted(set(cfg.assignment.values()))
+    ids = draw(st.lists(st.integers(7, 13), min_size=len(bins), max_size=len(bins),
+                        unique=True))
+    assignment = {i: ids[bins.index(b)] for i, b in cfg.assignment.items()}
+    return GameConfig(cfg.d, cfg.items, assignment, cfg.positions), cap, lattice
+
+
+@settings(deadline=None)
+@given(relabelled_lattice_configs())
+def test_strong_nash_on_relabelled_bins_matches_unpruned_oracle(case):
+    _check_strong_nash_case(case)
+
+
+@st.composite
 def dominant_bin_configs(draw):
     """Four cubes of a drawn lattice side q in bin 0, and one cube of a side
     at most q in each of one or two more bins.  With a cap of 2 or 3, bin 0
@@ -1241,7 +1260,8 @@ def _check_orbit_levels(cfg, cap):
             pattern, key = orbits.signature(coalition)
             firsts.setdefault(key, (coalition, pattern))
             walked.add(pattern)
-            count = sum(1 for _ in _gaining_assignments(m, cfg.assignment, bins, coalition))
+            gaining = _gaining_assignments(m, cfg.assignment, bins, bins[-1] + 1, coalition)
+            count = sum(1 for _ in gaining)
             assert assignments.setdefault(pattern, count) == count
         expected = list(firsts.values())
         got = levels[size - 1] if size <= len(levels) else []

@@ -117,6 +117,42 @@ def test_only_build_homogeneous_builds_a_grid_bin():
     assert not uses, f"_grid_bin named outside packing.build_homogeneous: {uses}"
 
 
+def _uses_by_function(tree: ast.Module) -> list:
+    """(innermost enclosing function, node) for every node inside a
+    function, methods and nested functions included."""
+    uses = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else owner
+            if inner is not None:
+                uses.append((inner, child))
+            walk(child, inner)
+
+    walk(tree, None)
+    return uses
+
+
+def test_one_memoized_placement_lookup_in_game():
+    # moves and coalitions ask every placement through _asked, the one
+    # memo get-search-store; _place stays the pure search, the only
+    # caller of geometry's integer core
+    asks, cores = [], []
+    for owner, node in _uses_by_function(_tree(PACKAGE / "game.py")):
+        func = getattr(node, "func", None)
+        memo_setdefault = (
+            isinstance(func, ast.Attribute) and func.attr == "setdefault"
+            and "memo" in (getattr(func.value, "id", None), getattr(func.value, "attr", None))
+        )
+        calls_place = isinstance(func, ast.Name) and func.id == "_place"
+        if (memo_setdefault or calls_place) and owner != "_asked":
+            asks.append(f"{owner}:{node.lineno}")
+        if isinstance(node, ast.Name) and node.id == "_joint_corners" and owner != "_place":
+            cores.append(f"{owner}:{node.lineno}")
+    assert not asks, f"memo lookups or _place calls outside _asked: {asks}"
+    assert not cores, f"_joint_corners named outside _place: {cores}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()

@@ -317,6 +317,84 @@ def test_baseline_grid_needs_small_epsilon():
 
 
 # ---------------------------------------------------------------------------
+# counting-bound oracle: drawn bounded-space algorithms
+
+
+class _FirstFit:
+    """Each item into the lowest open bin with room, at its least free
+    base, else into a fresh bin, closing the lowest open bin first when M
+    are open."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def decide(self, cls, open_bins):
+        for b in sorted(open_bins):
+            base = find_free_position(open_bins[b].cubes, cls.side, cls.d)
+            if base is not None:
+                return Decision(b, base)
+        close = frozenset(sorted(open_bins)[:1]) if len(open_bins) == self.m else frozenset()
+        return Decision(None, (F(0),) * cls.d, close)
+
+
+class _DrawnAlgorithm:
+    """Each item into a drawn open bin with room, at its least free base,
+    or into a fresh bin; then a drawn set of bins closes, topped up by the
+    lowest open ids until at most M stay open."""
+
+    def __init__(self, data, m):
+        self.data, self.m = data, m
+
+    def decide(self, cls, open_bins):
+        fits = {}
+        for b in sorted(open_bins):
+            base = find_free_position(open_bins[b].cubes, cls.side, cls.d)
+            if base is not None:
+                fits[b] = base
+        target = self.data.draw(st.sampled_from([*fits, None]))
+        base = (F(0),) * cls.d if target is None else fits[target]
+        # "target" stands for the bin just placed into, fresh or not
+        after = [b for b in sorted(open_bins) if b != target] + ["target"]
+        close = self.data.draw(st.sets(st.sampled_from(after)))
+        for b in after:
+            if len(after) - len(close) <= self.m:
+                break
+            close.add(b)
+        return Decision(target, base, frozenset(close - {"target"}), "target" in close)
+
+
+def _check_counting_bound(adv, result):
+    # bins_used >= lower_bound, and per segment the new bins are at least
+    # B_k - M = 2 * floor - M: a bin holds at most (k-1)^d class-k cubes,
+    # and at most M bins were open before the segment
+    assert result.bins_used >= adv.lower_bound
+    for new, floor in zip(result.per_segment_new_bins, adv.per_segment_lower_bounds):
+        assert new >= 2 * floor - adv.m
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_drawn_bounded_space_algorithms_meet_the_counting_bound(m, multiple, data):
+    # the d=3 remark packing at scale 4*M, the smallest valid one, or 8*M
+    adv = adversarial_instance(remark_packing(), m, scale=4 * m * multiple)
+    result = run_bounded_space(_DrawnAlgorithm(data, m), adv.instance, m)
+    _check_counting_bound(adv, result)
+
+
+def test_first_fit_refutes_a_bound_without_the_open_bins():
+    # d=3, M=2: first fit packs class-3 cubes beside the class-2 cube of
+    # each open bin, so its 15 class-3 bins undercut B_3 = 16; 47 bins in
+    # all, below sum B_k = 48 and above sum (B_k - M) = 44 and lower_bound
+    adv = adversarial_instance(remark_packing(), 2)
+    result = run_bounded_space(_FirstFit(2), adv.instance, 2)
+    _check_counting_bound(adv, result)
+    assert result.per_segment_new_bins == (32, 15)
+    assert result.bins_used == 47 < 2 * sum(adv.per_segment_lower_bounds) == 48
+    assert adv.lower_bound == 24
+    assert sum(2 * f - 2 for f in adv.per_segment_lower_bounds) == 44
+
+
+# ---------------------------------------------------------------------------
 # harness contract enforcement
 
 
