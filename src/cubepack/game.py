@@ -623,8 +623,12 @@ def _place(
 
 
 def _asked(
-    config: GameConfig, memo: _Memo, kept: tuple, key: tuple, node_cap: Optional[int] = None
-) -> Optional[tuple]:
+    config: GameConfig,
+    memo: _Memo,
+    kept: Tuple[int, tuple],
+    key: Tuple[int, ...],
+    node_cap: Optional[int] = None,
+) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
     """memo[kept][key], searched by _place the first time it is asked."""
     table = memo.setdefault(kept, {})
     if key not in table:
@@ -990,7 +994,10 @@ class _Orbits:
 
 
 def _coalition_move(
-    config: GameConfig, memo: _Memo, members: Sequence[int], targets: Sequence[int],
+    config: GameConfig,
+    memo: _Memo,
+    members: Sequence[int],
+    targets: Sequence[int],
     after: Mapping[int, int],
 ) -> Optional[CoalitionProposal]:
     """The coalition's deviation to `targets` (per member a bin id, used or
@@ -1012,14 +1019,19 @@ def _coalition_move(
             return None
         placements.update(_distribute(m, unit, layout, movers))
     return CoalitionProposal(
-        tuple(members), tuple(targets), tuple(placements[i] for i in members),
+        tuple(members),
+        tuple(targets),
+        tuple(placements[i] for i in members),
         tuple(config.item_cost(i) for i in members),
         tuple(Fraction(m.ivol[i], after[t]) for i, t in zip(members, targets)),
     )
 
 
 def _gaining_assignments(
-    m: _VolumeModel, src: Mapping[int, int], existing: Sequence[int], fresh_base: int,
+    m: _VolumeModel,
+    src: Mapping[int, int],
+    existing: Sequence[int],
+    fresh_base: int,
     members: Sequence[int],
 ) -> Iterator[Tuple[Tuple[int, ...], Dict[int, int]]]:
     """(targets, after) per assignment under which every member gains, in

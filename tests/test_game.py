@@ -1199,19 +1199,29 @@ def test_strong_nash_on_repeated_bins_matches_unpruned_oracle(case):
 def relabelled_lattice_configs(draw):
     """repeated_lattice_configs with its bins renumbered to distinct ids
     drawn from 7 to 13, so targets order bin 9 against bin 10, fresh bins
-    get ids of 10 and more, and bin order no longer follows item order."""
+    get ids of 10 and more, and bin order no longer follows item order.
+    Yields the config it was drawn from, then the relabelled case."""
     cfg, cap, lattice = draw(repeated_lattice_configs())
     bins = sorted(set(cfg.assignment.values()))
     ids = draw(st.lists(st.integers(7, 13), min_size=len(bins), max_size=len(bins),
                         unique=True))
     assignment = {i: ids[bins.index(b)] for i, b in cfg.assignment.items()}
-    return GameConfig(cfg.d, cfg.items, assignment, cfg.positions), cap, lattice
+    return cfg, (GameConfig(cfg.d, cfg.items, assignment, cfg.positions), cap, lattice)
 
 
 @settings(deadline=None)
 @given(relabelled_lattice_configs())
-def test_strong_nash_on_relabelled_bins_matches_unpruned_oracle(case):
+def test_strong_nash_on_relabelled_bins_matches_unpruned_oracle(drawn):
+    original, case = drawn
     _check_strong_nash_case(case)
+    # fresh bins are taken in order whatever the used ids, so a full search
+    # counts the same coalitions and assignments under any bin labels
+    relabelled, cap, _ = case
+    result = is_strong_nash(relabelled, cap)
+    if result:
+        base = is_strong_nash(original, cap)
+        assert result.coalitions_checked == base.coalitions_checked
+        assert result.assignments_checked == base.assignments_checked
 
 
 @st.composite
