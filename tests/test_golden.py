@@ -1,9 +1,10 @@
 """Golden outputs: the hashes of files the command line writes.
 
 Speed work must leave every output byte-identical.  These pins catch a
-change in any of them: the reproduce bundles at two dimension lists, and
-the files of online adversary, online run, game dynamics, game poa and
-game spoa on the fixtures of test_cli.  A deliberate output change updates its pin and says so.
+change in any of them: the reproduce bundles at two dimension lists, the
+files of pack build in each mode, and the files of online adversary,
+online run, game dynamics, game poa and game spoa on the fixtures of
+test_cli.  A deliberate output change updates its pin and says so.
 """
 
 import hashlib
@@ -43,6 +44,36 @@ def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
     flags = ("--d-list", *d_list) if d_list else ()
     assert run("--out-dir", out, "reproduce", *flags) == 0
     assert _bundle_hash(out) == bundle
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (("--d", 4, "--eps", "1/16", "--per-class-cap", 5),
+         "048ed93a03caf7964d59ef99674b91f1e415a78228abc92c27d8df57d52b3dfc"),
+        (("--d", 4, "--mode", "lemmaA"),  # warm-up fallback
+         "0ca676e82618cd31f4180007b908056c7ca7548b4da2d3ae39b5beb682f353b8"),
+        (("--d", 30, "--mode", "lemmaA", "--per-class-cap", 20),  # randomized
+         "09562343b42d6b07fddd98bc507334f3986c88a104d5419c4211b90e9a52e1ad"),
+        (("--d", 3, "--mode", "lemmaB"),  # degenerate
+         "55596836e1ba76d834a4986dce83924bc20ccf4642ebe39bb8c927f9a57757ee"),
+    ],
+    ids=["warmup", "lemmaA-fallback", "lemmaA-randomized", "lemmaB-degenerate"],
+)
+def test_pack_build_file_is_pinned(tmp_path, flags, digest):
+    out = tmp_path / "packing.json"
+    assert run("pack", "build", *flags, "--out", out) == 0
+    assert _sha256(out) == digest
+
+
+def test_online_adversary_descending_file_is_pinned(tmp_path, packing_file):
+    out = tmp_path / "adv.json"
+    code = run("online", "adversary", "--packing", packing_file, "--M", 2,
+               "--order", "descending", "--out", out)
+    assert code == 0
+    assert _sha256(out) == (
+        "690dedb26b3bc74ac4b29856841b80a2a3da823487b44a10ece1c7d6f1b1d95a"
+    )
 
 
 def test_online_adversary_file_is_pinned(instance_file):
