@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -76,28 +77,34 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def make_manifest(
-    command: Sequence[str],
-    seed: int,
-    log_base: str,
-    inputs: Optional[Mapping[str, Path]] = None,
-    **extra,
-) -> dict:
-    manifest = {
-        "command": list(command),
-        "seed": seed,
-        "log_base": log_base,
-        "version": __version__,
-        "inputs": {name: _sha256(p) for name, p in (inputs or {}).items()},
-    }
-    manifest.update(extra)
-    return manifest
-
-
 def write_json(path: Path, doc: Mapping) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _emit(args, path: Path, doc: dict, command: Sequence[str],
+          inputs: Optional[Mapping[str, Path]] = None, **extra) -> Path:
+    """The one writer of every artifact: `doc` plus its manifest at `path`."""
+    doc["manifest"] = {
+        "command": list(command),
+        "seed": args.seed,
+        "log_base": args.log_base,
+        "version": __version__,
+        "inputs": {name: _sha256(p) for name, p in (inputs or {}).items()},
+        **extra,
+    }
+    write_json(path, doc)
+    return path
+
+
+def _fields(result, *omit: str) -> dict:
+    """A result dataclass as a JSON block: every field but `omit`, with
+    each Fraction rendered as "p/q"."""
+    values = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+              if f.name not in omit}
+    return {name: format_rational(v) if isinstance(v, Fraction) else v
+            for name, v in values.items()}
 
 
 def read_json(path: Path, from_dict: Callable[..., T], **kw) -> T:
@@ -129,6 +136,13 @@ def _sub_seed(seed: int, stage: str, d: int) -> int:
 
 def cmd_pack_build(args) -> int:
     d, mode, seed, log_base = args.d, args.mode, args.seed, args.log_base
+    command = ["pack", "build", "--d", str(d), "--mode", mode,
+               "--seed", str(seed), "--out", Path(args.out).name]
+    for flag, value in (("--eps", args.eps or None),
+                        ("--per-class-cap", args.per_class_cap),
+                        ("--s-prime", args.s_prime)):
+        if value is not None:
+            command += [flag, str(value)]
     cap_kw = {}
     if args.per_class_cap is not None:
         cap_kw["per_class_cap"] = args.per_class_cap
@@ -148,72 +162,30 @@ def cmd_pack_build(args) -> int:
     elif mode == "lemmaA":
         rep = dense_packing_report(d, seed, log_base=log_base, **cap_kw)
         packing = rep.packing
-        report = {
-            "mode": "lemmaA",
-            "s_formula": rep.s_formula,
-            "s_effective": rep.s_effective,
-            "family_mode": rep.family_mode,
-            "fallback_reason": rep.fallback_reason,
-            "weight_full": format_rational(rep.weight_full),
-            "target_density": rep.target_density,
-            "target_fraction": format_rational(rep.target_fraction),
-            "meets_density": rep.meets_density,
-            "meets_fraction": rep.meets_fraction,
-            "asserted": rep.asserted,
-        }
+        report = {"mode": mode, **_fields(rep, "d", "log_base", "epsilon", "packing")}
     else:
         rep = power_of_two_packing_report(
             d, seed, log_base=log_base, s_prime=args.s_prime, **cap_kw
         )
         if rep.status == "degenerate":
-            doc = {
-                "status": "degenerate",
-                "report": {
-                    "mode": "lemmaB",
-                    "s_prime": rep.s_prime,
-                    "target_log_d": rep.target_log_d,
-                },
-                "manifest": _build_manifest(args),
-            }
-            write_json(args.out, doc)
+            report = {"mode": mode, "s_prime": rep.s_prime,
+                      "target_log_d": rep.target_log_d}
+            _emit(args, args.out, {"status": "degenerate", "report": report}, command)
             print(
                 f"d={d}: S' = {rep.s_prime} < 2 leaves no power-of-two classes; "
                 f"wrote degenerate report to {args.out}"
             )
             return OK
         packing = rep.packing
-        report = {
-            "mode": "lemmaB",
-            "s_prime": rep.s_prime,
-            "s_prime_overridden": rep.s_prime_overridden,
-            "classes": list(rep.classes),
-            "weight_full": format_rational(rep.weight_full),
-            "target_log_d": rep.target_log_d,
-            "meets_target": rep.meets_target,
-            "asserted": rep.asserted,
-        }
-    doc = packing_to_dict(packing)
-    doc["report"] = report
-    doc["manifest"] = _build_manifest(args)
-    write_json(args.out, doc)
+        report = {"mode": mode,
+                  **_fields(rep, "d", "log_base", "epsilon", "packing", "status")}
+    _emit(args, args.out, {**packing_to_dict(packing), "report": report}, command)
     cubes = sum(packing.nu.values())
     print(
         f"wrote {args.out}: d={d} mode={mode} classes={list(packing.classes)} "
         f"cubes={cubes} weight={packing.weight()}"
     )
     return OK
-
-
-def _build_manifest(args) -> dict:
-    command = ["pack", "build", "--d", str(args.d), "--mode", args.mode,
-               "--seed", str(args.seed), "--out", Path(args.out).name]
-    if args.eps:
-        command += ["--eps", str(args.eps)]
-    if args.per_class_cap is not None:
-        command += ["--per-class-cap", str(args.per_class_cap)]
-    if args.s_prime is not None:
-        command += ["--s-prime", str(args.s_prime)]
-    return make_manifest(command, args.seed, args.log_base)
 
 
 def cmd_pack_verify(args) -> int:
@@ -248,15 +220,7 @@ def cmd_pack_weight(args) -> int:
 
 
 def _adversary_doc(result) -> dict:
-    doc = instance_to_dict(result.instance)
-    doc.update(
-        m=result.m,
-        scale=result.scale,
-        lower_bound=result.lower_bound,
-        offline_bin_count=result.offline_bin_count,
-        per_segment_lower_bounds=list(result.per_segment_lower_bounds),
-    )
-    return doc
+    return {**instance_to_dict(result.instance), **_fields(result, "instance")}
 
 
 def _run_doc(algorithm: str, m: int, run) -> dict:
@@ -268,12 +232,8 @@ def _run_doc(algorithm: str, m: int, run) -> dict:
         "placements": len(run.placements),
     }
     if run.report is not None:
-        doc["ratio_report"] = {
-            "bins_used": run.report.bins_used,
-            "opt_upper_bound": run.report.opt_upper_bound,
-            "certified_lower_bound": run.report.certified_lower_bound,
-            "ratio": format_rational(run.report.ratio),
-        }
+        doc["ratio_report"] = {**_fields(run.report),
+                               "ratio": format_rational(run.report.ratio)}
     return doc
 
 
@@ -283,11 +243,7 @@ def cmd_online_adversary(args) -> int:
     command = ["online", "adversary", "--packing", Path(args.packing).name,
                "--M", str(args.m), "--scale", str(result.scale),
                "--out", Path(args.out).name]
-    doc = _adversary_doc(result)
-    doc["manifest"] = make_manifest(
-        command, args.seed, args.log_base, {"packing": args.packing}
-    )
-    write_json(args.out, doc)
+    _emit(args, args.out, _adversary_doc(result), command, {"packing": args.packing})
     print(
         f"wrote {args.out}: {result.instance.total_items} items in "
         f"{len(result.instance.segments)} segments, scale={result.scale}, "
@@ -322,15 +278,10 @@ def cmd_online_run(args) -> int:
     command = ["online", "run", "--alg", args.alg,
                "--instance", Path(args.instance).name,
                "--M", str(args.m), "--report", Path(args.report).name]
-    doc = _run_doc(args.alg, args.m, result)
-    doc.update(
-        open_bins=len(result.open_bin_ids),
-        closed_bins=len(result.closed_bin_ids),
-        manifest=make_manifest(
-            command, args.seed, args.log_base, {"instance": args.instance}
-        ),
-    )
-    write_json(args.report, doc)
+    doc = {**_run_doc(args.alg, args.m, result),
+           "open_bins": len(result.open_bin_ids),
+           "closed_bins": len(result.closed_bin_ids)}
+    _emit(args, args.report, doc, command, {"instance": args.instance})
     line = f"{args.alg}: {result.bins_used} bins for {len(result.placements)} items"
     if result.report is not None:
         line += (
@@ -391,10 +342,7 @@ def cmd_game_dynamics(args) -> int:
         doc = config_to_dict(result.config)
         doc["dynamics"] = {"policy": args.policy, "steps": result.steps,
                            "status": result.status}
-        doc["manifest"] = make_manifest(
-            command, args.seed, args.log_base, {"config": args.config}
-        )
-        write_json(args.out, doc)
+        _emit(args, args.out, doc, command, {"config": args.config})
         print(f"wrote {args.out}")
     return OK if result.status == "nash" else VERIFY_FAIL
 
@@ -435,10 +383,7 @@ def _write_anarchy(args, inst, doc: dict, subcommand: str, *flags: str) -> None:
                "--out", Path(args.out).name]
     doc["p"] = config_to_dict(inst.p)
     doc["p_prime"] = config_to_dict(inst.p_prime)
-    doc["manifest"] = make_manifest(
-        command, args.seed, args.log_base, {"packing": args.packing}
-    )
-    write_json(args.out, doc)
+    _emit(args, args.out, doc, command, {"packing": args.packing})
     print(f"wrote {args.out}")
 
 
@@ -504,8 +449,7 @@ def _slice_family(family: SeparatedFamily, classes: tuple) -> SeparatedFamily:
     )
 
 
-def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
-                         base_command: list, artifacts: list) -> dict:
+def _reproduce_dimension(args, d: int, base_command: list, artifacts: list) -> dict:
     """One summary row: each stage ok, skipped, or failed with its reason."""
     row: dict = {"d": d}
     built: dict = {}  # family, slim packing, adversary and its instance file
@@ -523,10 +467,8 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
         return built[stage]
 
     def emit(name: str, stage: str, doc: dict, inputs=None) -> Path:
-        doc["manifest"] = make_manifest(base_command, seed, log_base, inputs,
-                                        stage=f"{stage}_d{d}")
-        path = out_dir / f"{name}_d{d}.json"
-        write_json(path, doc)
+        path = _emit(args, args.out_dir / f"{name}_d{d}.json", doc, base_command,
+                     inputs, stage=f"{stage}_d{d}")
         artifacts.append(path)
         return path
 
@@ -598,7 +540,7 @@ def _reproduce_dimension(d: int, seed: int, log_base: str, out_dir: Path,
             return {"status": "skipped",
                     "reason": "no power-of-two class pair fits dimension 3"}
         if d == 2:
-            fam = build_separated_family(d, (2, 4), _sub_seed(seed, "spoa", d))
+            fam = build_separated_family(d, (2, 4), _sub_seed(args.seed, "spoa", d))
         else:
             fam = _slice_family(need("family"), (2, 4))
         inst = spoa_instance(build_packing(fam, Fraction(1, 16)),
@@ -648,20 +590,9 @@ def cmd_reproduce(args) -> int:
     base_command = ["reproduce", "--d-list", *map(str, args.d_list),
                     "--seed", str(args.seed), "--log-base", args.log_base]
     artifacts: list = []
-    rows = [
-        _reproduce_dimension(d, args.seed, args.log_base, out_dir,
-                             base_command, artifacts)
-        for d in args.d_list
-    ]
-
-    summary = {
-        "d_list": list(args.d_list),
-        "rows": rows,
-        "manifest": make_manifest(base_command, args.seed, args.log_base),
-    }
-    summary_path = out_dir / "summary.json"
-    write_json(summary_path, summary)
-    artifacts.append(summary_path)
+    rows = [_reproduce_dimension(args, d, base_command, artifacts) for d in args.d_list]
+    summary = {"d_list": list(args.d_list), "rows": rows}
+    artifacts.append(_emit(args, out_dir / "summary.json", summary, base_command))
 
     csv_path = out_dir / "summary.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

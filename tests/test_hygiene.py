@@ -153,6 +153,25 @@ def test_one_memoized_placement_lookup_in_game():
     assert not cores, f"_joint_corners named outside _place: {cores}"
 
 
+def test_one_writer_in_the_cli():
+    # every artifact gets its manifest and reaches the disk through _emit,
+    # so no other function stores a "manifest" key or calls write_json
+    writes = []
+    for owner, node in _uses_by_function(_tree(PACKAGE / "cli.py")):
+        func = getattr(node, "func", None)
+        named = (
+            (isinstance(func, ast.Name) and func.id == "write_json")
+            or (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and ast.unparse(node.slice) == "'manifest'")
+            or (isinstance(node, ast.Dict)
+                and any(ast.unparse(k) == "'manifest'" for k in node.keys if k))
+            or (isinstance(node, ast.keyword) and node.arg == "manifest")
+        )
+        if named and owner != "_emit":
+            writes.append(f"{owner}:{getattr(node, 'lineno', '?')}")
+    assert not writes, f"manifests or write_json outside cli._emit: {writes}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()
