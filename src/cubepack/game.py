@@ -64,6 +64,11 @@ from .packing import TypedPacking, build_homogeneous
 
 # Default cap on the copies N of the source bin in an anarchy instance.
 COPIES_CAP = 4096
+# Most items, N times the source bin's cubes, an anarchy instance builds
+# one by one.  The full warm-up P' holds 265,500 items at d=6 and
+# 4,030,260 at d=7: the cap admits the first and refuses the second
+# before any bin is built, instead of gigabytes of items.
+ANARCHY_ITEM_CAP = 1_000_000
 
 # Candidate bases one repack re-layout search may examine before it gives up.
 REPACK_NODE_CAP = 200_000
@@ -497,23 +502,22 @@ class _MoveScreen:
             del fits[t]
             if t in iocc:
                 fits[t] = {}
-        # type -> ({target: its fit, None until probed}, its targets in order)
-        types: Dict[Tuple[int, int], Tuple[Dict[int, Optional[tuple]], List[int]]] = {}
-        # per item, in id order: (id, class, source bin, type entries, targets)
+        # type -> {target: its fit, None until probed}, in target order
+        types: Dict[Tuple[int, int], Dict[int, Optional[tuple]]] = {}
+        # per item, in id order: (id, class, source bin, type entries)
         self.walk = []
         bins = sorted(iocc)
         for i in self.ids:
             c, s = cid[i], src[i]
             occ = iocc[s]
-            screen = types.get((occ, c))
-            if screen is None:
+            entries = types.get((occ, c))
+            if entries is None:
                 v = self.vols[c]
-                entries = {
+                entries = types[occ, c] = {
                     t: fit for t in bins
                     if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
                 }
-                screen = types[occ, c] = entries, list(entries)
-            self.walk.append((i, c, s, *screen))
+            self.walk.append((i, c, s, entries))
 
     def _probe(self, entries: Dict[int, Optional[tuple]], c: int, t: int):
         """Fill in the entry of target t for a type of class c: its fit, or
@@ -554,11 +558,12 @@ class _MoveScreen:
 
     def _moves(self) -> Iterator[Tuple[int, int, int, tuple]]:
         """(item, source, target, fit) of each candidate, in move order,
-        probing entries as they are reached.  A type's targets are sorted
-        once; the entries a probe dropped are skipped."""
-        for i, c, s, entries, targets in self.walk:
-            for t in targets:
-                if t != s and t in entries:
+        probing entries as they are reached.  Each item walks its type's
+        live entries, in target order: a dict keeps insertion order, and a
+        probe drops only its own entry, so the walk's copy stays current."""
+        for i, c, s, entries in self.walk:
+            for t in tuple(entries):
+                if t != s:
                     fit = entries[t] or self._probe(entries, c, t)
                     if fit:
                         yield i, s, t, fit
@@ -1206,6 +1211,11 @@ def poa_instance(
     if not check:
         raise ValueError(f"the packing's bin is invalid: {check}")
     n, scaled = anarchy_copies(packing, copies_cap)
+    if n * len(packing.bin.cubes) > ANARCHY_ITEM_CAP:
+        raise ValueError(
+            f"{n} copies of {len(packing.bin.cubes)} cubes exceed the "
+            f"{ANARCHY_ITEM_CAP} items an anarchy instance builds"
+        )
     prime_bins: List[Bin] = []
     for k, count in packing.counts.grid_bins(n).items():
         grid = build_homogeneous(k, packing.d, packing.epsilon).bin

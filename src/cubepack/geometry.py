@@ -406,8 +406,6 @@ def find_joint_positions(
     cubes: Sequence[PlacedCube],
     sides: Sequence[Fraction],
     d: int,
-    *,
-    node_cap: Optional[int] = None,
 ) -> Optional[tuple[tuple[Fraction, ...], ...]]:
     """Bases at which cubes of the given sides fit together among `cubes`.
 
@@ -431,9 +429,6 @@ def find_joint_positions(
     only takes bases lexicographically above it: equal cubes can be
     relabelled into that order, and the one-by-one layout is already in
     it.
-
-    With `node_cap` set, SearchBudgetError is raised once the search
-    has examined more than that many candidate bases over all cubes.
     """
     sides = [_checked_side(x) for x in sides]
     # one integer grid for every coordinate and side compared
@@ -447,7 +442,7 @@ def find_joint_positions(
     for cube in cubes:
         lo = tuple(map(scaled, cube.base[:d]))
         boxes.append((lo, tuple(v + scaled(cube.cls.side) for v in lo)))
-    found = _joint_corners(boxes, scale, list(map(scaled, sides)), d, node_cap)
+    found = _joint_corners(boxes, scale, list(map(scaled, sides)), d)
     return None if found is None else tuple(
         tuple(Fraction(v, scale) for v in base) for base in found
     )
@@ -464,7 +459,9 @@ def _joint_corners(
     int corners and incoming sides as ints over `scale` (the bin is
     [0, scale]^d), bases returned as ints over it.  Scaling every input by
     one factor scales every candidate and keeps every comparison, so the
-    bases found are the same rationals at any common scale."""
+    bases found are the same rationals at any common scale.  With
+    `node_cap` set, SearchBudgetError is raised once the search has
+    examined more than that many candidate bases over all cubes."""
     rests = [{0, *[hi[dim] for _, hi in boxes]} for dim in range(d)]
     axes = []
     for j, s in enumerate(ints):

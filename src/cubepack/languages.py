@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .geometry import format_rational
+from .geometry import expect_type, format_rational
 
 # budgeted selection from a rule-core language scans at most this many cores
 SELECT_SCAN_CAP = 5_000_000
@@ -75,12 +75,18 @@ class Word:
         if self.k < 2:
             raise ValueError(f"class index k must be >= 2, got {self.k}")
         for a in self.letters:
-            if not 1 <= a <= self.k:
+            if not 1 <= expect_type(a, int) <= self.k:
                 raise ValueError(f"letter {a} outside [1..{self.k}]")
 
     @property
     def d(self) -> int:
         return len(self.letters)
+
+
+def _expect_ints(values: Sequence) -> tuple[int, ...]:
+    """`values` as a tuple, or a TypeError naming a value that is not an
+    int: int() would truncate 2.9 to 2 and read True as 1."""
+    return tuple(expect_type(v, int) for v in values)
 
 
 def core_alphabet(k: int) -> tuple[int, ...]:
@@ -125,7 +131,8 @@ class Language:
                 w = tuple(w)
                 if len(w) != d:
                     raise ValueError(f"word {w} has length {len(w)}, expected {d}")
-                if any(not 1 <= a <= k for a in w):
+                if any(type(a) is not int or not 1 <= a <= k for a in w):
+                    _expect_ints(w)
                     raise ValueError(f"word {w} uses letters outside [1..{k}]")
                 had.add(w)
             self.words = tuple(sorted(had))
@@ -133,7 +140,7 @@ class Language:
             return
         if f_coords is None:
             raise ValueError("need either explicit words or product f_coords")
-        fc = tuple(sorted(set(int(i) for i in f_coords)))
+        fc = tuple(sorted(set(_expect_ints(f_coords))))
         if len(fc) != len(tuple(f_coords)):
             raise ValueError(f"duplicate indices in f_coords {f_coords}")
         if fc and (fc[0] < 1 or fc[-1] > d):
@@ -142,7 +149,7 @@ class Language:
         if (core_words is None) == (core_rules is None):
             raise ValueError("product form needs exactly one of core_words and core_rules")
         if core_rules is not None:
-            self.core_rules = tuple(frozenset(int(i) for i in j) for j in core_rules)
+            self.core_rules = tuple(frozenset(_expect_ints(j)) for j in core_rules)
             self._core_count = count_good_words(k, fc, self.core_rules)
             self._rule_masks = tuple(sum(1 << i for i in j) for j in self.core_rules)
         else:
@@ -152,7 +159,8 @@ class Language:
                 v = tuple(v)
                 if len(v) != len(fc):
                     raise ValueError(f"core word {v} does not match |F|={len(fc)}")
-                if any(a not in alpha for a in v):
+                if any(type(a) is not int or a not in alpha for a in v):
+                    _expect_ints(v)
                     raise ValueError(f"core word {v} uses letters outside [k] minus k-1")
                 had_c.add(v)
             self.core_words = tuple(sorted(had_c))
@@ -547,8 +555,8 @@ def count_good_words(
     ways, signed by |T|.  2^len(j_sets) terms; past GOOD_WORDS_TERM_CAP
     it raises ValueError.
     """
-    f = frozenset(int(i) for i in f_coords)
-    js = [frozenset(int(i) for i in j) for j in j_sets]
+    f = frozenset(_expect_ints(f_coords))
+    js = [frozenset(_expect_ints(j)) for j in j_sets]
     for j in js:
         if not j <= f:
             raise ValueError(f"difference set {sorted(j)} leaves F {sorted(f)}")
@@ -725,7 +733,7 @@ def build_separated_family(
     with the exact inclusion-exclusion count.  Failures (empty class, empty
     difference set, infeasible sampling) raise rather than repair.
     """
-    cls = tuple(sorted(set(int(k) for k in classes)))
+    cls = tuple(sorted(set(_expect_ints(classes))))
     if not cls:
         raise ValueError("need at least one class")
     if cls[0] < 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 from .geometry import (
     Bin,
@@ -148,7 +148,7 @@ def adversarial_instance(
     m: int,
     *,
     scale: Optional[int] = None,
-    order: Union[str, Sequence[int]] = "ascending",
+    order: str = "ascending",
 ) -> AdversaryResult:
     """Rearrange `scale` copies of the packing into class-homogeneous segments.
 
@@ -164,20 +164,12 @@ def adversarial_instance(
     custom scale must be even and keep each per-class floor integral and
     >= m, else InvalidScaleError.
     """
+    if order not in ("ascending", "descending"):
+        raise ValueError(f"segment order must be ascending or descending, got {order!r}")
     if scale is None:
         scale = 2 * m * packing.counts.grid_product()
     bins = _scale_bins(packing.counts, m, scale)
-    if order == "ascending":
-        ks: Tuple[int, ...] = tuple(sorted(packing.nu))
-    elif order == "descending":
-        ks = tuple(sorted(packing.nu, reverse=True))
-    else:
-        ks = tuple(order)
-        if sorted(ks) != sorted(packing.nu):
-            raise ValueError(
-                f"segment order {ks} does not enumerate the classes "
-                f"{tuple(sorted(packing.nu))} exactly once"
-            )
+    ks = tuple(sorted(packing.nu, reverse=order == "descending"))
     segments = tuple(Segment(k, scale * packing.nu[k]) for k in ks)
     instance = Instance(packing.d, packing.epsilon, segments)
     per_segment = tuple(bins[k] for k in ks)

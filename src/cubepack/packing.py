@@ -202,9 +202,13 @@ def build_packing(
             )
 
     words: dict[int, tuple[tuple[int, ...], ...]] = {}
+    room = MATERIALIZE_CAP
     for k in classes:
-        words[k] = tuple(family.languages[k].select_words(per_class_cap))
-        if sum(map(len, words.values())) > MATERIALIZE_CAP:
+        # one word past the room proves the cap broken without reading on
+        selected = family.languages[k].select_words(per_class_cap)
+        words[k] = tuple(itertools.islice(selected, room + 1))
+        room -= len(words[k])
+        if room < 0:
             raise ValueError(
                 f"materializing more than {MATERIALIZE_CAP} cubes; "
                 f"pass per_class_cap to bound the packing"

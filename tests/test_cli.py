@@ -215,6 +215,16 @@ def test_game_poa_matches_hand_count(tmp_path, packing_file, capsys):
     assert "3/2" in capsys.readouterr().out
 
 
+def test_game_poa_refuses_an_instance_past_the_item_cap(tmp_path, packing_file,
+                                                        monkeypatch, capsys):
+    # the remark instance is 8 copies of 5 cubes: 40 items
+    monkeypatch.setattr("cubepack.game.ANARCHY_ITEM_CAP", 39)
+    out = tmp_path / "poa.json"
+    assert run("game", "poa", "--packing", packing_file, "--out", out) == 2
+    assert "8 copies of 5 cubes exceed the 39 items" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_game_spoa_certifies_power_of_two_toy(tmp_path, pow_packing_file, capsys):
     out = tmp_path / "spoa.json"
     code = run("game", "spoa", "--packing", pow_packing_file, "--out", out)

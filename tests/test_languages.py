@@ -42,6 +42,29 @@ def test_word_validation():
         Word((0, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Word((True, 2.0), 2),
+        lambda: Language(2, 2, words=[(1.5, 2)]),
+        lambda: Language(2, 2, words=[(True, 2)]),
+        lambda: Language(3, 2, f_coords=(1,), core_words=[(True,)]),
+        lambda: Language(3, 2, f_coords=(1.7,), core_words=[(1,)]),
+        lambda: Language(3, 2, f_coords=(1, 2), core_rules=[(1.0,)]),
+        lambda: build_separated_family(4, (2.9, 3), 0),
+        lambda: count_good_words(3, (1, 2.0), [(1,)]),
+        lambda: count_good_words(3, (1, 2), [(True,)]),
+    ],
+    ids=["word-letter", "explicit-float", "explicit-bool", "core-bool", "f_coords",
+         "core_rules", "classes", "count-f_coords", "count-j_sets"],
+)
+def test_non_int_letters_and_indices_are_type_errors(build):
+    # int() would truncate 2.9 to 2 and a float or bool letter would pass
+    # the range check, so each builds a different, valid-looking object
+    with pytest.raises(TypeError, match="expected int"):
+        build()
+
+
 def test_core_alphabet_skips_k_minus_one():
     assert core_alphabet(2) == (2,)
     assert core_alphabet(3) == (1, 3)

@@ -17,7 +17,7 @@ from cubepack.geometry import (
     occupied_volume,
     verify_bin,
 )
-from cubepack.languages import Word, build_separated_family, warmup_family
+from cubepack.languages import Language, Word, build_separated_family, warmup_family
 from cubepack.packing import (
     base_coordinate,
     build_homogeneous,
@@ -191,6 +191,23 @@ def test_build_packing_per_class_cap():
     assert packing.weight() == 1 + F(2, 16) + F(2, 81)
     assert packing.full_counts.weight() == F(11, 6)
     assert verify_bin(packing.bin)
+
+
+def test_build_packing_reads_at_most_one_word_past_the_cap(monkeypatch):
+    # warm-up d=4 holds 1 + 8 + 27 words; with room for 10 the refusal
+    # must come after the second class-4 word, not after all 27
+    monkeypatch.setattr("cubepack.packing.MATERIALIZE_CAP", 10)
+    select, read = Language.select_words, []
+
+    def counted(self, limit=None):
+        for word in select(self, limit):
+            read.append(word)
+            yield word
+
+    monkeypatch.setattr(Language, "select_words", counted)
+    with pytest.raises(ValueError, match="materializing more than 10 cubes"):
+        build_packing(warmup_family(4), F(1, 16))
+    assert len(read) <= 11
 
 
 def test_build_packing_implicit_budgeted_is_deterministic():
