@@ -64,8 +64,8 @@ from .packing import TypedPacking, build_homogeneous
 
 # Default cap on the copies N of the source bin in an anarchy instance.
 COPIES_CAP = 4096
-# Most items, N times the source bin's cubes, an anarchy instance builds
-# one by one.  The full warm-up P' holds 265,500 items at d=6 and
+# Most items (N copies of the source bin's cubes) an anarchy instance may
+# build, item by item.  The full warm-up P' holds 265,500 items at d=6 and
 # 4,030,260 at d=7: the cap admits the first and refuses the second
 # before any bin is built, instead of gigabytes of items.
 ANARCHY_ITEM_CAP = 1_000_000
