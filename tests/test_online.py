@@ -219,7 +219,7 @@ def test_segment_order_options():
     assert asc == adversarial_instance(pack, 1, order="ascending").instance
     assert [s.k for s in asc.segments] == [2, 3]
     assert [s.k for s in desc.segments] == [3, 2]
-    # an explicit class sequence is no longer an order
+    # only the two named orders exist; a class sequence is refused
     with pytest.raises(ValueError, match="ascending or descending"):
         adversarial_instance(pack, 1, order=[3, 2])
 
