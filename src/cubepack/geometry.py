@@ -344,44 +344,6 @@ class SearchBudgetError(RuntimeError):
     """A placement search examined more candidate bases than its budget."""
 
 
-def _free_corner(
-    boxes, s: int, candidates: Sequence[Sequence[int]], accept=None, budget=None
-):
-    """First base, in lexicographic order over the per-axis candidate lists,
-    at which an int cube of side s overlaps none of the int boxes and which
-    `accept` (when given) takes; None if there is none.
-
-    One axis is fixed at a time, carrying only the boxes that still overlap
-    the cube on every axis fixed so far.  `budget`, when given, is an
-    iterator drawn once per complete base examined; SearchBudgetError
-    is raised when it runs out.
-    """
-    last = len(candidates) - 1
-    los = [[lo[dim] for lo, _ in boxes] for dim in range(last + 1)]
-    his = [[hi[dim] for _, hi in boxes] for dim in range(last + 1)]
-
-    def rec(dim: int, live: Sequence[int], prefix: tuple[int, ...]):
-        lo, hi = los[dim], his[dim]
-        for v in candidates[dim]:
-            top = v + s
-            rest = [i for i in live if lo[i] < top and v < hi[i]]
-            base = prefix + (v,)
-            if dim < last:
-                found = rec(dim + 1, rest, base)
-                if found is not None:
-                    return found
-                continue
-            if budget is not None and next(budget, None) is None:
-                raise SearchBudgetError(
-                    "placement search exceeded its budget of candidate bases"
-                )
-            if not rest and (accept is None or accept(base)):
-                return base
-        return None
-
-    return rec(0, range(len(boxes)), ())
-
-
 def find_free_position(
     cubes: Sequence[PlacedCube], side: Fraction, d: int
 ) -> Optional[tuple[Fraction, ...]]:
@@ -430,17 +392,19 @@ def find_joint_positions(
     relabelled into that order, and the one-by-one layout is already in
     it.
     """
+    if d < 1 or any(c.cls.d != d for c in cubes):
+        raise ValueError(f"need d >= 1 and resident cubes of dimension d, got d={d}")
     sides = [_checked_side(x) for x in sides]
     # one integer grid for every coordinate and side compared
     scale = lcm(*(x.denominator for x in sides),
-                *{x.denominator for c in cubes for x in (c.cls.side, *c.base[:d])})
+                *{x.denominator for c in cubes for x in (c.cls.side, *c.base)})
 
     def scaled(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
 
     boxes = []
     for cube in cubes:
-        lo = tuple(map(scaled, cube.base[:d]))
+        lo = tuple(map(scaled, cube.base))
         boxes.append((lo, tuple(v + scaled(cube.cls.side) for v in lo)))
     found = _joint_corners(boxes, scale, list(map(scaled, sides)), d)
     return None if found is None else tuple(
@@ -459,53 +423,69 @@ def _joint_corners(
     int corners and incoming sides as ints over `scale` (the bin is
     [0, scale]^d), bases returned as ints over it.  Scaling every input by
     one factor scales every candidate and keeps every comparison, so the
-    bases found are the same rationals at any common scale.  With
-    `node_cap` set, SearchBudgetError is raised once the search has
-    examined more than that many candidate bases over all cubes."""
-    rests = [{0, *[hi[dim] for _, hi in boxes]} for dim in range(d)]
-    axes = []
+    bases found are the same rationals at any common scale.
+
+    Each cube's candidates per axis are computed once, as in
+    find_joint_positions, with its floor: the last earlier cube of equal
+    side.  Obstacles are kept as per-axis columns of lo and hi, seeded
+    from the residents.  Cube j walks its candidate bases in lexicographic
+    order, one axis at a time, carrying only the obstacles that still
+    overlap it on every axis fixed so far.  A complete base draws one unit
+    of `node_cap`, when set (SearchBudgetError once it is spent), and is
+    then skipped if an obstacle remains or if it is not above the floor's
+    base.  Otherwise it is pushed onto the columns and cube j + 1 is
+    placed; if that fails, it is popped and the walk goes on.
+    """
+    los = [[lo[dim] for lo, _ in boxes] for dim in range(d)]
+    his = [[hi[dim] for _, hi in boxes] for dim in range(d)]
+    rests = [{0, *axis} for axis in his]
+    steps = []  # (side, candidates per axis, floor) per cube
+    floors: dict[int, int] = {}  # side -> last cube of that side so far
     for j, s in enumerate(ints):
         sums = {0}
         for other in ints[:j] + ints[j + 1 :]:
             sums |= {t + other for t in sums}
         limit = scale - s
-        axes.append(
-            [
-                sorted({r + t for t in sums for r in axis if 0 <= r + t <= limit})
-                for axis in rests
-            ]
-        )
-    placed: list[tuple[int, ...]] = []
+        candidates = [
+            sorted({r + t for t in sums for r in axis if 0 <= r + t <= limit})
+            for axis in rests
+        ]
+        steps.append((s, candidates, floors.get(s)))
+        floors[s] = j
     budget = None if node_cap is None else iter(range(node_cap))
-    if len(ints) == 1:
-        # one cube, as in every insertion search: no floor, no backtracking,
-        # and none of the closures below
-        found = _free_corner(boxes, ints[0], axes[0], None, budget)
-        return None if found is None else [found]
+    placed: list[tuple[int, ...]] = []
+    last = d - 1
 
-    def place(j: int, obstacles: list) -> bool:
-        if j == len(ints):
-            return True
-        s = ints[j]
-        floor = next((placed[i] for i in range(j - 1, -1, -1) if ints[i] == s), None)
-        if j == len(ints) - 1:
-            # the last cube needs no backtracking: its first free base
-            # above the floor completes the layout
-            above = None if floor is None else floor.__lt__
-            found = _free_corner(obstacles, s, axes[j], above, budget)
-            if found is not None:
-                placed.append(found)
-            return found is not None
+    def place(j: int) -> bool:
+        """True once cubes j onward are placed among the columns."""
+        return j == len(steps) or walk(j, 0, range(len(los[0])), ())
 
-        def accept(base: tuple[int, ...]) -> bool:
-            if floor is not None and base <= floor:
-                return False
+    def walk(j: int, dim: int, live: Sequence[int], prefix: tuple[int, ...]) -> bool:
+        s, candidates, floor = steps[j]
+        lo, hi = los[dim], his[dim]
+        for v in candidates[dim]:
+            top = v + s
+            rest = [i for i in live if lo[i] < top and v < hi[i]]
+            base = prefix + (v,)
+            if dim < last:
+                if walk(j, dim + 1, rest, base):
+                    return True
+                continue
+            if budget is not None and next(budget, None) is None:
+                raise SearchBudgetError(
+                    "placement search exceeded its budget of candidate bases"
+                )
+            if rest or floor is not None and base <= placed[floor]:
+                continue
             placed.append(base)
-            if place(j + 1, obstacles + [(base, tuple(v + s for v in base))]):
+            for x, lo_d, hi_d in zip(base, los, his):
+                lo_d.append(x)
+                hi_d.append(x + s)
+            if place(j + 1):
                 return True
+            for column in (*los, *his):
+                column.pop()
             placed.pop()
-            return False
+        return False
 
-        return _free_corner(obstacles, s, axes[j], accept, budget) is not None
-
-    return placed if place(0, list(boxes)) else None
+    return placed if place(0) else None

@@ -638,3 +638,41 @@ def test_find_joint_positions_beats_one_by_one_placement():
     )
     assert verify_bin(Bin(2, layout))
 
+
+
+@pytest.mark.parametrize("d", [3, 0, 1])
+def test_placement_searches_check_the_dimension(d):
+    # a 2-d resident searched in any other dimension is refused, not read
+    # off its first d coordinates
+    cubes = [PlacedCube(CubeClass(2, F(1, 9), 2), (F(0), F(0)))]
+    with pytest.raises(ValueError, match="dimension"):
+        find_free_position(cubes, F(5, 9), d)
+    with pytest.raises(ValueError, match="dimension"):
+        find_joint_positions(cubes, [F(5, 9)], d)
+
+
+def test_no_incoming_cubes_is_the_empty_layout():
+    cubes = [PlacedCube(CubeClass(2, F(1, 9), 2), (F(0), F(0)))]
+    assert find_joint_positions(cubes, [], 2) == ()
+    assert geometry._joint_corners([((0, 0), (5, 5))], 9, [], 2) == []
+    # no base is examined, so no budget is drawn
+    assert geometry._joint_corners([((0, 0), (5, 5))], 9, [], 2, 0) == []
+
+
+@pytest.mark.parametrize(
+    "boxes, scale, ints, d, least",
+    [
+        ([], 12, [5, 5, 4, 3], 2, 24),
+        ([((0, 0), (4, 4)), ((6, 2), (9, 5))], 12, [5, 5, 5], 2, 63),
+        ([((0, 0), (7, 7))], 12, [6, 6], 2, 4),
+        ([((1, 1, 1), (3, 3, 3))], 8, [4, 4, 3], 3, 18),
+    ],
+)
+def test_node_cap_counts_every_candidate_base(boxes, scale, ints, d, least):
+    # one draw per complete candidate base, summed over all incoming cubes,
+    # before the overlap and floor tests; the least cap that does not raise
+    # gives the uncapped layout
+    uncapped = geometry._joint_corners(boxes, scale, ints, d)
+    assert geometry._joint_corners(boxes, scale, ints, d, least) == uncapped
+    with pytest.raises(geometry.SearchBudgetError):
+        geometry._joint_corners(boxes, scale, ints, d, least - 1)

@@ -376,3 +376,18 @@ def test_every_defaulted_parameter_is_passed():
     assert not unturned, f"defaulted parameters no caller passes: {unturned}"
     stale = sorted(set(ALLOWED_KNOBS) - (set(knobs) - passed))
     assert not stale, f"ALLOWED_KNOBS entries that are passed or gone: {stale}"
+
+
+def test_one_budgeted_placement_search():
+    # every placement search runs the one recursion of geometry's
+    # _joint_corners, the only place that draws on a search budget; a
+    # second search path with its own budget would raise it elsewhere
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    getattr(n, "id", None) == "SearchBudgetError" for n in ast.walk(node.exc)
+                ):
+                    sites.append(f"{path.name}:{getattr(top, 'name', None)}")
+    assert sites == ["geometry.py:_joint_corners"], sites

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,32 @@ def test_gap_inequality_examples():
     assert not gap_inequality_holds(2, 3, F(1, 4))  # too much slack
     with pytest.raises(ValueError):
         gap_inequality_holds(3, 3, F(1, 9))
+
+
+def test_build_packing_checks_the_gap_inequality_on_adjacent_classes(monkeypatch):
+    # its left side grows with k and its right side with k', so on
+    # ascending classes the adjacent pairs decide every pair
+    real, calls = gap_inequality_holds, []
+
+    def counted(k, kp, eps):
+        calls.append((k, kp))
+        return real(k, kp, eps)
+
+    monkeypatch.setattr("cubepack.packing.gap_inequality_holds", counted)
+    build_packing(warmup_family(40), F(1, 1600), per_class_cap=1)
+    assert calls == list(zip(range(2, 40), range(3, 41)))  # 38 of the 741 pairs
+    with pytest.raises(ValueError):
+        build_packing(replace(warmup_family(4), classes=(2, 4, 3)), F(1, 16))
+    # at a slack of 1/30 the pairs fail from class 6 on; the pair refused
+    # is the first failing pair of an all-pairs loop
+    lax = F(1, 30)
+    monkeypatch.setattr("cubepack.packing.gap_inequality_holds",
+                        lambda k, kp, eps: real(k, kp, lax))
+    family = warmup_family(12)
+    k, kp = next(pair for pair in itertools.combinations(family.classes, 2)
+                 if not real(*pair, lax))
+    with pytest.raises(ValueError, match=rf"classes \({k}, {kp}\)"):
+        build_packing(family, F(1, 144), per_class_cap=1)
 
 
 def test_place_word_frozen_example():
