@@ -4,13 +4,19 @@ Speed work must leave every output byte-identical.  These pins catch a
 change in any of them: the reproduce bundles at two dimension lists, the
 files of pack build in each mode, and the files of online adversary,
 online run, game dynamics, game poa and game spoa on the fixtures of
-test_cli.  A deliberate output change updates its pin and says so.
+test_cli.  The enumerate-mode families, their capped packings, letter
+masks and separation verdicts are pinned too.  A deliberate output change
+updates its pin and says so.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+
+from cubepack.languages import are_separated, build_separated_family, family_to_dict
+from cubepack.packing import build_packing
 
 from test_cli import (  # noqa: F401  (fixtures)
     _break_one_bin,
@@ -124,3 +130,92 @@ def test_game_dynamics_file_is_pinned(tmp_path, equilibrium_file, policy, digest
                "--out", out)
     assert code == 0
     assert _sha256(out) == digest
+
+
+# -- enumerate-mode families ---------------------------------------------------
+#
+# The construction layer must give the same families, packings, letter masks
+# and separation verdicts however it builds them.  Each pin is the sha256 of
+# a canonical JSON rendering; the cross-family pairs below are not separated,
+# so their pins cover the witnesses too.
+
+_FAMILIES = {
+    "d4-six-class-seed0": (4, (2, 3, 4, 5, 6, 7), 0),
+    "d4-six-class-seed5": (4, (2, 3, 4, 5, 6, 7), 5),
+    "d14-seed3": (14, (2, 3, 4, 5), 3),
+    "d14-seed8": (14, (2, 3, 4, 5), 8),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _family(name):
+    d, classes, seed = _FAMILIES[name]
+    return build_separated_family(d, classes, seed)
+
+
+def _separation(res):
+    return [res.ok, res.method, res.pairs_checked,
+            None if res.witness is None else [list(w) for w in res.witness]]
+
+
+def _family_pins(family):
+    epsilon = Fraction(1, max(family.classes) ** 2)
+    packing = build_packing(family, epsilon, per_class_cap=200)
+    langs = family.languages
+    return {
+        "family": _digest(family_to_dict(family)),
+        "packing": _digest([[c.cls.k, str(c.cls.epsilon), [str(x) for x in c.base]]
+                            for c in packing.bin.cubes]),
+        "masks": _digest([[k, [[m, list(w)] for m, w in langs[k]._letter_masks.items()]]
+                          for k in family.classes]),
+        "separated": _digest([_separation(are_separated(langs[k], langs[kp]))
+                              for k in family.classes for kp in family.classes
+                              if k < kp]),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, pins",
+    [
+        ("d4-six-class-seed0", {
+            "family": "aaef768b65ea2e09316066de94b469cbe563e36074cec46c1af8f96e2f52c635",
+            "packing": "e77491eafd20a192adcc49d7c6fb496a9f45c744579d0903eed90c062a7990bf",
+            "masks": "5df728a7f57c6d5b5f55ff14f470fbb68568eb34bc362c8554f0085d0062cdc5",
+            "separated": "5c3fe5557101aa53092df27bae7bdc5e67e93539c49c632f46e57ccc2acdf104",
+        }),
+        ("d4-six-class-seed5", {
+            "family": "acb5d7628e7fe1e8a58d17280c2fe90134298fb06c0c794b43d31bb432031f8a",
+            "packing": "261228d3a037e40ff5f0bca67bf5bbd1f9b0bd9261f0f735a116e58eeadac468",
+            "masks": "e7c6bdbbe17bd7fc52e2379f5ce9e59753dabde4d3f73efa10e0dd50eb2bc4cf",
+            "separated": "65932e7c7d0d1c6aed62b9cf1060e3522780f5e6888a634f19e4f6b48af3c08d",
+        }),
+        ("d14-seed3", {
+            "family": "f76ce3c7172e1a1a8bfbee243d82dfc827f6e6a13d553f867f420fd5cb9ab24b",
+            "packing": "015ff2470513e695b1d3cad3e9574f1a44d0dd7cd940b42878f9bf76df3a1085",
+            "masks": "1a9d8059f5498674712a32642aac144c615bf99413066a823334f1b2da753a89",
+            "separated": "d4761fb7bec0f090d084834bd85c4b2f356f9b4d071505f6c193e9363948662e",
+        }),
+        ("d14-seed8", {
+            "family": "e3389f209ed8fcf75698abbd3b4886109eb69f4e6c7c7fe34122aaa3d2146bf7",
+            "packing": "ade50a8498b87f27f93dc19f799c4b9caaeae8b2e894b31022a127c095580f31",
+            "masks": "ef31df2fcc05eb0bea3d54b80f98a9c2b33ff0f8f82bd19f75b3a9f31a77f80a",
+            "separated": "d4761fb7bec0f090d084834bd85c4b2f356f9b4d071505f6c193e9363948662e",
+        }),
+    ],
+)
+def test_enumerate_family_is_pinned(name, pins):
+    assert _family_pins(_family(name)) == pins
+
+
+def test_cross_family_separation_is_pinned():
+    a, b = _family("d14-seed3"), _family("d14-seed8")
+    results = [_separation(are_separated(x.languages[k], y.languages[kp]))
+               for x, y in ((a, b), (b, a))
+               for k in x.classes for kp in y.classes if k < kp]
+    assert not all(r[0] for r in results)
+    assert _digest(results) == (
+        "ffdc677603a21af066fc6778ce1eca043c72e2cedf68d631a82337ae4129202f"
+    )
