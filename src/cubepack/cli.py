@@ -31,7 +31,7 @@ from .game import (
     prop1_sweep,
     spoa_instance,
 )
-from .geometry import as_rational, expect_type, format_rational, verify_bin
+from .geometry import _int_digits, as_rational, expect_type, format_rational, verify_bin
 from .languages import (
     SeparatedFamily,
     build_separated_family,
@@ -63,6 +63,8 @@ OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 STREAM_ITEM_CAP = 100_000
 
 T = TypeVar("T")
+
+_READ_DIGITS = sys.get_int_max_str_digits()  # read_json's limit; main lifts it
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def read_json(path: Path, from_dict: Callable[..., T], **kw) -> T:
     value of the wrong JSON type where the converter expects another.
     Each is bad input (exit 2), not a failed verification.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _int_digits(_READ_DIGITS):
         try:
             return from_dict(json.load(fh), **kw)
         except (RecursionError, KeyError, AttributeError, TypeError, IndexError) as exc:
@@ -729,7 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

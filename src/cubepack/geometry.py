@@ -13,12 +13,16 @@ count as disjoint.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left, bisect_right
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice, product
+from itertools import accumulate, groupby, islice, product, repeat
 from math import lcm
-from operator import lt
+from operator import lt, or_
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -55,10 +59,23 @@ def expect_type(value, kind: type):
     return value
 
 
+@contextmanager
+def _int_digits(limit: int):
+    """Run with Python's int/str conversion limit at `limit` digits (0: none)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def format_rational(value: Rational) -> str:
-    """Render a rational as the canonical "p/q" string used in JSON files."""
+    """Render a rational as the canonical "p/q" string used in JSON files,
+    at any size, past Python's limit on int/str conversions too."""
     q = as_rational(value)
-    return f"{q.numerator}/{q.denominator}"
+    with _int_digits(0):
+        return f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -118,13 +135,14 @@ class PlacedCube:
             )
 
 
-def _placed(cls: CubeClass, base: tuple[Fraction, ...]) -> PlacedCube:
-    """A PlacedCube without the checks of its constructor, for builders
-    that take `base`, d Fractions, from their own tables."""
-    cube = object.__new__(PlacedCube)
-    object.__setattr__(cube, "cls", cls)
-    object.__setattr__(cube, "base", base)
-    return cube
+def _placed(cls: CubeClass, bases: Sequence[tuple[Fraction, ...]]) -> tuple[PlacedCube, ...]:
+    """PlacedCubes of class cls at `bases`, d Fractions each from a builder's
+    own tables, without the constructor's checks: made in bulk and filled
+    through the slot descriptors (a zero-length deque runs each map)."""
+    cubes = tuple(map(object.__new__, repeat(PlacedCube, len(bases))))
+    deque(map(PlacedCube.cls.__set__, cubes, repeat(cls)), 0)
+    deque(map(PlacedCube.base.__set__, cubes, bases), 0)
+    return cubes
 
 
 def cubes_disjoint(a: PlacedCube, b: PlacedCube) -> bool:
@@ -190,7 +208,7 @@ def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
     """The bin of class-cls cubes based at every point of coords^d, in
     itertools.product order, carrying (cls, coords) for verify_bin."""
     coords = tuple(coords)
-    b = Bin(cls.d, tuple(_placed(cls, base) for base in product(coords, repeat=cls.d)))
+    b = Bin(cls.d, _placed(cls, list(product(coords, repeat=cls.d))))
     object.__setattr__(b, "_factors", (cls, coords))
     return b
 
@@ -245,6 +263,9 @@ def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
     overlaps its own, itself included; ANDing its masks leaves those that
     overlap it on every axis.  The first member with a partner left has no
     lower one, so it and its lowest partner form the lowest pair.
+    A member lies on one interval per axis, so the members overlapping
+    [lo, hi) are those starting below hi minus those ending by lo: two
+    bisections into prefix ORs over the intervals sorted by each end.
     """
     g = len(members)
     axes = []
@@ -256,13 +277,16 @@ def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
                 bits = local[ids[idx]] = bytearray((g + 7) // 8)
             bits[pos >> 3] |= 1 << (pos & 7)
         masks = [(intervals[t], int.from_bytes(buf, "little")) for t, buf in local.items()]
+        by_lo = sorted(masks, key=lambda item: item[0][0])
+        by_hi = sorted(masks, key=lambda item: item[0][1])
+        starts = [lo_u for (lo_u, _), _ in by_lo]
+        stops = [hi_u for (_, hi_u), _ in by_hi]
+        started = [0, *accumulate((mask for _, mask in by_lo), or_)]
+        stopped = [0, *accumulate((mask for _, mask in by_hi), or_)]
         overlap = {}
         for t in local:
             lo, hi = intervals[t]
-            overlap[t] = 0
-            for (lo_u, hi_u), mask in masks:
-                if lo < hi_u and lo_u < hi:
-                    overlap[t] |= mask
+            overlap[t] = started[bisect_left(starts, hi)] & ~stopped[bisect_right(stops, lo)]
         axes.append((ids, overlap))
     everyone = (1 << g) - 1
     for pos, idx in enumerate(members):

@@ -30,7 +30,11 @@ meets every rule set of the bigger class.  So two rule languages are
 *not* separated iff both are nonempty and F & F' meets every rule set
 of the bigger class.  The randomized construction gives class k' the
 rule set F_k' minus F_k, which misses F_k & F_k', so its families are
-separated by construction.
+separated by construction.  As goodness is a property of the mask, a
+rule's good cores are listed per good mask M: k on M and any of 1..k-2
+elsewhere.  The first of them puts 1 off M, and ordering the masks by
+their first cores is the order in which a scan of the sorted cores
+meets them.
 """
 
 from __future__ import annotations
@@ -192,29 +196,23 @@ class Language:
     # -- enumeration and membership -----------------------------------------
 
     def _assemble(self, core: tuple[int, ...], free: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.d
-        fit = iter(free)
-        fset = set(self.f_coords)
-        ci = 0
-        for coord in range(1, self.d + 1):
-            if coord in fset:
-                out[coord - 1] = core[ci]
-                ci += 1
-            else:
-                out[coord - 1] = next(fit)
-        return tuple(out)
+        at, rest = dict(zip(self.f_coords, core)), iter(free)
+        return tuple(at[c] if c in at else next(rest) for c in range(1, self.d + 1))
 
     def iter_words(self) -> Iterator[tuple[int, ...]]:
-        """All words in deterministic (ascending lexicographic) order."""
+        """All words in deterministic (ascending lexicographic) order: per
+        core, one itertools.product of the core letter on F and 1..k-1
+        elsewhere, so the highest free coordinate moves fastest."""
         if self.words is not None:
             yield from self.words
             return
         if self.core_words is None:
             raise ValueError("cannot enumerate a rule-core language")
-        free_n = self.d - len(self.f_coords)
+        choices: list[Sequence[int]] = [range(1, self.k)] * self.d
         for core in self.core_words:
-            for free in itertools.product(range(1, self.k), repeat=free_n):
-                yield self._assemble(core, free)
+            for coord, a in zip(self.f_coords, core):
+                choices[coord - 1] = (a,)
+            yield from itertools.product(*choices)
 
     def contains(self, word: Sequence[int]) -> bool:
         w = tuple(word)
@@ -295,6 +293,23 @@ class Language:
         """True iff the core shows letter k on every rule set."""
         m = _mask(self.f_coords, core, self.k)
         return all(m & r for r in self._rule_masks)
+
+    def _list_good_cores(self) -> None:
+        """Make this rule language the one Language(k, d, f_coords=F,
+        core_words=...) builds from its good cores, with no check per core:
+        one itertools.product per good mask, a subset of F meeting every rule
+        set, and each letter mask's first word, k on the mask and 1 elsewhere."""
+        k, coords, low = self.k, self.f_coords, range(1, self.k - 1)
+        # each coordinate of F shows k or, past k = 2, a letter of low
+        masks = map(sum, itertools.product(*[(1 << c, 0) if low else (1 << c,) for c in coords]))
+        good = [m for m in masks if all(m & r for r in self._rule_masks)]
+        self.core_words = tuple(sorted(itertools.chain.from_iterable(
+            itertools.product(*[(k,) if m >> c & 1 else low for c in coords]) for m in good)))
+        self._core_set, self.core_rules = set(self.core_words), None
+        del self._core_count, self._rule_masks
+        firsts = sorted((tuple(k if m >> c & 1 else 1 for c in range(1, self.d + 1)), m)
+                        for m in good)
+        self._letter_masks = {m: w for w, m in firsts}
 
     @cached_property
     def _letter_masks(self) -> dict[int, tuple[int, ...]]:
@@ -728,9 +743,10 @@ def build_separated_family(
     good core shows letter k inside F_k minus F_l, where the smaller
     language only has letters below l.
 
-    enumerate mode materializes cores (refusing past ENUMERATE_CAP);
-    implicit mode keeps the difference sets as the language's rule,
-    with the exact inclusion-exclusion count.  Failures (empty class, empty
+    enumerate mode materializes cores per good letter mask (refusing past
+    ENUMERATE_CAP) and reads certify's letter masks off those masks;
+    implicit mode keeps the difference sets as the language's rule, with
+    the exact inclusion-exclusion count.  Failures (empty class, empty
     difference set, infeasible sampling) raise rather than repair.
     """
     cls = tuple(sorted(set(_expect_ints(classes))))
@@ -770,12 +786,7 @@ def build_separated_family(
                     f"class {k}: {total} cores exceed enumerate cap {ENUMERATE_CAP}; "
                     f"use implicit mode"
                 )
-            cores = tuple(
-                v
-                for v in itertools.product(core_alphabet(k), repeat=len(coords))
-                if lang._good_core(v)
-            )
-            lang = Language(k, d, f_coords=coords, core_words=cores)
+            lang._list_good_cores()
         good_count = lang.core_size()
         if good_count == 0:
             raise FamilyConstructionError(

@@ -90,17 +90,17 @@ def gap_inequality_holds(k: int, kp: int, epsilon) -> bool:
 
 
 def _class_placer(k: int, epsilon, d: int, letters):
-    """Placer of class-k words: each letter picks its base from one table,
-    base_coordinate (and its checks) for each of `letters`, once per class."""
+    """Placer of class-k word lists, one _placed call each: a letter picks its
+    base from one table, base_coordinate (and its checks) once per letter."""
     cls = CubeClass(k, epsilon, d)
     epsilon = _check_eps_for_base(k, cls.epsilon)
     table = {j: base_coordinate(k, j, epsilon) for j in letters}
-    return lambda word: _placed(cls, tuple(map(table.__getitem__, word)))
+    return lambda words: _placed(cls, [tuple(map(table.__getitem__, w)) for w in words])
 
 
 def place_word(word: Word, epsilon) -> PlacedCube:
     """Cube of class word.k whose dimension-i interval is picked by letter i."""
-    return _class_placer(word.k, epsilon, word.d, word.letters)(word.letters)
+    return _class_placer(word.k, epsilon, word.d, word.letters)([word.letters])[0]
 
 
 @dataclass
@@ -162,8 +162,8 @@ def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optiona
             if not len(set(words[k])) <= n <= full.grid_size(k, d):
                 raise ValueError(f"class {k} family size {n} is below its distinct "
                                  f"words or above (k-1)^d = {full.grid_size(k, d)}")
-    place = {k: _class_placer(k, epsilon, d, set().union(*ws)) for k, ws in words.items()}
-    b = Bin(d, tuple(place[k](letters) for k, ws in words.items() for letters in ws))
+    b = Bin(d, tuple(itertools.chain.from_iterable(
+        _class_placer(k, epsilon, d, set().union(*ws))(ws) for k, ws in words.items())))
     if verify:
         report = verify_bin(b)
         if not report:

@@ -638,6 +638,50 @@ def test_hostile_files_exit_2_without_traceback(tmp_path, packing_file):
         assert proc.stderr.startswith("error: "), name
 
 
+def test_pack_weight_prints_rationals_past_the_int_string_limit(tmp_path, capsys):
+    # one warm-up word per class 2..32 at d = 700: the weight, the sum of
+    # 1/(k-1)^700, has a denominator of more than 4,300 digits
+    d, classes = 700, range(2, 33)
+    words = {str(k): [[k if i == k else 1 for i in range(1, d + 1)]] for k in classes}
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps({"d": d, "epsilon": "1/1024", "words": words}))
+    limit = sys.get_int_max_str_digits()
+    assert run("pack", "weight", src) == 0
+    assert sys.get_int_max_str_digits() == limit
+    weight = sum((F(1, (k - 1) ** d) for k in classes), F(0))
+    assert weight.denominator.bit_length() > 4 * limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"weight (placed cubes): {weight}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert expected in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", "9" * 5000), ("epsilon", '"1/' + "9" * 5000 + '"')],
+    ids=["integer", "rational"],
+)
+def test_numbers_past_the_int_string_limit_are_bad_input(tmp_path, packing_file, field,
+                                                         value):
+    # outside files are read under Python's limit, which main lifts only
+    # for what it prints and writes
+    doc = read(packing_file)
+    doc[field] = "@"
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps(doc).replace('"@"', value))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubepack.cli", "pack", "weight", str(src)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    limit = sys.get_int_max_str_digits()
+    assert run("pack", "weight", src) == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_oversized_stream_exits_2_before_replay(tmp_path):
     # A well-typed instance of a billion items would replay for days; the
     # timeout turns a hang into a failure.

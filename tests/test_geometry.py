@@ -291,6 +291,81 @@ def test_verify_bin_grouping_matches_the_oracles(b):
     test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(b)
 
 
+def _pairwise_lowest_overlap(members, loose):
+    """_lowest_overlap with each interval's overlap mask built by comparing
+    it with every other interval of its axis, O(I^2) per axis."""
+    g = len(members)
+    axes = []
+    for ids, intervals in loose:
+        local = {}
+        for pos, idx in enumerate(members):
+            local[ids[idx]] = local.get(ids[idx], 0) | 1 << pos
+        overlap = {}
+        for t in local:
+            lo, hi = intervals[t]
+            overlap[t] = 0
+            for u, mask in local.items():
+                lo_u, hi_u = intervals[u]
+                if lo < hi_u and lo_u < hi:
+                    overlap[t] |= mask
+        axes.append((ids, overlap))
+    everyone = (1 << g) - 1
+    for pos, idx in enumerate(members):
+        acc = everyone
+        for ids, overlap in axes:
+            acc &= overlap[ids[idx]]
+        extra = acc & ~(1 << pos)
+        if extra:
+            return idx, members[(extra & -extra).bit_length() - 1]
+    return None
+
+
+@st.composite
+def loose_axes(draw):
+    """(members, loose) for _lowest_overlap: up to 12 cubes of which an
+    ascending subset are the members, and 1..3 axes, each with up to 6
+    integer intervals in a bin [0, 12], starting from -3 to 14 and 1 to 12
+    long: nested, identical, touching and out-of-bin intervals come up
+    often.  Every cube lies on one interval per axis."""
+    n = draw(st.integers(1, 12))
+    members = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    loose = []
+    for _ in range(draw(st.integers(1, 3))):
+        intervals = []
+        for _ in range(draw(st.integers(1, 6))):
+            lo = draw(st.integers(-3, 14))
+            intervals.append((lo, lo + draw(st.integers(1, 12))))
+        ids = [draw(st.integers(0, len(intervals) - 1)) for _ in range(n)]
+        loose.append((ids, intervals))
+    return members, loose
+
+
+@given(loose_axes())
+def test_lowest_overlap_matches_the_pairwise_masks(case):
+    members, loose = case
+    assert geometry._lowest_overlap(members, loose) == _pairwise_lowest_overlap(*case)
+
+
+def test_lowest_overlap_reads_nested_touching_and_identical_intervals():
+    # cube 0 on [0, 12), 1 on [12, 24) touching it, 2 on [3, 6) inside
+    # cube 0's, 3 on an identical copy of cube 0's interval
+    loose = [([0, 1, 2, 3], [(0, 12), (12, 24), (3, 6), (0, 12)])]
+    assert geometry._lowest_overlap([1, 2], loose) is None
+    assert geometry._lowest_overlap([1, 2, 3], loose) == (2, 3)
+    assert geometry._lowest_overlap([0, 1, 2, 3], loose) == (0, 2)
+
+
+def test_builder_cubes_equal_checked_cubes():
+    cls = CubeClass(3, F(1, 9), 2)
+    bases = [(F(0), F(10, 27)), (F(10, 27), F(0))]
+    cubes = geometry._placed(cls, bases)
+    checked = tuple(PlacedCube(cls, base) for base in bases)
+    assert cubes == checked and list(map(hash, cubes)) == list(map(hash, checked))
+    assert geometry._placed(cls, []) == ()
+    with pytest.raises(AttributeError):
+        cubes[0].base = (F(0), F(0))
+
+
 # Classes whose coordinates coincide: 0 in every table, 1/3 in (3, 0) and
 # (4, 1/3), and the side 3/4 in both (2, 1/2) and (3, 5/4).
 SHARING_CLASSES = [(2, F(1, 2)), (3, F(5, 4)), (3, F(0)), (4, F(1, 3)), (3, F(1, 9))]

@@ -506,6 +506,91 @@ def test_build_family_reports_empty_difference_set():
         build_separated_family(4, (2, 3), seed=0, fsets=fs)
 
 
+@st.composite
+def rule_languages(draw):
+    """A rule language at d <= 8, k <= 6, with its F and rule sets.
+
+    F is any subset of [1..d] with at most 4,096 cores in all, empty and
+    full included.  Up to three rule sets are drawn inside F, half the
+    time with F itself among them; on an empty F they are empty."""
+    d, k = draw(st.integers(1, 8)), draw(st.integers(2, 6))
+    most = max(m for m in range(d + 1) if (k - 1) ** m <= 4096)
+    f = tuple(sorted(draw(st.sets(st.integers(1, d), max_size=most))))
+    pick = st.sets(st.sampled_from(f), min_size=1) if f else st.just(set())
+    rules = [sorted(r) for r in draw(st.lists(pick, max_size=3))]
+    if draw(st.booleans()):
+        rules.append(list(f))
+    return d, k, f, rules
+
+
+@given(rule_languages())
+def test_listed_good_cores_equal_a_filter_of_every_core(case):
+    d, k, f, rules = case
+    lang = Language(k, d, f_coords=f, core_rules=rules)
+    lang._list_good_cores()
+    pos = {c: i for i, c in enumerate(f)}
+    good = tuple(v for v in itertools.product(core_alphabet(k), repeat=len(f))
+                 if all(any(v[pos[c]] == k for c in r) for r in rules))
+    assert lang.core_words == good
+    assert lang.core_rules is None and lang.core_size() == count_good_words(k, f, rules)
+    assert all(lang.contains(w) for w in itertools.islice(lang.iter_words(), 50))
+    # letter masks: a scan of the cores in order, each mask with its first
+    # core and every free letter 1, as the public constructor's language has
+    scan = {}
+    for v in good:
+        mask = sum(1 << c for c, a in zip(f, v) if a == k)
+        free = iter((1,) * (d - len(f)))
+        scan.setdefault(mask, tuple(v[pos[c]] if c in pos else next(free)
+                                    for c in range(1, d + 1)))
+    assert list(lang._letter_masks.items()) == list(scan.items())
+    built = Language(k, d, f_coords=f, core_words=good)
+    assert vars(lang) == vars(built) | {"_letter_masks": built._letter_masks}
+
+
+@st.composite
+def product_languages(draw):
+    """A product language with explicit cores: d <= 5, k <= 5, F empty,
+    full or any subset, and up to five cores."""
+    d, k = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    f = draw(st.sampled_from([(), tuple(range(1, d + 1)),
+                              tuple(sorted(draw(st.sets(st.integers(1, d)))))]))
+    letter = st.sampled_from(core_alphabet(k))
+    cores = draw(st.lists(st.tuples(*[letter] * len(f)), max_size=5))
+    return Language(k, d, f_coords=f, core_words=cores)
+
+
+@given(product_languages())
+def test_iter_words_equals_assembled_cores_and_free_letters(lang):
+    k, d, f = lang.k, lang.d, lang.f_coords
+    words = []
+    for core in lang.core_words:
+        for free in itertools.product(range(1, k), repeat=d - len(f)):
+            at = dict(zip(f, core))
+            letters = iter(free)
+            words.append(tuple(at[c] if c in at else next(letters)
+                               for c in range(1, d + 1)))
+    assert list(lang.iter_words()) == words
+
+
+def test_enumerate_mode_lists_cores_per_mask_in_one_language_per_class(monkeypatch):
+    calls = {"init": 0, "good_core": 0}
+    init, good_core = Language.__init__, Language._good_core
+
+    def counted_init(self, *args, **kw):
+        calls["init"] += 1
+        init(self, *args, **kw)
+
+    def counted_good_core(self, core):
+        calls["good_core"] += 1
+        return good_core(self, core)
+
+    monkeypatch.setattr(Language, "__init__", counted_init)
+    monkeypatch.setattr(Language, "_good_core", counted_good_core)
+    fam = build_separated_family(14, (2, 3, 4, 5), seed=3)
+    assert calls == {"init": 4, "good_core": 0}
+    assert all(fam.language(k).core_words for k in fam.classes)
+
+
 def test_family_separation_word_level_oracle():
     # Full word-level pairwise check on a small build, independent of the
     # product-core reduction used by certify().
