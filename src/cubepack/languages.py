@@ -34,7 +34,8 @@ separated by construction.  As goodness is a property of the mask, a
 rule's good cores are listed per good mask M: k on M and any of 1..k-2
 elsewhere.  The first of them puts 1 off M, and ordering the masks by
 their first cores is the order in which a scan of the sorted cores
-meets them.
+meets them.  A budgeted selection walks F depth first instead, and
+drops a prefix once a rule set it has not hit has no coordinate left.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .geometry import expect_type, format_rational
 
-# budgeted selection from a rule-core language scans at most this many cores
-SELECT_SCAN_CAP = 5_000_000
 # sample_f_sets draws at most this many candidate sets before giving up
 F_SETS_DRAW_CAP = 200_000
 # enumerate mode materializes at most this many cores per class
@@ -230,7 +229,8 @@ class Language:
             return False
         if self.core_words is not None:
             return core in self._core_set
-        return self._good_core(core)
+        m = _mask(self.f_coords, core, self.k)
+        return all(m & r for r in self._rule_masks)
 
     def select_words(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Deterministic word selection for materializing packings.
@@ -238,10 +238,10 @@ class Language:
         Without a limit, all words in ascending lexicographic order
         (enumerable languages only).  With a limit, enumerable
         languages yield their lexicographic prefix; rule-core
-        languages scan cores in descending lexicographic order instead,
-        because good cores concentrate near the all-k corner while the
-        ascending prefix is exactly the all-bad corner, and emit one
-        word per good core with all free letters set to 1.
+        languages walk their good cores in descending lexicographic
+        order instead, because good cores concentrate near the all-k
+        corner while the ascending prefix is exactly the all-bad corner,
+        and emit one word per good core with all free letters set to 1.
         """
         if limit is None:
             yield from self.iter_words()
@@ -251,22 +251,10 @@ class Language:
         if self.words is not None or self.core_words is not None:
             yield from itertools.islice(self.iter_words(), limit)
             return
-        alpha_desc = tuple(sorted(core_alphabet(self.k), reverse=True))
         free = (1,) * (self.d - len(self.f_coords))
-        found = 0
-        scanned = 0
-        for core in itertools.product(alpha_desc, repeat=len(self.f_coords)):
-            if found >= limit:
-                return
-            scanned += 1
-            if scanned > SELECT_SCAN_CAP:
-                raise RuntimeError(
-                    f"scanned {SELECT_SCAN_CAP} cores and found only {found} good ones; "
-                    f"the good-word density is too low for budgeted selection"
-                )
-            if self._good_core(core):
-                found += 1
-                yield self._assemble(core, free)
+        cores = self._good_cores(core_alphabet(self.k)[::-1])
+        for core in itertools.islice(cores, limit):
+            yield self._assemble(core, free)
 
     def sample_word(self, rng: random.Random) -> tuple[int, ...]:
         """Uniform-ish random word, for demos; no certificate samples."""
@@ -274,25 +262,33 @@ class Language:
             raise ValueError("cannot sample from an empty language")
         if self.words is not None:
             return self.words[rng.randrange(len(self.words))]
-        if self.core_words is not None:
-            core = self.core_words[rng.randrange(len(self.core_words))]
-        else:
-            alpha = core_alphabet(self.k)
-            while True:  # good-core density is high by construction
-                cand = tuple(rng.choice(alpha) for _ in self.f_coords)
-                if self._good_core(cand):
-                    core = cand
-                    break
+        if self.core_words is None:
+            raise ValueError("cannot sample from a rule-core language")
+        core = self.core_words[rng.randrange(len(self.core_words))]
         free_n = self.d - len(self.f_coords)
         free = tuple(rng.randrange(1, self.k) for _ in range(free_n))
         return self._assemble(core, free)
 
     # -- letter masks --------------------------------------------------------
 
-    def _good_core(self, core: Sequence[int]) -> bool:
-        """True iff the core shows letter k on every rule set."""
-        m = _mask(self.f_coords, core, self.k)
-        return all(m & r for r in self._rule_masks)
+    def _good_cores(self, letters: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """This rule's good cores in the lexicographic order of `letters`: a
+        depth-first walk over F that drops a prefix once a rule set it has
+        not hit has no coordinate left, and yields every tail of a prefix
+        that hits them all through one itertools.product."""
+        k, n = self.k, len(self.f_coords)
+        at = (*self.f_coords, self.d + 1)  # rules lie in F: r >> at[i] is 0 iff r misses F[i:]
+        stack = [(0, self._rule_masks, ())]  # (depth, rule masks not hit, prefix as 1-tuples)
+        while stack:
+            i, unhit, prefix = stack.pop()
+            if not unhit:
+                yield from itertools.product(*prefix, *[letters] * (n - i))
+            elif all(r >> at[i] for r in unhit):
+                hit = tuple(r for r in unhit if not r >> at[i] & 1)
+                # a letter other than k hits no rule: it lives iff every unhit rule goes on
+                down = letters if all(r >> at[i + 1] for r in unhit) else (k,)
+                stack.extend((i + 1, hit if a == k else unhit, (*prefix, (a,)))
+                             for a in reversed(down))
 
     def _list_good_cores(self) -> None:
         """Make this rule language the one Language(k, d, f_coords=F,
@@ -580,15 +576,16 @@ def count_good_words(
         raise ValueError(
             f"2^{m} inclusion-exclusion terms exceed cap {GOOD_WORDS_TERM_CAP}"
         )
-    unions: list[frozenset[int]] = [frozenset()] * (1 << m)
+    bits = [sum(1 << c for c in j) for j in js]
+    unions = [0] * (1 << m)  # bit c set iff coordinate c is in the union
     total = 0
     for mask in range(1 << m):
         if mask:
             low = mask & -mask
-            unions[mask] = unions[mask ^ low] | js[low.bit_length() - 1]
-        u = len(unions[mask])
+            unions[mask] = unions[mask ^ low] | bits[low.bit_length() - 1]
+        u = unions[mask].bit_count()
         term = (k - 2) ** u * (k - 1) ** (len(f) - u)
-        total += -term if bin(mask).count("1") % 2 else term
+        total += -term if mask.bit_count() % 2 else term
     return total
 
 

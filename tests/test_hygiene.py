@@ -391,3 +391,17 @@ def test_one_budgeted_placement_search():
                 ):
                     sites.append(f"{path.name}:{getattr(top, 'name', None)}")
     assert sites == ["geometry.py:_joint_corners"], sites
+
+
+def test_no_loop_runs_on_a_constant_true_test():
+    # every loop in the package states the condition that ends it; a
+    # `while True` that waits for a random draw or a search to succeed has
+    # no bound when it does not
+    loops = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Constant)
+        and node.test.value
+    ]
+    assert not loops, f"while loops on a constant true test: {loops}"

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -110,6 +111,19 @@ def test_predicate_core_language():
     assert not lang.contains((1, 1, 2, 1))
     with pytest.raises(ValueError):
         list(lang.iter_words())
+    with pytest.raises(ValueError, match="rule-core"):
+        lang.sample_word(random.Random(0))
+
+
+def test_select_words_walks_past_a_sparse_descending_corner():
+    # k=6 on F = [1..12], each of 5..12 a singleton rule: the 625 good
+    # cores are any of 6,4,3,2,1 on 1..4 and 6 on 5..12, so a descending
+    # scan of the 5^12 cores meets the first 200 of them far apart
+    lang = Language(6, 12, f_coords=range(1, 13), core_rules=[(c,) for c in range(5, 13)])
+    assert lang.core_size() == 625
+    head = itertools.islice(itertools.product((6, 4, 3, 2, 1), repeat=4), 200)
+    assert list(lang.select_words(200)) == [v + (6,) * 8 for v in head]
+    assert len(list(lang.select_words(1000))) == 625
 
 
 # -- gapped ------------------------------------------------------------------
@@ -434,6 +448,25 @@ def test_count_good_words_matches_brute_force():
         ), (k, coords, j_sets)
 
 
+def test_count_good_words_keeps_unions_as_bitmasks():
+    # 2^12 unions of up to 500 coordinates held as ints, not frozensets
+    rng = random.Random(5)
+    f = tuple(range(1, 501))
+    j_sets = [frozenset(rng.sample(f, 250)) for _ in range(12)]
+    tracemalloc.start()
+    try:
+        got = count_good_words(5, f, j_sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    want = 0
+    for t in range(1 << 12):
+        u = len(frozenset().union(*(j for i, j in enumerate(j_sets) if t >> i & 1)))
+        want += (-1) ** bin(t).count("1") * 3 ** u * 4 ** (500 - u)
+    assert got == want
+
+
 def test_count_good_words_term_cap():
     with pytest.raises(ValueError):
         count_good_words(30, tuple(range(1, 11)), [(1,)] * 25)  # 2^25 terms
@@ -523,14 +556,25 @@ def rule_languages(draw):
     return d, k, f, rules
 
 
-@given(rule_languages())
-def test_listed_good_cores_equal_a_filter_of_every_core(case):
+@given(rule_languages(), st.integers(0, 40))
+def test_listed_good_cores_equal_a_filter_of_every_core(case, n):
     d, k, f, rules = case
     lang = Language(k, d, f_coords=f, core_rules=rules)
-    lang._list_good_cores()
     pos = {c: i for i, c in enumerate(f)}
-    good = tuple(v for v in itertools.product(core_alphabet(k), repeat=len(f))
-                 if all(any(v[pos[c]] == k for c in r) for r in rules))
+
+    def good_in(letters):
+        return [v for v in itertools.product(letters, repeat=len(f))
+                if all(any(v[pos[c]] == k for c in r) for r in rules)]
+
+    # the walk, in either letter order, and budgeted selection off it
+    for letters in (core_alphabet(k), core_alphabet(k)[::-1]):
+        assert list(lang._good_cores(letters)) == good_in(letters)
+    assert list(lang.select_words(n)) == [
+        tuple(v[pos[c]] if c in pos else 1 for c in range(1, d + 1))
+        for v in good_in(core_alphabet(k)[::-1])[:n]
+    ]
+    lang._list_good_cores()
+    good = tuple(good_in(core_alphabet(k)))
     assert lang.core_words == good
     assert lang.core_rules is None and lang.core_size() == count_good_words(k, f, rules)
     assert all(lang.contains(w) for w in itertools.islice(lang.iter_words(), 50))
@@ -573,21 +617,22 @@ def test_iter_words_equals_assembled_cores_and_free_letters(lang):
 
 
 def test_enumerate_mode_lists_cores_per_mask_in_one_language_per_class(monkeypatch):
-    calls = {"init": 0, "good_core": 0}
-    init, good_core = Language.__init__, Language._good_core
+    # enumerate mode lists the cores per letter mask and never walks them
+    calls = {"init": 0, "good_cores": 0}
+    init, good_cores = Language.__init__, Language._good_cores
 
     def counted_init(self, *args, **kw):
         calls["init"] += 1
         init(self, *args, **kw)
 
-    def counted_good_core(self, core):
-        calls["good_core"] += 1
-        return good_core(self, core)
+    def counted_good_cores(self, letters):
+        calls["good_cores"] += 1
+        return good_cores(self, letters)
 
     monkeypatch.setattr(Language, "__init__", counted_init)
-    monkeypatch.setattr(Language, "_good_core", counted_good_core)
+    monkeypatch.setattr(Language, "_good_cores", counted_good_cores)
     fam = build_separated_family(14, (2, 3, 4, 5), seed=3)
-    assert calls == {"init": 4, "good_core": 0}
+    assert calls == {"init": 4, "good_cores": 0}
     assert all(fam.language(k).core_words for k in fam.classes)
 
 
