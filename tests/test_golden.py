@@ -5,8 +5,9 @@ change in any of them: the reproduce bundles at two dimension lists, the
 files of pack build in each mode, and the files of online adversary,
 online run, game dynamics, game poa and game spoa on the fixtures of
 test_cli.  The enumerate-mode families, their capped packings, letter
-masks and separation verdicts are pinned too.  A deliberate output change
-updates its pin and says so.
+masks and separation verdicts are pinned too, as are the cubes of the
+full grids H_k and a game config built from them.  A deliberate output
+change updates its pin and says so.
 """
 
 import hashlib
@@ -15,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
+from cubepack.game import config_to_dict, homogeneous_mixture
 from cubepack.languages import are_separated, build_separated_family, family_to_dict
-from cubepack.packing import build_packing
+from cubepack.packing import build_homogeneous, build_packing
 
 from test_cli import (  # noqa: F401  (fixtures)
     _break_one_bin,
@@ -218,4 +220,31 @@ def test_cross_family_separation_is_pinned():
     assert not all(r[0] for r in results)
     assert _digest(results) == (
         "ffdc677603a21af066fc6778ce1eca043c72e2cedf68d631a82337ae4129202f"
+    )
+
+
+# -- full grids ----------------------------------------------------------------
+#
+# However a grid bin holds its cubes, reading them gives the same cubes in
+# the same order, and a game config built from grids is the same file.
+
+
+@pytest.mark.parametrize(
+    "k, d, digest",
+    [
+        (2, 3, "7c6d5962dcc93b2e6abc32389652fb80640c4bde2d13769ef39933bc0c1c2352"),
+        (4, 3, "49bbd8756bc02399de23f70ee5e1dfa87a220dd6fe3053a040df98ac23ddc696"),
+        (7, 4, "7fa3c01c93e3cdb06b8dea6a6e67b2e3a7bad967a944e63d25a7848e97156114"),
+        (7, 6, "18fa92d41a4515e997b351c1a40625060d0aac9affedd778eafa1790716d7a12"),
+    ],
+)
+def test_grid_cubes_are_pinned(k, d, digest):
+    cubes = build_homogeneous(k, d, Fraction(1, k - 1)).bin.cubes
+    assert _digest([[c.cls.k, [str(x) for x in c.base]] for c in cubes]) == digest
+
+
+def test_homogeneous_mixture_config_is_pinned():
+    config = homogeneous_mixture([2, 4], 3, Fraction(1, 3))
+    assert _digest(config_to_dict(config)) == (
+        "feed79aaabefb0e2b545e644e09f0744feb367b0ce3112f281e6958ddfab9bc3"
     )
