@@ -156,7 +156,6 @@ def cmd_pack_build(args) -> int:
         report = {
             "mode": "warmup",
             "classes": list(packing.classes),
-            "weight_placed": format_rational(packing.weight()),
             "weight_full": format_rational(packing.full_counts.weight()),
         }
     elif args.eps is not None:
@@ -181,11 +180,14 @@ def cmd_pack_build(args) -> int:
         packing = rep.packing
         report = {"mode": mode,
                   **_fields(rep, "d", "log_base", "epsilon", "packing", "status")}
+    weight = packing.weight()
+    if mode == "warmup":
+        report["weight_placed"] = format_rational(weight)  # the file sorts its keys
     _emit(args, args.out, {**packing_to_dict(packing), "report": report}, command)
     cubes = sum(packing.nu.values())
     print(
         f"wrote {args.out}: d={d} mode={mode} classes={list(packing.classes)} "
-        f"cubes={cubes} weight={packing.weight()}"
+        f"cubes={cubes} weight={weight}"
     )
     return OK
 
@@ -356,7 +358,7 @@ def _anarchy_doc(inst, kind: str) -> dict:
         "scaled": inst.scaled,
         "optimum_bins": inst.copies,
         "equilibrium_bins": int(inst.ratio * inst.copies),
-        "items": inst.copies * len(inst.source_bin.cubes),
+        "items": inst.copies * len(inst.source_bin),
         "ratio": format_rational(inst.ratio),
         "equilibrium_certified": inst.nash is not None and bool(inst.nash),
     }

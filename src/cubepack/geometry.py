@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby, islice, product, repeat
@@ -169,7 +169,7 @@ class Bin:
     """
 
     d: int
-    cubes: tuple[PlacedCube, ...] = ()
+    cubes: tuple[PlacedCube, ...] = field(default_factory=tuple)
     # (cls, coords) on a bin that _grid_bin built as the cubes of class cls
     # based at product(coords, repeat=d); not a field, so a Bin built any
     # other way, through with_cube or dataclasses.replace too, carries none
@@ -183,11 +183,22 @@ class Bin:
                     f"cube of dimension {c.cls.d} in {self.d}-dimensional bin"
                 )
 
+    def __getattr__(self, name: str):
+        # runs only for what the instance lacks (a factory, not a default, leaves
+        # the class no cubes): a plain bin reads its cubes as any field, and a
+        # grid makes them here on first read
+        if name != "cubes" or self._factors is None:
+            raise AttributeError(f"'Bin' object has no attribute {name!r}")
+        cls, coords = self._factors
+        self.__dict__["cubes"] = _placed(cls, list(product(coords, repeat=self.d)))
+        return self.cubes
+
     def with_cube(self, cube: PlacedCube) -> "Bin":
         return Bin(self.d, self.cubes + (cube,))
 
     def __len__(self) -> int:
-        return len(self.cubes)
+        grid = self._factors
+        return len(self.cubes) if grid is None else len(grid[1]) ** self.d
 
 
 @dataclass(frozen=True)
@@ -206,10 +217,10 @@ class BinVerification:
 
 def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
     """The bin of class-cls cubes based at every point of coords^d, in
-    itertools.product order, carrying (cls, coords) for verify_bin."""
-    coords = tuple(coords)
-    b = Bin(cls.d, _placed(cls, list(product(coords, repeat=cls.d))))
-    object.__setattr__(b, "_factors", (cls, coords))
+    itertools.product order.  It holds only (cls, coords): verify_bin and
+    len read those, and the cubes are made once, when first read."""
+    b = object.__new__(Bin)
+    b.__dict__.update(d=cls.d, _factors=(cls, tuple(coords)))
     return b
 
 
@@ -303,9 +314,9 @@ def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
     A grid that _grid_bin built, as for the H_k, is certified from its
-    factors alone when they pass _grid_holds, in O(k) work for (k-1)^d
-    cubes.  Every other bin, a grid whose factors fail included, goes to
-    the generic kernel below, so every failure report is the same.
+    factors alone when they pass _grid_holds: O(k) work, no cube made.
+    Every other bin, a grid whose factors fail included, goes to the
+    generic kernel below, so every failure report is the same.
 
     The generic kernel works one axis at a time: the cubes are grouped by
     their interval on the axis (constructions place on a lattice, so an
@@ -324,7 +335,7 @@ def verify_bin(b: Bin) -> BinVerification:
     the first offending pair (lowest indices) are reported for debugging;
     the lowest pair is the least of the groups' lowest pairs.
     """
-    n = len(b.cubes)
+    n = len(b)
     if b._factors is not None and _grid_holds(*b._factors):
         return BinVerification(True, True, n)
     outside: list[int] = []  # lowest cube of each interval leaving [0, 1]

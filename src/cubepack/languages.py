@@ -651,11 +651,12 @@ class ClassCounts:
         return t0
 
     def weight(self) -> Fraction:
-        """Sum of n_k / (k-1)^d: the grid bins one copy regroups into."""
-        return sum(
-            (Fraction(n, self.grid_size(k, self.d)) for k, n in self.counts.items()),
-            start=Fraction(0),
-        )
+        """Sum of n_k / (k-1)^d: the grid bins one copy regroups into.  Summed
+        in balanced pairs, whose gcds run on denominators of like size."""
+        terms = [Fraction(n, self.grid_size(k, self.d)) for k, n in self.counts.items()]
+        while len(terms) > 1:
+            terms = [sum(terms[i:i + 2]) for i in range(0, len(terms), 2)]
+        return terms[0] if terms else Fraction(0)
 
 
 @dataclass

@@ -462,8 +462,9 @@ def test_verify_bin_traced_peak_stays_below_the_bin():
     try:
         before = tracemalloc.get_traced_memory()[0]
         grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes
+        cubes = grid.bin.cubes  # a grid makes its cubes on first read
         size = tracemalloc.get_traced_memory()[0] - before
-        plain = Bin(6, grid.bin.cubes)  # the same cubes, for the generic kernel
+        plain = Bin(6, cubes)  # the same cubes, for the generic kernel
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         report = verify_bin(plain)
@@ -497,6 +498,50 @@ def test_grid_bin_verifies_as_its_plain_bin_and_the_oracles(factors):
     assert grid == plain and plain._factors is None
     assert verify_bin(grid) == verify_bin(plain)
     test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(grid)
+
+
+def _check_lazy_grid(cls, coords):
+    """A grid reads as the eager bin of its product cubes: same cubes in the
+    same order, equal and hash equal, made once; len and verify_bin say the
+    same before the first read and after it."""
+    eager = Bin(cls.d, geometry._placed(cls, list(itertools.product(coords, repeat=cls.d))))
+    grid = geometry._grid_bin(cls, coords)
+    assert "cubes" not in vars(grid)
+    before = (len(grid), verify_bin(grid))
+    cubes = grid.cubes
+    assert grid.cubes is cubes
+    assert [c.base for c in cubes] == list(itertools.product(coords, repeat=cls.d))
+    assert cubes == eager.cubes and grid == eager and hash(grid) == hash(eager)
+    assert (len(grid), verify_bin(grid)) == before == (len(eager), verify_bin(eager))
+
+
+@given(grid_factors())
+def test_a_grid_makes_the_eager_cubes_on_first_read(factors):
+    _check_lazy_grid(*factors)
+
+
+@pytest.mark.parametrize("steps", [(0, 1, 2), (0, 1, F(3, 2)), (2, 0, 1, 0)])
+def test_a_d4_grid_makes_the_eager_cubes_on_first_read(steps):
+    # a valid H_4 table, one with two coordinates closer than a side, and
+    # one that repeats a coordinate
+    cls = CubeClass(4, F(1, 3), 4)
+    _check_lazy_grid(cls, [i * cls.side for i in steps])
+
+
+def test_a_grid_built_verified_and_counted_makes_no_cube(monkeypatch):
+    made, placed = [], geometry._placed
+
+    def counting(cls, bases):
+        made.append(len(bases))
+        return placed(cls, bases)
+
+    monkeypatch.setattr(geometry, "_placed", counting)
+    grid = build_homogeneous(7, 6, F(1, 6))
+    report = verify_bin(grid.bin)
+    assert report and report.cube_count == 46_656
+    assert len(grid.bin) == grid.cube_count == 46_656
+    assert made == []
+    assert len(grid.bin.cubes) == 46_656 and made == [46_656]
 
 
 def test_grid_bin_keeps_the_product_order():

@@ -370,6 +370,19 @@ def test_class_counts_orders_classes_and_rejects_bad_counts():
         ClassCounts(3, {2: -5, 3: 8})
 
 
+@given(st.integers(1, 40),
+       st.dictionaries(st.integers(2, 60), st.integers(0, 10**6), max_size=40))
+def test_class_counts_weight_is_the_sequential_sum(d, counts):
+    # the balanced pairwise sum is exact, so it equals the one-term-at-a-time
+    # sum, empty counts included
+    model = ClassCounts(d, counts)
+    sequential = F(0)
+    for k, n in model.counts.items():
+        sequential += F(n, (k - 1) ** d)
+    weight = model.weight()
+    assert type(weight) is F and weight == sequential
+
+
 # -- F-set sampling -----------------------------------------------------------
 
 
