@@ -1211,9 +1211,9 @@ def poa_instance(
     if not check:
         raise ValueError(f"the packing's bin is invalid: {check}")
     n, scaled = anarchy_copies(packing, copies_cap)
-    if n * len(packing.bin) > ANARCHY_ITEM_CAP:
+    if n * len(packing.bin.cubes) > ANARCHY_ITEM_CAP:
         raise ValueError(
-            f"{n} copies of {len(packing.bin)} cubes exceed the "
+            f"{n} copies of {len(packing.bin.cubes)} cubes exceed the "
             f"{ANARCHY_ITEM_CAP} items an anarchy instance builds"
         )
     prime_bins: List[Bin] = []

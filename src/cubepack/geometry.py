@@ -13,15 +13,16 @@ count as disjoint.
 
 from __future__ import annotations
 
+import gc
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby, islice, product, repeat
-from math import lcm
+from math import lcm, prod
 from operator import lt, or_
 from typing import Optional, Sequence, Union
 
@@ -135,6 +136,22 @@ class PlacedCube:
             )
 
 
+@contextmanager
+def _gc_paused(objects: int):
+    """Run a bulk build of about `objects` acyclic objects with the cyclic
+    collector off: on, it walks them in many collections and frees none.  A
+    bulk that would set off a full one (thresholds' product) runs it first."""
+    enabled = gc.isenabled()
+    if enabled and objects >= prod(gc.get_threshold()):
+        gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _placed(cls: CubeClass, bases: Sequence[tuple[Fraction, ...]]) -> tuple[PlacedCube, ...]:
     """PlacedCubes of class cls at `bases`, d Fractions each from a builder's
     own tables, without the constructor's checks: made in bulk and filled
@@ -169,7 +186,7 @@ class Bin:
     """
 
     d: int
-    cubes: tuple[PlacedCube, ...] = field(default_factory=tuple)
+    cubes: tuple[PlacedCube, ...] = ()
     # (cls, coords) on a bin that _grid_bin built as the cubes of class cls
     # based at product(coords, repeat=d); not a field, so a Bin built any
     # other way, through with_cube or dataclasses.replace too, carries none
@@ -183,22 +200,11 @@ class Bin:
                     f"cube of dimension {c.cls.d} in {self.d}-dimensional bin"
                 )
 
-    def __getattr__(self, name: str):
-        # runs only for what the instance lacks (a factory, not a default, leaves
-        # the class no cubes): a plain bin reads its cubes as any field, and a
-        # grid makes them here on first read
-        if name != "cubes" or self._factors is None:
-            raise AttributeError(f"'Bin' object has no attribute {name!r}")
-        cls, coords = self._factors
-        self.__dict__["cubes"] = _placed(cls, list(product(coords, repeat=self.d)))
-        return self.cubes
-
     def with_cube(self, cube: PlacedCube) -> "Bin":
         return Bin(self.d, self.cubes + (cube,))
 
     def __len__(self) -> int:
-        grid = self._factors
-        return len(self.cubes) if grid is None else len(grid[1]) ** self.d
+        return len(self.cubes)
 
 
 @dataclass(frozen=True)
@@ -217,10 +223,11 @@ class BinVerification:
 
 def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
     """The bin of class-cls cubes based at every point of coords^d, in
-    itertools.product order.  It holds only (cls, coords): verify_bin and
-    len read those, and the cubes are made once, when first read."""
-    b = object.__new__(Bin)
-    b.__dict__.update(d=cls.d, _factors=(cls, tuple(coords)))
+    itertools.product order, carrying (cls, coords) for verify_bin."""
+    coords = tuple(coords)
+    with _gc_paused(2 * len(coords) ** cls.d):  # a base tuple and a cube each
+        b = Bin(cls.d, _placed(cls, list(product(coords, repeat=cls.d))))
+    object.__setattr__(b, "_factors", (cls, coords))
     return b
 
 
@@ -314,9 +321,9 @@ def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
     A grid that _grid_bin built, as for the H_k, is certified from its
-    factors alone when they pass _grid_holds: O(k) work, no cube made.
-    Every other bin, a grid whose factors fail included, goes to the
-    generic kernel below, so every failure report is the same.
+    factors alone when they pass _grid_holds, in O(k) work for (k-1)^d
+    cubes.  Every other bin, a grid whose factors fail included, goes to
+    the generic kernel below, so every failure report is the same.
 
     The generic kernel works one axis at a time: the cubes are grouped by
     their interval on the axis (constructions place on a lattice, so an
@@ -335,7 +342,7 @@ def verify_bin(b: Bin) -> BinVerification:
     the first offending pair (lowest indices) are reported for debugging;
     the lowest pair is the least of the groups' lowest pairs.
     """
-    n = len(b)
+    n = len(b.cubes)
     if b._factors is not None and _grid_holds(*b._factors):
         return BinVerification(True, True, n)
     outside: list[int] = []  # lowest cube of each interval leaving [0, 1]

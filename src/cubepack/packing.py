@@ -239,8 +239,8 @@ def build_homogeneous(k: int, d: int, epsilon) -> HomogeneousBin:
 
     Needs 0 < eps <= 1/(k-1); at the boundary the last cube ends exactly
     at 1 and neighbouring cubes share facets, which open cubes allow.
-    The bin is a product grid over the k-1 coordinates: verify_bin
-    certifies it from them, and its cubes are made only when read.
+    The bin is a product grid over the k-1 coordinates, so verify_bin
+    certifies it from them rather than cube by cube.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -462,9 +463,8 @@ def test_verify_bin_traced_peak_stays_below_the_bin():
     try:
         before = tracemalloc.get_traced_memory()[0]
         grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes
-        cubes = grid.bin.cubes  # a grid makes its cubes on first read
         size = tracemalloc.get_traced_memory()[0] - before
-        plain = Bin(6, cubes)  # the same cubes, for the generic kernel
+        plain = Bin(6, grid.bin.cubes)  # the same cubes, for the generic kernel
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         report = verify_bin(plain)
@@ -500,56 +500,59 @@ def test_grid_bin_verifies_as_its_plain_bin_and_the_oracles(factors):
     test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(grid)
 
 
-def _check_lazy_grid(cls, coords):
-    """A grid reads as the eager bin of its product cubes: same cubes in the
-    same order, equal and hash equal, made once; len and verify_bin say the
-    same before the first read and after it."""
-    eager = Bin(cls.d, geometry._placed(cls, list(itertools.product(coords, repeat=cls.d))))
-    grid = geometry._grid_bin(cls, coords)
-    assert "cubes" not in vars(grid)
-    before = (len(grid), verify_bin(grid))
-    cubes = grid.cubes
-    assert grid.cubes is cubes
-    assert [c.base for c in cubes] == list(itertools.product(coords, repeat=cls.d))
-    assert cubes == eager.cubes and grid == eager and hash(grid) == hash(eager)
-    assert (len(grid), verify_bin(grid)) == before == (len(eager), verify_bin(eager))
-
-
-@given(grid_factors())
-def test_a_grid_makes_the_eager_cubes_on_first_read(factors):
-    _check_lazy_grid(*factors)
-
-
-@pytest.mark.parametrize("steps", [(0, 1, 2), (0, 1, F(3, 2)), (2, 0, 1, 0)])
-def test_a_d4_grid_makes_the_eager_cubes_on_first_read(steps):
-    # a valid H_4 table, one with two coordinates closer than a side, and
-    # one that repeats a coordinate
-    cls = CubeClass(4, F(1, 3), 4)
-    _check_lazy_grid(cls, [i * cls.side for i in steps])
-
-
-def test_a_grid_built_verified_and_counted_makes_no_cube(monkeypatch):
-    made, placed = [], geometry._placed
-
-    def counting(cls, bases):
-        made.append(len(bases))
-        return placed(cls, bases)
-
-    monkeypatch.setattr(geometry, "_placed", counting)
-    grid = build_homogeneous(7, 6, F(1, 6))
-    report = verify_bin(grid.bin)
-    assert report and report.cube_count == 46_656
-    assert len(grid.bin) == grid.cube_count == 46_656
-    assert made == []
-    assert len(grid.bin.cubes) == 46_656 and made == [46_656]
-
-
 def test_grid_bin_keeps_the_product_order():
     cls = CubeClass(4, F(1, 8), 2)
     coords = [i * cls.side for i in range(3)]
     grid = geometry._grid_bin(cls, coords)
     assert [c.base for c in grid.cubes] == list(itertools.product(coords, repeat=2))
     assert grid == _grid_bin(4, 2, F(1, 8))
+
+
+@pytest.fixture
+def gc_runs():
+    """The generations of the cyclic collections run inside the test, from
+    an empty young generation under the default thresholds."""
+    seen, threshold = [], gc.get_threshold()
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+
+
+@pytest.mark.parametrize("k, d, full", [(6, 6, []), (7, 6, [2])])
+def test_a_grid_is_made_with_the_collector_paused(gc_runs, k, d, full):
+    # 15,625 and 46,656 cubes, each with its base tuple: only a bulk past
+    # 700 * 10 * 10 objects runs a full collection, before it, and the one
+    # young collection after it ages the cubes; left on, the collector ran
+    # over a hundred collections on the larger grid
+    grid = build_homogeneous(k, d, F(1, k - 1))
+    assert gc_runs in (full, full + [0])
+    assert gc.isenabled() and len(grid.bin.cubes) == (k - 1) ** d
+
+
+def test_gc_paused_leaves_the_collector_as_it_was(gc_runs):
+    with pytest.raises(KeyError), geometry._gc_paused(0):
+        assert not gc.isenabled()
+        raise KeyError
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with geometry._gc_paused(10**6):  # disabled: no full collection either
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert gc_runs == []
 
 
 def test_a_grid_is_certified_from_its_factors(monkeypatch):

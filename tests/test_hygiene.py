@@ -117,28 +117,6 @@ def test_only_build_homogeneous_builds_a_grid_bin():
     assert not uses, f"_grid_bin named outside packing.build_homogeneous: {uses}"
 
 
-def test_counts_read_len_of_the_bin_not_of_its_cubes():
-    # len(bin) counts a grid from its factors; len(bin.cubes) makes every
-    # cube of the grid first.  Bin.__len__ is the one reader of the tuple's
-    # length: it knows whether the tuple is there
-    tree = _tree(PACKAGE / "geometry.py")
-    bin_cls = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef) and node.name == "Bin")
-    length = next(node for node in bin_cls.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "__len__")
-    inside = range(length.lineno, length.end_lineno + 1)
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(_tree(path))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
-        and node.args and isinstance(node.args[0], ast.Attribute)
-        and node.args[0].attr == "cubes"
-        and not (path.name == "geometry.py" and node.lineno in inside)
-    ]
-    assert not calls, f"len(<expr>.cubes) outside Bin.__len__: {calls}"
-
-
 def _uses_by_function(tree: ast.Module) -> list:
     """(innermost enclosing function, node) for every node inside a
     function, methods and nested functions included."""
