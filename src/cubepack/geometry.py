@@ -139,8 +139,9 @@ class PlacedCube:
 @contextmanager
 def _gc_paused(objects: int):
     """Run a bulk build of about `objects` acyclic objects with the cyclic
-    collector off: on, it walks them in many collections and frees none.  A
-    bulk that would set off a full one (thresholds' product) runs it first."""
+    collector off, which would walk them many times and free none.  A bulk
+    big enough to set off a full collection (the thresholds' product) runs
+    one first, so cycles made elsewhere are freed about as early as before."""
     enabled = gc.isenabled()
     if enabled and objects >= prod(gc.get_threshold()):
         gc.collect()
