@@ -6,7 +6,9 @@ can sneak into a correctness path.  Inside, verify_bin and the placement
 searches scale the rationals they compare onto one integer grid and
 compare ints, which is exact and far cheaper.  verify_bin also reads the
 lattice the constructions place on: two cubes are compared only when
-they share the interval on every axis whose intervals are disjoint.
+they share the interval on every axis whose intervals are disjoint.  A
+bin placed from words is read off them: a cube's interval on axis i is
+its class's table entry for letter i, on every axis alike.
 Cubes are open boxes: two cubes that merely share a boundary facet
 count as disjoint.
 """
@@ -21,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby, islice, product, repeat
+from itertools import accumulate, chain, groupby, islice, product, repeat
 from math import lcm, prod
 from operator import lt, or_
 from typing import Optional, Sequence, Union
@@ -188,9 +190,9 @@ class Bin:
 
     d: int
     cubes: tuple[PlacedCube, ...] = ()
-    # (cls, coords) on a bin that _grid_bin built as the cubes of class cls
-    # based at product(coords, repeat=d); not a field, so a Bin built any
-    # other way, through with_cube or dataclasses.replace too, carries none
+    # set only by _grid_bin and packing._typed_packing: per class, in cube order,
+    # (cls, table, words), a cube at map(table.__getitem__, w) per word w, or words
+    # None and cubes at product(table, repeat=d); not a field, so no other Bin has it
     _factors = None
 
     def __post_init__(self) -> None:
@@ -227,8 +229,9 @@ def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
     itertools.product order, carrying (cls, coords) for verify_bin."""
     coords = tuple(coords)
     with _gc_paused(2 * len(coords) ** cls.d):  # a base tuple and a cube each
-        b = Bin(cls.d, _placed(cls, list(product(coords, repeat=cls.d))))
-    object.__setattr__(b, "_factors", (cls, coords))
+        cubes = _placed(cls, list(product(coords, repeat=cls.d)))
+    b = object.__new__(Bin)  # every cube is of cls: no per-cube dimension check
+    vars(b).update(d=cls.d, cubes=cubes, _factors=((cls, coords, None),))
     return b
 
 
@@ -251,10 +254,10 @@ def _grid_holds(cls: CubeClass, coords: tuple[Fraction, ...]) -> bool:
 
 
 def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
-    """(ids, intervals, firsts, scale) of the cubes on one axis: cube i
-    lies on distinct interval ids[i], whose lowest cube is firsts[ids[i]].
-    The intervals are scaled onto ints over the lcm of their denominators;
-    comparisons never cross axes, so one scale per axis is exact."""
+    """(ids, intervals, present, outside) of the cubes on one axis: cube i lies
+    on distinct interval ids[i], all present, and outside holds the lowest cube
+    of each interval leaving [0, 1].  Intervals are scaled onto ints over the
+    lcm of their denominators: comparisons never cross axes, so this is exact."""
     by_value: dict[tuple[int, int, int, int], int] = {}
     ids: list[int] = []
     firsts: list[int] = []
@@ -271,7 +274,29 @@ def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
     scale = lcm(*(q for _, lq, _, sq in by_value for q in (lq, sq)))
     intervals = [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
                  for p, q, sp, sq in by_value]
-    return ids, intervals, firsts, scale
+    outside = [firsts[t] for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale]
+    return ids, intervals, intervals, outside
+
+
+def _letter_axes(factors, d: int):
+    """(ids, intervals, present, outside) per axis, as _axis_intervals gives
+    them, of a bin placed from words: each (class, letter) symbol is scaled
+    once, over one lcm, and axis i's ids are read off every word's letter i."""
+    scale = lcm(*(x.denominator for cls, table, _ in factors for x in (cls.side, *table.values())))
+    intervals, columns = [], [[] for _ in range(d)]
+    for cls, table, words in factors:
+        side = cls.side.numerator * (scale // cls.side.denominator)
+        symbol = {letter: len(intervals) + i for i, letter in enumerate(table)}
+        for x in table.values():
+            lo = x.numerator * (scale // x.denominator)
+            intervals.append((lo, lo + side))
+        flat = list(map(symbol.__getitem__, chain.from_iterable(words)))
+        for i, column in enumerate(columns):
+            column += flat[i::d]  # every word has d letters
+    bad = {t for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale}
+    return [(ids, intervals, [intervals[t] for t in set(ids)],
+             [i for i, t in enumerate(ids) if t in bad][:1] if bad else [])
+            for ids in columns]
 
 
 def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
@@ -324,7 +349,11 @@ def verify_bin(b: Bin) -> BinVerification:
     A grid that _grid_bin built, as for the H_k, is certified from its
     factors alone when they pass _grid_holds, in O(k) work for (k-1)^d
     cubes.  Every other bin, a grid whose factors fail included, goes to
-    the generic kernel below, so every failure report is the same.
+    the generic kernel below, so every failure report is the same.  On a bin
+    placed from words it reads the interval ids off them.  Symbol lemma: a
+    cube's interval on axis i is its class's table entry for letter i, so one
+    interval per (class, letter) serves every axis; the kernel reads an id
+    only through its interval, so it decides exactly what it does on cubes.
 
     The generic kernel works one axis at a time: the cubes are grouped by
     their interval on the axis (constructions place on a lattice, so an
@@ -343,15 +372,16 @@ def verify_bin(b: Bin) -> BinVerification:
     the first offending pair (lowest indices) are reported for debugging;
     the lowest pair is the least of the groups' lowest pairs.
     """
-    n = len(b.cubes)
-    if b._factors is not None and _grid_holds(*b._factors):
+    n, factors = len(b.cubes), b._factors
+    if factors and factors[0][2] is None and _grid_holds(*factors[0][:2]):
         return BinVerification(True, True, n)
+    axes = (_letter_axes(factors, b.d) if factors and factors[0][2] is not None
+            else (_axis_intervals(b.cubes, dim) for dim in range(b.d)))
     outside: list[int] = []  # lowest cube of each interval leaving [0, 1]
     codes, radix, loose = [0] * n, 1, []
-    for dim in range(b.d):
-        ids, intervals, firsts, scale = _axis_intervals(b.cubes, dim)
-        outside += [firsts[t] for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale]
-        ordered = sorted(intervals)
+    for ids, intervals, present, leaving in axes:
+        outside += leaving
+        ordered = sorted(present)
         if all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:])):
             codes = [code + radix * t for code, t in zip(codes, ids)]
             radix *= len(intervals)

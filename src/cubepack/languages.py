@@ -149,6 +149,10 @@ class Language:
         if fc and (fc[0] < 1 or fc[-1] > d):
             raise ValueError(f"f_coords {fc} outside [1..{d}]")
         self.f_coords = fc
+        # where _assemble finds each coordinate's letter in core + free: F
+        # reads the core in order, the other coordinates the free letters
+        at, rest = {c: i for i, c in enumerate(fc)}, itertools.count(len(fc))
+        self._positions = tuple(at[c] if c in at else next(rest) for c in range(1, d + 1))
         if (core_words is None) == (core_rules is None):
             raise ValueError("product form needs exactly one of core_words and core_rules")
         if core_rules is not None:
@@ -195,8 +199,7 @@ class Language:
     # -- enumeration and membership -----------------------------------------
 
     def _assemble(self, core: tuple[int, ...], free: tuple[int, ...]) -> tuple[int, ...]:
-        at, rest = dict(zip(self.f_coords, core)), iter(free)
-        return tuple(at[c] if c in at else next(rest) for c in range(1, self.d + 1))
+        return tuple(map((core + free).__getitem__, self._positions))
 
     def iter_words(self) -> Iterator[tuple[int, ...]]:
         """All words in deterministic (ascending lexicographic) order: per

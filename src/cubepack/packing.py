@@ -89,18 +89,18 @@ def gap_inequality_holds(k: int, kp: int, epsilon) -> bool:
     return (k - 1) * (1 + epsilon) / k < 1 - (1 + epsilon) / kp
 
 
-def _class_placer(k: int, epsilon, d: int, letters):
-    """Placer of class-k word lists, one _placed call each: a letter picks its
-    base from one table, base_coordinate (and its checks) once per letter."""
+def _class_table(k: int, epsilon, d: int, letters) -> tuple[CubeClass, dict[int, Fraction]]:
+    """(cls, table) of class k: table maps each letter to its base point,
+    base_coordinate (and its checks) run once per letter."""
     cls = CubeClass(k, epsilon, d)
     epsilon = _check_eps_for_base(k, cls.epsilon)
-    table = {j: base_coordinate(k, j, epsilon) for j in letters}
-    return lambda words: _placed(cls, [tuple(map(table.__getitem__, w)) for w in words])
+    return cls, {j: base_coordinate(k, j, epsilon) for j in letters}
 
 
 def place_word(word: Word, epsilon) -> PlacedCube:
     """Cube of class word.k whose dimension-i interval is picked by letter i."""
-    return _class_placer(word.k, epsilon, word.d, word.letters)([word.letters])[0]
+    cls, table = _class_table(word.k, epsilon, word.d, word.letters)
+    return PlacedCube(cls, tuple(map(table.__getitem__, word.letters)))
 
 
 @dataclass
@@ -162,8 +162,15 @@ def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optiona
             if not len(set(words[k])) <= n <= full.grid_size(k, d):
                 raise ValueError(f"class {k} family size {n} is below its distinct "
                                  f"words or above (k-1)^d = {full.grid_size(k, d)}")
-    b = Bin(d, tuple(itertools.chain.from_iterable(
-        _class_placer(k, epsilon, d, set().union(*ws))(ws) for k, ws in words.items())))
+    for k, w in ((k, w) for k, ws in words.items() for w in ws):
+        if len(w) != d:
+            raise ValueError(f"class {k} word {list(w)} has length {len(w)}, not d={d}")
+    factors = tuple((*_class_table(k, epsilon, d, set().union(*ws)), ws)
+                    for k, ws in words.items())
+    b = object.__new__(Bin)  # every cube's class has dimension d: no per-cube check
+    vars(b).update(d=d, _factors=factors, cubes=tuple(itertools.chain.from_iterable(
+        _placed(cls, [tuple(map(table.__getitem__, w)) for w in ws])
+        for cls, table, ws in factors)))
     if verify:
         report = verify_bin(b)
         if not report:

@@ -554,6 +554,14 @@ def _hostile_packings(packing_file):
         "no_classes": json.dumps({"d": 3, "epsilon": "1/9", "words": {}}),
         # a class placing no words: pack verify printed OK
         "class_without_words": json.dumps({"d": 3, "epsilon": "1/9", "words": {"2": []}}),
+        # a word of d+1 letters: pack verify printed OK for a bin holding a
+        # cube of dimension d+1; one of 1 letter ended in an IndexError
+        "word_too_long": json.dumps(
+            dict(doc, words=dict(words, **{"3": [[1, 1, 1, 1], *words["3"][1:]]}))
+        ),
+        "word_too_short": json.dumps(
+            dict(doc, words=dict(words, **{"3": [[1], *words["3"][1:]]}))
+        ),
     }
 
 
@@ -561,7 +569,8 @@ HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
                     "sizes_negative", "sizes_extra_class", "sizes_below_placed",
                     "sizes_missing_class", "words_class_twice", "d_below_1",
                     "no_classes", "class_without_words", "letter_above_k",
-                    "letter_zero", "epsilon_at_class_bound"]
+                    "letter_zero", "epsilon_at_class_bound", "word_too_long",
+                    "word_too_short"]
 
 
 @pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))

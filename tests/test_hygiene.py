@@ -172,6 +172,33 @@ def test_one_writer_in_the_cli():
     assert not writes, f"manifests or write_json outside cli._emit: {writes}"
 
 
+def test_only_the_builders_set_bin_factors():
+    # verify_bin certifies a bin with factors from them, not from its cubes,
+    # so only the two builders that make the cubes from the factors may set
+    # them; a Bin's class-level None is the one other binding
+    setters = {("geometry.py", "_grid_bin"), ("packing.py", "_typed_packing")}
+    sets = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        owner = {node: name for name, node in _uses_by_function(tree)}
+        default = [stmt.targets[0] for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "Bin"
+                   for stmt in node.body
+                   if isinstance(stmt, ast.Assign) and ast.unparse(stmt) == "_factors = None"]
+        for node in ast.walk(tree):
+            named = (
+                (isinstance(node, ast.Attribute) and node.attr == "_factors"
+                 and not isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Name) and node.id == "_factors"
+                    and node not in default)
+                or (isinstance(node, ast.keyword) and node.arg == "_factors")
+                or (isinstance(node, ast.Constant) and node.value == "_factors")
+            )
+            if named and (path.name, owner.get(node)) not in setters:
+                sets.append(f"{path.name}:{node.lineno}")
+    assert not sets, f"_factors set outside _grid_bin and _typed_packing: {sets}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()

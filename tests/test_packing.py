@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubepack import geometry
 from cubepack.geometry import (
     Bin,
+    BinVerification,
     CubeClass,
     PlacedCube,
     format_rational,
@@ -31,6 +33,7 @@ from cubepack.packing import (
     power_of_two_packing_report,
     power_of_two_s_prime,
 )
+import test_geometry
 
 
 def test_base_coordinate_frozen_values():
@@ -156,6 +159,60 @@ def test_class_tables_place_like_base_coordinate(data):
     ]
     assert list(placed) == expected
     assert [place_word(Word(w, k), eps) for k, ws in words.items() for w in ws] == expected
+
+
+@st.composite
+def typed_packings(draw):
+    """Unverified typed packings: d in 1..4, one to three classes from 2..6
+    and one to six words per class over all k letters, so that words repeat,
+    the overlapping intervals k-1 and k meet on some axes, and cubes of two
+    classes overlap, as the words form no separated family; epsilon is
+    1/k_max^2, 1/50 or 1/(7 k_max), so sides and bases mix denominators."""
+    d = draw(st.integers(1, 4))
+    classes = sorted(draw(st.sets(st.integers(2, 6), min_size=1, max_size=3)))
+    k_max = classes[-1]
+    eps = draw(st.sampled_from([F(1, k_max * k_max), F(1, 50), F(1, 7 * k_max)]))
+    doc = {"d": d, "epsilon": format_rational(eps), "words": {
+        str(k): draw(st.lists(st.lists(st.integers(1, k), min_size=d, max_size=d),
+                              min_size=1, max_size=6))
+        for k in classes}}
+    return packing_from_dict(doc, verify=False)
+
+
+@given(typed_packings())
+def test_typed_packings_verify_on_their_letters_as_their_plain_bins(packing):
+    # the letter path reports what the generic kernel reports on the same
+    # cubes, and both agree with the per-cube and pairwise oracles
+    b = packing.bin
+    plain = Bin(b.d, b.cubes)
+    assert b._factors is not None and plain._factors is None
+    assert verify_bin(b) == verify_bin(plain)
+    test_geometry.test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(b)
+
+
+def test_a_built_packing_is_certified_on_its_letters(monkeypatch):
+    # build_packing verifies through its words: no interval is keyed per cube
+    monkeypatch.setattr(geometry, "_axis_intervals", None)
+    packing = build_packing(warmup_family(4), F(1, 16))
+    assert verify_bin(packing.bin) == BinVerification(True, True, 1 + 8 + 27)
+
+
+def test_letter_factors_do_not_survive_a_change_of_cubes():
+    b = build_packing(warmup_family(3), F(1, 9)).bin
+    grown = b.with_cube(b.cubes[-1])  # the copy overlaps the last cube
+    assert grown._factors is None
+    assert verify_bin(grown).offending_pair == (len(b) - 1, len(b))
+    swapped = replace(b, cubes=b.cubes[:1] * 2)
+    assert swapped._factors is None
+    assert verify_bin(swapped).offending_pair == (0, 1)
+    assert b == Bin(3, b.cubes) and hash(b) == hash(Bin(3, b.cubes))
+
+
+@pytest.mark.parametrize("word", [(1, 2, 1), (1,)])
+def test_a_word_of_the_wrong_length_is_refused(word):
+    doc = {"d": 2, "epsilon": "1/9", "words": {"2": [[1, 1]], "3": [list(word)]}}
+    with pytest.raises(ValueError, match=rf"class 3 word \[{', '.join(map(str, word))}\]"):
+        packing_from_dict(doc)
 
 
 def test_build_homogeneous_counts_and_boundary():
