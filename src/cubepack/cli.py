@@ -55,12 +55,14 @@ from .packing import (
 
 OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
-# Most items `online run` replays from an outside instance file.  The
-# largest stream this package generates has 16,640 items (`reproduce
-# --d-list 7`), which `online run` replays at about 250 us per item
-# (2 cores, Python 3.11.7): 4.2 s.  The cap is six times that stream, so
-# a hostile count ends in exit 2 instead of hours of replay.
-STREAM_ITEM_CAP = 100_000
+# Most coordinates (items times d) `online run` replays from an outside
+# instance file.  The largest stream this package generates has 16,640
+# items (`reproduce --d-list 7`), which `online run` replays at about
+# 250 us per item (2 cores, Python 3.11.7): 4.2 s.  An item's cost grows
+# with d, to about 0.15 s at d = 20,000, so the cap bounds items times d
+# at six times that stream's 116,480 coordinates (100,000 items at d = 7):
+# a hostile count or dimension ends in exit 2 instead of hours of replay.
+STREAM_COORDINATE_CAP = 700_000
 
 T = TypeVar("T")
 
@@ -266,10 +268,11 @@ def _instance_with_bounds(doc: Mapping) -> tuple:
 
 def cmd_online_run(args) -> int:
     instance, opt, lower = read_json(args.instance, _instance_with_bounds)
-    if instance.total_items > STREAM_ITEM_CAP:
+    if instance.total_items * instance.d > STREAM_COORDINATE_CAP:
         raise ValueError(
-            f"instance holds {instance.total_items} items; online run replays "
-            f"at most {STREAM_ITEM_CAP}"
+            f"instance holds {instance.total_items} items of {instance.d} "
+            f"coordinates each; online run replays at most "
+            f"{STREAM_COORDINATE_CAP} coordinates (items times d)"
         )
     algorithm = ClassHarmonicBaseline(args.m)
     result = run_bounded_space(

@@ -2,13 +2,12 @@
 
 Every coordinate, side length and volume at the API is a
 `fractions.Fraction`; floats are rejected at the boundary so no rounding
-can sneak into a correctness path.  Inside, verify_bin and the placement
-searches scale the rationals they compare onto one integer grid and
-compare ints, which is exact and far cheaper.  verify_bin also reads the
-lattice the constructions place on: two cubes are compared only when
-they share the interval on every axis whose intervals are disjoint.  A
-bin placed from words is read off them: a cube's interval on axis i is
-its class's table entry for letter i, on every axis alike.
+can sneak into a correctness path.  Inside, every geometric check reads
+its intervals from one table, _intervals: each distinct (base, side)
+interval once, and per axis each cube's index into it.  verify_bin and
+the placement searches scale the table onto ints over one lcm and
+compare ints, which is exact and far cheaper.  verify_bin's docstring
+states the grid, symbol and lattice-axis lemmas it decides bins by.
 Cubes are open boxes: two cubes that merely share a boundary facet
 count as disjoint.
 """
@@ -25,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, groupby, islice, product, repeat
 from math import lcm, prod
-from operator import lt, or_
+from operator import itemgetter, lt, or_
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
@@ -190,9 +189,7 @@ class Bin:
 
     d: int
     cubes: tuple[PlacedCube, ...] = ()
-    # set only by _grid_bin and packing._typed_packing: per class, in cube order,
-    # (cls, table, words), a cube at map(table.__getitem__, w) per word w, or words
-    # None and cubes at product(table, repeat=d); not a field, so no other Bin has it
+    # set only by _factored_bin, which documents it; not a field, so no other Bin has it
     _factors = None
 
     def __post_init__(self) -> None:
@@ -224,79 +221,74 @@ class BinVerification:
         return self.containment_ok and self.disjoint_ok
 
 
-def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
-    """The bin of class-cls cubes based at every point of coords^d, in
-    itertools.product order, carrying (cls, coords) for verify_bin."""
-    coords = tuple(coords)
-    with _gc_paused(2 * len(coords) ** cls.d):  # a base tuple and a cube each
-        cubes = _placed(cls, list(product(coords, repeat=cls.d)))
-    b = object.__new__(Bin)  # every cube is of cls: no per-cube dimension check
-    vars(b).update(d=cls.d, cubes=cubes, _factors=((cls, coords, None),))
+def _factored_bin(d: int, factors) -> Bin:
+    """The bin of the cubes `factors` names, carrying them for verify_bin:
+    per class, in cube order, (cls, table, words), a cube at
+    map(table.__getitem__, w) per word w, or words None and cubes at
+    product(table.values(), repeat=d).  Trusted: every class has dimension d
+    and every letter a table entry, so no cube is checked one by one."""
+    counts = [len(table) ** d if words is None else len(words) for _, table, words in factors]
+    with _gc_paused(2 * sum(counts)):  # a base tuple and a cube each
+        cubes = tuple(chain.from_iterable(
+            _placed(cls, list(product(table.values(), repeat=d)) if words is None
+                    else [tuple(map(table.__getitem__, w)) for w in words])
+            for cls, table, words in factors))
+    b = object.__new__(Bin)
+    vars(b).update(d=d, cubes=cubes, _factors=factors)
     return b
 
 
-def _grid_holds(cls: CubeClass, coords: tuple[Fraction, ...]) -> bool:
-    """True iff every coordinate lies in [0, 1 - side] and the sorted
-    coordinates step by at least the side, in ints over one lcm.
-
-    Lemma: then the product grid over coords is a valid bin.  Two distinct
-    product cubes differ in the table position on some axis, and distinct
-    positions name pairwise disjoint open intervals, so the two cubes are
-    disjoint on that axis and therefore disjoint.  Every cube coordinate is
-    one of the coordinates, so containment needs only those.
-    """
-    side = cls.side
-    scale = lcm(side.denominator, *(x.denominator for x in coords))
-    s = side.numerator * (scale // side.denominator)
-    ints = sorted(x.numerator * (scale // x.denominator) for x in coords)
-    return (bool(ints) and ints[0] >= 0 and ints[-1] + s <= scale
-            and all(hi - lo >= s for lo, hi in zip(ints, ints[1:])))
+def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
+    """The bin of class-cls cubes at every point of coords^d, in product order."""
+    return _factored_bin(cls.d, ((cls, dict(enumerate(coords)), None),))
 
 
-def _axis_intervals(cubes: Sequence[PlacedCube], dim: int):
-    """(ids, intervals, present, outside) of the cubes on one axis: cube i lies
-    on distinct interval ids[i], all present, and outside holds the lowest cube
-    of each interval leaving [0, 1].  Intervals are scaled onto ints over the
-    lcm of their denominators: comparisons never cross axes, so this is exact."""
-    by_value: dict[tuple[int, int, int, int], int] = {}
-    ids: list[int] = []
-    firsts: list[int] = []
-    for idx, cube in enumerate(cubes):
-        # the ints of the normalised base and side, read off the Fractions'
-        # slots with no call per cube, name the interval and hash far faster
-        lo, side = cube.base[dim], cube.cls.side
-        key = (lo._numerator, lo._denominator, side._numerator, side._denominator)
-        t = by_value.get(key)
-        if t is None:
-            t = by_value[key] = len(firsts)
-            firsts.append(idx)
-        ids.append(t)
-    scale = lcm(*(q for _, lq, _, sq in by_value for q in (lq, sq)))
-    intervals = [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
-                 for p, q, sp, sq in by_value]
-    outside = [firsts[t] for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale]
-    return ids, intervals, intervals, outside
+def _cube_keys(cubes: Sequence[PlacedCube], d: int):
+    """(keys, columns) of the cubes, as _intervals gives them, keyed per cube:
+    the ints of each normalised base and side, read off the Fractions' slots
+    with no call per coordinate, name an interval and hash far faster."""
+    index: dict[tuple[int, int, int, int], int] = {}
+    key, bases, sides = index.setdefault, [c.base for c in cubes], [c.cls.side for c in cubes]
+    columns = [[key((x._numerator, x._denominator, s._numerator, s._denominator), len(index))
+                for x, s in zip(map(itemgetter(dim), bases), sides)] for dim in range(d)]
+    return list(index), columns
 
 
-def _letter_axes(factors, d: int):
-    """(ids, intervals, present, outside) per axis, as _axis_intervals gives
-    them, of a bin placed from words: each (class, letter) symbol is scaled
-    once, over one lcm, and axis i's ids are read off every word's letter i."""
-    scale = lcm(*(x.denominator for cls, table, _ in factors for x in (cls.side, *table.values())))
-    intervals, columns = [], [[] for _ in range(d)]
-    for cls, table, words in factors:
-        side = cls.side.numerator * (scale // cls.side.denominator)
-        symbol = {letter: len(intervals) + i for i, letter in enumerate(table)}
-        for x in table.values():
-            lo = x.numerator * (scale // x.denominator)
-            intervals.append((lo, lo + side))
+def _intervals(b: Bin):
+    """(keys, columns): the bin's distinct intervals, each as the ints
+    (base num, base den, side num, side den), and per axis each cube's key
+    index, or columns None for a product grid, keyed once per table entry
+    (a repeated coordinate too).  A builder's bin is keyed once per (class,
+    letter) off its factor tables, and its columns are read off the words;
+    every other bin is keyed per cube."""
+    if not b._factors:
+        return _cube_keys(b.cubes, b.d)
+    keys, columns = [], [[] for _ in range(b.d)]
+    for cls, table, words in b._factors:
+        side = cls.side
+        symbol = {letter: len(keys) + i for i, letter in enumerate(table)}
+        keys += [(x.numerator, x.denominator, side.numerator, side.denominator)
+                 for x in table.values()]
+        if words is None:
+            return keys, None
         flat = list(map(symbol.__getitem__, chain.from_iterable(words)))
         for i, column in enumerate(columns):
-            column += flat[i::d]  # every word has d letters
-    bad = {t for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale}
-    return [(ids, intervals, [intervals[t] for t in set(ids)],
-             [i for i, t in enumerate(ids) if t in bad][:1] if bad else [])
-            for ids in columns]
+            column += flat[i::b.d]  # every word has d letters
+    return keys, columns
+
+
+def _scaled(keys) -> tuple[int, list[tuple[int, int]]]:
+    """(scale, intervals): each key's open interval as ints (lo, hi) over
+    scale, the lcm of every denominator, so comparing ints is exact."""
+    scale = lcm(*(q for _, lq, _, sq in keys for q in (lq, sq)))
+    return scale, [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
+                   for p, q, sp, sq in keys]
+
+
+def _disjoint(intervals) -> bool:
+    """True iff the open intervals are pairwise disjoint (and so distinct)."""
+    ordered = sorted(intervals)
+    return all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
 
 
 def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
@@ -346,48 +338,54 @@ def _lowest_overlap(members: list[int], loose) -> Optional[tuple[int, int]]:
 def verify_bin(b: Bin) -> BinVerification:
     """Exact containment and pairwise-disjointness certificate for a bin.
 
-    A grid that _grid_bin built, as for the H_k, is certified from its
-    factors alone when they pass _grid_holds, in O(k) work for (k-1)^d
-    cubes.  Every other bin, a grid whose factors fail included, goes to
-    the generic kernel below, so every failure report is the same.  On a bin
-    placed from words it reads the interval ids off them.  Symbol lemma: a
-    cube's interval on axis i is its class's table entry for letter i, so one
-    interval per (class, letter) serves every axis; the kernel reads an id
+    Every check runs on the one interval table _intervals gives, scaled
+    onto ints over one lcm.  Each distinct interval is checked once
+    against [0, 1], and the cubes are compared through three lemmas.
+
+    Grid lemma: the product grid over a table of coordinates is valid when
+    none leaves [0, 1] and the sorted intervals are pairwise disjoint.  Two
+    distinct product cubes differ in the table position on some axis,
+    where their open intervals are disjoint, so the cubes are disjoint;
+    this is O(k) work for the (k-1)^d cubes of an H_k.  A grid whose
+    table fails is keyed per cube like any other bin, so every failure
+    report is the same.
+
+    Symbol lemma: a cube placed from a word has on axis i its class's table
+    entry for letter i, so one key per (class, letter) serves every axis
+    and the columns are read off the words.  The kernel reads a key index
     only through its interval, so it decides exactly what it does on cubes.
 
-    The generic kernel works one axis at a time: the cubes are grouped by
-    their interval on the axis (constructions place on a lattice, so an
-    axis carries a handful of values), and each distinct interval is
-    checked once against [0, 1].  Lattice-axis lemma: on an axis whose
-    distinct intervals are pairwise disjoint, two cubes overlap iff they
-    share the interval, as an open interval meets itself and no other.
-    Such an axis adds its interval id as one mixed-radix digit to a
-    per-cube code, so cubes agree on every lattice axis iff their codes
-    are equal.  Open boxes intersect iff they overlap on every axis, so
-    each intersecting pair lies in one code group and is decided there on
-    the loose axes alone.  When the codes all differ, as on most harness
-    bins, no two cubes share a group and the bin is disjoint: sorting the
-    codes and comparing neighbours decides it.  Otherwise one sort of the
-    cubes brings the groups together.  The first cube out of the bin and
-    the first offending pair (lowest indices) are reported for debugging;
-    the lowest pair is the least of the groups' lowest pairs.
+    Lattice-axis lemma: on an axis whose distinct intervals are pairwise
+    disjoint, two cubes overlap iff they share the interval, as an open
+    interval meets itself and no other.  Such an axis adds its key index
+    as one mixed-radix digit to a per-cube code, so cubes agree on every
+    lattice axis iff their codes are equal.  Open boxes intersect iff they
+    overlap on every axis, so each intersecting pair lies in one code group
+    and is decided there on the loose axes alone.  When the codes all
+    differ, as on most harness bins, the bin is disjoint: sorting the codes
+    and comparing neighbours decides it.  Otherwise one sort of the cubes
+    brings the groups together.  The first cube out of the bin and the
+    first offending pair (lowest indices) are reported for debugging; the
+    lowest pair is the least of the groups' lowest pairs.
     """
-    n, factors = len(b.cubes), b._factors
-    if factors and factors[0][2] is None and _grid_holds(*factors[0][:2]):
-        return BinVerification(True, True, n)
-    axes = (_letter_axes(factors, b.d) if factors and factors[0][2] is not None
-            else (_axis_intervals(b.cubes, dim) for dim in range(b.d)))
-    outside: list[int] = []  # lowest cube of each interval leaving [0, 1]
+    n = len(b.cubes)
+    keys, columns = _intervals(b)
+    scale, intervals = _scaled(keys)
+    if columns is None:  # a product grid: the grid lemma, else keyed per cube
+        if all(0 <= lo and hi <= scale for lo, hi in intervals) and _disjoint(intervals):
+            return BinVerification(True, True, n)
+        keys, columns = _cube_keys(b.cubes, b.d)
+        scale, intervals = _scaled(keys)
+    leaving = {t for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale}
     codes, radix, loose = [0] * n, 1, []
-    for ids, intervals, present, leaving in axes:
-        outside += leaving
-        ordered = sorted(present)
-        if all(hi <= lo for (_, hi), (lo, _) in zip(ordered, ordered[1:])):
+    for ids in columns:
+        if _disjoint([intervals[t] for t in set(ids)]):
             codes = [code + radix * t for code, t in zip(codes, ids)]
-            radix *= len(intervals)
+            radix *= len(keys)
         else:
             loose.append((ids, intervals))
-    bad_cube = min(outside, default=None)
+    bad_cube = next((i for i, ts in enumerate(zip(*columns)) if not leaving.isdisjoint(ts)),
+                    None) if leaving else None
     ordered = sorted(codes)  # a sorted copy of the ints: no set table on big grids
     if all(map(lt, ordered, islice(ordered, 1, None))):
         return BinVerification(bad_cube is None, True, n, bad_cube)
@@ -468,18 +466,10 @@ def find_joint_positions(
     if d < 1 or any(c.cls.d != d for c in cubes):
         raise ValueError(f"need d >= 1 and resident cubes of dimension d, got d={d}")
     sides = [_checked_side(x) for x in sides]
-    # one integer grid for every coordinate and side compared
-    scale = lcm(*(x.denominator for x in sides),
-                *{x.denominator for c in cubes for x in (c.cls.side, *c.base)})
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    boxes = []
-    for cube in cubes:
-        lo = tuple(map(scaled, cube.base))
-        boxes.append((lo, tuple(v + scaled(cube.cls.side) for v in lo)))
-    found = _joint_corners(boxes, scale, list(map(scaled, sides)), d)
+    keys, columns = _cube_keys(cubes, d)
+    scale, intervals = _scaled(keys + [(0, 1, s.numerator, s.denominator) for s in sides])
+    boxes = [tuple(zip(*map(intervals.__getitem__, ts))) for ts in zip(*columns)]
+    found = _joint_corners(boxes, scale, [hi for _, hi in intervals[len(keys):]], d)
     return None if found is None else tuple(
         tuple(Fraction(v, scale) for v in base) for base in found
     )

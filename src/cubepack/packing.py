@@ -19,8 +19,8 @@ from .geometry import (
     Bin,
     CubeClass,
     PlacedCube,
+    _factored_bin,
     _grid_bin,
-    _placed,
     as_rational,
     expect_type,
     format_rational,
@@ -165,12 +165,8 @@ def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optiona
     for k, w in ((k, w) for k, ws in words.items() for w in ws):
         if len(w) != d:
             raise ValueError(f"class {k} word {list(w)} has length {len(w)}, not d={d}")
-    factors = tuple((*_class_table(k, epsilon, d, set().union(*ws)), ws)
-                    for k, ws in words.items())
-    b = object.__new__(Bin)  # every cube's class has dimension d: no per-cube check
-    vars(b).update(d=d, _factors=factors, cubes=tuple(itertools.chain.from_iterable(
-        _placed(cls, [tuple(map(table.__getitem__, w)) for w in ws])
-        for cls, table, ws in factors)))
+    b = _factored_bin(d, tuple((*_class_table(k, epsilon, d, set().union(*ws)), ws)
+                               for k, ws in words.items()))
     if verify:
         report = verify_bin(b)
         if not report:
@@ -469,9 +465,11 @@ def packing_from_dict(data: Mapping, *, verify: bool = True) -> TypedPacking:
     }
     if len(words) != len(rows):
         raise ValueError(f"words name a class twice: {sorted(rows)}")
-    sizes = data.get("family_sizes")
-    if sizes is not None:
-        sizes = {int(k): expect_type(n, int) for k, n in expect_type(sizes, dict).items()}
+    given = data.get("family_sizes")
+    sizes = None if given is None else {
+        int(k): expect_type(n, int) for k, n in expect_type(given, dict).items()}
+    if sizes is not None and len(sizes) != len(given):
+        raise ValueError(f"family_sizes name a class twice: {sorted(given)}")
     return _typed_packing(
         d, epsilon, words, sizes, verify, "loaded packing fails verification"
     )

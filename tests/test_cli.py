@@ -539,6 +539,10 @@ def _hostile_packings(packing_file):
         "words_class_twice": json.dumps(
             dict(doc, words=dict(doc["words"], **{"03": doc["words"]["3"]}))
         ),
+        # "3" and "03" name one class: the last size was kept, the first dropped
+        "sizes_class_twice": json.dumps(
+            dict(doc, family_sizes=dict(sizes, **{"3": 1, "03": 4}))
+        ),
         # letters outside [1..3] in place of a class-3 word
         "letter_above_k": json.dumps(
             dict(doc, words=dict(words, **{"3": [[4, 1, 1], *words["3"][1:]]}))
@@ -567,10 +571,10 @@ def _hostile_packings(packing_file):
 
 HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
                     "sizes_negative", "sizes_extra_class", "sizes_below_placed",
-                    "sizes_missing_class", "words_class_twice", "d_below_1",
-                    "no_classes", "class_without_words", "letter_above_k",
-                    "letter_zero", "epsilon_at_class_bound", "word_too_long",
-                    "word_too_short"]
+                    "sizes_missing_class", "sizes_class_twice", "words_class_twice",
+                    "d_below_1", "no_classes", "class_without_words",
+                    "letter_above_k", "letter_zero", "epsilon_at_class_bound",
+                    "word_too_long", "word_too_short"]
 
 
 @pytest.mark.parametrize("template", PACKING_COMMANDS, ids=lambda t: " ".join(t[:2]))
@@ -704,6 +708,19 @@ def test_oversized_stream_exits_2_before_replay(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "1000000000 items" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_wide_stream_exits_2_before_replay(tmp_path, monkeypatch, capsys):
+    # 100 items at d = 20,000 are 2,000,000 coordinates, past the cap of
+    # 700,000: about 0.15 s of replay per item at that d
+    doc = dict(instance_to_dict(_STREAM), d=20_000, segments=[{"k": 2, "count": 100}])
+    src = tmp_path / "wide.json"
+    src.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_bounded_space", lambda *a, **k: pytest.fail("replayed"))
+    assert run(*_argv(INSTANCE_COMMANDS[0], str(src), str(tmp_path / "out.json"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "100 items of 20000 coordinates" in err
     assert not (tmp_path / "out.json").exists()
 
 

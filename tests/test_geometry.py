@@ -556,10 +556,28 @@ def test_gc_paused_leaves_the_collector_as_it_was(gc_runs):
 
 
 def test_a_grid_is_certified_from_its_factors(monkeypatch):
-    # no interval is built for a grid whose factors hold
+    # no interval is keyed per cube for a grid whose factors hold
     grid = build_homogeneous(5, 3, F(1, 4)).bin
-    monkeypatch.setattr(geometry, "_axis_intervals", None)
+    monkeypatch.setattr(geometry, "_cube_keys", None)
     assert verify_bin(grid) == BinVerification(True, True, 64)
+
+
+@pytest.mark.parametrize("coords, expected", [
+    ([F(0), F(1, 2), F(0)], BinVerification(True, False, 9, None, (0, 2))),
+    ([F(0), F(7, 8)], BinVerification(False, True, 4, 1)),
+], ids=["duplicate", "past_the_top"])
+def test_a_grid_whose_factors_fail_reports_as_its_plain_bin_in_one_call(
+    monkeypatch, coords, expected
+):
+    # side 3/16: a repeated coordinate, or one past 1 - side = 13/16.  The
+    # grid's cubes are keyed once and decided in the same call, with no
+    # second verify_bin
+    grid = geometry._grid_bin(CubeClass(8, F(1, 2), 2), coords)
+    assert verify_bin(Bin(2, grid.cubes)) == expected
+    keyed, calls = geometry._cube_keys, []
+    monkeypatch.setattr(geometry, "verify_bin", lambda b: pytest.fail("verify_bin recursed"))
+    monkeypatch.setattr(geometry, "_cube_keys", lambda *a: calls.append(a) or keyed(*a))
+    assert verify_bin(grid) == expected and len(calls) == 1
 
 
 def test_grid_factors_do_not_survive_a_change_of_cubes():

@@ -174,9 +174,9 @@ def test_one_writer_in_the_cli():
 
 def test_only_the_builders_set_bin_factors():
     # verify_bin certifies a bin with factors from them, not from its cubes,
-    # so only the two builders that make the cubes from the factors may set
-    # them; a Bin's class-level None is the one other binding
-    setters = {("geometry.py", "_grid_bin"), ("packing.py", "_typed_packing")}
+    # so only the one constructor that makes the cubes from the factors may
+    # set them; a Bin's class-level None is the one other binding
+    setters = {("geometry.py", "_factored_bin")}
     sets = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _tree(path)
@@ -196,7 +196,21 @@ def test_only_the_builders_set_bin_factors():
             )
             if named and (path.name, owner.get(node)) not in setters:
                 sets.append(f"{path.name}:{node.lineno}")
-    assert not sets, f"_factors set outside _grid_bin and _typed_packing: {sets}"
+    assert not sets, f"_factors set outside _factored_bin: {sets}"
+
+
+def test_only_the_cube_key_reader_reads_fraction_slots():
+    # every geometric check reads its intervals from one table, so one
+    # function reads a Fraction's private _numerator and _denominator slots
+    slots, reads = ("_numerator", "_denominator"), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        owner = {node: name for name, node in _uses_by_function(tree)}
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (getattr(node, "attr", None) in slots
+                      or isinstance(node, ast.Constant) and node.value in slots)
+                  and (path.name, owner.get(node)) != ("geometry.py", "_cube_keys")]
+    assert not reads, f"Fraction slots read outside geometry._cube_keys: {reads}"
 
 
 def _references(path: Path) -> set:

@@ -192,7 +192,7 @@ def test_typed_packings_verify_on_their_letters_as_their_plain_bins(packing):
 
 def test_a_built_packing_is_certified_on_its_letters(monkeypatch):
     # build_packing verifies through its words: no interval is keyed per cube
-    monkeypatch.setattr(geometry, "_axis_intervals", None)
+    monkeypatch.setattr(geometry, "_cube_keys", None)
     packing = build_packing(warmup_family(4), F(1, 16))
     assert verify_bin(packing.bin) == BinVerification(True, True, 1 + 8 + 27)
 
