@@ -8,12 +8,11 @@ one letter per dimension.  Two properties drive everything downstream:
 * separated (for k < k'): every cross pair of words has a coordinate i
   with w_i < k and w'_i = k', which makes the induced cubes disjoint.
 
-Languages come in two shapes.  Explicit languages enumerate their
-words.  Product languages factor as (core words on an index set F) x
-(all letters below k elsewhere); the core is either an explicit word
-list or a rule: position sets inside F on each of which a good core
-shows letter k.  The warm-up family and the randomized construction
-both have product shape.
+Every language has one shape, a product: (core words on an index set
+F) x (all letters below k elsewhere).  The core is either an explicit
+word list or a rule: position sets inside F on each of which a good
+core shows letter k.  The warm-up family and the randomized
+construction are both built this way.
 
 Separation is decided exactly on letter masks.  Write K(w) = {i : w_i = k}
 and S(w') = {i : w'_i = k'}.  Every letter of w is at most k, so w_i < k
@@ -98,23 +97,26 @@ def core_alphabet(k: int) -> tuple[int, ...]:
 
 
 class Language:
-    """Class-k word set, explicit or in core x free product form.
+    """Class-k word set in core x free product form.
 
-    Product form: `f_coords` is the sorted 1-based index set F, core
-    words are tuples aligned with it, and off-F letters range over all
-    of [k-1].  The core is either an explicit tuple of words or a rule
-    (for scales where enumeration is impossible): `core_rules`, sets of
-    coordinates inside F, and a core is good iff it shows letter k on
-    each of them.  A rule's exact core count comes from count_good_words.
+    `f_coords` is the sorted 1-based index set F, core words are tuples
+    aligned with it, and off-F letters range over all of [k-1].  The core
+    is either an explicit tuple of words or a rule (for scales where
+    enumeration is impossible): `core_rules`, sets of coordinates inside
+    F, and a core is good iff it shows letter k on each of them.  A
+    rule's exact core count comes from count_good_words.
     """
+
+    # no language lists its words; perfbench/workloads.py::_selectable
+    # still reads the attribute in the construct workload's check
+    words = None
 
     def __init__(
         self,
         k: int,
         d: int,
         *,
-        words: Optional[Sequence[tuple[int, ...]]] = None,
-        f_coords: Optional[Sequence[int]] = None,
+        f_coords: Sequence[int],
         core_words: Optional[Sequence[tuple[int, ...]]] = None,
         core_rules: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
@@ -122,27 +124,8 @@ class Language:
             raise ValueError(f"need k >= 2 and d >= 1, got k={k} d={d}")
         self.k = k
         self.d = d
-        self.words: Optional[tuple[tuple[int, ...], ...]] = None
-        self.f_coords: Optional[tuple[int, ...]] = None
         self.core_words: Optional[tuple[tuple[int, ...], ...]] = None
         self.core_rules: Optional[tuple[frozenset[int], ...]] = None
-        if words is not None:
-            if f_coords is not None or core_words is not None or core_rules is not None:
-                raise ValueError("explicit and product forms are mutually exclusive")
-            had = set()
-            for w in words:
-                w = tuple(w)
-                if len(w) != d:
-                    raise ValueError(f"word {w} has length {len(w)}, expected {d}")
-                if any(type(a) is not int or not 1 <= a <= k for a in w):
-                    _expect_ints(w)
-                    raise ValueError(f"word {w} uses letters outside [1..{k}]")
-                had.add(w)
-            self.words = tuple(sorted(had))
-            self._word_set = had
-            return
-        if f_coords is None:
-            raise ValueError("need either explicit words or product f_coords")
         fc = tuple(sorted(set(_expect_ints(f_coords))))
         if len(fc) != len(tuple(f_coords)):
             raise ValueError(f"duplicate indices in f_coords {f_coords}")
@@ -175,21 +158,13 @@ class Language:
 
     # -- sizes -------------------------------------------------------------
 
-    @property
-    def is_product(self) -> bool:
-        return self.f_coords is not None
-
     def core_size(self) -> int:
         if self.core_words is not None:
             return len(self.core_words)
-        if self.core_rules is not None:
-            return self._core_count
-        raise ValueError("explicit language has no core")
+        return self._core_count
 
     def count(self) -> int:
         """Exact word count; may exceed what __len__ can report."""
-        if self.words is not None:
-            return len(self.words)
         free = self.d - len(self.f_coords)
         return self.core_size() * (self.k - 1) ** free
 
@@ -205,9 +180,6 @@ class Language:
         """All words in deterministic (ascending lexicographic) order: per
         core, one itertools.product of the core letter on F and 1..k-1
         elsewhere, so the highest free coordinate moves fastest."""
-        if self.words is not None:
-            yield from self.words
-            return
         if self.core_words is None:
             raise ValueError("cannot enumerate a rule-core language")
         choices: list[Sequence[int]] = [range(1, self.k)] * self.d
@@ -217,11 +189,11 @@ class Language:
             yield from itertools.product(*choices)
 
     def contains(self, word: Sequence[int]) -> bool:
+        """Membership; a letter that is not an int, as the constructor
+        refuses in a core, makes the word no member."""
         w = tuple(word)
-        if len(w) != self.d:
+        if len(w) != self.d or any(type(a) is not int for a in w):
             return False
-        if self.words is not None:
-            return w in self._word_set
         core = tuple(w[i - 1] for i in self.f_coords)
         fset = set(self.f_coords)
         for coord in range(1, self.d + 1):
@@ -239,19 +211,19 @@ class Language:
         """Deterministic word selection for materializing packings.
 
         Without a limit, all words in ascending lexicographic order
-        (enumerable languages only).  With a limit, enumerable
-        languages yield their lexicographic prefix; rule-core
-        languages walk their good cores in descending lexicographic
-        order instead, because good cores concentrate near the all-k
-        corner while the ascending prefix is exactly the all-bad corner,
-        and emit one word per good core with all free letters set to 1.
+        (core-word languages only).  With a limit, core-word languages
+        yield their lexicographic prefix; rule-core languages walk their
+        good cores in descending lexicographic order instead, because
+        good cores concentrate near the all-k corner while the ascending
+        prefix is exactly the all-bad corner, and emit one word per good
+        core with all free letters set to 1.
         """
         if limit is None:
             yield from self.iter_words()
             return
         if limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
-        if self.words is not None or self.core_words is not None:
+        if self.core_words is not None:
             yield from itertools.islice(self.iter_words(), limit)
             return
         free = (1,) * (self.d - len(self.f_coords))
@@ -263,8 +235,6 @@ class Language:
         """Uniform-ish random word, for demos; no certificate samples."""
         if self.count() == 0:
             raise ValueError("cannot sample from an empty language")
-        if self.words is not None:
-            return self.words[rng.randrange(len(self.words))]
         if self.core_words is None:
             raise ValueError("cannot sample from a rule-core language")
         core = self.core_words[rng.randrange(len(self.core_words))]
@@ -314,17 +284,13 @@ class Language:
     def _letter_masks(self) -> dict[int, tuple[int, ...]]:
         """Distinct masks {i : w_i = k} (bit i set), each with its first word.
 
-        Explicit words and explicit cores are scanned in enumeration
-        order, and a core's first word has every free letter 1.  A rule
-        contributes only its largest mask F, through the all-k core, and
-        nothing when it is empty (see the module docstring).
+        Explicit cores are scanned in enumeration order, and a core's
+        first word has every free letter 1.  A rule contributes only its
+        largest mask F, through the all-k core, and nothing when it is
+        empty (see the module docstring).
         """
         k = self.k
         masks: dict[int, tuple[int, ...]] = {}
-        if self.words is not None:
-            for w in self.words:
-                masks.setdefault(_mask(range(1, self.d + 1), w, k), w)
-            return masks
         if self.core_words is not None:
             cores = self.core_words
         else:
@@ -352,41 +318,27 @@ def _mask(coords: Sequence[int], letters: Sequence[int], letter: int) -> int:
 @dataclass(frozen=True)
 class GappedResult:
     ok: bool
-    missing: tuple[Optional[int], ...]  # per coordinate, a letter the language misses
-    bad_coord: Optional[int] = None  # 1-based, set when not gapped
+    missing: tuple[int, ...]  # per coordinate, a letter the language misses
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def is_gapped(lang: Language) -> GappedResult:
-    """Check that every coordinate misses letter k-1 or letter k.
+    """Every coordinate misses letter k-1 or letter k, in every language.
 
-    Product languages are gapped structurally: core coordinates never
-    use k-1 (core alphabet excludes it) and free coordinates never use
-    k.  Explicit languages are scanned coordinate by coordinate.
+    Core letters come from [k] minus k-1 and free letters from [k-1], so
+    a coordinate of F misses k-1 and every other coordinate misses k.
     """
-    k, d = lang.k, lang.d
-    if lang.is_product:
-        fset = set(lang.f_coords)
-        missing = tuple(k - 1 if c in fset else k for c in range(1, d + 1))
-        return GappedResult(True, missing)
-    missing: list[Optional[int]] = []
-    for i in range(d):
-        seen = {w[i] for w in lang.words}
-        if k - 1 not in seen:
-            missing.append(k - 1)
-        elif k not in seen:
-            missing.append(k)
-        else:
-            return GappedResult(False, tuple(missing) + (None,) * (d - i), i + 1)
-    return GappedResult(True, tuple(missing))
+    fset = set(lang.f_coords)
+    return GappedResult(True, tuple(lang.k - 1 if c in fset else lang.k
+                                    for c in range(1, lang.d + 1)))
 
 
 @dataclass(frozen=True)
 class SeparationResult:
     ok: bool
-    method: str  # "product-core" | "exhaustive"
+    method: str  # always "product-core"; perfbench/tracing.py and the golden pins read it
     pairs_checked: int  # letter-mask comparisons made
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # failing pair
 
@@ -408,20 +360,18 @@ def are_separated(small: Language, big: Language) -> SeparationResult:
     a smaller rule language needs only its largest mask, F.  The module
     docstring has the full argument.
 
-    The method is "product-core" when both languages are in product
-    form and "exhaustive" when either lists its words; both are exact.
-    pairs_checked counts mask comparisons.  The witness is the first
-    failing word pair with small words outer and big words inner, in
-    enumeration order and with free letters 1; against a bigger rule
-    language its big word shows k' exactly on K & F' and 1 elsewhere.
+    The method always reads "product-core".  pairs_checked counts mask
+    comparisons.  The witness is the first failing word pair with small
+    words outer and big words inner, in enumeration order and with free
+    letters 1; against a bigger rule language its big word shows k'
+    exactly on K & F' and 1 elsewhere.
     """
     k, kp = small.k, big.k
     if k >= kp:
         raise ValueError(f"need k < k', got {k} >= {kp}")
     if small.d != big.d:
         raise ValueError("dimension mismatch")
-    method = "product-core" if small.is_product and big.is_product else "exhaustive"
-    pairs = 0
+    method, pairs = "product-core", 0
     if big.core_rules is not None:
         f_big = sum(1 << c for c in big.f_coords)
         for kmask, w in small._letter_masks.items():

@@ -256,7 +256,6 @@ class RunResult:
     closed_bin_ids: Tuple[int, ...]
     per_segment_new_bins: Tuple[int, ...]
     placements: Tuple[PlacementRecord, ...]
-    bins: Mapping[int, Bin]
     report: Optional[RatioReport] = None
 
 
@@ -279,7 +278,6 @@ def run_bounded_space(
     if m < 1:
         raise ValueError(f"open-bin budget must be >= 1, got {m}")
     open_bins: Dict[int, Bin] = {}
-    all_bins: Dict[int, Bin] = {}
     closed_ids: list[int] = []
     placements: list[PlacementRecord] = []
     per_segment = [0] * len(instance.segments)
@@ -303,13 +301,16 @@ def run_bounded_space(
                         f"{step}: placement into bin {bin_id}, which is not open"
                     )
                 target = open_bins[bin_id]
-            updated = target.with_cube(PlacedCube(cls, decision.base))
-            base = updated.cubes[-1].base
+            try:
+                cube = PlacedCube(cls, decision.base)
+            except (TypeError, ValueError) as exc:
+                raise HarnessViolation(f"{step}: malformed base, {exc}") from exc
+            updated = target.with_cube(cube)
+            base = cube.base
             check = verify_bin(updated)
             if not check:
                 raise HarnessViolation(f"{step}: invalid placement, {check}")
             open_bins[bin_id] = updated
-            all_bins[bin_id] = updated
             to_close = set(decision.close)
             if decision.close_target:
                 to_close.add(bin_id)
@@ -337,7 +338,6 @@ def run_bounded_space(
         closed_bin_ids=tuple(closed_ids),
         per_segment_new_bins=tuple(per_segment),
         placements=tuple(placements),
-        bins=all_bins,
         report=report,
     )
 

@@ -332,8 +332,9 @@ def test_every_public_member_is_named():
     assert not unnamed, f"class members nothing names: {unnamed}"
 
 
-# Defaulted parameters of exported functions that no call under src/, demos/
-# or perfbench/ passes, and why each stays.
+# Defaulted parameters of exported functions and of exported classes'
+# __init__ that no call under src/, demos/ or perfbench/ passes, and why
+# each stays.
 ALLOWED_KNOBS = {
     "improving_moves.mode": "public API: a caller lists repack moves as well",
     "packing_from_dict.verify": "passed through read_json by pack verify and pack weight",
@@ -382,14 +383,24 @@ def test_every_defaulted_parameter_is_passed():
     for node in _tree(PACKAGE / "__init__.py").body:
         if isinstance(node, ast.ImportFrom):
             source.update((alias.name, node.module) for alias in node.names)
-    knobs = {}  # "function.param" -> position or None
+    knobs = {}  # "function.param" or "Class.param" -> position or None
     for module in set(source.values()):
         for node in _tree(PACKAGE / f"{module}.py").body:
-            if isinstance(node, ast.FunctionDef) and source.get(node.name) == module:
+            if source.get(getattr(node, "name", None)) != module:
+                continue
+            if isinstance(node, ast.FunctionDef):
                 knobs.update(
                     (f"{node.name}.{param}", pos)
                     for param, pos in _defaulted_params(node).items()
                 )
+            elif isinstance(node, ast.ClassDef):
+                # a call names the class, and its positions start past self
+                for init in node.body:
+                    if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                        knobs.update(
+                            (f"{node.name}.{param}", None if pos is None else pos - 1)
+                            for param, pos in _defaulted_params(init).items()
+                        )
     passed = set()
     for root in ("src", "demos", "perfbench"):
         for path in (REPO / root).rglob("*.py"):

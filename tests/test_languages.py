@@ -47,8 +47,6 @@ def test_word_validation():
     "build",
     [
         lambda: Word((True, 2.0), 2),
-        lambda: Language(2, 2, words=[(1.5, 2)]),
-        lambda: Language(2, 2, words=[(True, 2)]),
         lambda: Language(3, 2, f_coords=(1,), core_words=[(True,)]),
         lambda: Language(3, 2, f_coords=(1.7,), core_words=[(1,)]),
         lambda: Language(3, 2, f_coords=(1, 2), core_rules=[(1.0,)]),
@@ -56,8 +54,8 @@ def test_word_validation():
         lambda: count_good_words(3, (1, 2.0), [(1,)]),
         lambda: count_good_words(3, (1, 2), [(True,)]),
     ],
-    ids=["word-letter", "explicit-float", "explicit-bool", "core-bool", "f_coords",
-         "core_rules", "classes", "count-f_coords", "count-j_sets"],
+    ids=["word-letter", "core-bool", "f_coords", "core_rules", "classes",
+         "count-f_coords", "count-j_sets"],
 )
 def test_non_int_letters_and_indices_are_type_errors(build):
     # int() would truncate 2.9 to 2 and a float or bool letter would pass
@@ -75,13 +73,6 @@ def test_core_alphabet_skips_k_minus_one():
 # -- Language shapes ---------------------------------------------------------
 
 
-def test_explicit_language_membership_and_len():
-    lang = Language(2, 3, words=[(1, 2, 1), (1, 2, 1)])
-    assert len(lang) == 1
-    assert lang.contains((1, 2, 1))
-    assert not lang.contains((2, 2, 1))
-
-
 def test_product_language_count_and_enumeration():
     # Warm-up shape: core (3) pinned at coordinate 3, free letters in [2].
     lang = Language(3, 3, f_coords=(3,), core_words=((3,),))
@@ -91,6 +82,18 @@ def test_product_language_count_and_enumeration():
     assert lang.contains((2, 1, 3))
     assert not lang.contains((2, 3, 3))
     assert not lang.contains((1, 1, 1))
+
+
+@pytest.mark.parametrize("core", [{"core_words": ((3,),)}, {"core_rules": ((3,),)}],
+                         ids=["core-words", "core-rules"])
+def test_contains_is_false_on_letters_that_are_not_ints(core):
+    # cast to int, each word is the member (1, 1, 3) or (1, 2, 3): a float
+    # or bool letter passes the range checks, as a float core letter does
+    # the core check
+    lang = Language(3, 3, f_coords=(3,), **core)
+    for word in [(1.5, 1, 3), (True, 2, 3), (1, 1, 3.0)]:
+        assert lang.contains(tuple(map(int, word)))
+        assert not lang.contains(word), word
 
 
 def test_product_language_lex_order_is_deterministic():
@@ -129,13 +132,6 @@ def test_select_words_walks_past_a_sparse_descending_corner():
 # -- gapped ------------------------------------------------------------------
 
 
-def test_is_gapped_examples():
-    assert is_gapped(Language(2, 3, words=[(1, 2, 1)]))
-    res = is_gapped(Language(2, 2, words=[(1, 2), (2, 1)]))
-    assert not res
-    assert res.bad_coord == 1  # both letters 1 and 2 appear at coordinate 1
-
-
 def test_is_gapped_product_structural():
     lang = Language(4, 5, f_coords=(2, 4), core_words=((4, 1), (1, 4)))
     res = is_gapped(lang)
@@ -143,38 +139,28 @@ def test_is_gapped_product_structural():
     assert res.missing == (4, 3, 4, 3, 4)
 
 
-def test_gapped_language_size_cap():
-    # Gappedness forces |L_k| <= (k-1)^d: check on all gapped subsets at k=d=2.
-    full = list(itertools.product((1, 2), repeat=2))
-    for r in range(len(full) + 1):
-        for subset in itertools.combinations(full, r):
-            lang = Language(2, 2, words=subset)
-            if is_gapped(lang):
-                assert len(lang) <= 1
-
-
 # -- separated ---------------------------------------------------------------
 
 
 def test_are_separated_witness_coordinate():
     # Coordinate 2 separates: w_2 = 1 < 2 and w'_2 = 3.
-    l2 = Language(2, 2, words=[(2, 1)])
-    l3 = Language(3, 2, words=[(1, 3)])
+    l2 = Language(2, 2, f_coords=(1,), core_words=[(2,)])  # the one word (2, 1)
+    l3 = Language(3, 2, f_coords=(1, 2), core_words=[(1, 3)])
     res = are_separated(l2, l3)
     assert res
-    assert res.method == "exhaustive"
+    assert res.method == "product-core"
 
 
 def test_are_separated_failure_has_witness_pair():
-    l2 = Language(2, 2, words=[(2, 1)])
-    l3 = Language(3, 2, words=[(3, 1)])  # no coordinate works
+    l2 = Language(2, 2, f_coords=(1,), core_words=[(2,)])
+    l3 = Language(3, 2, f_coords=(1, 2), core_words=[(3, 1)])  # no coordinate works
     res = are_separated(l2, l3)
     assert not res
     assert res.witness == ((2, 1), (3, 1))
 
 
 def test_are_separated_requires_increasing_classes():
-    l2 = Language(2, 2, words=[(1, 2)])
+    l2 = Language(2, 2, f_coords=(2,), core_words=[(2,)])  # the one word (1, 2)
     with pytest.raises(ValueError):
         are_separated(l2, l2)
 
@@ -211,8 +197,6 @@ def test_are_separated_product_core_matches_word_level_oracle():
 
 def _brute_words(k, d, form, f_coords, payload):
     """Every word of a language, enumerated straight from its definition."""
-    if form == "words":
-        return set(payload)
     free_at = [c for c in range(1, d + 1) if c not in f_coords]
     out = set()
     for core in itertools.product(core_alphabet(k), repeat=len(f_coords)):
@@ -229,15 +213,14 @@ def _brute_words(k, d, form, f_coords, payload):
 
 @st.composite
 def language_pairs(draw):
-    """A class pair k < k' at d <= 4, each language given by explicit words,
-    explicit cores or a rule, plus the (form, F, payload) it came from.
+    """A class pair k < k' at d <= 4, each language given by explicit cores
+    or a rule, plus the (form, F, payload) it came from.
 
-    Two thirds of the draws follow the randomized construction: both
-    languages in product form, and class k' must show k' on F' minus F (as
-    a rule, or by writing k' into each core there).  That separates the
-    pair when F' minus F is nonempty; three in four of these draws keep a
-    coordinate of F' out of F to make it so, the rest force it empty.  The
-    other draws mix all three forms freely, so big cores may carry no
+    Two thirds of the draws follow the randomized construction: class k'
+    must show k' on F' minus F (as a rule, or by writing k' into each core
+    there).  That separates the pair when F' minus F is nonempty; three in
+    four of these draws keep a coordinate of F' out of F to make it so,
+    the rest force it empty.  In the other draws big cores may carry no
     letter k'.  Rule sets drawn on an empty F are empty.
     """
     d = draw(st.integers(1, 4))
@@ -256,13 +239,8 @@ def language_pairs(draw):
     construction = mode != "free"
     must_show = frozenset(f_big) - frozenset(f_small)
 
-    def language(cls, f, product_only, extra_rule):
-        forms = ("cores", "rules") if product_only else ("words", "cores", "rules")
-        form = draw(st.sampled_from(forms))
-        if form == "words":
-            letter = st.integers(1, cls)
-            payload = draw(st.lists(st.tuples(*[letter] * d), min_size=1, max_size=6))
-            return form, f, payload, Language(cls, d, words=payload)
+    def language(cls, f, extra_rule):
+        form = draw(st.sampled_from(("cores", "rules")))
         if form == "cores":
             letter = st.sampled_from(core_alphabet(cls))
             payload = draw(st.lists(st.tuples(*[letter] * len(f)), min_size=1, max_size=6))
@@ -285,8 +263,8 @@ def language_pairs(draw):
             payload.append(sorted(extra_rule))
         return form, f, payload, Language(cls, d, f_coords=f, core_rules=payload)
 
-    small = language(k, f_small, construction, None)
-    big = language(kp, f_big, construction, must_show if construction else None)
+    small = language(k, f_small, None)
+    big = language(kp, f_big, must_show if construction else None)
     return d, k, kp, small, big
 
 
@@ -304,7 +282,7 @@ def test_are_separated_matches_brute_force_word_pairs(case):
 
     res = are_separated(small, big)
     assert bool(res) == all(separated(w, wp) for w in small_words for wp in big_words)
-    assert res.method == ("exhaustive" if "words" in (s_form, b_form) else "product-core")
+    assert res.method == "product-core"
     if res:
         assert res.witness is None
         return

@@ -263,13 +263,23 @@ def test_single_item_uses_one_bin():
     assert result.placements[0].bin_id == 0
 
 
+def _bins_of(instance, result):
+    """Bin id -> the bin the run's placements fill, rebuilt in order."""
+    bins = {}
+    for rec in result.placements:
+        cube = PlacedCube(instance.cube_class(rec.k), rec.base)
+        bins[rec.bin_id] = bins.get(rec.bin_id, Bin(instance.d)).with_cube(cube)
+    return bins
+
+
 def test_homogeneous_stream_grid_capacity():
     # cap (k-1)^d = 4 at k=3, d=2: ceil(10/4) = 3 bins
     inst = Instance(2, F(1, 9), (Segment(3, 10),))
     result = run_bounded_space(ClassHarmonicBaseline(1), inst, 1)
     assert result.bins_used == 3
-    assert all(verify_bin(b) for b in result.bins.values())
-    sizes = sorted(len(b) for b in result.bins.values())
+    bins = _bins_of(inst, result)
+    assert all(verify_bin(b) for b in bins.values())
+    sizes = sorted(len(b) for b in bins.values())
     assert sizes == [2, 4, 4]
 
 
@@ -299,7 +309,9 @@ def test_baseline_on_remark_instance():
     assert result.report.ratio == F(3, 2)
     assert result.open_bin_ids == ()
     assert len(result.closed_bin_ids) == 24
-    assert all(verify_bin(b) for b in result.bins.values())
+    bins = _bins_of(adv.instance, result)
+    assert len(bins) == 24
+    assert all(verify_bin(b) for b in bins.values())
 
 
 def test_baseline_respects_budget_m2():
@@ -461,7 +473,14 @@ def test_harness_rejects_closing_unknown_bin():
 def test_harness_rejects_float_coordinates():
     inst = Instance(1, F(1, 9), (Segment(3, 1),))
     alg = _ScriptedAlgorithm([Decision(None, (0.0,))])
-    with pytest.raises(TypeError):
+    with pytest.raises(HarnessViolation, match=r"item 0 \(class 3\): malformed base"):
+        run_bounded_space(alg, inst, 1)
+
+
+def test_harness_rejects_a_base_of_the_wrong_length():
+    inst = Instance(2, F(1, 9), (Segment(2, 1),))
+    alg = _ScriptedAlgorithm([Decision(None, (F(0),))])
+    with pytest.raises(HarnessViolation, match=r"item 0 \(class 2\): malformed base"):
         run_bounded_space(alg, inst, 1)
 
 
