@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -73,8 +72,17 @@ _READ_DIGITS = sys.get_int_max_str_digits()  # read_json's limit; main lifts it
 # manifests and deterministic writers
 
 
+def _hasher(data: bytes = b""):
+    """A sha256 object over `data`.  hashlib is imported here, on first use,
+    because it loads OpenSSL: about 3.4 MB of resident memory that a
+    process importing cubepack for its library calls should not pay."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
+    h = _hasher()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -130,7 +138,7 @@ def read_json(path: Path, from_dict: Callable[..., T], **kw) -> T:
 
 def _sub_seed(seed: int, stage: str, d: int) -> int:
     """Named sub-stream: one master seed fans out per (stage, dimension)."""
-    digest = hashlib.sha256(f"{seed}:{stage}:{d}".encode()).hexdigest()
+    digest = _hasher(f"{seed}:{stage}:{d}".encode()).hexdigest()
     return int(digest[:12], 16)
 
 
@@ -614,7 +622,7 @@ def cmd_reproduce(args) -> int:
         f"{_sha256(p)}  {p.name}"
         for p in sorted(artifacts, key=lambda p: p.name)
     ]
-    bundle = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    bundle = _hasher("\n".join(lines).encode()).hexdigest()
     hash_path.write_text("\n".join(lines) + f"\nbundle {bundle}\n")
 
     failed = False

@@ -201,7 +201,13 @@ class Bin:
                 )
 
     def with_cube(self, cube: PlacedCube) -> "Bin":
-        return Bin(self.d, self.cubes + (cube,))
+        """A plain bin of these cubes and `cube`.  Only `cube`'s dimension is
+        checked: the residents were checked when this bin was built."""
+        if cube.cls.d != self.d:
+            raise ValueError(f"cube of dimension {cube.cls.d} in {self.d}-dimensional bin")
+        grown = object.__new__(Bin)
+        vars(grown).update(d=self.d, cubes=self.cubes + (cube,))
+        return grown
 
     def __len__(self) -> int:
         return len(self.cubes)

@@ -203,10 +203,10 @@ def offline_certificate(packing: TypedPacking, scale: int) -> Tuple[Bin, ...]:
 class Decision:
     """One step of an online algorithm.
 
-    bin_id None opens a fresh bin.  `close` names open bins to retire after
-    the placement; close_target additionally retires the bin just placed
-    into (needed when the target is the fresh bin, whose id the algorithm
-    cannot know yet).
+    bin_id, an int, names an open bin; None opens a fresh bin.  `close`, a
+    set of int ids, names open bins to retire after the placement;
+    close_target additionally retires the bin just placed into (needed when
+    the target is the fresh bin, whose id the algorithm cannot know yet).
     """
 
     bin_id: Optional[int]
@@ -259,6 +259,10 @@ class RunResult:
     report: Optional[RatioReport] = None
 
 
+def _violation(item_index: int, k: int, what: str) -> HarnessViolation:
+    return HarnessViolation(f"item {item_index} (class {k}): {what}")
+
+
 def run_bounded_space(
     algorithm,
     instance: Instance,
@@ -271,63 +275,77 @@ def run_bounded_space(
 
     The algorithm must expose decide(cube_class, open_bins) -> Decision and
     may expose placed(item_index, k, bin_id, base) to learn the id assigned
-    to a fresh bin.  Nothing the algorithm claims is trusted: every placement
-    is checked by verify_bin, closed bins are sealed forever, and the open
-    count is audited after each step.
+    to a fresh bin.  open_bins is one read-only view of the open bins for
+    the whole run.  Nothing the algorithm claims is trusted: each decision
+    must be a Decision whose bin id is an int or None and whose close is a
+    set of int ids, every placement is checked by verify_bin on the whole
+    bin it lands in, closed bins are sealed forever, and the open count is
+    audited after each step.  A broken rule raises HarnessViolation naming
+    the step as "item N (class k)".
     """
     if m < 1:
         raise ValueError(f"open-bin budget must be >= 1, got {m}")
     open_bins: Dict[int, Bin] = {}
+    view = MappingProxyType(open_bins)
     closed_ids: list[int] = []
     placements: list[PlacementRecord] = []
     per_segment = [0] * len(instance.segments)
     next_id = 0
     item_index = 0
     notify = getattr(algorithm, "placed", None)
+    empty = Bin(instance.d)
     for seg_idx, seg in enumerate(instance.segments):
-        cls = instance.cube_class(seg.k)
+        k = seg.k
+        cls = instance.cube_class(k)
         for _ in range(seg.count):
-            step = f"item {item_index} (class {seg.k})"
-            decision = algorithm.decide(cls, MappingProxyType(open_bins))
-            if decision.bin_id is None:
+            decision = algorithm.decide(cls, view)
+            if not isinstance(decision, Decision):
+                raise _violation(item_index, k, f"decide returned "
+                                 f"{type(decision).__name__}, not a Decision")
+            bin_id, close = decision.bin_id, decision.close
+            if not isinstance(close, (set, frozenset)) or not all(
+                    type(cid) is int for cid in close):
+                raise _violation(item_index, k, f"close must be a set of int bin ids, "
+                                 f"got {close!r}")
+            if bin_id is None:
                 bin_id = next_id
                 next_id += 1
                 per_segment[seg_idx] += 1
-                target = Bin(instance.d)
-            else:
-                bin_id = decision.bin_id
-                if bin_id not in open_bins:
-                    raise HarnessViolation(
-                        f"{step}: placement into bin {bin_id}, which is not open"
-                    )
+                target = empty
+            elif type(bin_id) is not int:
+                raise _violation(item_index, k, f"bin id must be an int or None, "
+                                 f"got {bin_id!r}")
+            elif bin_id in open_bins:
                 target = open_bins[bin_id]
+            else:
+                raise _violation(item_index, k,
+                                 f"placement into bin {bin_id}, which is not open")
             try:
                 cube = PlacedCube(cls, decision.base)
             except (TypeError, ValueError) as exc:
-                raise HarnessViolation(f"{step}: malformed base, {exc}") from exc
+                raise _violation(item_index, k, f"malformed base, {exc}") from exc
             updated = target.with_cube(cube)
-            base = cube.base
             check = verify_bin(updated)
             if not check:
-                raise HarnessViolation(f"{step}: invalid placement, {check}")
+                raise _violation(item_index, k, f"invalid placement, {check}")
             open_bins[bin_id] = updated
-            to_close = set(decision.close)
-            if decision.close_target:
-                to_close.add(bin_id)
-            for cid in to_close:
-                if cid not in open_bins:
-                    raise HarnessViolation(
-                        f"{step}: close of bin {cid}, which is not open"
-                    )
-                del open_bins[cid]
-                closed_ids.append(cid)
+            if close or decision.close_target:
+                to_close = set(close)
+                if decision.close_target:
+                    to_close.add(bin_id)
+                for cid in to_close:
+                    if cid not in open_bins:
+                        raise _violation(item_index, k,
+                                         f"close of bin {cid}, which is not open")
+                    del open_bins[cid]
+                    closed_ids.append(cid)
             if len(open_bins) > m:
-                raise HarnessViolation(
-                    f"{step}: {len(open_bins)} bins left open, budget is {m}"
-                )
-            placements.append(PlacementRecord(item_index, seg.k, bin_id, base))
+                raise _violation(item_index, k,
+                                 f"{len(open_bins)} bins left open, budget is {m}")
+            base = cube.base
+            placements.append(PlacementRecord(item_index, k, bin_id, base))
             if notify is not None:
-                notify(item_index, seg.k, bin_id, base)
+                notify(item_index, k, bin_id, base)
             item_index += 1
     report = None
     if opt_upper_bound is not None and certified_lower_bound is not None:
@@ -356,10 +374,16 @@ class _Slot:
 class ClassHarmonicBaseline:
     """One open bin per recently seen class, filled on the class grid.
 
-    A class-k bin takes cubes at grid bases i*(1+eps)/k until it holds
-    (k-1)^d of them, then closes.  Opening a bin for an unseen class beyond
-    the budget evicts the least recently used open bin.  Deliberately naive:
-    it exists to exercise the harness, not to be competitive.
+    A class-k bin takes cubes on the grid H_k until it holds (k-1)^d of
+    them, then closes.  Its j-th cube sits at coords[i_0], ..., coords[i_{d-1}],
+    where i_0, i_1, ... are the base-(k-1) digits of j, axis 0 least
+    significant, and coords[i] = i*(1+eps)/k.  Each class's coords and grid
+    size are built once, by _grid, which also refuses eps > 1/(k-1), where
+    a grid row would overrun the bin; a base is then d lookups in coords,
+    with no rational arithmetic per item.  Opening a bin for an unseen class
+    beyond the budget evicts the least recently used open bin.
+    Deliberately naive: it exists to exercise the harness, not to be
+    competitive.
     """
 
     def __init__(self, m: int) -> None:
@@ -367,27 +391,38 @@ class ClassHarmonicBaseline:
             raise ValueError(f"open-bin budget must be >= 1, got {m}")
         self.m = m
         self._slots: Dict[int, _Slot] = {}
+        # k -> (cls, coords, grid size) of the class last seen with index k
+        self._grids: Dict[int, Tuple[CubeClass, Tuple[Fraction, ...], int]] = {}
+
+    def _grid(self, cls: CubeClass) -> Tuple[CubeClass, Tuple[Fraction, ...], int]:
+        """(cls, coords, (k-1)^d) for class cls, built on its first use."""
+        grid = self._grids.get(cls.k)
+        if grid is None or grid[0] != cls:
+            if cls.epsilon > Fraction(1, cls.k - 1):
+                raise ValueError(
+                    f"grid fill needs epsilon <= 1/(k-1); got {cls.epsilon} at k={cls.k}"
+                )
+            coords = tuple(i * cls.side for i in range(cls.k - 1))
+            grid = self._grids[cls.k] = (cls, coords, ClassCounts.grid_size(cls.k, cls.d))
+        return grid
 
     @staticmethod
-    def _grid_base(cls: CubeClass, index: int) -> Tuple[Fraction, ...]:
-        if cls.epsilon > Fraction(1, cls.k - 1):
-            raise ValueError(
-                f"grid fill needs epsilon <= 1/(k-1); got {cls.epsilon} at k={cls.k}"
-            )
-        digits = []
-        rest = index
-        for _ in range(cls.d):
-            digits.append(rest % (cls.k - 1))
-            rest //= cls.k - 1
-        return tuple(digit * cls.side for digit in digits)
+    def _grid_base(coords: Tuple[Fraction, ...], d: int, index: int) -> Tuple[Fraction, ...]:
+        """The index-th point of coords^d, axis 0 the least significant digit."""
+        n = len(coords)
+        base = []
+        for _ in range(d):
+            index, digit = divmod(index, n)
+            base.append(coords[digit])
+        return tuple(base)
 
     def decide(self, cls: CubeClass, open_bins: Mapping[int, Bin]) -> Decision:
-        cap = ClassCounts.grid_size(cls.k, cls.d)
+        _, coords, cap = self._grid(cls)
         slot = self._slots.get(cls.k)
         if slot is not None and slot.count < cap:
             return Decision(
                 slot.bin_id,
-                self._grid_base(cls, slot.count),
+                self._grid_base(coords, cls.d, slot.count),
                 close_target=slot.count + 1 == cap,
             )
         close: frozenset = frozenset()
@@ -395,7 +430,7 @@ class ClassHarmonicBaseline:
             # eviction is committed here; a harness rejection aborts the run
             lru = min(self._slots, key=lambda k: self._slots[k].last_used)
             close = frozenset({self._slots.pop(lru).bin_id})
-        return Decision(None, self._grid_base(cls, 0), close, close_target=cap == 1)
+        return Decision(None, self._grid_base(coords, cls.d, 0), close, close_target=cap == 1)
 
     def placed(self, item_index: int, k: int, bin_id: int, base) -> None:
         slot = self._slots.get(k)
@@ -404,6 +439,5 @@ class ClassHarmonicBaseline:
             self._slots[k] = slot
         slot.count += 1
         slot.last_used = item_index
-        cap = ClassCounts.grid_size(k, len(base))
-        if slot.count >= cap:
+        if slot.count >= self._grids[k][2]:
             del self._slots[k]

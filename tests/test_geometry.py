@@ -593,6 +593,31 @@ def test_grid_factors_do_not_survive_a_change_of_cubes():
     assert grid == Bin(2, grid.cubes) and hash(grid) == hash(Bin(2, grid.cubes))
 
 
+def test_with_cube_refuses_a_cube_of_another_dimension():
+    b = Bin(2, (PlacedCube(CubeClass(3, F(1, 9), 2), (F(0), F(0))),))
+    with pytest.raises(ValueError, match="cube of dimension 3 in 2-dimensional bin"):
+        b.with_cube(PlacedCube(CubeClass(3, F(1, 9), 3), (F(0),) * 3))
+
+
+@given(st.one_of(verification_bins(), faulted_grids(),
+                 grid_factors().map(lambda factors: geometry._grid_bin(*factors))),
+       st.data())
+def test_with_cube_verifies_as_the_bin_built_whole(b, data):
+    # with_cube checks only the new cube's dimension, so the grown bin must
+    # be the plain bin a full construction gives, and verify as it does; the
+    # new cube is a resident's copy or is drawn on the 1/24 lattice, some
+    # below 0 and past the top
+    if b.cubes and data.draw(st.booleans()):
+        cube = data.draw(st.sampled_from(b.cubes))
+    else:
+        cls = CubeClass(data.draw(st.integers(2, 4)),
+                        data.draw(st.sampled_from([F(0), F(1, 2), F(1), F(1, 9)])), b.d)
+        cube = PlacedCube(cls, tuple(F(data.draw(st.integers(-3, 24)), 24) for _ in range(b.d)))
+    grown, whole = b.with_cube(cube), Bin(b.d, b.cubes + (cube,))
+    assert grown == whole and grown._factors is None
+    assert verify_bin(grown) == verify_bin(whole)
+
+
 def test_occupied_volume_grid_and_empty():
     assert occupied_volume(Bin(2)) == 0
     assert occupied_volume(_grid_bin(3, 2, F(1, 9))) == F(400, 729)

@@ -213,6 +213,35 @@ def test_only_the_cube_key_reader_reads_fraction_slots():
     assert not reads, f"Fraction slots read outside geometry._cube_keys: {reads}"
 
 
+def test_only_the_grid_table_reads_the_class_geometry_in_the_baseline():
+    # ClassHarmonicBaseline turns a class's side and epsilon into its grid
+    # table once, in _grid; decide and placed read bases off that table and
+    # do no rational arithmetic per item
+    tree = _tree(PACKAGE / "online.py")
+    owner = {node: name for name, node in _uses_by_function(tree)}
+    baseline = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                    and node.name == "ClassHarmonicBaseline")
+    reads = [f"{owner.get(node)}:{node.lineno}" for node in ast.walk(baseline)
+             if isinstance(node, ast.Attribute) and node.attr in ("side", "epsilon")
+             and owner.get(node) != "_grid"]
+    assert not reads, f"side or epsilon read outside ClassHarmonicBaseline._grid: {reads}"
+
+
+def test_only_the_hasher_imports_hashlib():
+    # hashlib loads OpenSSL, about 3.4 MB resident, so importing cubepack
+    # must not: cli._hasher imports it on first use
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        owner = {node: name for name, node in _uses_by_function(tree)}
+        imports += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if (isinstance(node, ast.Import)
+                        and any(a.name.split(".")[0] == "hashlib" for a in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+                    and (path.name, owner.get(node)) != ("cli.py", "_hasher")]
+    assert not imports, f"hashlib imported outside cli._hasher: {imports}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()

@@ -328,6 +328,58 @@ def test_baseline_grid_needs_small_epsilon():
         run_bounded_space(ClassHarmonicBaseline(1), inst, 1)
 
 
+def _digit_base(k, eps, d, index):
+    """The baseline's grid base as a formula: axis j at digit j of index in
+    base k-1, axis 0 least significant, times the side (1+eps)/k."""
+    return tuple(index // (k - 1) ** j % (k - 1) * (1 + eps) / k for j in range(d))
+
+
+@given(st.integers(2, 8), st.integers(1, 6), st.data())
+def test_baseline_grid_table_matches_the_digit_formula(k, d, data):
+    # eps = num/den in (0, 1/(k-1)], 1/(k-1) itself included
+    den = data.draw(st.integers(k - 1, 60))
+    eps = F(data.draw(st.integers(1, den // (k - 1))), den)
+    index = data.draw(st.integers(0, (k - 1) ** d - 1))
+    cls = CubeClass(k, eps, d)
+    alg = ClassHarmonicBaseline(1)
+    table, coords, cap = alg._grid(cls)
+    assert table == cls and cap == (k - 1) ** d
+    base = alg._grid_base(coords, d, index)
+    assert base == _digit_base(k, eps, d, index)
+    assert all(type(x) is F for x in base)
+
+
+class _TableWatch(ClassHarmonicBaseline):
+    """The baseline, recording the grid table each decide read."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.tables = []
+
+    def decide(self, cls, open_bins):
+        decision = super().decide(cls, open_bins)
+        self.tables.append(self._grids[cls.k])
+        return decision
+
+
+@pytest.mark.parametrize("m, bins_used", [(1, 4), (2, 3)])
+def test_baseline_fills_one_table_per_class_over_two_segments(m, bins_used):
+    # d=2, class-3 grids of 4: at M=2 the class-3 bin stays open across the
+    # class-2 item and the second class-3 segment finishes it; at M=1 the
+    # class-2 bin evicts it.  Each segment brings its own equal CubeClass,
+    # and the class-3 table is built once and read by every class-3 step
+    inst = Instance(2, F(1, 9), (Segment(3, 3), Segment(2, 1), Segment(3, 5)))
+    alg = _TableWatch(m)
+    result = run_bounded_space(alg, inst, m)
+    assert result.bins_used == bins_used
+    assert len({id(t) for t, rec in zip(alg.tables, result.placements) if rec.k == 3}) == 1
+    filled = {}
+    for rec in result.placements:
+        index = filled[rec.bin_id] = filled.get(rec.bin_id, -1) + 1
+        assert rec.base == _digit_base(rec.k, F(1, 9), 2, index)
+    assert all(verify_bin(b) for b in _bins_of(inst, result).values())
+
+
 # ---------------------------------------------------------------------------
 # counting-bound oracle: drawn bounded-space algorithms
 
@@ -481,6 +533,42 @@ def test_harness_rejects_a_base_of_the_wrong_length():
     inst = Instance(2, F(1, 9), (Segment(2, 1),))
     alg = _ScriptedAlgorithm([Decision(None, (F(0),))])
     with pytest.raises(HarnessViolation, match=r"item 0 \(class 2\): malformed base"):
+        run_bounded_space(alg, inst, 1)
+
+
+@pytest.mark.parametrize("decision, what", [
+    (Decision(0.0, (F(1, 2),)), "bin id must be an int or None"),
+    (Decision(False, (F(1, 2),)), "bin id must be an int or None"),
+    (Decision(None, (F(1, 2),), close=5), "close must be a set of int bin ids"),
+    (Decision(None, (F(1, 2),), close=frozenset({0.0})), "close must be a set of int bin ids"),
+    (None, "decide returned NoneType, not a Decision"),
+], ids=["float_bin", "bool_bin", "int_close", "float_close", "none"])
+def test_harness_refuses_decisions_of_the_wrong_type(decision, what):
+    # bin 0 is open at item 1, and 0.0 and False equal its id and hash
+    # alike, so a lookup alone would take them for bin 0
+    inst = Instance(1, F(1, 9), (Segment(3, 2),))
+    alg = _ScriptedAlgorithm([Decision(None, (F(0),)), decision])
+    with pytest.raises(HarnessViolation, match=rf"^item 1 \(class 3\): {what}"):
+        run_bounded_space(alg, inst, 2)
+
+
+@pytest.mark.parametrize("last, what", [
+    (Decision(1, (F(1, 3),)), "invalid placement"),  # overlaps the cube at 0
+    (Decision(0, (F(1, 2),)), "placement into bin 0, which is not open"),
+    (Decision(1, (F(1, 2), F(0))), "malformed base"),
+    (Decision(None, (F(0),)), "2 bins left open, budget is 1"),
+], ids=["overlap", "closed_bin", "base_length", "budget"])
+def test_harness_names_a_later_step(last, what):
+    # items 0..3 over two segments: class 2 in bin 0, closed at once, then
+    # class 3 in bin 1, at 0 and 1/2; item 3 breaks a rule
+    inst = Instance(1, F(1, 9), (Segment(2, 1), Segment(3, 3)))
+    alg = _ScriptedAlgorithm([
+        Decision(None, (F(0),), close_target=True),
+        Decision(None, (F(0),)),
+        Decision(1, (F(1, 2),)),
+        last,
+    ])
+    with pytest.raises(HarnessViolation, match=rf"^item 3 \(class 3\): {what}"):
         run_bounded_space(alg, inst, 1)
 
 
