@@ -3,8 +3,7 @@
 A class-k language is a set of words over the alphabet [k] = {1..k},
 one letter per dimension.  Two properties drive everything downstream:
 
-* gapped: at every coordinate the language misses letter k-1 or letter
-  k, which caps the language at (k-1)^d words;
+* gapped: at every coordinate the language misses letter k-1 or k;
 * separated (for k < k'): every cross pair of words has a coordinate i
   with w_i < k and w'_i = k', which makes the induced cubes disjoint.
 
@@ -105,6 +104,10 @@ class Language:
     enumeration is impossible): `core_rules`, sets of coordinates inside
     F, and a core is good iff it shows letter k on each of them.  A
     rule's exact core count comes from count_good_words.
+
+    Every language is gapped: core letters skip k-1 and free letters stay
+    below k, so each coordinate of F misses k-1 and every other coordinate
+    misses k, and a language holds at most (k-1)^d words.
     """
 
     # no language lists its words; perfbench/workloads.py::_selectable
@@ -312,27 +315,7 @@ def _mask(coords: Sequence[int], letters: Sequence[int], letter: int) -> int:
     return m
 
 
-# -- gapped / separated predicates ------------------------------------------
-
-
-@dataclass(frozen=True)
-class GappedResult:
-    ok: bool
-    missing: tuple[int, ...]  # per coordinate, a letter the language misses
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_gapped(lang: Language) -> GappedResult:
-    """Every coordinate misses letter k-1 or letter k, in every language.
-
-    Core letters come from [k] minus k-1 and free letters from [k-1], so
-    a coordinate of F misses k-1 and every other coordinate misses k.
-    """
-    fset = set(lang.f_coords)
-    return GappedResult(True, tuple(lang.k - 1 if c in fset else lang.k
-                                    for c in range(1, lang.d + 1)))
+# -- separated predicate -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -622,12 +605,11 @@ class ClassStats:
 
 @dataclass
 class FamilyCertificate:
-    gapped_ok: bool
     separated_ok: bool
-    checks: tuple[tuple[int, int, str, bool], ...]  # (k, k', method, ok)
+    checks: tuple[tuple[int, int, bool], ...]  # (k, k', ok) per class pair
 
     def __bool__(self) -> bool:
-        return self.gapped_ok and self.separated_ok
+        return self.separated_ok
 
 
 @dataclass
@@ -653,14 +635,9 @@ class SeparatedFamily:
         return ClassCounts(self.d, self.sizes()).weight()
 
     def certify(self) -> FamilyCertificate:
-        gapped_ok = all(bool(is_gapped(self.languages[k])) for k in self.classes)
-        checks = []
-        sep_ok = True
-        for k, kp in itertools.combinations(self.classes, 2):
-            res = are_separated(self.languages[k], self.languages[kp])
-            checks.append((k, kp, res.method, bool(res)))
-            sep_ok = sep_ok and bool(res)
-        return FamilyCertificate(gapped_ok, sep_ok, tuple(checks))
+        checks = tuple((k, kp, bool(are_separated(self.languages[k], self.languages[kp])))
+                       for k, kp in itertools.combinations(self.classes, 2))
+        return FamilyCertificate(all(ok for _, _, ok in checks), checks)
 
 
 def warmup_family(d: int) -> SeparatedFamily:

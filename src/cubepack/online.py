@@ -277,11 +277,11 @@ def run_bounded_space(
     may expose placed(item_index, k, bin_id, base) to learn the id assigned
     to a fresh bin.  open_bins is one read-only view of the open bins for
     the whole run.  Nothing the algorithm claims is trusted: each decision
-    must be a Decision whose bin id is an int or None and whose close is a
-    set of int ids, every placement is checked by verify_bin on the whole
-    bin it lands in, closed bins are sealed forever, and the open count is
-    audited after each step.  A broken rule raises HarnessViolation naming
-    the step as "item N (class k)".
+    must be a Decision whose bin id is an int or None, whose close is a
+    set of int ids and whose close_target is a bool; every placement is
+    checked by verify_bin on the whole bin it lands in, closed bins are
+    sealed forever, and the open count is audited after each step.  A
+    broken rule raises HarnessViolation naming the step "item N (class k)".
     """
     if m < 1:
         raise ValueError(f"open-bin budget must be >= 1, got {m}")
@@ -302,11 +302,14 @@ def run_bounded_space(
             if not isinstance(decision, Decision):
                 raise _violation(item_index, k, f"decide returned "
                                  f"{type(decision).__name__}, not a Decision")
-            bin_id, close = decision.bin_id, decision.close
+            bin_id, close, close_target = decision.bin_id, decision.close, decision.close_target
             if not isinstance(close, (set, frozenset)) or not all(
                     type(cid) is int for cid in close):
                 raise _violation(item_index, k, f"close must be a set of int bin ids, "
                                  f"got {close!r}")
+            if type(close_target) is not bool:
+                raise _violation(item_index, k, f"close_target must be a bool, "
+                                 f"got {close_target!r}")
             if bin_id is None:
                 bin_id = next_id
                 next_id += 1
@@ -329,9 +332,9 @@ def run_bounded_space(
             if not check:
                 raise _violation(item_index, k, f"invalid placement, {check}")
             open_bins[bin_id] = updated
-            if close or decision.close_target:
+            if close or close_target:
                 to_close = set(close)
-                if decision.close_target:
+                if close_target:
                     to_close.add(bin_id)
                 for cid in to_close:
                     if cid not in open_bins:

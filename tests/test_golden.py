@@ -1,7 +1,7 @@
 """Golden outputs: the hashes of files the command line writes.
 
 Speed work must leave every output byte-identical.  These pins catch a
-change in any of them: the reproduce bundles at two dimension lists, the
+change in any of them: the reproduce bundles at three dimension lists, the
 files of pack build in each mode, and the files of online adversary,
 online run, game dynamics, game poa and game spoa on the fixtures of
 test_cli.  The enumerate-mode families, their capped packings, letter
@@ -43,9 +43,11 @@ def _sha256(path):
 @pytest.mark.parametrize(
     "d_list, bundle",
     [
-        ((), "d0f224b4f22be824a0841e19db57e8a5b37dac69dd928aea90c43febca36527a"),
-        ((5,), "a09c22a5bcd5e75ff6849b4e4ed6619ee3711868392bd36e567ff7dfae3eb284"),
+        ((), "9d228e9e48f38db7a6bc4f244f1c7781941aa5f81e541b157c906b559aa1ae91"),
+        ((5,), "e0e49bc27462106ba1a3637b711c2802a85fde6d83fe254c9209b5f167f2f011"),
+        ((6,), "069a5d032cdeef7e61c39c8f4b0a783ac5d7d3c6d289d3fd92e0a6d356f8af15"),
     ],
+    ids=["default", "d5", "d6"],
 )
 def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
     out = tmp_path / "bundle"

@@ -28,7 +28,6 @@ from cubepack.languages import (
     count_good_words,
     family_to_dict,
     is_bad_word,
-    is_gapped,
     sample_f_sets,
     warmup_family,
 )
@@ -132,11 +131,39 @@ def test_select_words_walks_past_a_sparse_descending_corner():
 # -- gapped ------------------------------------------------------------------
 
 
-def test_is_gapped_product_structural():
-    lang = Language(4, 5, f_coords=(2, 4), core_words=((4, 1), (1, 4)))
-    res = is_gapped(lang)
-    assert res
-    assert res.missing == (4, 3, 4, 3, 4)
+def _obeys_the_gap(lang, word):
+    """No letter k-1 on F and no letter k off F."""
+    return all(a != (lang.k - 1 if c in lang.f_coords else lang.k)
+               for c, a in enumerate(word, 1))
+
+
+@st.composite
+def gap_languages(draw):
+    """An explicit-core or rule-core language at k in 2..6 and d <= 6."""
+    d, k = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    f = tuple(sorted(draw(st.sets(st.integers(1, d)))))
+    if draw(st.booleans()):
+        letter = st.sampled_from(core_alphabet(k))
+        cores = draw(st.lists(st.tuples(*[letter] * len(f)), max_size=6))
+        return Language(k, d, f_coords=f, core_words=cores)
+    pick = st.sets(st.sampled_from(f), min_size=1) if f else st.just(set())
+    return Language(k, d, f_coords=f, core_rules=draw(st.lists(pick, max_size=3)))
+
+
+@given(gap_languages(), st.integers(0, 40), st.data())
+def test_every_language_is_gapped(lang, limit, data):
+    # at most (k-1)^d = 15,625 words, so iter_words is listed in full
+    words = list(lang.select_words(limit))
+    if lang.core_words is not None:
+        words += lang.iter_words()
+    assert all(_obeys_the_gap(lang, w) for w in words)
+    if words:
+        # a member with one letter moved onto the gap is no member
+        w = data.draw(st.sampled_from(words))
+        c = data.draw(st.integers(1, lang.d))
+        broken = list(w)
+        broken[c - 1] = lang.k - 1 if c in lang.f_coords else lang.k
+        assert lang.contains(w) and not lang.contains(broken)
 
 
 # -- separated ---------------------------------------------------------------
@@ -157,6 +184,14 @@ def test_are_separated_failure_has_witness_pair():
     res = are_separated(l2, l3)
     assert not res
     assert res.witness == ((2, 1), (3, 1))
+
+
+def test_certify_fails_on_a_non_separated_pair():
+    l2 = Language(2, 2, f_coords=(1,), core_words=[(2,)])
+    l3 = Language(3, 2, f_coords=(1, 2), core_words=[(3, 1)])
+    cert = SeparatedFamily(2, (2, 3), {2: l2, 3: l3}).certify()
+    assert not cert
+    assert cert.checks == ((2, 3, False),)
 
 
 def test_are_separated_requires_increasing_classes():
@@ -329,8 +364,7 @@ def test_warmup_family_properties(d):
     assert fam.sizes() == {k: (k - 1) ** (d - 1) for k in range(2, d + 1)}
     assert fam.weight() == sum(F(1, k - 1) for k in range(2, d + 1))
     cert = fam.certify()
-    assert cert.gapped_ok and cert.separated_ok
-    assert all(method == "product-core" for _, _, method, _ in cert.checks)
+    assert cert.separated_ok
 
 
 def test_warmup_weight_d4_frozen():
@@ -472,7 +506,8 @@ def test_build_family_d4_enumerate():
     cert = fam.certify()
     assert cert
     assert len(fam.language(2)) == 1
-    assert all(is_gapped(fam.language(k)) for k in fam.classes)
+    assert all(_obeys_the_gap(lang, w) for lang in fam.languages.values()
+               for w in lang.iter_words())
     # Every class-3 good core shows letter 3 on the difference set.
     lang = fam.language(3)
     j = fam.fsets.sets[3] - fam.fsets.sets[2]
@@ -506,7 +541,7 @@ def test_build_family_implicit_certify_exact():
     fam = build_separated_family(8, (2, 3), seed=9, mode="implicit")
     cert = fam.certify()
     assert cert
-    assert cert.checks == ((2, 3, "product-core", True),)
+    assert cert.checks == ((2, 3, True),)
 
 
 def test_build_family_weight_is_good_density_times_classes():
@@ -681,7 +716,6 @@ def test_reloaded_implicit_family_certifies():
     again = _rebuilt(family_to_dict(fam))
     cert = again.certify()
     assert cert
-    assert all(method == "product-core" for _, _, method, _ in cert.checks)
     for k in fam.classes:
         assert again.language(k).core_rules == fam.language(k).core_rules
 

@@ -541,15 +541,30 @@ def test_harness_rejects_a_base_of_the_wrong_length():
     (Decision(False, (F(1, 2),)), "bin id must be an int or None"),
     (Decision(None, (F(1, 2),), close=5), "close must be a set of int bin ids"),
     (Decision(None, (F(1, 2),), close=frozenset({0.0})), "close must be a set of int bin ids"),
+    (Decision(None, (F(1, 2),), close_target="no"), "close_target must be a bool"),
+    (Decision(None, (F(1, 2),), close_target=0.0), "close_target must be a bool"),
+    (Decision(None, (F(1, 2),), close_target=1), "close_target must be a bool"),
     (None, "decide returned NoneType, not a Decision"),
-], ids=["float_bin", "bool_bin", "int_close", "float_close", "none"])
+], ids=["float_bin", "bool_bin", "int_close", "float_close", "str_close_target",
+        "float_close_target", "int_close_target", "none"])
 def test_harness_refuses_decisions_of_the_wrong_type(decision, what):
     # bin 0 is open at item 1, and 0.0 and False equal its id and hash
-    # alike, so a lookup alone would take them for bin 0
+    # alike, so a lookup alone would take them for bin 0; a truthy
+    # close_target such as "no" would retire the bin it names
     inst = Instance(1, F(1, 9), (Segment(3, 2),))
     alg = _ScriptedAlgorithm([Decision(None, (F(0),)), decision])
     with pytest.raises(HarnessViolation, match=rf"^item 1 \(class 3\): {what}"):
         run_bounded_space(alg, inst, 2)
+
+
+@pytest.mark.parametrize("close_target, closed", [(False, ()), (True, (1,))])
+def test_harness_takes_a_bool_close_target(close_target, closed):
+    inst = Instance(1, F(1, 9), (Segment(3, 2),))
+    alg = _ScriptedAlgorithm([Decision(None, (F(0),)),
+                              Decision(None, (F(1, 2),), close_target=close_target)])
+    result = run_bounded_space(alg, inst, 2)
+    assert result.closed_bin_ids == closed
+    assert result.open_bin_ids == tuple(sorted({0, 1} - set(closed)))
 
 
 @pytest.mark.parametrize("last, what", [
