@@ -274,22 +274,22 @@ def _instance_with_bounds(doc: Mapping) -> tuple:
             *(None if b is None else expect_type(b, int) for b in bounds))
 
 
-def cmd_online_run(args) -> int:
-    instance, opt, lower = read_json(args.instance, _instance_with_bounds)
+def _replay(instance, m: int, opt: Optional[int], lower: Optional[int]):
+    """The class-harmonic baseline's run on `instance` with M = m open
+    bins, once the stream is checked against STREAM_COORDINATE_CAP."""
     if instance.total_items * instance.d > STREAM_COORDINATE_CAP:
         raise ValueError(
             f"instance holds {instance.total_items} items of {instance.d} "
             f"coordinates each; online run replays at most "
             f"{STREAM_COORDINATE_CAP} coordinates (items times d)"
         )
-    algorithm = ClassHarmonicBaseline(args.m)
-    result = run_bounded_space(
-        algorithm,
-        instance,
-        args.m,
-        opt_upper_bound=opt,
-        certified_lower_bound=lower,
-    )
+    return run_bounded_space(ClassHarmonicBaseline(m), instance, m,
+                             opt_upper_bound=opt, certified_lower_bound=lower)
+
+
+def cmd_online_run(args) -> int:
+    instance, opt, lower = read_json(args.instance, _instance_with_bounds)
+    result = _replay(instance, args.m, opt, lower)
     command = ["online", "run", "--alg", args.alg,
                "--instance", Path(args.instance).name,
                "--M", str(args.m), "--report", Path(args.report).name]
@@ -497,7 +497,6 @@ def _reproduce_dimension(args, d: int, base_command: list, artifacts: list) -> d
         emit("family", "family", family_to_dict(fam))
         return {"S": len(fam.classes), "classes": list(fam.classes),
                 "sizes": {str(k): v for k, v in sorted(fam.sizes().items())},
-                "separated": cert.separated_ok,
                 "weight": format_rational(fam.weight())}
 
     def packing() -> dict:
@@ -526,9 +525,7 @@ def _reproduce_dimension(args, d: int, base_command: list, artifacts: list) -> d
     def online() -> dict:
         # the one-bin-per-class baseline against that stream
         adv = need("adversary")
-        result = run_bounded_space(ClassHarmonicBaseline(1), adv.instance, 1,
-                                   opt_upper_bound=adv.offline_bin_count,
-                                   certified_lower_bound=adv.lower_bound)
+        result = _replay(adv.instance, 1, adv.offline_bin_count, adv.lower_bound)
         path = built.get("instance")
         emit("online", "online", _run_doc("class-harmonic", 1, result),
              {"instance": path} if path else None)

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations, starmap
+from itertools import combinations
 from math import lcm
 from typing import (
     Collection,
@@ -43,7 +43,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -400,7 +399,6 @@ class MoveProposal:
     item_id: int
     source_bin: int
     target_bin: int
-    mode: str
     cost_before: Fraction
     cost_after: Fraction
     base: Tuple[Fraction, ...]
@@ -414,46 +412,16 @@ class MoveProposal:
             )
 
 
-def improving_moves(
-    config: GameConfig, mode: str = "insertion"
-) -> Tuple[MoveProposal, ...]:
-    """All strictly improving single-item migrations, deterministically ordered.
-
-    A move to bin t improves the mover iff occupied(t) + volume exceeds the
-    occupied volume of its current bin: cost never depends on positions, so
-    this arithmetic filter is complete and geometry runs only on survivors.
-    Disjoint open cubes in the unit bin have total volume at most 1, so a
-    target whose occupied(t) + volume exceeds 1 is skipped without a search,
-    and so is a target that already holds floor(1/side)^d cubes of the
-    mover's class, the most one bin can hold.  These tests run on the
-    config's integers.  Fresh bins are never targets; a lone item's cost
-    of 1 cannot improve.
-    """
-    return is_nash(config, mode).moves
-
-
 def _check_mode(mode: str) -> None:
     if mode not in ("insertion", "repack"):
         raise ValueError(f"unknown feasibility mode {mode!r}")
 
 
-class _Candidate(NamedTuple):
-    """A feasible improving move before its costs and bases are built."""
-
-    item: int  # the mover's id
-    source: int
-    target: int
-    joined: int  # occupied volume of the target after the move, times scale
-    unit: int  # the layout's bases are ints over this
-    layout: tuple  # _place's answer: (class index, base) per mover
-    movers: Sequence[int]  # the item, after the residents on a repack
-
-
 class _MoveScreen:
-    """The moves of improving_moves, lazily and in its order (item id, then
-    target bin), carried along a run of moves.  Each candidate passes the
-    gain, volume and capacity screens and then the memoized placement
-    search; turn one into a MoveProposal by _proposal.
+    """The moves of is_nash, lazily and in its order (item id, then target
+    bin), carried along a run of moves.  Each move passes the gain, volume
+    and capacity screens and then the memoized placement search; turn one
+    into a MoveProposal by _proposal.
 
     Every test on (item i, target t) reads i only through its type,
     (occ(source), class), and only the gain test reads occ(source): the
@@ -463,7 +431,7 @@ class _MoveScreen:
     mover fits.  That fit is probed (the other tests, then the search) the
     first time a walk reaches an entry that needs it, and an entry whose
     fit fails is dropped.  Each item walks its type's entries in target
-    order, skipping its own source, so the candidates, their order, the
+    order, skipping its own source, so the moves, their order, the
     searches and the point at which a repack cap raises are those of the
     walk over every (item, target) pair, and no walk runs a search that
     walk would not.  A search runs once per (target content, incoming
@@ -551,16 +519,12 @@ class _MoveScreen:
             del entries[t]
         return fits[c]
 
-    def _candidate(self, i: int, s: int, t: int, fit: tuple) -> _Candidate:
-        m = self.config._volumes
-        movers = [i] if self.mode == "insertion" else m.members[t] + [i]
-        return _Candidate(i, s, t, m.iocc[t] + m.ivol[i], *fit, movers)
-
-    def _moves(self) -> Iterator[Tuple[int, int, int, tuple]]:
-        """(item, source, target, fit) of each candidate, in move order,
-        probing entries as they are reached.  Each item walks its type's
-        live entries, in target order: a dict keeps insertion order, and a
-        probe drops only its own entry, so the walk's copy stays current."""
+    def moves(self) -> Iterator[Tuple[int, int, int, tuple]]:
+        """(item, source, target, fit) of each move, in move order, probing
+        entries as they are reached; fit is (unit, layout), the layout's
+        bases ints over unit.  Each item walks its type's live entries, in
+        target order: a dict keeps insertion order, and a probe drops only
+        its own entry, so the walk's copy stays current."""
         for i, c, s, entries in self.walk:
             for t in tuple(entries):
                 if t != s:
@@ -568,37 +532,35 @@ class _MoveScreen:
                     if fit:
                         yield i, s, t, fit
 
-    def candidates(self) -> Iterator[_Candidate]:
-        """The candidates in move order."""
-        return starmap(self._candidate, self._moves())
-
-    def pick(self, policy: str, rng: random.Random) -> Optional[_Candidate]:
-        """The candidate a dynamics step under `policy` applies, or None.
-
-        "random" draws with rng.choice from the walk's moves and builds the
-        candidate for the drawn move alone.
-        """
+    def pick(self, policy: str, rng: random.Random) -> Optional[tuple]:
+        """The move a dynamics step under `policy` applies, or None;
+        "random" draws with rng.choice from the walk's moves."""
         if policy == "first":
-            return next(self.candidates(), None)
+            return next(self.moves(), None)
         if policy == "best":
             m = self.config._volumes
-            return max(self.candidates(), key=lambda c: (_gain(m, c), -c.item), default=None)
-        pool = list(self._moves())
-        return self._candidate(*rng.choice(pool)) if pool else None
+            return max(self.moves(), key=lambda mv: (_gain(m, *mv[:3]), -mv[0]),
+                       default=None)
+        pool = list(self.moves())
+        return rng.choice(pool) if pool else None
 
 
-def _gain(m: _VolumeModel, c: _Candidate) -> Fraction:
-    """cost_before - cost_after of the candidate's proposal."""
-    before = m.iocc[c.source]
-    return Fraction(m.ivol[c.item] * (c.joined - before), before * c.joined)
+def _gain(m: _VolumeModel, item: int, source: int, target: int) -> Fraction:
+    """cost_before - cost_after of the move's proposal."""
+    before, joined = m.iocc[source], m.iocc[target] + m.ivol[item]
+    return Fraction(m.ivol[item] * (joined - before), before * joined)
 
 
-def _proposal(config: GameConfig, mode: str, c: _Candidate) -> MoveProposal:
-    m, i = config._volumes, c.item
-    assigned = _distribute(m, c.unit, c.layout, c.movers)
+def _proposal(
+    config: GameConfig, mode: str, item: int, source: int, target: int, fit: tuple
+) -> MoveProposal:
+    m = config._volumes
+    movers = [item] if mode == "insertion" else m.members[target] + [item]
+    assigned = _distribute(m, *fit, movers)
     relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
-    costs = (Fraction(m.ivol[i], m.iocc[c.source]), Fraction(m.ivol[i], c.joined))
-    return MoveProposal(i, c.source, c.target, mode, *costs, assigned[i], relayout)
+    joined = m.iocc[target] + m.ivol[item]
+    costs = (Fraction(m.ivol[item], m.iocc[source]), Fraction(m.ivol[item], joined))
+    return MoveProposal(item, source, target, *costs, assigned[item], relayout)
 
 
 def _place(
@@ -674,22 +636,35 @@ def apply_move(config: GameConfig, move: MoveProposal) -> GameConfig:
 
 @dataclass(frozen=True)
 class NashResult:
-    is_nash: bool
-    mode: str
-    moves: Tuple[MoveProposal, ...]
+    moves: Tuple[MoveProposal, ...]  # every improving move; Nash iff none
     geometry_checks: int = 0  # placement searches run, memo hits not counted
+
+    @property
+    def is_nash(self) -> bool:
+        return not self.moves
 
     def __bool__(self) -> bool:
         return self.is_nash
 
 
 def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
-    """True iff no single item has a strictly improving migration; the
-    moves are those of improving_moves."""
+    """Every strictly improving single-item migration, deterministically
+    ordered (item id, then target bin): the config is Nash iff there is none.
+
+    A move to bin t improves the mover iff occupied(t) + volume exceeds the
+    occupied volume of its current bin: cost never depends on positions, so
+    this arithmetic filter is complete and geometry runs only on survivors.
+    Disjoint open cubes in the unit bin have total volume at most 1, so a
+    target whose occupied(t) + volume exceeds 1 is skipped without a search,
+    and so is a target that already holds floor(1/side)^d cubes of the
+    mover's class, the most one bin can hold.  These tests run on the
+    config's integers.  Fresh bins are never targets; a lone item's cost
+    of 1 cannot improve.
+    """
     _check_mode(mode)
     screen = _MoveScreen(config, mode)
-    moves = tuple(_proposal(config, mode, c) for c in screen.candidates())
-    return NashResult(not moves, mode, moves, _searches(screen.memo))
+    moves = tuple(_proposal(config, mode, *mv) for mv in screen.moves())
+    return NashResult(moves, _searches(screen.memo))
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +689,17 @@ _POLICIES = ("first", "best", "random")
 @dataclass(frozen=True)
 class DynamicsResult:
     config: GameConfig
-    steps: int
     applied: Tuple[MoveProposal, ...]
-    status: str  # "nash" or "budget-exhausted"
-    certificate: Optional[NashResult]
+    certificate: Optional[NashResult]  # the final config's, None if out of budget
     geometry_checks: int = 0  # placement searches over the whole run
+
+    @property
+    def steps(self) -> int:
+        return len(self.applied)
+
+    @property
+    def status(self) -> str:
+        return "budget-exhausted" if self.certificate is None else "nash"
 
 
 def best_response_dynamics(
@@ -731,7 +712,7 @@ def best_response_dynamics(
 ) -> DynamicsResult:
     """Apply improving moves until none remain or the step budget runs out.
 
-    Each step screens the moves of improving_moves and builds a proposal
+    Each step screens the moves of is_nash and builds a proposal
     only for the one it applies: "first" takes the first, "random" draws
     one with the seeded generator, and "best" takes the largest cost drop,
     the lowest item id among equals, and else the first in move order.
@@ -765,11 +746,9 @@ def best_response_dynamics(
         if chosen is None:
             current.validate()
             total = _searches(screen.memo)
-            cert = NashResult(True, mode, (), total - searched)
-            return DynamicsResult(
-                current, len(applied), tuple(applied), "nash", cert, total
-            )
-        move = _proposal(current, mode, chosen)
+            cert = NashResult((), total - searched)
+            return DynamicsResult(current, tuple(applied), cert, total)
+        move = _proposal(current, mode, *chosen)
         current = apply_move(current, move)
         screen.moved(current, {move.source_bin, move.target_bin})
         applied.append(move)
@@ -781,10 +760,7 @@ def best_response_dynamics(
             )
         last_potential = now
     current.validate()
-    return DynamicsResult(
-        current, len(applied), tuple(applied), "budget-exhausted", None,
-        _searches(screen.memo),
-    )
+    return DynamicsResult(current, tuple(applied), None, _searches(screen.memo))
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +785,15 @@ class CoalitionProposal:
 
 @dataclass(frozen=True)
 class StrongNashResult:
-    is_strong_nash: bool
     max_coalition_size: int
-    violation: Optional[CoalitionProposal]
+    violation: Optional[CoalitionProposal]  # the first gaining coalition found
     coalitions_checked: int
     assignments_checked: int
     geometry_checks: int = 0
+
+    @property
+    def is_strong_nash(self) -> bool:
+        return self.violation is None
 
     def __bool__(self) -> bool:
         return self.is_strong_nash
@@ -924,11 +903,11 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
                 violation = _coalition_move(config, memo, coalition, targets, after)
                 if violation is not None:
                     return StrongNashResult(
-                        False, max_coalition_size, violation, coalitions_checked,
+                        max_coalition_size, violation, coalitions_checked,
                         assignments_checked, _searches(memo),
                     )
     return StrongNashResult(
-        True, max_coalition_size, None, coalitions_checked, assignments_checked,
+        max_coalition_size, None, coalitions_checked, assignments_checked,
         _searches(memo),
     )
 
@@ -1200,13 +1179,9 @@ def poa_instance(
     into a smaller-class bin raises its cost (the grid cost inequality), and
     smaller cubes find no room in the full grids of larger classes.  Every
     bin of P is a copy of the packing's bin, verified here once, and every
-    bin of P' a copy of a grid that build_homogeneous verified.
+    bin of P' a copy of a grid that build_homogeneous verified; it also
+    refuses an epsilon past 1/(k-1), which no built or read packing holds.
     """
-    eps_cap = Fraction(1, packing.k_max - 1)
-    if packing.epsilon > eps_cap:
-        raise ValueError(
-            f"epsilon {packing.epsilon} exceeds 1/(k_max-1) = {eps_cap}"
-        )
     check = verify_bin(packing.bin)
     if not check:
         raise ValueError(f"the packing's bin is invalid: {check}")
@@ -1298,6 +1273,6 @@ def sparse_bin_report(
     m = config._volumes
     threshold = Fraction(1, 2**config.d)
     sparse = tuple(b for b in sorted(m.iocc) if config.occupied(b) < threshold)
-    conditioned = bool(nash_result) and nash_result.is_nash
+    conditioned = bool(nash_result)
     total = Fraction(sum(m.iocc.values()), m.scale)
     return SparseBinReport(sparse, threshold, conditioned, len(m.iocc), total)

@@ -605,11 +605,10 @@ class ClassStats:
 
 @dataclass
 class FamilyCertificate:
-    separated_ok: bool
     checks: tuple[tuple[int, int, bool], ...]  # (k, k', ok) per class pair
 
     def __bool__(self) -> bool:
-        return self.separated_ok
+        return all(ok for *_, ok in self.checks)
 
 
 @dataclass
@@ -637,7 +636,7 @@ class SeparatedFamily:
     def certify(self) -> FamilyCertificate:
         checks = tuple((k, kp, bool(are_separated(self.languages[k], self.languages[kp])))
                        for k, kp in itertools.combinations(self.classes, 2))
-        return FamilyCertificate(all(ok for _, _, ok in checks), checks)
+        return FamilyCertificate(checks)
 
 
 def warmup_family(d: int) -> SeparatedFamily:

@@ -434,7 +434,7 @@ def test_reproduce_names_the_failed_upstream_stage(tmp_path, monkeypatch):
 
 
 def _uncertified(*args, **kwargs):
-    return FamilyCertificate(False, ((2, 3, False),))
+    return FamilyCertificate(((2, 3, False),))
 
 
 @pytest.mark.parametrize("certify, error", [
@@ -722,6 +722,22 @@ def test_a_wide_stream_exits_2_before_replay(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "100 items of 20000 coordinates" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_reproduce_caps_the_stream_it_replays(tmp_path, monkeypatch, capsys):
+    # reproduce replays the adversary's stream under online run's cap: at
+    # d = 9 the stream is 263,168 items, which once replayed for minutes
+    monkeypatch.setattr(cli, "STREAM_COORDINATE_CAP", 100)
+    monkeypatch.setattr(cli, "run_bounded_space", lambda *a, **k: pytest.fail("replayed"))
+    out = tmp_path / "bundle"
+    assert run("--out-dir", out, "reproduce", "--d-list", 3) == 1
+    row = read(out / "summary.json")["rows"][0]
+    assert row["online"]["status"] == "error"
+    assert "80 items of 3 coordinates" in row["online"]["error"]
+    assert "at most 100 coordinates" in row["online"]["error"]
+    assert row["poa"]["status"] == "ok"
+    assert not (out / "online_d3.json").exists()
+    assert "online: instance holds 80 items" in capsys.readouterr().err
 
 
 # Valid documents holding only keys their readers look at (no manifest or

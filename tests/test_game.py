@@ -30,7 +30,6 @@ from cubepack.game import (
     config_from_dict,
     config_to_dict,
     homogeneous_mixture,
-    improving_moves,
     is_nash,
     is_strong_nash,
     meir_moser_predicate,
@@ -178,7 +177,7 @@ def underfilled_pair():
 
 def test_lone_cube_joins_fuller_bin():
     cfg = underfilled_pair()
-    moves = improving_moves(cfg)
+    moves = is_nash(cfg).moves
     assert len(moves) == 1
     move = moves[0]
     assert (move.item_id, move.source_bin, move.target_bin) == (0, 0, 1)
@@ -236,13 +235,13 @@ def test_nash_geometry_checks_do_not_grow_with_copies():
 
 def test_single_bin_config_has_no_moves():
     cfg = homogeneous_mixture([3], 2, F(1, 9))
-    assert improving_moves(cfg) == ()
+    assert is_nash(cfg).moves == ()
     assert is_nash(cfg)
 
 
 def test_move_proposal_requires_strict_decrease():
     with pytest.raises(ValueError):
-        MoveProposal(0, 0, 1, "insertion", F(1, 2), F(1, 2), (F(0),))
+        MoveProposal(0, 0, 1, F(1, 2), F(1, 2), (F(0),))
 
 
 def test_repack_mode_finds_rearranged_fit():
@@ -261,8 +260,8 @@ def test_repack_mode_finds_rearranged_fit():
         {0: 0, 1: 0, 2: 1},
         {0: (F(3, 16),), 1: (F(3, 5),), 2: (F(0),)},
     )
-    assert improving_moves(cfg, "insertion") == ()
-    moves = improving_moves(cfg, "repack")
+    assert is_nash(cfg, "insertion").moves == ()
+    moves = is_nash(cfg, "repack").moves
     assert len(moves) == 1
     move = moves[0]
     assert move.item_id == 2
@@ -275,7 +274,7 @@ def test_repack_mode_finds_rearranged_fit():
 def test_repack_cap_enforced():
     cfg = homogeneous_mixture([2, 5], 2, F(1, 16))
     with pytest.raises(RepackSearchError):
-        improving_moves(cfg, "repack")
+        is_nash(cfg, "repack").moves
 
 
 def test_repack_cap_raises_at_the_first_target_in_walk_order():
@@ -289,7 +288,7 @@ def test_repack_cap_raises_at_the_first_target_in_walk_order():
     cfg = GameConfig(2, tuple(GameItem(i, fifth) for i in range(17)), bins, bases)
     cfg.validate()
     with pytest.raises(RepackSearchError, match="bin 0 holds 8 items"):
-        improving_moves(cfg, "repack")
+        is_nash(cfg, "repack").moves
     for policy in ("first", "best", "random"):
         with pytest.raises(RepackSearchError, match="bin 0 holds 8 items"):
             best_response_dynamics(cfg, policy, mode="repack")
@@ -347,7 +346,7 @@ def test_repack_matches_lattice_oracle(case):
             residents = [m for m, b in units.values() if b == target]
             if _lattice_joint_oracle([], residents + [q], lattice, cfg.d):
                 expected.append((item_id, target))
-    moves = improving_moves(cfg, "repack")
+    moves = is_nash(cfg, "repack").moves
     assert [(m.item_id, m.target_bin) for m in moves] == expected
     for move in moves:
         after = apply_move(cfg, move)
@@ -373,7 +372,7 @@ def test_repack_search_budget_exhausted(monkeypatch):
     cfg.validate()
     monkeypatch.setattr("cubepack.game.REPACK_NODE_CAP", 2_000)
     with pytest.raises(RepackSearchError, match="budget of candidate bases"):
-        improving_moves(cfg, "repack")
+        is_nash(cfg, "repack").moves
 
 
 def test_volume_screen_skips_overfull_target(monkeypatch):
@@ -398,12 +397,12 @@ def test_volume_screen_skips_overfull_target(monkeypatch):
         raise AssertionError("geometric search ran on an overfull target")
 
     monkeypatch.setattr("cubepack.game._joint_corners", no_search)
-    assert improving_moves(cfg, "insertion") == ()
-    assert improving_moves(cfg, "repack") == ()
+    assert is_nash(cfg, "insertion").moves == ()
+    assert is_nash(cfg, "repack").moves == ()
 
 
 def _reference_moves(cfg, mode):
-    """improving_moves without a memo: every (item, target) pair that
+    """is_nash's moves without a memo: every (item, target) pair that
     passes the volume screens gets its own Fraction costs and its own
     geometric search over the target's residents."""
     occ = {
@@ -423,7 +422,7 @@ def _reference_moves(cfg, mode):
                 cubes = [PlacedCube(o.cls, cfg.positions[o.item_id]) for o in residents]
                 base = find_free_position(cubes, it.side, cfg.d)
                 if base is not None:
-                    moves.append(MoveProposal(it.item_id, src, target, mode, *costs, base))
+                    moves.append(MoveProposal(it.item_id, src, target, *costs, base))
                 continue
             classes = sorted(
                 [o.cls for o in residents] + [it.cls], key=lambda c: (-c.side, c.k)
@@ -440,7 +439,7 @@ def _reference_moves(cfg, mode):
             }
             moves.append(
                 MoveProposal(
-                    it.item_id, src, target, mode, *costs, assigned[it.item_id],
+                    it.item_id, src, target, *costs, assigned[it.item_id],
                     tuple(sorted(assigned.items())),
                 )
             )
@@ -488,7 +487,7 @@ def test_moves_match_unmemoized_reference(cfg):
     # change a single proposal, base or relayout.
     cfg.validate()
     for mode in ("insertion", "repack"):
-        assert improving_moves(cfg, mode) == _reference_moves(cfg, mode)
+        assert is_nash(cfg, mode).moves == _reference_moves(cfg, mode)
 
 
 @settings(deadline=None)
@@ -521,7 +520,7 @@ def test_moves_carry_caches_as_built_from_scratch(cfg, data):
                 residents = [i for i in ids if cfg.assignment[i] == target and i != item]
                 relayout = tuple((i, base()) for i in sorted(residents + [item]))
             move = MoveProposal(
-                item, cfg.assignment[item], target, "insertion", F(1), F(0), base(),
+                item, cfg.assignment[item], target, F(1), F(0), base(),
                 relayout,
             )
             moved = apply_move(cfg, move)
@@ -576,10 +575,10 @@ def test_moves_carry_a_base_off_the_unit_of_its_bin():
     carried = vars(moved)["_volumes"]
     assert carried.contents == {1: alone}
     assert carried.content(0) == (12, ((0, (0,)), (0, (4,))))
-    (move,) = improving_moves(moved)
+    (move,) = is_nash(moved).moves
     assert (move.item_id, move.target_bin, move.base) == (2, 0, (F(7, 12),))
     scratch = GameConfig(1, items, moved.assignment, moved.positions)
-    assert improving_moves(scratch) == (move,)
+    assert is_nash(scratch).moves == (move,)
     back = moved.with_moves({1: (0, (F(1, 4),))})
     assert back._volumes.content(0) == parent.content(0)
     for name in ("unit", "iocc", "members", "census", "contents"):
@@ -629,7 +628,7 @@ def test_config_from_bins_skips_the_checks_its_bins_already_passed():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        improving_moves(two_items_config(), "teleport")
+        is_nash(two_items_config(), "teleport").moves
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +697,14 @@ def test_dynamics_rejects_negative_budget():
 
 
 def _reference_dynamics(cfg, policy, seed, mode, max_steps=None):
-    """best_response_dynamics stepped by hand: a fresh improving_moves
+    """best_response_dynamics stepped by hand: a fresh is_nash
     call, with its own memo, before every apply_move.  "best" takes the
-    first move, in improving_moves order, of the largest cost drop.  The
+    first move, in is_nash's order, of the largest cost drop.  The
     run stops after max_steps applied moves, if given."""
     rng = random.Random(seed)
     applied = []
     while max_steps is None or len(applied) < max_steps:
-        moves = improving_moves(cfg, mode)
+        moves = is_nash(cfg, mode).moves
         if not moves:
             return tuple(applied), cfg
         if policy == "first":
@@ -820,7 +819,7 @@ def test_dynamics_counts_placement_searches_over_the_run(monkeypatch):
 
 
 def _policy_choice(cfg, mode, policy, pool, rng):
-    """The candidate best_response_dynamics applies from the listed pool."""
+    """The move best_response_dynamics applies from the listed pool."""
     if not pool:
         return None
     if policy == "random":
@@ -828,21 +827,21 @@ def _policy_choice(cfg, mode, policy, pool, rng):
     if policy == "first":
         return pool[0]
     drops = [(p.cost_before - p.cost_after, -p.item_id) for p in
-             (_proposal(cfg, mode, c) for c in pool)]
+             (_proposal(cfg, mode, *c) for c in pool)]
     return pool[drops.index(max(drops))]
 
 
 def _check_carried_run(cfg, mode, policy, seed, listed):
     """Step a carried screen as best_response_dynamics does, and check every
     step against a screen built fresh for that step's config: the policy
-    picks the same candidate, the steps in `listed` walk the same whole
-    candidate sequence (item, target, layout and movers), and where the
+    picks the same move, the steps in `listed` walk the same whole move
+    sequence (item, source, target and fit), and where the
     fresh walk raises RepackSearchError the carried one raises it too."""
     carried_rng, fresh_rng = random.Random(seed), random.Random(seed)
     screen = _MoveScreen(cfg, mode)
     for step in itertools.count():
         fresh = _MoveScreen(cfg, mode)
-        walk = fresh.candidates()
+        walk = fresh.moves()
         try:
             pool = [next(walk)] if policy == "first" else list(walk)
         except StopIteration:
@@ -856,16 +855,16 @@ def _check_carried_run(cfg, mode, policy, seed, listed):
         assert chosen == _policy_choice(cfg, mode, policy, pool, fresh_rng), step
         if step in listed:
             try:
-                whole = list(fresh.candidates())
+                whole = list(fresh.moves())
             except RepackSearchError as exc:
                 with pytest.raises(RepackSearchError) as raised:
-                    list(screen.candidates())
+                    list(screen.moves())
                 assert str(raised.value) == str(exc)
                 return
-            assert list(screen.candidates()) == whole, step
+            assert list(screen.moves()) == whole, step
         if chosen is None:
             return
-        move = _proposal(cfg, mode, chosen)
+        move = _proposal(cfg, mode, *chosen)
         cfg = apply_move(cfg, move)
         screen.moved(cfg, {move.source_bin, move.target_bin})
 
@@ -1462,10 +1461,13 @@ def test_poa_epsilon_precondition():
     pack = build_packing(warmup_family(2), F(1, 4))
     # k_max = 2 so the bound is 1/(2-1) = 1; force a violation artificially
     assert pack.epsilon <= 1
-    big = build_packing(warmup_family(3), F(1, 9))
-    object.__setattr__(big, "epsilon", F(3, 4))
-    with pytest.raises(ValueError):
-        poa_instance(big)
+    # every packing's classes demand 0 < eps < 1/(k-1), and the k_max grid
+    # of P' refuses an epsilon past 1/(k_max-1) = 1/2 all the same
+    for eps in (F(3, 5), F(3, 4)):
+        big = build_packing(warmup_family(3), F(1, 9))
+        object.__setattr__(big, "epsilon", eps)
+        with pytest.raises(ValueError, match=r"epsilon <= 1/2"):
+            poa_instance(big)
 
 
 def test_poa_rejects_an_invalid_packing_bin():

@@ -43,9 +43,9 @@ def _sha256(path):
 @pytest.mark.parametrize(
     "d_list, bundle",
     [
-        ((), "9d228e9e48f38db7a6bc4f244f1c7781941aa5f81e541b157c906b559aa1ae91"),
-        ((5,), "e0e49bc27462106ba1a3637b711c2802a85fde6d83fe254c9209b5f167f2f011"),
-        ((6,), "069a5d032cdeef7e61c39c8f4b0a783ac5d7d3c6d289d3fd92e0a6d356f8af15"),
+        ((), "f73816690eca03495ebf305f0b703737d1027b6986e362920e21a14b98342ba5"),
+        ((5,), "d53f2d18388b3588686c8ef9976d882bb1437a347c59c0f604bc6afb4968af56"),
+        ((6,), "b7a85044cee30b85cb52159cb0fa76d52dea192535bef79cc78239430de2b10b"),
     ],
     ids=["default", "d5", "d6"],
 )

@@ -15,7 +15,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALLOWED = {
     "apply_move": "how a caller acts on a MoveProposal; the game oracles step it",
     "apply_coalition": "how a caller acts on a CoalitionProposal; the oracles step it",
-    "improving_moves": "the moves is_nash summarises, for a caller to pick and apply",
     "potential": "test oracle: the Fraction potential dynamics checks in integers",
     "is_bad_word": "test oracle: the definition the core counts are checked against",
     "end_coordinate": "test oracle: the interval end place_word computes inline",
@@ -242,6 +241,17 @@ def test_only_the_hasher_imports_hashlib():
     assert not imports, f"hashlib imported outside cli._hasher: {imports}"
 
 
+def test_the_cli_replays_streams_only_through_replay():
+    # cli._replay checks the coordinate cap before it replays, so every
+    # stream the cli replays, from a file or built by reproduce, is capped
+    tree = _tree(PACKAGE / "cli.py")
+    owner = {node: name for name, node in _uses_by_function(tree)}
+    named = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "run_bounded_space"
+             and owner.get(node) != "_replay"]
+    assert not named, f"run_bounded_space named outside cli._replay: {named}"
+
+
 def _references(path: Path) -> set:
     """Every Name id and Attribute attr in a file."""
     refs = set()
@@ -365,7 +375,6 @@ def test_every_public_member_is_named():
 # __init__ that no call under src/, demos/ or perfbench/ passes, and why
 # each stays.
 ALLOWED_KNOBS = {
-    "improving_moves.mode": "public API: a caller lists repack moves as well",
     "packing_from_dict.verify": "passed through read_json by pack verify and pack weight",
     "build_separated_family.fsets": "public API: rebuilds an implicit family from the "
                                     "F-sets its family file records",
