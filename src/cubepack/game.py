@@ -31,7 +31,7 @@ patterns that can gain (proofs at is_strong_nash and _Orbits.levels).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -98,14 +98,6 @@ class CoalitionSearchError(RuntimeError):
 class GameItem:
     item_id: int
     cls: CubeClass
-
-    @property
-    def volume(self) -> Fraction:
-        return self.cls.volume
-
-    @property
-    def side(self) -> Fraction:
-        return self.cls.side
 
 
 @dataclass(frozen=True)
@@ -638,6 +630,8 @@ def apply_move(config: GameConfig, move: MoveProposal) -> GameConfig:
 class NashResult:
     moves: Tuple[MoveProposal, ...]  # every improving move; Nash iff none
     geometry_checks: int = 0  # placement searches run, memo hits not counted
+    # the config screened, the one sparse_bin_report lets it condition
+    config: Optional[GameConfig] = field(default=None, compare=False, repr=False)
 
     @property
     def is_nash(self) -> bool:
@@ -664,7 +658,7 @@ def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     _check_mode(mode)
     screen = _MoveScreen(config, mode)
     moves = tuple(_proposal(config, mode, *mv) for mv in screen.moves())
-    return NashResult(moves, _searches(screen.memo))
+    return NashResult(moves, _searches(screen.memo), config)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +740,7 @@ def best_response_dynamics(
         if chosen is None:
             current.validate()
             total = _searches(screen.memo)
-            cert = NashResult((), total - searched)
+            cert = NashResult((), total - searched, current)
             return DynamicsResult(current, tuple(applied), cert, total)
         move = _proposal(current, mode, *chosen)
         current = apply_move(current, move)
@@ -1268,8 +1262,12 @@ def sparse_bin_report(
 
     At an equilibrium at most one such bin can exist: two would let an item
     of the emptier one join the other (the joined volume stays packable by
-    the largest-side volume criterion), strictly lowering its cost.
+    the largest-side volume criterion), strictly lowering its cost.  A
+    nash_result conditions the report only on the config it screened; one
+    of another config raises ValueError.
     """
+    if nash_result is not None and nash_result.config != config:
+        raise ValueError("nash_result certifies another config, not this one")
     m = config._volumes
     threshold = Fraction(1, 2**config.d)
     sparse = tuple(b for b in sorted(m.iocc) if config.occupied(b) < threshold)

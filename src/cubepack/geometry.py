@@ -215,16 +215,15 @@ class Bin:
 
 @dataclass(frozen=True)
 class BinVerification:
-    """Outcome of an exact bin check; truthy iff the bin is valid."""
+    """Outcome of an exact bin check; truthy iff it names no witness: no
+    cube out of the bin and no overlapping pair."""
 
-    containment_ok: bool
-    disjoint_ok: bool
     cube_count: int
     bad_cube: Optional[int] = None
     offending_pair: Optional[tuple[int, int]] = None
 
     def __bool__(self) -> bool:
-        return self.containment_ok and self.disjoint_ok
+        return self.bad_cube is None and self.offending_pair is None
 
 
 def _factored_bin(d: int, factors) -> Bin:
@@ -379,7 +378,7 @@ def verify_bin(b: Bin) -> BinVerification:
     scale, intervals = _scaled(keys)
     if columns is None:  # a product grid: the grid lemma, else keyed per cube
         if all(0 <= lo and hi <= scale for lo, hi in intervals) and _disjoint(intervals):
-            return BinVerification(True, True, n)
+            return BinVerification(n)
         keys, columns = _cube_keys(b.cubes, b.d)
         scale, intervals = _scaled(keys)
     leaving = {t for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale}
@@ -394,12 +393,12 @@ def verify_bin(b: Bin) -> BinVerification:
                     None) if leaving else None
     ordered = sorted(codes)  # a sorted copy of the ints: no set table on big grids
     if all(map(lt, ordered, islice(ordered, 1, None))):
-        return BinVerification(bad_cube is None, True, n, bad_cube)
+        return BinVerification(n, bad_cube)
     groups = (list(g) for _, g in groupby(sorted(range(n), key=codes.__getitem__),
                                           codes.__getitem__))
     pairs = [_lowest_overlap(members, loose) for members in groups if len(members) > 1]
     pair = min(filter(None, pairs), default=None)
-    return BinVerification(bad_cube is None, pair is None, n, bad_cube, pair)
+    return BinVerification(n, bad_cube, pair)
 
 
 def occupied_volume(b: Bin) -> Fraction:

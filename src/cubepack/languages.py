@@ -135,10 +135,6 @@ class Language:
         if fc and (fc[0] < 1 or fc[-1] > d):
             raise ValueError(f"f_coords {fc} outside [1..{d}]")
         self.f_coords = fc
-        # where _assemble finds each coordinate's letter in core + free: F
-        # reads the core in order, the other coordinates the free letters
-        at, rest = {c: i for i, c in enumerate(fc)}, itertools.count(len(fc))
-        self._positions = tuple(at[c] if c in at else next(rest) for c in range(1, d + 1))
         if (core_words is None) == (core_rules is None):
             raise ValueError("product form needs exactly one of core_words and core_rules")
         if core_rules is not None:
@@ -146,13 +142,12 @@ class Language:
             self._core_count = count_good_words(k, fc, self.core_rules)
             self._rule_masks = tuple(sum(1 << i for i in j) for j in self.core_rules)
         else:
-            alpha = set(core_alphabet(k))
             had_c = set()
             for v in core_words:
                 v = tuple(v)
                 if len(v) != len(fc):
                     raise ValueError(f"core word {v} does not match |F|={len(fc)}")
-                if any(type(a) is not int or a not in alpha for a in v):
+                if not all(type(a) is int and 1 <= a <= k and a != k - 1 for a in v):
                     _expect_ints(v)
                     raise ValueError(f"core word {v} uses letters outside [k] minus k-1")
                 had_c.add(v)
@@ -167,14 +162,19 @@ class Language:
         return self._core_count
 
     def count(self) -> int:
-        """Exact word count; may exceed what __len__ can report."""
+        """Exact word count, past sys.maxsize where it must be."""
         free = self.d - len(self.f_coords)
         return self.core_size() * (self.k - 1) ** free
 
-    def __len__(self) -> int:
-        return self.count()
-
     # -- enumeration and membership -----------------------------------------
+
+    @cached_property
+    def _positions(self) -> tuple[int, ...]:
+        """Where _assemble finds each coordinate's letter in core + free: F
+        reads the core in order, the other coordinates the free letters."""
+        fc = self.f_coords
+        at, rest = {c: i for i, c in enumerate(fc)}, itertools.count(len(fc))
+        return tuple(at[c] if c in at else next(rest) for c in range(1, self.d + 1))
 
     def _assemble(self, core: tuple[int, ...], free: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(map((core + free).__getitem__, self._positions))
@@ -202,8 +202,7 @@ class Language:
         for coord in range(1, self.d + 1):
             if coord not in fset and not 1 <= w[coord - 1] <= self.k - 1:
                 return False
-        alpha = set(core_alphabet(self.k))
-        if any(a not in alpha for a in core):
+        if not all(1 <= a <= self.k and a != self.k - 1 for a in core):
             return False
         if self.core_words is not None:
             return core in self._core_set
@@ -233,6 +232,14 @@ class Language:
         cores = self._good_cores(core_alphabet(self.k)[::-1])
         for core in itertools.islice(cores, limit):
             yield self._assemble(core, free)
+
+    def selectable(self, limit: Optional[int]) -> int:
+        """How many words select_words(limit) yields, counted without
+        selecting one: every word, or the limit's prefix of the words or,
+        for a rule, of its good cores."""
+        if limit is None:
+            return self.count()
+        return min(limit, self.count() if self.core_words is not None else self.core_size())
 
     def sample_word(self, rng: random.Random) -> tuple[int, ...]:
         """Uniform-ish random word, for demos; no certificate samples."""
@@ -320,13 +327,14 @@ def _mask(coords: Sequence[int], letters: Sequence[int], letter: int) -> int:
 
 @dataclass(frozen=True)
 class SeparationResult:
-    ok: bool
+    """Truthy iff no failing word pair was found."""
+
     method: str  # always "product-core"; perfbench/tracing.py and the golden pins read it
     pairs_checked: int  # letter-mask comparisons made
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None  # failing pair
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.witness is None
 
 
 def are_separated(small: Language, big: Language) -> SeparationResult:
@@ -363,15 +371,15 @@ def are_separated(small: Language, big: Language) -> SeparationResult:
             if all(s & r for r in big._rule_masks):
                 core = tuple(kp if s >> c & 1 else 1 for c in big.f_coords)
                 wp = big._assemble(core, (1,) * (big.d - len(big.f_coords)))
-                return SeparationResult(False, method, pairs, (w, wp))
-        return SeparationResult(True, method, pairs)
+                return SeparationResult(method, pairs, (w, wp))
+        return SeparationResult(method, pairs)
     big_masks = big._letter_masks.items()
     for kmask, w in small._letter_masks.items():
         for smask, wp in big_masks:
             pairs += 1
             if not smask & ~kmask:
-                return SeparationResult(False, method, pairs, (w, wp))
-    return SeparationResult(True, method, pairs)
+                return SeparationResult(method, pairs, (w, wp))
+    return SeparationResult(method, pairs)
 
 
 # -- index-set sampling ------------------------------------------------------
@@ -622,9 +630,6 @@ class SeparatedFamily:
     seed: Optional[int] = None
     mode: str = "enumerate"
     stats: dict[int, ClassStats] = field(default_factory=dict)
-
-    def language(self, k: int) -> Language:
-        return self.languages[k]
 
     def sizes(self) -> dict[int, int]:
         return {k: self.languages[k].count() for k in self.classes}

@@ -217,7 +217,6 @@ class Decision:
 
 @dataclass(frozen=True)
 class PlacementRecord:
-    item_index: int
     k: int
     bin_id: int
     base: Tuple[Fraction, ...]
@@ -255,7 +254,7 @@ class RunResult:
     open_bin_ids: Tuple[int, ...]
     closed_bin_ids: Tuple[int, ...]
     per_segment_new_bins: Tuple[int, ...]
-    placements: Tuple[PlacementRecord, ...]
+    placements: Tuple[PlacementRecord, ...]  # item i's placement at index i
     report: Optional[RatioReport] = None
 
 
@@ -346,7 +345,7 @@ def run_bounded_space(
                 raise _violation(item_index, k,
                                  f"{len(open_bins)} bins left open, budget is {m}")
             base = cube.base
-            placements.append(PlacementRecord(item_index, k, bin_id, base))
+            placements.append(PlacementRecord(k, bin_id, base))
             if notify is not None:
                 notify(item_index, k, bin_id, base)
             item_index += 1

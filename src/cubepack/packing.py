@@ -9,7 +9,6 @@ report drivers that chase the asymptotic weight targets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,10 +118,6 @@ class TypedPacking:
         return tuple(sorted(self.nu))
 
     @property
-    def k_max(self) -> int:
-        return max(self.nu)
-
-    @property
     def counts(self) -> ClassCounts:
         """The regrouping model over the placed counts nu."""
         return ClassCounts(self.d, self.nu)
@@ -184,40 +179,34 @@ def build_packing(
 ) -> TypedPacking:
     """Place a separated family's words as disjoint cubes in one bin.
 
-    Requires 0 < eps <= 1/k_max^2 (the packing hypothesis) and checks
-    the exact cross-class gap inequality for every class pair before
-    building.  The result is certified by verify_bin; a failure raises,
-    it is never silently accepted.  per_class_cap limits how many words
-    per class are materialized (mandatory for rule-core families).
+    Requires 0 < eps <= 1/k_max^2, the packing hypothesis, and nothing
+    more: it forces the cross-class gap.  For 2 <= k < k' <= k_max the
+    gap inequality reads (1+eps)((k-1)/k + 1/k') < 1.  The bracket is
+    largest at k' = k+1, where it is 1 - 1/(k(k+1)), so eps < 1/(k(k+1) - 1)
+    suffices, and eps <= 1/k_max^2 < 1/(k_max^2 - k_max - 1) meets that
+    for every pair.  The result is certified by verify_bin; a failure
+    raises, it is never silently accepted.  per_class_cap limits how many
+    words per class are materialized (mandatory for rule-core families);
+    past MATERIALIZE_CAP words in all the build is refused before any
+    word is selected.
     """
     epsilon = as_rational(epsilon)
-    classes = family.classes
-    k_max = max(classes)
+    k_max = max(family.classes)
     if not 0 < epsilon <= Fraction(1, k_max * k_max):
         raise ValueError(
             f"need 0 < epsilon <= 1/{k_max * k_max} for classes up to {k_max}, "
             f"got {epsilon}"
         )
-    # its left side grows with k and its right side with k': on ascending
-    # classes adjacent pairs decide every pair, and fail first in order
-    for k, kp in zip(classes, classes[1:]):
-        if not gap_inequality_holds(k, kp, epsilon):
-            raise ValueError(
-                f"gap inequality fails for classes ({k}, {kp}) at epsilon {epsilon}"
-            )
-
-    words: dict[int, tuple[tuple[int, ...], ...]] = {}
     room = MATERIALIZE_CAP
-    for k in classes:
-        # one word past the room proves the cap broken without reading on
-        selected = family.languages[k].select_words(per_class_cap)
-        words[k] = tuple(itertools.islice(selected, room + 1))
-        room -= len(words[k])
+    for k in family.classes:
+        room -= family.languages[k].selectable(per_class_cap)
         if room < 0:
             raise ValueError(
                 f"materializing more than {MATERIALIZE_CAP} cubes; "
                 f"pass per_class_cap to bound the packing"
             )
+    words = {k: tuple(family.languages[k].select_words(per_class_cap))
+             for k in family.classes}
     return _typed_packing(
         family.d, epsilon, words, family.sizes(), True, "packing failed verification"
     )

@@ -412,15 +412,15 @@ def _reference_moves(cfg, mode):
     for it in sorted(cfg.items, key=lambda x: x.item_id):
         src = cfg.assignment[it.item_id]
         for target in sorted(occ):
-            if target == src or not occ[target] + it.volume > occ[src]:
+            if target == src or not occ[target] + it.cls.volume > occ[src]:
                 continue
-            if occ[target] + it.volume > 1:
+            if occ[target] + it.cls.volume > 1:
                 continue
-            costs = (it.volume / occ[src], it.volume / (occ[target] + it.volume))
+            costs = (it.cls.volume / occ[src], it.cls.volume / (occ[target] + it.cls.volume))
             residents = [o for o in cfg.items if cfg.assignment[o.item_id] == target]
             if mode == "insertion":
                 cubes = [PlacedCube(o.cls, cfg.positions[o.item_id]) for o in residents]
-                base = find_free_position(cubes, it.side, cfg.d)
+                base = find_free_position(cubes, it.cls.side, cfg.d)
                 if base is not None:
                     moves.append(MoveProposal(it.item_id, src, target, *costs, base))
                 continue
@@ -435,7 +435,7 @@ def _reference_moves(cfg, mode):
                 pool.setdefault(cls, []).append(base)
             assigned = {
                 o.item_id: pool[o.cls].pop()
-                for o in sorted(residents + [it], key=lambda x: (-x.side, x.item_id))
+                for o in sorted(residents + [it], key=lambda x: (-x.cls.side, x.item_id))
             }
             moves.append(
                 MoveProposal(
@@ -1062,7 +1062,7 @@ def _reference_strong_nash(cfg, cap, lattice):
     units = {
         it.item_id: (
             tuple(int(x * lattice) for x in cfg.positions[it.item_id]),
-            int(it.side * lattice),
+            int(it.cls.side * lattice),
         )
         for it in items
     }
@@ -1076,11 +1076,11 @@ def _reference_strong_nash(cfg, cap, lattice):
                 occ = {t: cfg.occupied(t) if t in used else F(0) for t in targets}
                 for it in coalition:
                     if cfg.assignment[it.item_id] in occ:
-                        occ[cfg.assignment[it.item_id]] -= it.volume
+                        occ[cfg.assignment[it.item_id]] -= it.cls.volume
                 for it, t in zip(coalition, targets):
-                    occ[t] += it.volume
+                    occ[t] += it.cls.volume
                 if not all(
-                    it.volume / occ[t] < cfg.item_cost(it.item_id)
+                    it.cls.volume / occ[t] < cfg.item_cost(it.item_id)
                     for it, t in zip(coalition, targets)
                 ):
                     continue
@@ -1243,7 +1243,7 @@ def dominant_bin_configs(draw):
 @given(dominant_bin_configs())
 def test_strong_nash_with_a_dominant_bin_matches_unpruned_oracle(case):
     cfg, cap, _ = case
-    largest = sorted((it.volume for it in cfg.items), reverse=True)[:cap]
+    largest = sorted((it.cls.volume for it in cfg.items), reverse=True)[:cap]
     others = max(cfg.occupied(b) for b in cfg.bins_map if b != 0)
     assert cfg.occupied(0) >= others + sum(largest)
     _check_strong_nash_case(case)
@@ -1535,6 +1535,21 @@ def test_sparse_bin_report_mixture_has_none():
     assert cfg.occupied(1) == F(400, 729)
     assert report.sparse_bins == ()
     assert report.sparse_count_ok
+
+
+def test_sparse_bin_report_refuses_a_certificate_of_another_config():
+    # two lone class-4 cubes in bins 0 and 1 are not Nash: another
+    # config's certificate must not condition their report
+    cls = CubeClass(4, 0, 2)
+    cfg = GameConfig(2, (GameItem(0, cls), GameItem(1, cls)), {0: 0, 1: 1},
+                     {0: (F(0), F(0)), 1: (F(0), F(0))})
+    assert not is_nash(cfg)
+    with pytest.raises(ValueError, match="another config"):
+        sparse_bin_report(cfg, nash_result=is_nash(homogeneous_mixture([2, 3], 2, F(1, 9))))
+    # a dynamics endpoint's own certificate still conditions its report
+    result = best_response_dynamics(cfg)
+    report = sparse_bin_report(result.config, nash_result=result.certificate)
+    assert report.conditioned and report.sparse_count_ok
 
 
 def test_sparse_bin_report_unconditioned():

@@ -92,9 +92,9 @@ def test_placed_cube_intervals_and_containment():
     c = PlacedCube(CubeClass(3, F(1, 9), 2), (F(10, 27), F(17, 27)))
     extent = [(lo, lo + c.cls.side) for lo in c.base]
     assert extent == [(F(10, 27), F(20, 27)), (F(17, 27), F(1))]
-    assert verify_bin(Bin(2, (c,))).containment_ok
+    assert verify_bin(Bin(2, (c,))).bad_cube is None
     out = PlacedCube(CubeClass(3, F(1, 9), 2), (F(20, 27), F(0)))
-    assert not verify_bin(Bin(2, (out,))).containment_ok  # 20/27 + 10/27 > 1
+    assert verify_bin(Bin(2, (out,))).bad_cube is not None  # 20/27 + 10/27 > 1
 
 
 def test_placed_cube_dimension_mismatch():
@@ -165,7 +165,7 @@ def _grid_bin(k: int, d: int, eps: F) -> Bin:
 def test_verify_bin_accepts_grid():
     report = verify_bin(_grid_bin(3, 2, F(1, 9)))
     assert report
-    assert report.containment_ok and report.disjoint_ok
+    assert report.bad_cube is None and report.offending_pair is None
     assert report.cube_count == 4
 
 
@@ -181,9 +181,9 @@ def test_verify_bin_flags_containment():
     cls = CubeClass(3, F(1, 9), 2)
     c = PlacedCube(cls, (F(20, 27), F(0)))
     report = verify_bin(Bin(2, (c,)))
-    assert not report.containment_ok
+    assert report.bad_cube is not None
     assert report.bad_cube == 0
-    assert report.disjoint_ok
+    assert report.offending_pair is None
 
 
 def test_verify_bin_mixed_classes_touching():
@@ -200,7 +200,7 @@ def test_verify_bin_finds_cross_class_overlap():
     a = PlacedCube(CubeClass(2, eps, 2), (F(0), F(0)))
     b = PlacedCube(CubeClass(3, eps, 2), (F(1, 2), F(1, 2)))  # pokes into a
     report = verify_bin(Bin(2, (a, b)))
-    assert not report.disjoint_ok
+    assert report.offending_pair is not None
     assert report.offending_pair == (0, 1)
 
 
@@ -248,9 +248,9 @@ def test_verify_bin_matches_per_cube_and_pairwise_oracles(b):
     report = verify_bin(b)
     assert report.cube_count == len(b.cubes)
     assert report.bad_cube == (outside[0] if outside else None)
-    assert report.containment_ok == (not outside)
+    assert (report.bad_cube is None) == (not outside)
     assert report.offending_pair == (overlapping[0] if overlapping else None)
-    assert report.disjoint_ok == (not overlapping)
+    assert (report.offending_pair is None) == (not overlapping)
 
 
 @st.composite
@@ -414,7 +414,7 @@ def test_verify_bin_reports_a_cube_out_of_the_bin_when_every_code_differs():
     s = cls.side
     bases = [(0, 0), (2 * s, 0), (s, 0), (0, 2 * s), (s, s)]
     report = verify_bin(Bin(2, tuple(PlacedCube(cls, b) for b in bases)))
-    assert (report.containment_ok, report.disjoint_ok) == (False, True)
+    assert (report.bad_cube is None, report.offending_pair is None) == (False, True)
     assert (report.bad_cube, report.offending_pair) == (1, None)
 
 
@@ -559,12 +559,12 @@ def test_a_grid_is_certified_from_its_factors(monkeypatch):
     # no interval is keyed per cube for a grid whose factors hold
     grid = build_homogeneous(5, 3, F(1, 4)).bin
     monkeypatch.setattr(geometry, "_cube_keys", None)
-    assert verify_bin(grid) == BinVerification(True, True, 64)
+    assert verify_bin(grid) == BinVerification(64)
 
 
 @pytest.mark.parametrize("coords, expected", [
-    ([F(0), F(1, 2), F(0)], BinVerification(True, False, 9, None, (0, 2))),
-    ([F(0), F(7, 8)], BinVerification(False, True, 4, 1)),
+    ([F(0), F(1, 2), F(0)], BinVerification(9, None, (0, 2))),
+    ([F(0), F(7, 8)], BinVerification(4, 1)),
 ], ids=["duplicate", "past_the_top"])
 def test_a_grid_whose_factors_fail_reports_as_its_plain_bin_in_one_call(
     monkeypatch, coords, expected

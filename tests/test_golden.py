@@ -161,7 +161,7 @@ def _family(name):
 
 
 def _separation(res):
-    return [res.ok, res.method, res.pairs_checked,
+    return [bool(res), res.method, res.pairs_checked,
             None if res.witness is None else [list(w) for w in res.witness]]
 
 

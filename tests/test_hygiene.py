@@ -483,6 +483,25 @@ def test_one_budgeted_placement_search():
     assert sites == ["geometry.py:_joint_corners"], sites
 
 
+def test_no_truthy_result_stores_its_verdict():
+    # a dataclass whose __bool__ is its verdict reads that verdict off its
+    # witnesses; a bool field beside them says it a second time, and the
+    # two can disagree
+    stored = []
+    for path in MODULES:
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(dec) for dec in cls.decorator_list
+            ):
+                continue
+            if any(isinstance(node, ast.FunctionDef) and node.name == "__bool__"
+                   for node in cls.body):
+                stored += [f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"
+                           for node in cls.body if isinstance(node, ast.AnnAssign)
+                           and ast.unparse(node.annotation) == "bool"]
+    assert not stored, f"truthy results with a bool field: {stored}"
+
+
 def test_no_loop_runs_on_a_constant_true_test():
     # every loop in the package states the condition that ends it; a
     # `while True` that waits for a random draw or a search to succeed has

@@ -75,7 +75,7 @@ def test_core_alphabet_skips_k_minus_one():
 def test_product_language_count_and_enumeration():
     # Warm-up shape: core (3) pinned at coordinate 3, free letters in [2].
     lang = Language(3, 3, f_coords=(3,), core_words=((3,),))
-    assert len(lang) == 4
+    assert lang.count() == 4
     words = set(lang.iter_words())
     assert words == {(1, 1, 3), (1, 2, 3), (2, 1, 3), (2, 2, 3)}
     assert lang.contains((2, 1, 3))
@@ -108,7 +108,7 @@ def test_product_language_rejects_core_letter_k_minus_one():
 def test_predicate_core_language():
     lang = Language(3, 4, f_coords=(1, 2), core_rules=((1, 2),))
     # cores over {1,3}^2 containing a 3: (1,3), (3,1), (3,3)
-    assert len(lang) == 3 * 2 ** 2
+    assert lang.count() == 3 * 2 ** 2
     assert lang.contains((3, 1, 2, 1))
     assert not lang.contains((1, 1, 2, 1))
     with pytest.raises(ValueError):
@@ -340,8 +340,8 @@ def test_are_separated_matches_brute_force_word_pairs(case):
 def test_warmup_family_d3_frozen():
     fam = warmup_family(3)
     assert fam.classes == (2, 3)
-    assert set(fam.language(2).iter_words()) == {(1, 2, 1)}
-    assert set(fam.language(3).iter_words()) == {
+    assert set(fam.languages[2].iter_words()) == {(1, 2, 1)}
+    assert set(fam.languages[3].iter_words()) == {
         (1, 1, 3),
         (1, 2, 3),
         (2, 1, 3),
@@ -354,7 +354,7 @@ def test_warmup_family_d3_frozen():
 def test_warmup_family_d2_single_language():
     fam = warmup_family(2)
     assert fam.sizes() == {2: 1}
-    assert set(fam.language(2).iter_words()) == {(1, 2)}
+    assert set(fam.languages[2].iter_words()) == {(1, 2)}
     assert fam.weight() == 1
 
 
@@ -505,11 +505,11 @@ def test_build_family_d4_enumerate():
     assert fam.classes == (2, 3)
     cert = fam.certify()
     assert cert
-    assert len(fam.language(2)) == 1
+    assert fam.languages[2].count() == 1
     assert all(_obeys_the_gap(lang, w) for lang in fam.languages.values()
                for w in lang.iter_words())
     # Every class-3 good core shows letter 3 on the difference set.
-    lang = fam.language(3)
+    lang = fam.languages[3]
     j = fam.fsets.sets[3] - fam.fsets.sets[2]
     for v in lang.core_words:
         assert not is_bad_word(v, 3, sorted(j), f_coords=lang.f_coords)
@@ -533,8 +533,8 @@ def test_build_family_enumerate_matches_implicit_counts():
         )
         assert enum.sizes() == impl.sizes()
         for k in enum.classes:
-            for w in enum.language(k).iter_words():
-                assert impl.language(k).contains(w)
+            for w in enum.languages[k].iter_words():
+                assert impl.languages[k].contains(w)
 
 
 def test_build_family_implicit_certify_exact():
@@ -614,7 +614,11 @@ def test_listed_good_cores_equal_a_filter_of_every_core(case, n):
                                     for c in range(1, d + 1)))
     assert list(lang._letter_masks.items()) == list(scan.items())
     built = Language(k, d, f_coords=f, core_words=good)
-    assert vars(lang) == vars(built) | {"_letter_masks": built._letter_masks}
+
+    def state(language):  # its fields, the lazy _positions cache aside
+        return {name: v for name, v in vars(language).items() if name != "_positions"}
+
+    assert state(lang) == state(built) | {"_letter_masks": built._letter_masks}
 
 
 @st.composite
@@ -642,6 +646,16 @@ def test_iter_words_equals_assembled_cores_and_free_letters(lang):
     assert list(lang.iter_words()) == words
 
 
+@given(st.one_of(product_languages(), rule_languages().map(
+    lambda c: Language(c[1], c[0], f_coords=c[2], core_rules=c[3]))),
+    st.one_of(st.none(), st.integers(0, 40)))
+def test_selectable_counts_what_select_words_yields(lang, n):
+    # build_packing refuses past its cap on these counts, selecting nothing
+    if n is None and lang.core_words is None:
+        n = 40  # a rule lists no words without a limit
+    assert lang.selectable(n) == len(list(lang.select_words(n)))
+
+
 def test_enumerate_mode_lists_cores_per_mask_in_one_language_per_class(monkeypatch):
     # enumerate mode lists the cores per letter mask and never walks them
     calls = {"init": 0, "good_cores": 0}
@@ -659,15 +673,15 @@ def test_enumerate_mode_lists_cores_per_mask_in_one_language_per_class(monkeypat
     monkeypatch.setattr(Language, "_good_cores", counted_good_cores)
     fam = build_separated_family(14, (2, 3, 4, 5), seed=3)
     assert calls == {"init": 4, "good_cores": 0}
-    assert all(fam.language(k).core_words for k in fam.classes)
+    assert all(fam.languages[k].core_words for k in fam.classes)
 
 
 def test_family_separation_word_level_oracle():
     # Full word-level pairwise check on a small build, independent of the
     # product-core reduction used by certify().
     fam = build_separated_family(5, (2, 3), seed=13)
-    words2 = list(fam.language(2).iter_words())
-    words3 = list(fam.language(3).iter_words())
+    words2 = list(fam.languages[2].iter_words())
+    words3 = list(fam.languages[3].iter_words())
     for w in words2:
         for wp in words3:
             assert any(a < 2 and b == 3 for a, b in zip(w, wp)), (w, wp)
@@ -698,7 +712,7 @@ def test_family_json_round_trip_enumerate():
     doc = family_to_dict(fam)
     again = _rebuilt(doc)
     assert again.sizes() == fam.sizes()
-    assert set(again.language(3).iter_words()) == set(fam.language(3).iter_words())
+    assert set(again.languages[3].iter_words()) == set(fam.languages[3].iter_words())
     assert family_to_dict(again) == doc
 
 
@@ -717,7 +731,7 @@ def test_reloaded_implicit_family_certifies():
     cert = again.certify()
     assert cert
     for k in fam.classes:
-        assert again.language(k).core_rules == fam.language(k).core_rules
+        assert again.languages[k].core_rules == fam.languages[k].core_rules
 
 
 def test_separation_has_no_sampled_path():

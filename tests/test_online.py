@@ -186,7 +186,7 @@ def test_regrouping_model_matches_counting_bound(case, m, data):
     if owners is None:
         return
     family, packing, loaded = owners
-    sizes = {k: family.language(k).count() for k in family.classes}
+    sizes = {k: family.languages[k].count() for k in family.classes}
     for owner in (packing, loaded):
         assert owner.counts == counts
         assert owner.weight() == _regrouped(owner.d, owner.nu)

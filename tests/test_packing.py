@@ -22,6 +22,7 @@ from cubepack.geometry import (
 )
 from cubepack.languages import Language, Word, build_separated_family, warmup_family
 from cubepack.packing import (
+    MATERIALIZE_CAP,
     base_coordinate,
     build_homogeneous,
     build_packing,
@@ -80,37 +81,25 @@ def test_gap_inequality_examples():
         gap_inequality_holds(3, 3, F(1, 9))
 
 
-def test_build_packing_checks_the_gap_inequality_on_adjacent_classes(monkeypatch):
-    # its left side grows with k and its right side with k', so on
-    # ascending classes the adjacent pairs decide every pair
-    real, calls = gap_inequality_holds, []
-
-    def counted(k, kp, eps):
-        calls.append((k, kp))
-        return real(k, kp, eps)
-
-    monkeypatch.setattr("cubepack.packing.gap_inequality_holds", counted)
-    build_packing(warmup_family(40), F(1, 1600), per_class_cap=1)
-    assert calls == list(zip(range(2, 40), range(3, 41)))  # 38 of the 741 pairs
-    with pytest.raises(ValueError):
-        build_packing(replace(warmup_family(4), classes=(2, 4, 3)), F(1, 16))
-    # at a slack of 1/30 the pairs fail from class 6 on; the pair refused
-    # is the first failing pair of an all-pairs loop
-    lax = F(1, 30)
-    monkeypatch.setattr("cubepack.packing.gap_inequality_holds",
-                        lambda k, kp, eps: real(k, kp, lax))
-    family = warmup_family(12)
-    k, kp = next(pair for pair in itertools.combinations(family.classes, 2)
-                 if not real(*pair, lax))
-    with pytest.raises(ValueError, match=rf"classes \({k}, {kp}\)"):
-        build_packing(family, F(1, 144), per_class_cap=1)
+def test_the_packing_hypothesis_forces_every_gap_inequality():
+    # the inequality only gets harder as eps grows, so eps = 1/k_max^2, the
+    # largest slack the hypothesis allows, decides every eps it allows
+    for k_max in range(3, 61):
+        eps = F(1, k_max * k_max)
+        for k, kp in itertools.combinations(range(2, k_max + 1), 2):
+            assert gap_inequality_holds(k, kp, eps), (k, kp, k_max)
+    # so build_packing needs no class order: classes out of order build
+    # the sorted family's cubes
+    unsorted = build_packing(replace(warmup_family(4), classes=(2, 4, 3)), F(1, 16))
+    assert verify_bin(unsorted.bin)
+    assert set(unsorted.bin.cubes) == set(build_packing(warmup_family(4), F(1, 16)).bin.cubes)
 
 
 def test_place_word_frozen_example():
     cube = place_word(Word((2, 3), 3), F(1, 9))
     assert cube.base == (F(10, 27), F(17, 27))
     assert cube.cls.side == F(10, 27)
-    assert verify_bin(Bin(2, (cube,))).containment_ok
+    assert verify_bin(Bin(2, (cube,))).bad_cube is None
 
 
 def test_builders_make_the_cubes_the_checked_constructor_makes():
@@ -194,7 +183,7 @@ def test_a_built_packing_is_certified_on_its_letters(monkeypatch):
     # build_packing verifies through its words: no interval is keyed per cube
     monkeypatch.setattr(geometry, "_cube_keys", None)
     packing = build_packing(warmup_family(4), F(1, 16))
-    assert verify_bin(packing.bin) == BinVerification(True, True, 1 + 8 + 27)
+    assert verify_bin(packing.bin) == BinVerification(1 + 8 + 27)
 
 
 def test_letter_factors_do_not_survive_a_change_of_cubes():
@@ -244,7 +233,7 @@ def test_build_packing_warmup_d3_frozen():
     packing = build_packing(warmup_family(3), F(1, 9))
     assert packing.nu == {2: 1, 3: 4}
     assert packing.classes == (2, 3)
-    assert packing.k_max == 3
+    assert max(packing.nu) == 3
     assert packing.weight() == F(3, 2)
     assert packing.full_counts.weight() == F(3, 2)
     assert len(packing.bin.cubes) == 5
@@ -294,6 +283,17 @@ def test_build_packing_reads_at_most_one_word_past_the_cap(monkeypatch):
     assert len(read) <= 11
 
 
+def test_build_packing_refuses_past_the_cap_before_selecting_a_word(monkeypatch):
+    # warm-up d=2000 holds 2^1999 class-3 words: the refusal reads each
+    # class's yield off its counts and selects no word
+    def refuse(self, limit=None):
+        raise AssertionError("build_packing selected a word past its cap")
+
+    monkeypatch.setattr(Language, "select_words", refuse)
+    with pytest.raises(ValueError, match=f"materializing more than {MATERIALIZE_CAP} cubes"):
+        build_packing(warmup_family(2000), F(1, 2000 ** 2))
+
+
 def test_build_packing_implicit_budgeted_is_deterministic():
     fam = build_separated_family(6, (2, 3), seed=4, mode="implicit")
     p1 = build_packing(fam, F(1, 9), per_class_cap=5)
@@ -302,7 +302,7 @@ def test_build_packing_implicit_budgeted_is_deterministic():
     assert verify_bin(p1.bin)
     for k in fam.classes:
         for letters in p1.words[k]:
-            assert fam.language(k).contains(letters)
+            assert fam.languages[k].contains(letters)
 
 
 def test_nu_respects_gapped_cap():
