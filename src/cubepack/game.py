@@ -34,8 +34,10 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from heapq import nlargest
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import (
     Collection,
     Dict,
@@ -77,9 +79,10 @@ REPACK_ITEM_CAP = 8
 COALITION_ASSIGNMENT_CAP = 5_000_000
 
 
-# Placement memo: content of the residents kept -> incoming class indices
+# Placement memo: (content of the residents kept, incoming class indices)
 # -> (class, base) per incoming cube, or None; see _place.
-_Memo = Dict[tuple, Dict[tuple, Optional[tuple]]]
+_Memo = Dict[Tuple[tuple, Tuple[int, ...]], Optional[tuple]]
+_UNASKED = object()  # what _asked reads for a key not searched yet
 
 
 class RepackSearchError(RuntimeError):
@@ -102,9 +105,9 @@ class GameItem:
 
 @dataclass(frozen=True)
 class _VolumeModel:
-    """The one per-bin model of a config: its volumes as exact integers
-    over one common denominator, who sits in each bin, and each bin's
-    content.
+    """The one per-bin model of a config: its class volumes and bin
+    occupancies as exact integers over one common denominator, the class
+    of each item, who sits in each bin, and each bin's content.
 
     Classes are indexed in one fixed order, by (-side, k): larger cubes
     first, and k tells apart the classes of one side.  A class of side s
@@ -114,15 +117,14 @@ class _VolumeModel:
     """
 
     scale: int
-    ivol: Dict[int, int]  # item id -> volume * scale, in item order
-    cid: Dict[int, int]  # item id -> class index, in item order
-    rank: Dict[int, int]  # item id -> its place in item order
+    vol: List[int]  # class index -> volume * scale
+    cid: Dict[int, int]  # item id -> class index
     classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
     unit: int  # lcm of the class side denominators
     positions: Mapping[int, Tuple[Fraction, ...]]  # item id -> base
-    iocc: Dict[int, int]  # bin -> occupied volume * scale
-    members: Dict[int, List[int]]  # bin -> item ids, in item order
+    iocc: Dict[int, int]  # bin -> occupied volume * scale, off the census
+    members: Dict[int, List[int]]  # bin -> item ids, ascending
     census: Dict[int, List[int]]  # bin -> resident count per class index
     contents: Dict[int, tuple]  # bin -> content, for the bins asked so far
 
@@ -176,7 +178,6 @@ class _VolumeModel:
         }
         for i in movers:
             fresh[assignment[i]].append(i)
-        rank = self.rank.__getitem__
         iocc, members, census = dict(self.iocc), dict(self.members), dict(self.census)
         contents = {b: c for b, c in self.contents.items() if b not in fresh}
         for b, ids in fresh.items():
@@ -184,15 +185,15 @@ class _VolumeModel:
                 for table in (iocc, members, census):
                     table.pop(b, None)
                 continue
-            ids.sort(key=rank)
+            ids.sort()
             count = [0] * len(self.classes)
             for i in ids:
                 count[self.cid[i]] += 1
-            iocc[b] = sum(self.ivol[i] for i in ids)
+            iocc[b] = sum(map(mul, count, self.vol))
             members[b], census[b] = ids, count
         return _VolumeModel(
-            self.scale, self.ivol, self.cid, self.rank, self.classes, self.capacity,
-            self.unit, positions, iocc, members, census, contents,
+            self.scale, self.vol, self.cid, self.classes, self.capacity, self.unit,
+            positions, iocc, members, census, contents,
         )
 
 
@@ -255,11 +256,9 @@ class GameConfig:
         scale = lcm(*(c.volume.denominator for c in order))
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in order]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
-        ivol = {i: vols[c] for i, c in cid.items()}
         unit = lcm(*(c.side.denominator for c in order))
-        rank = {i: n for n, i in enumerate(cid)}
         empty = _VolumeModel(
-            scale, ivol, cid, rank, order, caps, unit, self.positions, {}, {}, {}, {}
+            scale, vols, cid, order, caps, unit, self.positions, {}, {}, {}, {}
         )
         touched = set(self.assignment.values())
         return empty.regrouped(self.assignment, self.positions, cid, touched)
@@ -270,7 +269,7 @@ class GameConfig:
 
     def item_cost(self, item_id: int) -> Fraction:
         m = self._volumes
-        return Fraction(m.ivol[item_id], m.iocc[self.assignment[item_id]])
+        return Fraction(m.vol[m.cid[item_id]], m.iocc[self.assignment[item_id]])
 
     def social_cost(self) -> int:
         """Number of used bins; cross-checked against the exact cost sum."""
@@ -404,11 +403,6 @@ class MoveProposal:
             )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("insertion", "repack"):
-        raise ValueError(f"unknown feasibility mode {mode!r}")
-
-
 class _MoveScreen:
     """The moves of is_nash, lazily and in its order (item id, then target
     bin), carried along a run of moves.  Each move passes the gain, volume
@@ -443,11 +437,12 @@ class _MoveScreen:
     """
 
     def __init__(self, config: GameConfig, mode: str) -> None:
+        if mode not in ("insertion", "repack"):
+            raise ValueError(f"unknown feasibility mode {mode!r}")
         self.mode = mode
         self.memo: _Memo = {}
         m = config._volumes
         self.ids = sorted(m.cid)
-        self.vols = dict(zip(m.cid.values(), m.ivol.values()))  # class -> volume
         # target -> class -> (unit, layout) if a mover fits, else False
         self.fits: Dict[int, Dict[int, object]] = {t: {} for t in m.iocc}
         self.moved(config, ())
@@ -472,7 +467,7 @@ class _MoveScreen:
             occ = iocc[s]
             entries = types.get((occ, c))
             if entries is None:
-                v = self.vols[c]
+                v = m.vol[c]
                 entries = types[occ, c] = {
                     t: fit for t in bins
                     if iocc[t] + v > occ and (fit := fits[t].get(c)) is not False
@@ -492,7 +487,7 @@ class _MoveScreen:
                     f"is {REPACK_ITEM_CAP - 1} plus the mover"
                 )
             fits[c] = False
-            if m.iocc[t] + self.vols[c] <= m.scale and m.census[t][c] < m.capacity[c]:
+            if m.iocc[t] + m.vol[c] <= m.scale and m.census[t][c] < m.capacity[c]:
                 if self.mode == "insertion":
                     kept, key, cap = m.content(t), (c,), None
                 else:
@@ -539,8 +534,9 @@ class _MoveScreen:
 
 def _gain(m: _VolumeModel, item: int, source: int, target: int) -> Fraction:
     """cost_before - cost_after of the move's proposal."""
-    before, joined = m.iocc[source], m.iocc[target] + m.ivol[item]
-    return Fraction(m.ivol[item] * (joined - before), before * joined)
+    v = m.vol[m.cid[item]]
+    before, joined = m.iocc[source], m.iocc[target] + v
+    return Fraction(v * (joined - before), before * joined)
 
 
 def _proposal(
@@ -550,8 +546,8 @@ def _proposal(
     movers = [item] if mode == "insertion" else m.members[target] + [item]
     assigned = _distribute(m, *fit, movers)
     relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
-    joined = m.iocc[target] + m.ivol[item]
-    costs = (Fraction(m.ivol[item], m.iocc[source]), Fraction(m.ivol[item], joined))
+    v = m.vol[m.cid[item]]
+    costs = (Fraction(v, m.iocc[source]), Fraction(v, m.iocc[target] + v))
     return MoveProposal(item, source, target, *costs, assigned[item], relayout)
 
 
@@ -564,7 +560,7 @@ def _place(
     """(class index, base) per incoming class of `key` (sorted class
     indices), placed jointly among the residents `kept` (a content; no
     pairs for an empty bin), bases in ints over its unit; None if they do
-    not fit.  Callers ask through _asked, which keeps it in memo[kept][key],
+    not fit.  Callers ask through _asked, which keeps it in memo[kept, key],
     and hand bases to items, as Fractions, through _distribute.
 
     geometry's integer core is exact and complete, and its answer depends
@@ -588,16 +584,12 @@ def _asked(
     key: Tuple[int, ...],
     node_cap: Optional[int] = None,
 ) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-    """memo[kept][key], searched by _place the first time it is asked."""
-    table = memo.setdefault(kept, {})
-    if key not in table:
-        table[key] = _place(config, kept, key, node_cap)
-    return table[key]
-
-
-def _searches(memo: _Memo) -> int:
-    """Placement searches a memo holds: one per (kept, incoming) key."""
-    return sum(len(table) for table in memo.values())
+    """memo[kept, key], searched by _place the first time it is asked: a
+    hit hashes the content once."""
+    layout = memo.get((kept, key), _UNASKED)
+    if layout is _UNASKED:
+        layout = memo[kept, key] = _place(config, kept, key, node_cap)
+    return layout
 
 
 def _distribute(
@@ -655,10 +647,9 @@ def is_nash(config: GameConfig, mode: str = "insertion") -> NashResult:
     config's integers.  Fresh bins are never targets; a lone item's cost
     of 1 cannot improve.
     """
-    _check_mode(mode)
     screen = _MoveScreen(config, mode)
     moves = tuple(_proposal(config, mode, *mv) for mv in screen.moves())
-    return NashResult(moves, _searches(screen.memo), config)
+    return NashResult(moves, len(screen.memo), config)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +717,6 @@ def best_response_dynamics(
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    _check_mode(mode)
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     rng = random.Random(seed)
@@ -735,11 +725,11 @@ def best_response_dynamics(
     last_potential = sorted(current._volumes.iocc.values(), reverse=True)
     screen = _MoveScreen(current, mode)
     for _ in range(max_steps):
-        searched = _searches(screen.memo)
+        searched = len(screen.memo)
         chosen = screen.pick(policy, rng)
         if chosen is None:
             current.validate()
-            total = _searches(screen.memo)
+            total = len(screen.memo)
             cert = NashResult((), total - searched, current)
             return DynamicsResult(current, tuple(applied), cert, total)
         move = _proposal(current, mode, *chosen)
@@ -754,7 +744,7 @@ def best_response_dynamics(
             )
         last_potential = now
     current.validate()
-    return DynamicsResult(current, tuple(applied), None, _searches(screen.memo))
+    return DynamicsResult(current, tuple(applied), None, len(screen.memo))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +826,7 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     Coalitions of one key (_Orbits.signature) are related by such a pi
     (pair the touched bins of equal entries, then the other bins of each
     content), so only one per key is searched: its least sorted tuple of
-    item ids.  _Orbits.levels visits these size by size, in item order, so
+    item ids.  _Orbits.levels visits these size by size, in id order, so
     the first gaining one is the first gaining coalition of the plain walk
     over every combination of items.
 
@@ -859,7 +849,7 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     existing = sorted(m.iocc)
     fresh_base = (max(existing) + 1) if existing else 0
     # the test depends on the source bin alone: keep the bins that pass it
-    reach = sum(sorted(m.ivol.values(), reverse=True)[:max_coalition_size])
+    reach = sum(nlargest(max_coalition_size, map(m.vol.__getitem__, m.cid.values())))
     fullest = sorted(existing, key=m.iocc.__getitem__, reverse=True)[:2]
     sources = [
         b for b in existing
@@ -898,18 +888,17 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
                 if violation is not None:
                     return StrongNashResult(
                         max_coalition_size, violation, coalitions_checked,
-                        assignments_checked, _searches(memo),
+                        assignments_checked, len(memo),
                     )
     return StrongNashResult(
-        max_coalition_size, None, coalitions_checked, assignments_checked,
-        _searches(memo),
+        max_coalition_size, None, coalitions_checked, assignments_checked, len(memo)
     )
 
 
 class _Orbits:
     """The items of the given source bins, each labelled (bin, content id of
     the bin, slot): its place among the bin's cubes sorted by (class, base),
-    coincident cubes in item order, or with `by_class` its class index."""
+    coincident cubes in id order, or with `by_class` its class index."""
 
     def __init__(self, m: _VolumeModel, sources: Iterable[int], by_class: bool = False):
         self.m = m
@@ -940,7 +929,7 @@ class _Orbits:
     def levels(self, cap: int, allowed: Optional[Collection[tuple]] = None) -> Iterator[list]:
         """Per size 1..cap, the (least coalition, pattern) pair of each key
         whose pattern is `allowed` (all if None; else closed under
-        sub-patterns), in item order.
+        sub-patterns), in id order.
 
         A level extends the one below, in order, by each larger item, and
         keeps an extension with a key new at its level.  Coalitions share a
@@ -1001,7 +990,7 @@ def _coalition_move(
         tuple(targets),
         tuple(placements[i] for i in members),
         tuple(config.item_cost(i) for i in members),
-        tuple(Fraction(m.ivol[i], after[t]) for i, t in zip(members, targets)),
+        tuple(Fraction(m.vol[m.cid[i]], after[t]) for i, t in zip(members, targets)),
     )
 
 
@@ -1029,10 +1018,10 @@ def _gaining_assignments(
     room = {t: m.iocc[t] for t in existing} | dict.fromkeys(fresh, 0)
     before = {t: t - 1 for t in fresh[1:]}
     removed: Dict[Tuple[int, int], int] = {}
-    for i in members:
-        room[src[i]] -= m.ivol[i]
+    vols = [m.vol[m.cid[i]] for i in members]
+    for i, v in zip(members, vols):
+        room[src[i]] -= v
         removed[src[i], m.cid[i]] = removed.get((src[i], m.cid[i]), 0) + 1
-    vols = [m.ivol[i] for i in members]
     needs = [m.iocc[src[i]] for i in members]
     total = sum(vols)
     cands: List[List[int]] = []

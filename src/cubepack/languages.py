@@ -516,10 +516,7 @@ def count_good_words(
         if not j <= f:
             raise ValueError(f"difference set {sorted(j)} leaves F {sorted(f)}")
     m = len(js)
-    if 1 << m > GOOD_WORDS_TERM_CAP:
-        raise ValueError(
-            f"2^{m} inclusion-exclusion terms exceed cap {GOOD_WORDS_TERM_CAP}"
-        )
+    _check_terms(m)
     bits = [sum(1 << c for c in j) for j in js]
     unions = [0] * (1 << m)  # bit c set iff coordinate c is in the union
     total = 0
@@ -531,6 +528,12 @@ def count_good_words(
         term = (k - 2) ** u * (k - 1) ** (len(f) - u)
         total += -term if mask.bit_count() % 2 else term
     return total
+
+
+def _check_terms(m: int) -> None:
+    """Refuse a count over m difference sets, 2^m terms, past the cap."""
+    if 1 << m > GOOD_WORDS_TERM_CAP:
+        raise ValueError(f"2^{m} inclusion-exclusion terms exceed cap {GOOD_WORDS_TERM_CAP}")
 
 
 # -- families ----------------------------------------------------------------
@@ -678,8 +681,11 @@ def build_separated_family(
     enumerate mode materializes cores per good letter mask (refusing past
     ENUMERATE_CAP) and reads certify's letter masks off those masks;
     implicit mode keeps the difference sets as the language's rule, with
-    the exact inclusion-exclusion count.  Failures (empty class, empty
-    difference set, infeasible sampling) raise rather than repair.
+    the exact inclusion-exclusion count.  Failures raise rather than
+    repair, and the refusals that need no count (empty difference set,
+    term cap, enumerate cap) run for every class, in class order, before
+    any class is counted.  No class is empty: its difference sets are
+    nonempty subsets of F_k, so the core with k all over F_k is good.
     """
     cls = tuple(sorted(set(_expect_ints(classes))))
     if not cls:
@@ -694,11 +700,9 @@ def build_separated_family(
     if missing:
         raise ValueError(f"fsets lacks entries for classes {missing}")
 
-    languages: dict[int, Language] = {}
-    stats: dict[int, ClassStats] = {}
+    rules: dict[int, list[frozenset[int]]] = {}
     for k in cls:
         f_k = fsets.sets[k]
-        coords = tuple(sorted(f_k))
         j_sets = []
         for l in cls:
             if l >= k:
@@ -710,23 +714,23 @@ def build_separated_family(
                     f"core would be bad"
                 )
             j_sets.append(frozenset(j))
-        total = (k - 1) ** len(coords)
-        lang = Language(k, d, f_coords=coords, core_rules=j_sets)
-        if mode == "enumerate":
-            if total > ENUMERATE_CAP:
-                raise ValueError(
-                    f"class {k}: {total} cores exceed enumerate cap {ENUMERATE_CAP}; "
-                    f"use implicit mode"
-                )
-            lang._list_good_cores()
-        good_count = lang.core_size()
-        if good_count == 0:
-            raise FamilyConstructionError(
-                f"class {k} has no good core words at d={d}; the construction "
-                f"fails at this scale"
+        _check_terms(len(j_sets))
+        total = (k - 1) ** len(f_k)
+        if mode == "enumerate" and total > ENUMERATE_CAP:
+            raise ValueError(
+                f"class {k}: {total} cores exceed enumerate cap {ENUMERATE_CAP}; "
+                f"use implicit mode"
             )
-        languages[k] = lang
-        stats[k] = ClassStats(k, len(coords), total, good_count)
+        rules[k] = j_sets
+
+    languages: dict[int, Language] = {}
+    stats: dict[int, ClassStats] = {}
+    for k, j_sets in rules.items():
+        coords = tuple(sorted(fsets.sets[k]))
+        languages[k] = lang = Language(k, d, f_coords=coords, core_rules=j_sets)
+        if mode == "enumerate":
+            lang._list_good_cores()
+        stats[k] = ClassStats(k, len(coords), (k - 1) ** len(coords), lang.core_size())
 
     family = SeparatedFamily(d, cls, languages, fsets, seed, mode, stats)
     cert = family.certify()

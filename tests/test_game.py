@@ -157,6 +157,26 @@ def test_config_json_round_trip():
     assert again == cfg
 
 
+def test_a_config_listed_out_of_id_order_plays_as_in_id_order():
+    # A file may list its cubes in any order.  The bin model keeps each
+    # bin's members in id order, the order moves and config_to_dict use,
+    # so verdicts, moves, runs and counters read as on the sorted file.
+    payloads = [config_to_dict(homogeneous_mixture([2, 3], 2, F(1, 9)))]
+    payloads += [config_to_dict(cfg) for cfg in _start_states(5, 3)]
+    for payload in payloads:
+        ordered = config_from_dict(payload)
+        flipped = config_from_dict(dict(payload, cubes=payload["cubes"][::-1]))
+        assert is_nash(flipped).moves == is_nash(ordered).moves
+        for seed in range(3):
+            a = best_response_dynamics(ordered, "random", seed=seed)
+            b = best_response_dynamics(flipped, "random", seed=seed)
+            assert b.applied == a.applied
+            assert config_to_dict(b.config) == config_to_dict(a.config)
+        assert is_strong_nash(flipped, 2) == is_strong_nash(ordered, 2)
+        for cfg in (ordered, flipped):
+            assert all(ids == sorted(ids) for ids in cfg._volumes.members.values())
+
+
 # ---------------------------------------------------------------------------
 # improving moves and Nash checks
 

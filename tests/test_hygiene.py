@@ -134,17 +134,23 @@ def _uses_by_function(tree: ast.Module) -> list:
 
 def test_one_memoized_placement_lookup_in_game():
     # moves and coalitions ask every placement through _asked, the one
-    # memo get-search-store; _place stays the pure search, the only
-    # caller of geometry's integer core
+    # memo get-search-store: elsewhere a memo is passed on or counted by
+    # len, never subscripted, tested for a key or sent a method call.
+    # _place stays the pure search, the only caller of geometry's
+    # integer core
+    def is_memo(node):
+        return "memo" in (getattr(node, "id", None), getattr(node, "attr", None))
+
     asks, cores = [], []
     for owner, node in _uses_by_function(_tree(PACKAGE / "game.py")):
         func = getattr(node, "func", None)
-        memo_setdefault = (
-            isinstance(func, ast.Attribute) and func.attr == "setdefault"
-            and "memo" in (getattr(func.value, "id", None), getattr(func.value, "attr", None))
+        reads_memo = (
+            isinstance(node, ast.Subscript) and is_memo(node.value)
+            or isinstance(func, ast.Attribute) and is_memo(func.value)
+            or isinstance(node, ast.Compare) and any(is_memo(c) for c in node.comparators)
         )
         calls_place = isinstance(func, ast.Name) and func.id == "_place"
-        if (memo_setdefault or calls_place) and owner != "_asked":
+        if (reads_memo or calls_place) and owner != "_asked":
             asks.append(f"{owner}:{node.lineno}")
         if isinstance(node, ast.Name) and node.id == "_joint_corners" and owner != "_place":
             cores.append(f"{owner}:{node.lineno}")

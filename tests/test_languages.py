@@ -559,6 +559,21 @@ def test_build_family_enumerate_cap_refuses(monkeypatch):
         build_separated_family(8, (2, 5), seed=0)
 
 
+def test_build_family_refuses_before_counting_any_class(monkeypatch):
+    # at d=1000 class 23 has 21 smaller classes, so 2^21 terms: the term
+    # cap refuses it before classes 2..22 are counted
+    count, calls = count_good_words, []
+
+    def recorded(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr("cubepack.languages.count_good_words", recorded)
+    with pytest.raises(ValueError, match=r"2\^21 inclusion-exclusion terms exceed cap 1048576"):
+        build_separated_family(1000, range(2, 35), 0, mode="implicit")
+    assert not calls
+
+
 def test_build_family_reports_empty_difference_set():
     fs = FSets(4, F(3), {2: frozenset({1, 2}), 3: frozenset({1, 2})})
     with pytest.raises(FamilyConstructionError):

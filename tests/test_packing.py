@@ -266,32 +266,19 @@ def test_build_packing_per_class_cap():
     assert verify_bin(packing.bin)
 
 
-def test_build_packing_reads_at_most_one_word_past_the_cap(monkeypatch):
-    # warm-up d=4 holds 1 + 8 + 27 words; with room for 10 the refusal
-    # must come after the second class-4 word, not after all 27
-    monkeypatch.setattr("cubepack.packing.MATERIALIZE_CAP", 10)
-    select, read = Language.select_words, []
-
-    def counted(self, limit=None):
-        for word in select(self, limit):
-            read.append(word)
-            yield word
-
-    monkeypatch.setattr(Language, "select_words", counted)
-    with pytest.raises(ValueError, match="materializing more than 10 cubes"):
-        build_packing(warmup_family(4), F(1, 16))
-    assert len(read) <= 11
-
-
 def test_build_packing_refuses_past_the_cap_before_selecting_a_word(monkeypatch):
-    # warm-up d=2000 holds 2^1999 class-3 words: the refusal reads each
-    # class's yield off its counts and selects no word
+    # the refusal reads each class's yield off its counts and selects no
+    # word: warm-up d=2000 holds 2^1999 class-3 words, and warm-up d=4
+    # holds 1 + 8 + 27 words against a cap of 10
     def refuse(self, limit=None):
         raise AssertionError("build_packing selected a word past its cap")
 
     monkeypatch.setattr(Language, "select_words", refuse)
     with pytest.raises(ValueError, match=f"materializing more than {MATERIALIZE_CAP} cubes"):
         build_packing(warmup_family(2000), F(1, 2000 ** 2))
+    monkeypatch.setattr("cubepack.packing.MATERIALIZE_CAP", 10)
+    with pytest.raises(ValueError, match="materializing more than 10 cubes"):
+        build_packing(warmup_family(4), F(1, 16))
 
 
 def test_build_packing_implicit_budgeted_is_deterministic():
@@ -321,6 +308,21 @@ def test_dense_report_small_d_falls_back_to_warmup():
     assert rep.weight_full == F(3, 2)
     assert rep.fallback_reason is not None
     assert not rep.asserted
+
+
+def test_dense_report_falls_back_to_warmup_after_a_refused_family(monkeypatch):
+    # a term cap of 1 refuses class 3 of the randomized family (one
+    # difference set, 2^1 terms) before any class is counted
+    calls = []
+    monkeypatch.setattr("cubepack.languages.GOOD_WORDS_TERM_CAP", 1)
+    monkeypatch.setattr("cubepack.languages.count_good_words", lambda *a: calls.append(a))
+    rep = dense_packing_report(40, per_class_cap=2)
+    assert rep.family_mode == "warmup-fallback"
+    assert rep.fallback_reason == "2^1 inclusion-exclusion terms exceed cap 1"
+    assert rep.s_effective == 40
+    assert rep.epsilon == F(1, 1600)
+    assert len(rep.packing.bin.cubes) == 77
+    assert not calls
 
 
 def test_dense_report_randomized_at_d30():
