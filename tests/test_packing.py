@@ -266,19 +266,32 @@ def test_build_packing_per_class_cap():
     assert verify_bin(packing.bin)
 
 
+def test_build_packing_reads_at_most_one_word_past_the_cap(monkeypatch):
+    # warm-up d=4 holds 1 + 8 + 27 words; with room for 10 the refusal
+    # reads the yield off the class counts and reads no word at all
+    monkeypatch.setattr("cubepack.packing.MATERIALIZE_CAP", 10)
+    select, read = Language.select_words, []
+
+    def counted(self, limit=None):
+        for word in select(self, limit):
+            read.append(word)
+            yield word
+
+    monkeypatch.setattr(Language, "select_words", counted)
+    with pytest.raises(ValueError, match="materializing more than 10 cubes"):
+        build_packing(warmup_family(4), F(1, 16))
+    assert read == []
+
+
 def test_build_packing_refuses_past_the_cap_before_selecting_a_word(monkeypatch):
-    # the refusal reads each class's yield off its counts and selects no
-    # word: warm-up d=2000 holds 2^1999 class-3 words, and warm-up d=4
-    # holds 1 + 8 + 27 words against a cap of 10
+    # warm-up d=2000 holds 2^1999 class-3 words: the refusal reads each
+    # class's yield off its counts and selects no word
     def refuse(self, limit=None):
         raise AssertionError("build_packing selected a word past its cap")
 
     monkeypatch.setattr(Language, "select_words", refuse)
     with pytest.raises(ValueError, match=f"materializing more than {MATERIALIZE_CAP} cubes"):
         build_packing(warmup_family(2000), F(1, 2000 ** 2))
-    monkeypatch.setattr("cubepack.packing.MATERIALIZE_CAP", 10)
-    with pytest.raises(ValueError, match="materializing more than 10 cubes"):
-        build_packing(warmup_family(4), F(1, 16))
 
 
 def test_build_packing_implicit_budgeted_is_deterministic():
