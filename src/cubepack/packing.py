@@ -40,8 +40,6 @@ from .languages import (
 
 # build_packing refuses to materialize more cubes than this in one bin
 MATERIALIZE_CAP = 100_000
-# the report drivers assert their asymptotic weight targets from this d on
-ASYMPTOTIC_D0 = 1 << 20
 
 
 class PackingVerificationError(RuntimeError):
@@ -263,8 +261,7 @@ class DensePackingReport:
     """Outcome of the many-classes construction at a given dimension.
 
     Targets involving log d are irrational, so they are reported as
-    floats and asserted only from the asymptotic scale ASYMPTOTIC_D0 on;
-    every packing quantity stays exact.
+    floats; every packing quantity stays exact.
     """
 
     d: int
@@ -280,7 +277,6 @@ class DensePackingReport:
     target_fraction: Fraction  # (10/11)(S - 1)
     meets_density: bool
     meets_fraction: bool
-    asserted: bool
 
 
 def _build_family(d: int, classes: tuple, seed: int) -> SeparatedFamily:
@@ -331,12 +327,6 @@ def dense_packing_report(
     target_fraction = Fraction(10, 11) * (s_eff - 1)
     meets_density = float(weight_full) >= target_density
     meets_fraction = weight_full >= target_fraction
-    asserted = d >= ASYMPTOTIC_D0
-    if asserted and not (meets_density and meets_fraction):
-        raise RuntimeError(
-            f"asymptotic weight target failed at asserted scale d={d}: "
-            f"weight {weight_full} vs density {target_density} / fraction {target_fraction}"
-        )
     return DensePackingReport(
         d,
         log_base,
@@ -351,7 +341,6 @@ def dense_packing_report(
         target_fraction,
         meets_density,
         meets_fraction,
-        asserted,
     )
 
 
@@ -370,7 +359,6 @@ class PowerOfTwoPackingReport:
     target_log_d: float
     meets_target: Optional[bool]
     status: str  # "built" | "degenerate"
-    asserted: bool
 
 
 def power_of_two_s_prime(d: int, log_base: str = "natural") -> int:
@@ -398,13 +386,9 @@ def power_of_two_packing_report(
     sp = s_prime if s_prime is not None else formula
     overridden = s_prime is not None
     target = _log(d, log_base)
-    asserted = d >= ASYMPTOTIC_D0
     if sp < 2:
-        if asserted:
-            raise RuntimeError(f"S' = {sp} < 2 at asserted scale d={d}")
         return PowerOfTwoPackingReport(
-            d, log_base, sp, overridden, (), None, None, None, target, None,
-            "degenerate", asserted,
+            d, log_base, sp, overridden, (), None, None, None, target, None, "degenerate"
         )
     classes = tuple(2 ** (j - 1) for j in range(2, sp + 1))
     epsilon = Fraction(1, 4 ** (sp - 1))
@@ -412,14 +396,9 @@ def power_of_two_packing_report(
     packing = build_packing(family, epsilon, per_class_cap=per_class_cap)
     weight_full = family.weight()
     meets = float(weight_full) >= target
-    if asserted and not meets:
-        raise RuntimeError(
-            f"power-of-two weight target failed at asserted scale d={d}: "
-            f"{weight_full} < {target}"
-        )
     return PowerOfTwoPackingReport(
         d, log_base, sp, overridden, classes, epsilon, packing, weight_full,
-        target, meets, "built", asserted,
+        target, meets, "built",
     )
 
 

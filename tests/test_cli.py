@@ -178,6 +178,18 @@ def test_adversary_rejects_odd_scale(tmp_path, packing_file, capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_adversary_rejects_a_packing_that_fails_verification(tmp_path, packing_file,
+                                                             capsys):
+    doc = read(packing_file)
+    doc["words"]["3"].append(doc["words"]["3"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "adv.json"
+    assert run("online", "adversary", "--packing", bad, "--M", 1, "--out", out) == 1
+    assert "loaded packing fails verification" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_online_run_beats_the_certified_floor(tmp_path, instance_file, capsys):
     report = tmp_path / "report.json"
     code = run("online", "run", "--alg", "class-harmonic",
@@ -213,6 +225,16 @@ def test_game_poa_matches_hand_count(tmp_path, packing_file, capsys):
     assert doc["ratio"] == "3/2"
     assert doc["equilibrium_certified"] is True
     assert "3/2" in capsys.readouterr().out
+
+
+def test_game_poa_without_out_writes_no_file(tmp_path, packing_file, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run("game", "poa", "--packing", packing_file) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+    out = capsys.readouterr().out
+    assert "ratio 3/2" in out and "wrote" not in out
 
 
 def test_game_poa_refuses_an_instance_past_the_item_cap(tmp_path, packing_file,
@@ -290,6 +312,15 @@ def test_dynamics_negative_budget_is_bad_input(equilibrium_file, capsys):
 def test_game_prop1_sweep_passes(capsys):
     assert run("game", "prop1", "--kmax", 20, "--dmax", 6) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_game_prop1_reports_a_failing_triple(monkeypatch, capsys):
+    monkeypatch.setattr("cubepack.game.prop1_check", lambda k, l, d: (k, l, d) != (2, 3, 2))
+    assert run("game", "prop1", "--kmax", 3, "--dmax", 2) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == ("FAIL: 1 of 1 triples violate the regrouping "
+                                    "inequality, first (2, 3, 2)")
+    assert "OK" not in captured.out
 
 
 @pytest.mark.parametrize("flags", [("--kmax", 2), ("--kmax", 5, "--dmax", 1)])

@@ -1596,3 +1596,47 @@ def test_dynamics_endpoints_sparse_audit():
         assert result.status == "nash"
         report = sparse_bin_report(result.config, nash_result=result.certificate)
         assert report.sparse_count_ok, (trial, classes)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_strong_nash_screen_keeps_a_source_below_the_two_fullest_bins(cap):
+    # d=1, all three bins at 4/5: bins 0 and 1 hold two cubes of side 2/5,
+    # bin 2 four of side 1/5.  Bin 2 is not among the two fullest bins, so
+    # the source screen must compare it against them: its item 4 gains
+    # alone by moving into bin 0's free fifth.
+    big, small = CubeClass(5, 1, 1), CubeClass(10, 1, 1)
+    classes = [big] * 4 + [small] * 4
+    items = tuple(GameItem(i, cls) for i, cls in enumerate(classes))
+    bases = [0, F(2, 5)] * 2 + [F(j, 5) for j in range(4)]
+    cfg = GameConfig(1, items, {i: min(i // 2, 2) for i in range(8)},
+                     {i: (F(x),) for i, x in enumerate(bases)})
+    _check_strong_nash_case((cfg, cap, 10))
+    assert is_strong_nash(cfg, cap).violation.members == (4,)
+
+
+# -- argument refusals ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: config_from_bins([]), ValueError, "need at least one bin"),
+        (lambda: config_from_bins([Bin(1), Bin(2)]), ValueError,
+         "mixed dimensions across bins"),
+        (lambda: homogeneous_mixture((2, 2), 2, F(1, 4)), ValueError,
+         "classes must be distinct"),
+        (lambda: CoalitionProposal((0,), (1,), ((F(0),),), (F(1, 2),), (F(1, 2),)),
+         ValueError, "every coalition member must strictly improve"),
+        (lambda: is_strong_nash(two_items_config(), 0), ValueError,
+         "coalition size cap must be >= 1"),
+        (lambda: meir_moser_predicate([], F(1, 2), 0), ValueError, "d must be >= 1, got 0"),
+        (lambda: meir_moser_predicate([F(-1)], F(1, 2), 1), ValueError,
+         "volumes must be nonnegative"),
+    ],
+    ids=["bins-none", "bins-mixed-d", "mixture-class-twice", "coalition-no-gain",
+         "strong-nash-cap0", "meir-moser-d0", "meir-moser-negative"],
+)
+def test_game_refuses_hostile_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

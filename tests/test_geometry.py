@@ -842,3 +842,24 @@ def test_node_cap_counts_every_candidate_base(boxes, scale, ints, d, least):
     assert geometry._joint_corners(boxes, scale, ints, d, least) == uncapped
     with pytest.raises(geometry.SearchBudgetError):
         geometry._joint_corners(boxes, scale, ints, d, least - 1)
+
+
+# -- argument refusals ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: CubeClass(2, F(1, 4), 0), ValueError, "dimension d must be an int >= 1"),
+        (lambda: Bin(2, [PlacedCube(CubeClass(2, F(1, 4), 1), (F(0),))]), ValueError,
+         "cube of dimension 1 in 2-dimensional bin"),
+        (lambda: find_free_position([], F(0), 1), ValueError, "side must be in (0, 1]"),
+        (lambda: find_joint_positions([], [F(1, 2), F(3, 2)], 1), ValueError,
+         "side must be in (0, 1]"),
+    ],
+    ids=["cube-class-d0", "bin-mixed-d", "side-zero", "joint-side-past-1"],
+)
+def test_geometry_refuses_hostile_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)

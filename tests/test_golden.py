@@ -62,9 +62,9 @@ def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
         (("--d", 4, "--eps", "1/16", "--per-class-cap", 5),
          "048ed93a03caf7964d59ef99674b91f1e415a78228abc92c27d8df57d52b3dfc"),
         (("--d", 4, "--mode", "lemmaA"),  # warm-up fallback
-         "0ca676e82618cd31f4180007b908056c7ca7548b4da2d3ae39b5beb682f353b8"),
+         "4d00459a2339e14f76045e3ff259944aada162ffb6d6dec6f911b2cdd6177df2"),
         (("--d", 30, "--mode", "lemmaA", "--per-class-cap", 20),  # randomized
-         "09562343b42d6b07fddd98bc507334f3986c88a104d5419c4211b90e9a52e1ad"),
+         "08fddb3547ae239b876035a63f832734437d5ea69146d1b3318f8fbe1a6d31fd"),
         (("--d", 3, "--mode", "lemmaB"),  # degenerate
          "55596836e1ba76d834a4986dce83924bc20ccf4642ebe39bb8c927f9a57757ee"),
     ],
@@ -114,7 +114,7 @@ def test_game_spoa_file_is_pinned(tmp_path, pow_packing_file):
     out = tmp_path / "spoa.json"
     assert run("game", "spoa", "--packing", pow_packing_file, "--out", out) == 0
     assert _sha256(out) == (
-        "f21e9219826d23277d790823c0790c65b30c9df9f5f25ba60591f74f9bd03547"
+        "4dcb9b131a297ff2c13b43e26ceb249961abbf741934dfa1210272dcc3c0d152"
     )
 
 

@@ -758,3 +758,73 @@ def test_separation_has_no_sampled_path():
     src = Path(__file__).resolve().parent.parent / "src" / "cubepack"
     for path in sorted(src.rglob("*.py")):
         assert not re.search(r"""["']sampled["']""", path.read_text()), path.name
+
+
+# -- argument refusals and give-up paths -----------------------------------------
+
+
+def _lang(**kw):
+    return Language(3, 2, f_coords=(1,), **kw)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Word((1,), 1), ValueError, "class index k must be >= 2"),
+        (lambda: Language(1, 2, f_coords=(), core_words=()), ValueError,
+         "need k >= 2 and d >= 1"),
+        (lambda: Language(3, 2, f_coords=(1, 1), core_words=()), ValueError,
+         "duplicate indices in f_coords"),
+        (lambda: Language(3, 2, f_coords=(3,), core_words=()), ValueError,
+         "f_coords (3,) outside [1..2]"),
+        (lambda: _lang(), ValueError, "exactly one of core_words and core_rules"),
+        (lambda: _lang(core_words=((1, 1),)), ValueError, "does not match |F|=1"),
+        (lambda: list(_lang(core_words=((3,),)).select_words(-1)), ValueError,
+         "limit must be >= 0"),
+        (lambda: _lang(core_words=()).sample_word(random.Random(0)), ValueError,
+         "cannot sample from an empty language"),
+        (lambda: are_separated(Language(2, 2, f_coords=(2,), core_words=((2,),)),
+                               Language(3, 3, f_coords=(3,), core_words=((3,),))),
+         ValueError, "dimension mismatch"),
+        (lambda: FSets(2, F(1), {2: frozenset({3})}), ValueError, "F_2 leaves [1..2]"),
+        (lambda: sample_f_sets(0, 0), ValueError, "need d >= 1"),
+        (lambda: sample_f_sets(4, 0, indices=(2, 2)), ValueError, "duplicate indices"),
+        (lambda: is_bad_word((1, 2), 3, (1,), f_coords=(1,)), ValueError,
+         "f_coords must align with v"),
+        (lambda: count_good_words(3, (1,), [(2,)]), ValueError,
+         "difference set [2] leaves F [1]"),
+        (lambda: warmup_family(1), ValueError, "need d >= 2"),
+        (lambda: build_separated_family(4, (), 0), ValueError, "need at least one class"),
+        (lambda: build_separated_family(4, (1, 2), 0), ValueError,
+         "classes must be >= 2, got 1"),
+        (lambda: build_separated_family(4, (2,), 0, mode="lazy"), ValueError,
+         "unknown mode 'lazy'"),
+        (lambda: build_separated_family(4, (2, 3), 0,
+                                        fsets=sample_f_sets(4, 0, indices=(2,))),
+         ValueError, "fsets lacks entries for classes [3]"),
+    ],
+    ids=["word-k1", "language-k1", "language-f-twice", "language-f-outside",
+         "language-no-core", "language-core-length", "select-negative",
+         "sample-empty", "separated-mixed-d", "fsets-outside", "fsets-d0",
+         "fsets-indices-twice", "bad-word-misaligned", "good-words-outside-f",
+         "warmup-d1", "family-no-class", "family-class-1", "family-mode",
+         "family-fsets-missing"],
+)
+def test_languages_refuse_hostile_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_sample_f_sets_gives_up_past_the_draw_cap(monkeypatch):
+    # one draw places F_2; the next draw is past the cap, so F_3 is stuck
+    monkeypatch.setattr("cubepack.languages.F_SETS_DRAW_CAP", 1)
+    with pytest.raises(FSetsSamplingError, match="gave up after 2 draws"):
+        sample_f_sets(4, 0, indices=(2, 3))
+
+
+def test_sample_word_draws_a_member():
+    rng = random.Random(0)
+    lang = Language(4, 5, f_coords=(2, 4), core_words=((4, 1), (2, 4)))
+    for _ in range(20):
+        assert lang.contains(lang.sample_word(rng))

@@ -609,3 +609,31 @@ def test_ratio_report_validation():
         RatioReport(10, 16, 12)  # bound exceeds observed bins
     with pytest.raises(ValueError):
         RatioReport(24, 0, 12)  # no offline bin count to compare against
+
+
+# -- argument refusals and a packing that fails verification -------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Instance(0, F(1, 4), ()), ValueError, "dimension must be >= 1, got 0"),
+        (lambda: run_bounded_space(ClassHarmonicBaseline(1), Instance(1, F(1, 4), ()), 0),
+         ValueError, "open-bin budget must be >= 1, got 0"),
+        (lambda: ClassHarmonicBaseline(0), ValueError, "open-bin budget must be >= 1, got 0"),
+    ],
+    ids=["instance-d0", "harness-m0", "baseline-m0"],
+)
+def test_online_refuses_hostile_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_offline_certificate_refuses_an_unverified_overlapping_packing():
+    # a class-3 word placed twice: loaded without verification, the
+    # certificate still checks its bin
+    doc = packing_to_dict(remark_packing())
+    doc["words"]["3"].append(doc["words"]["3"][0])
+    with pytest.raises(HarnessViolation, match="failed verification"):
+        offline_certificate(packing_from_dict(doc, verify=False), 1)

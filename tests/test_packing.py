@@ -320,7 +320,6 @@ def test_dense_report_small_d_falls_back_to_warmup():
     assert rep.epsilon == F(1, 9)
     assert rep.weight_full == F(3, 2)
     assert rep.fallback_reason is not None
-    assert not rep.asserted
 
 
 def test_dense_report_falls_back_to_warmup_after_a_refused_family(monkeypatch):
@@ -388,3 +387,24 @@ def test_power_of_two_report_large_d_implicit():
     assert rep.classes == (2, 4, 8)
     assert rep.epsilon == F(1, 64)
     assert verify_bin(rep.packing.bin)
+
+
+# -- argument refusals ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: base_coordinate(1, 1, F(1, 2)), ValueError, "need k >= 2, got 1"),
+        (lambda: build_homogeneous(1, 2, F(1, 2)), ValueError, "need k >= 2, got 1"),
+        (lambda: power_of_two_s_prime(4, "10"), ValueError,
+         "log_base must be 'natural' or '2', got '10'"),
+        (lambda: dense_packing_report(1), ValueError, "need d >= 2, got 1"),
+        (lambda: power_of_two_s_prime(1), ValueError, "need d >= 2, got 1"),
+    ],
+    ids=["base-k1", "grid-k1", "log-base", "dense-d1", "power-of-two-d1"],
+)
+def test_packing_refuses_hostile_arguments(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
