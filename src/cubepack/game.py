@@ -4,16 +4,16 @@ Each cube is a player whose cost is its volume divided by the occupied
 volume of its bin; the social cost is the number of used bins.  A config
 answers every per-bin question (occupancy, members, class census,
 content, cost) from one bin model: integer volumes over one common
-denominator, and each bin's content in integers, built the first time it
-is asked for.  A moved config inherits its parent's model and recomputes
-only the bins the move touched.  Because insertion cost depends only on
-volumes, never on positions, every move and coalition search runs an
-exact prefilter on those integers before touching geometry.  Every
-geometric question goes through one memoized integer placement search,
-keyed by the content of the residents kept and the incoming classes in
-one fixed order: an insertion keeps the whole target bin, a repack
-re-layout nothing, and a coalition target what its members leave behind.
-Bases become Fractions only in the moves reported or applied.
+denominator, and each bin's content, scaled onto ints by geometry the
+first time it is asked for.  A moved config inherits its parent's model
+and recomputes only the bins the move touched.  Because insertion cost
+depends only on volumes, never on positions, every move and coalition
+search runs an exact prefilter on those integers before touching
+geometry.  Every geometric question goes through one memoized placement
+search on ints, keyed by the content of the residents kept and the
+incoming classes in one fixed order: an insertion keeps the whole target
+bin, a repack re-layout nothing, and a coalition target what its members
+leave behind.  Bases are Fractions only in the moves reported or applied.
 
 The checks read types, not items.  A move's gain depends on
 (occ(source), class, occ(target)) and its room on (target content,
@@ -31,6 +31,7 @@ patterns that can gain (proofs at is_strong_nash and _Orbits.levels).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -55,6 +56,7 @@ from .geometry import (
     CubeClass,
     PlacedCube,
     SearchBudgetError,
+    _int_boxes,
     _joint_corners,
     as_rational,
     expect_type,
@@ -113,7 +115,7 @@ class _VolumeModel:
     first, and k tells apart the classes of one side.  A class of side s
     fits at most floor(1/s)^d disjoint open cubes into one bin, whatever
     else sits there (interval-graph colouring per axis).  A bin's content
-    is built the first time it is asked for.
+    is built when first asked for, scaled onto ints by geometry alone.
     """
 
     scale: int
@@ -121,41 +123,39 @@ class _VolumeModel:
     cid: Dict[int, int]  # item id -> class index
     classes: List[CubeClass]  # class index -> class
     capacity: List[int]  # class index -> floor(1/side)^d
-    unit: int  # lcm of the class side denominators
     positions: Mapping[int, Tuple[Fraction, ...]]  # item id -> base
     iocc: Dict[int, int]  # bin -> occupied volume * scale, off the census
     members: Dict[int, List[int]]  # bin -> item ids, ascending
     census: Dict[int, List[int]]  # bin -> resident count per class index
-    contents: Dict[int, tuple]  # bin -> content, for the bins asked so far
+    contents: Dict[int, Tuple[tuple, tuple]]  # bin -> (content, row), once asked
 
-    def cube(self, item_id: int, unit: int) -> Tuple[int, Tuple[int, ...]]:
-        """The item's (class index, base), its base in ints over `unit`."""
-        return self.cid[item_id], tuple(
-            [x.numerator * (unit // x.denominator) for x in self.positions[item_id]]
-        )
-
-    def content(self, bin_id: int) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-        """The bin's content: its unit (the lcm of `unit` and its bases'
-        denominators, so it depends on the cubes alone) and the sorted
-        (class index, base) pairs of its cubes, bases in ints over it.  A
-        sorted tuple, not a set, so coincident cubes stay two."""
+    def content(self, bin_id: Optional[int]) -> Tuple[tuple, tuple]:
+        """(content, row) of the bin, empty for an id not in use (None say).
+        The content is (unit, sides, pairs): every class side and the sorted
+        (class index, base) pairs of the cubes, in ints over the unit geometry
+        scales them onto, so it depends on the cubes alone (sorted, not a set:
+        coincident cubes stay two).  The row is the pairs in member order."""
         if bin_id not in self.contents:
-            ids = self.members[bin_id]
-            cubes = [(self.cid[i], self.positions[i]) for i in ids]
+            ids = self.members.get(bin_id, [])
+            cubes = [self.cid[i] for i in ids], [self.positions[i] for i in ids]
             # copies of one bin share a content: comparing their bases (mostly
-            # shared Fraction objects) is far cheaper than rescaling them
-            peers = self._built.setdefault((self.iocc[bin_id], len(ids)), [])
-            content = next((c for other, c in peers if other == cubes), None)
-            if content is None:
-                unit = lcm(self.unit, *{x.denominator for _, base in cubes for x in base})
-                content = unit, tuple(sorted(self.cube(i, unit) for i in ids))
-                peers.append((cubes, content))
-            self.contents[bin_id] = content
+            # shared Fraction objects) is far cheaper than scaling them
+            peers = self._built.setdefault((self.iocc.get(bin_id, 0), len(ids)), [])
+            laid = next((c for other, c in peers if other == cubes), None)
+            if laid is None:
+                cids, bases = cubes
+                sides = [c.side for c in self.classes]
+                unit, boxes, ints = _int_boxes(
+                    bases, [sides[c] for c in cids], sides, self.classes[0].d)
+                row = tuple(zip(cids, [lo for lo, _ in boxes]))
+                laid = (unit, ints, tuple(sorted(row))), row
+                peers.append((cubes, laid))
+            self.contents[bin_id] = laid
         return self.contents[bin_id]
 
     @cached_property
     def _built(self) -> Dict[Tuple[int, int], list]:
-        """(occupancy, cube count) -> (cubes, content) of each content built."""
+        """(occupancy, cube count) -> (cubes, (content, row)) of each built."""
         return {}
 
     def regrouped(
@@ -191,10 +191,8 @@ class _VolumeModel:
                 count[self.cid[i]] += 1
             iocc[b] = sum(map(mul, count, self.vol))
             members[b], census[b] = ids, count
-        return _VolumeModel(
-            self.scale, self.vol, self.cid, self.classes, self.capacity, self.unit,
-            positions, iocc, members, census, contents,
-        )
+        return _VolumeModel(self.scale, self.vol, self.cid, self.classes, self.capacity,
+                            positions, iocc, members, census, contents)
 
 
 @dataclass(frozen=True)
@@ -256,10 +254,7 @@ class GameConfig:
         scale = lcm(*(c.volume.denominator for c in order))
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in order]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
-        unit = lcm(*(c.side.denominator for c in order))
-        empty = _VolumeModel(
-            scale, vols, cid, order, caps, unit, self.positions, {}, {}, {}, {}
-        )
+        empty = _VolumeModel(scale, vols, cid, order, caps, self.positions, {}, {}, {}, {})
         touched = set(self.assignment.values())
         return empty.regrouped(self.assignment, self.positions, cid, touched)
 
@@ -489,10 +484,10 @@ class _MoveScreen:
             fits[c] = False
             if m.iocc[t] + m.vol[c] <= m.scale and m.census[t][c] < m.capacity[c]:
                 if self.mode == "insertion":
-                    kept, key, cap = m.content(t), (c,), None
+                    kept, key, cap = m.content(t)[0], (c,), None
                 else:
                     # re-lay the whole bin: an empty bin takes residents plus mover
-                    kept, cap = (m.unit, ()), REPACK_NODE_CAP
+                    kept, cap = m.content(None)[0], REPACK_NODE_CAP
                     key = tuple(sorted([m.cid[r] for r in residents] + [c]))
                 try:
                     layout = _asked(self.config, self.memo, kept, key, cap)
@@ -553,7 +548,7 @@ def _proposal(
 
 def _place(
     config: GameConfig,
-    kept: Tuple[int, tuple],
+    kept: Tuple[int, Tuple[int, ...], tuple],
     key: Tuple[int, ...],
     node_cap: Optional[int] = None,
 ) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
@@ -566,12 +561,10 @@ def _place(
     geometry's integer core is exact and complete, and its answer depends
     only on the residents and the incoming sides in the order given; a
     sorted key searches the classes in the one order (-side, k), so a memo
-    entry depends on its key alone.  The residents' boxes are read off the
-    content.
+    entry depends on its key alone.  The residents' bases and every side
+    are read off the content, in ints over its unit: nothing is scaled here.
     """
-    m = config._volumes
-    unit, pairs = kept
-    sides = [c.side.numerator * (unit // c.side.denominator) for c in m.classes]
+    unit, sides, pairs = kept
     boxes = [(base, tuple([v + sides[c] for v in base])) for c, base in pairs]
     found = _joint_corners(boxes, unit, [sides[c] for c in key], config.d, node_cap)
     return None if found is None else tuple(zip(key, found))
@@ -580,7 +573,7 @@ def _place(
 def _asked(
     config: GameConfig,
     memo: _Memo,
-    kept: Tuple[int, tuple],
+    kept: Tuple[int, Tuple[int, ...], tuple],
     key: Tuple[int, ...],
     node_cap: Optional[int] = None,
 ) -> Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]:
@@ -762,6 +755,8 @@ class CoalitionProposal:
     costs_after: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if len(set(map(len, vars(self).values()))) > 1:  # every field is per member
+            raise ValueError("a coalition needs one target, base and pair of costs per member")
         for before, after in zip(self.costs_before, self.costs_after):
             if not after < before:
                 raise ValueError("every coalition member must strictly improve")
@@ -905,9 +900,9 @@ class _Orbits:
         ids: Dict[tuple, int] = {}
         self.label: Dict[int, Tuple[int, int, int]] = {}
         for b in sources:
-            content = m.content(b)
+            content, row = m.content(b)
             k = ids.setdefault(content, len(ids))
-            slots = sorted(m.members[b], key=lambda i: m.cube(i, content[0]))
+            slots = [i for _, i in sorted(zip(row, m.members[b]))]
             for slot, i in enumerate(slots):
                 self.label[i] = (b, k, m.cid[i] if by_class else slot)
         self.items = sorted(self.label)
@@ -975,12 +970,12 @@ def _coalition_move(
     placements: Dict[int, Tuple[Fraction, ...]] = {}
     for t in sorted(after):
         movers = [i for i, u in zip(members, targets) if u == t]
-        unit, pairs = m.content(t) if t in m.iocc else (m.unit, ())
+        (unit, sides, pairs), row = m.content(t)
         residents = list(pairs)
         for i in members:
             if config.assignment[i] == t:
-                residents.remove(m.cube(i, unit))
-        kept = (unit, tuple(residents))
+                residents.remove(row[bisect_left(m.members[t], i)])
+        kept = (unit, sides, tuple(residents))
         layout = _asked(config, memo, kept, tuple(sorted(m.cid[i] for i in movers)))
         if layout is None:
             return None

@@ -4,12 +4,12 @@ Every coordinate, side length and volume at the API is a
 `fractions.Fraction`; floats are rejected at the boundary so no rounding
 can sneak into a correctness path.  Inside, every geometric check reads
 its intervals from one table, _intervals: each distinct (base, side)
-interval once, and per axis each cube's index into it.  verify_bin and
-the placement searches scale the table onto ints over one lcm and
-compare ints, which is exact and far cheaper.  verify_bin's docstring
-states the grid, symbol and lattice-axis lemmas it decides bins by.
-Cubes are open boxes: two cubes that merely share a boundary facet
-count as disjoint.
+interval once, and per axis each cube's index into it.  One scaling of
+that table onto ints over one lcm serves verify_bin, the placement
+searches and the game's bin contents, which compare ints: exact and far
+cheaper.  verify_bin's docstring states the grid, symbol and lattice-axis
+lemmas it decides bins by.  Cubes are open boxes: two cubes that merely
+share a boundary facet count as disjoint.
 """
 
 from __future__ import annotations
@@ -248,26 +248,26 @@ def _grid_bin(cls: CubeClass, coords: Sequence[Fraction]) -> Bin:
     return _factored_bin(cls.d, ((cls, dict(enumerate(coords)), None),))
 
 
-def _cube_keys(cubes: Sequence[PlacedCube], d: int):
-    """(keys, columns) of the cubes, as _intervals gives them, keyed per cube:
-    the ints of each normalised base and side, read off the Fractions' slots
-    with no call per coordinate, name an interval and hash far faster."""
+def _cube_keys(bases: Sequence[tuple[Fraction, ...]], sides: Sequence[Fraction], d: int):
+    """(keys, columns) of cubes at `bases` with `sides`, as _intervals gives
+    them: the ints of each normalised base and side, read off the Fractions'
+    slots with no call per coordinate, name an interval and hash far faster."""
     index: dict[tuple[int, int, int, int], int] = {}
-    key, bases, sides = index.setdefault, [c.base for c in cubes], [c.cls.side for c in cubes]
+    key = index.setdefault
     columns = [[key((x._numerator, x._denominator, s._numerator, s._denominator), len(index))
                 for x, s in zip(map(itemgetter(dim), bases), sides)] for dim in range(d)]
     return list(index), columns
 
 
-def _intervals(b: Bin):
+def _intervals(b: Bin, per_cube: bool = False):
     """(keys, columns): the bin's distinct intervals, each as the ints
     (base num, base den, side num, side den), and per axis each cube's key
     index, or columns None for a product grid, keyed once per table entry
     (a repeated coordinate too).  A builder's bin is keyed once per (class,
     letter) off its factor tables, and its columns are read off the words;
-    every other bin is keyed per cube."""
-    if not b._factors:
-        return _cube_keys(b.cubes, b.d)
+    every other bin, and any with per_cube, is keyed per cube."""
+    if per_cube or not b._factors:
+        return _cube_keys([c.base for c in b.cubes], [c.cls.side for c in b.cubes], b.d)
     keys, columns = [], [[] for _ in range(b.d)]
     for cls, table, words in b._factors:
         side = cls.side
@@ -285,9 +285,18 @@ def _intervals(b: Bin):
 def _scaled(keys) -> tuple[int, list[tuple[int, int]]]:
     """(scale, intervals): each key's open interval as ints (lo, hi) over
     scale, the lcm of every denominator, so comparing ints is exact."""
-    scale = lcm(*(q for _, lq, _, sq in keys for q in (lq, sq)))
-    return scale, [(p * (scale // q), p * (scale // q) + sp * (scale // sq))
-                   for p, q, sp, sq in keys]
+    scale = lcm(*{*map(itemgetter(1), keys), *map(itemgetter(3), keys)})
+    return scale, [(lo := p * (scale // q), lo + sp * (scale // sq)) for p, q, sp, sq in keys]
+
+
+def _int_boxes(bases, box_sides, sides, d: int):
+    """(scale, boxes, ints): cubes at `bases` with `box_sides` as open boxes
+    of int corners (lo, hi), and `sides` as ints, all over scale, the lcm of
+    every denominator: the one scaling of placement searches and game bins."""
+    keys, columns = _cube_keys(bases, box_sides, d)
+    scale, intervals = _scaled(keys + [(0, 1, s.numerator, s.denominator) for s in sides])
+    boxes = [tuple(zip(*map(intervals.__getitem__, ts))) for ts in zip(*columns)]
+    return scale, boxes, tuple([hi for _, hi in intervals[len(keys):]])
 
 
 def _disjoint(intervals) -> bool:
@@ -379,7 +388,7 @@ def verify_bin(b: Bin) -> BinVerification:
     if columns is None:  # a product grid: the grid lemma, else keyed per cube
         if all(0 <= lo and hi <= scale for lo, hi in intervals) and _disjoint(intervals):
             return BinVerification(n)
-        keys, columns = _cube_keys(b.cubes, b.d)
+        keys, columns = _intervals(b, per_cube=True)
         scale, intervals = _scaled(keys)
     leaving = {t for t, (lo, hi) in enumerate(intervals) if lo < 0 or hi > scale}
     codes, radix, loose = [0] * n, 1, []
@@ -407,13 +416,6 @@ def occupied_volume(b: Bin) -> Fraction:
     for cube in b.cubes:
         counts[cube.cls] = counts.get(cube.cls, 0) + 1
     return sum((cls.volume * cnt for cls, cnt in counts.items()), start=Fraction(0))
-
-
-def _checked_side(side: Rational) -> Fraction:
-    side = as_rational(side)
-    if side <= 0 or side > 1:
-        raise ValueError(f"side must be in (0, 1], got {side}")
-    return side
 
 
 class SearchBudgetError(RuntimeError):
@@ -470,11 +472,12 @@ def find_joint_positions(
     """
     if d < 1 or any(c.cls.d != d for c in cubes):
         raise ValueError(f"need d >= 1 and resident cubes of dimension d, got d={d}")
-    sides = [_checked_side(x) for x in sides]
-    keys, columns = _cube_keys(cubes, d)
-    scale, intervals = _scaled(keys + [(0, 1, s.numerator, s.denominator) for s in sides])
-    boxes = [tuple(zip(*map(intervals.__getitem__, ts))) for ts in zip(*columns)]
-    found = _joint_corners(boxes, scale, [hi for _, hi in intervals[len(keys):]], d)
+    sides = [as_rational(x) for x in sides]
+    bad = next((s for s in sides if not 0 < s <= 1), None)
+    if bad is not None:
+        raise ValueError(f"side must be in (0, 1], got {bad}")
+    scale, boxes, ints = _int_boxes([c.base for c in cubes], [c.cls.side for c in cubes], sides, d)
+    found = _joint_corners(boxes, scale, ints, d)
     return None if found is None else tuple(
         tuple(Fraction(v, scale) for v in base) for base in found
     )

@@ -578,9 +578,10 @@ def test_moves_carry_caches_as_built_from_scratch(cfg, data):
 
 
 def test_moves_carry_a_base_off_the_unit_of_its_bin():
-    # d=1, side 1/4: every content starts on the unit 4.  Moving item 1 to
-    # base 1/3 puts its bin on the unit 12; the untouched bin keeps its
-    # content, and the search reads the moved bin in twelfths.  Moving the
+    # d=1, side 1/4: every content starts on the unit 4, the side 1 over
+    # it, an empty bin's too.  Moving item 1 to base 1/3 puts its bin on the
+    # unit 12, the side 3; the untouched bin and the empty one keep their
+    # contents, and the search reads the moved bin in twelfths.  Moving the
     # item back puts the bin on the unit 4 again, as a fresh model has it.
     quarter = CubeClass(4, 0, 1)
     items = tuple(GameItem(i, quarter) for i in range(3))
@@ -588,20 +589,23 @@ def test_moves_carry_a_base_off_the_unit_of_its_bin():
         1, items, {0: 0, 1: 0, 2: 1}, {0: (F(0),), 1: (F(1, 4),), 2: (F(0),)}
     )
     parent = cfg._volumes
-    assert parent.unit == 4
-    assert parent.content(0) == (4, ((0, (0,)), (0, (1,))))
+    empty = parent.content(None)
+    assert empty == ((4, (1,), ()), ())
+    pairs = ((0, (0,)), (0, (1,)))
+    assert parent.content(0) == ((4, (1,), pairs), pairs)
     alone = parent.content(1)
     moved = cfg.with_moves({1: (0, (F(1, 3),))})
     carried = vars(moved)["_volumes"]
-    assert carried.contents == {1: alone}
-    assert carried.content(0) == (12, ((0, (0,)), (0, (4,))))
+    assert carried.contents == {None: empty, 1: alone}
+    pairs = ((0, (0,)), (0, (4,)))
+    assert carried.content(0) == ((12, (3,), pairs), pairs)
     (move,) = is_nash(moved).moves
     assert (move.item_id, move.target_bin, move.base) == (2, 0, (F(7, 12),))
     scratch = GameConfig(1, items, moved.assignment, moved.positions)
     assert is_nash(scratch).moves == (move,)
     back = moved.with_moves({1: (0, (F(1, 4),))})
     assert back._volumes.content(0) == parent.content(0)
-    for name in ("unit", "iocc", "members", "census", "contents"):
+    for name in ("iocc", "members", "census", "contents"):
         assert getattr(back._volumes, name) == getattr(cfg._volumes, name), name
 
 
@@ -994,10 +998,10 @@ def test_capacity_screen_skips_only_placements_the_search_rejects(cfg):
         for c, cap in enumerate(m.capacity):
             if m.census[t][c] < cap:
                 continue
-            assert _place(cfg, m.content(t), (c,)) is None
+            assert _place(cfg, m.content(t)[0], (c,)) is None
             residents = sorted([m.cid[r] for r in m.members[t]] + [c])
             if len(residents) <= 5:
-                assert _place(cfg, (m.unit, ()), tuple(residents)) is None
+                assert _place(cfg, m.content(None)[0], tuple(residents)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1627,6 +1631,8 @@ def test_strong_nash_screen_keeps_a_source_below_the_two_fullest_bins(cap):
          "classes must be distinct"),
         (lambda: CoalitionProposal((0,), (1,), ((F(0),),), (F(1, 2),), (F(1, 2),)),
          ValueError, "every coalition member must strictly improve"),
+        (lambda: CoalitionProposal((0, 1), (1,), (), (F(1),), ()), ValueError,
+         "one target, base and pair of costs per member"),
         (lambda: is_strong_nash(two_items_config(), 0), ValueError,
          "coalition size cap must be >= 1"),
         (lambda: meir_moser_predicate([], F(1, 2), 0), ValueError, "d must be >= 1, got 0"),
@@ -1634,7 +1640,7 @@ def test_strong_nash_screen_keeps_a_source_below_the_two_fullest_bins(cap):
          "volumes must be nonnegative"),
     ],
     ids=["bins-none", "bins-mixed-d", "mixture-class-twice", "coalition-no-gain",
-         "strong-nash-cap0", "meir-moser-d0", "meir-moser-negative"],
+         "coalition-lengths", "strong-nash-cap0", "meir-moser-d0", "meir-moser-negative"],
 )
 def test_game_refuses_hostile_arguments(call, error, fragment):
     with pytest.raises(error) as info:

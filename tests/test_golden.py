@@ -67,8 +67,11 @@ def test_reproduce_bundle_hash_is_pinned(tmp_path, d_list, bundle):
          "08fddb3547ae239b876035a63f832734437d5ea69146d1b3318f8fbe1a6d31fd"),
         (("--d", 3, "--mode", "lemmaB"),  # degenerate
          "55596836e1ba76d834a4986dce83924bc20ccf4642ebe39bb8c927f9a57757ee"),
+        (("--d", 2, "--mode", "lemmaB", "--s-prime", 3),  # built
+         "3958d3916bbd12e5692463cca864c80c3046a1ef22d71b099e7e9b0a6f392469"),
     ],
-    ids=["warmup", "lemmaA-fallback", "lemmaA-randomized", "lemmaB-degenerate"],
+    ids=["warmup", "lemmaA-fallback", "lemmaA-randomized", "lemmaB-degenerate",
+         "lemmaB-built"],
 )
 def test_pack_build_file_is_pinned(tmp_path, flags, digest):
     out = tmp_path / "packing.json"

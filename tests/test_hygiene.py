@@ -218,6 +218,23 @@ def test_only_the_cube_key_reader_reads_fraction_slots():
     assert not reads, f"Fraction slots read outside geometry._cube_keys: {reads}"
 
 
+def test_only_geometry_scales_game_coordinates_onto_ints():
+    # geometry scales every coordinate and side onto ints, a game content's
+    # too, so game.py reads a rational's numerator or denominator only in
+    # GameConfig._volumes: the volume scale and the class capacities
+    ratio = ("numerator", "denominator", "as_integer_ratio")
+    tree = _tree(PACKAGE / "game.py")
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "GameConfig")
+    volumes = next(node for node in config.body if getattr(node, "name", None) == "_volumes")
+    inside = set(ast.walk(volumes))
+    reads = [f"game.py:{node.lineno}" for node in ast.walk(tree)
+             if (getattr(node, "attr", None) in ratio
+                 or isinstance(node, ast.Constant) and node.value in ratio)
+             and node not in inside]
+    assert not reads, f"numerator or denominator read outside GameConfig._volumes: {reads}"
+
+
 def test_only_the_grid_table_reads_the_class_geometry_in_the_baseline():
     # ClassHarmonicBaseline turns a class's side and epsilon into its grid
     # table once, in _grid; decide and placed read bases off that table and

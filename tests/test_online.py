@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cubepack.geometry import Bin, CubeClass, PlacedCube, find_free_position, verify_bin
 from cubepack.languages import ClassCounts, build_separated_family, warmup_family
 from cubepack.online import (
+    OFFLINE_BIN_CAP,
     AdversaryResult,
     ClassHarmonicBaseline,
     Decision,
@@ -245,6 +246,14 @@ def test_offline_certificate_guards():
         offline_certificate(pack, 200_000)
 
 
+def test_offline_certificate_takes_exactly_the_bin_cap():
+    # the cap itself is allowed: only a scale past it is refused
+    bins = offline_certificate(remark_packing(), OFFLINE_BIN_CAP)
+    assert len(bins) == OFFLINE_BIN_CAP
+    with pytest.raises(ValueError, match="refusing to materialize"):
+        offline_certificate(remark_packing(), OFFLINE_BIN_CAP + 1)
+
+
 # ---------------------------------------------------------------------------
 # harness runs with the baseline
 
@@ -261,6 +270,17 @@ def test_single_item_uses_one_bin():
     result = run_bounded_space(ClassHarmonicBaseline(1), inst, 1)
     assert result.bins_used == 1
     assert result.placements[0].bin_id == 0
+
+
+def test_a_ratio_report_needs_both_bounds():
+    # one bound alone is no ratio: the run reports none, for either bound
+    inst = Instance(2, F(1, 9), (Segment(3, 1),))
+    for bounds in ({"opt_upper_bound": 1}, {"certified_lower_bound": 1}):
+        result = run_bounded_space(ClassHarmonicBaseline(1), inst, 1, **bounds)
+        assert result.bins_used == 1 and result.report is None, bounds
+    both = run_bounded_space(ClassHarmonicBaseline(1), inst, 1, opt_upper_bound=1,
+                             certified_lower_bound=1)
+    assert both.report == RatioReport(1, 1, 1)
 
 
 def _bins_of(instance, result):
