@@ -6,14 +6,16 @@ answers every per-bin question (occupancy, members, class census,
 content, cost) from one bin model: integer volumes over one common
 denominator, and each bin's content, scaled onto ints by geometry the
 first time it is asked for.  A moved config inherits its parent's model
-and recomputes only the bins the move touched.  Because insertion cost
-depends only on volumes, never on positions, every move and coalition
-search runs an exact prefilter on those integers before touching
-geometry.  Every geometric question goes through one memoized placement
-search on ints, keyed by the content of the residents kept and the
-incoming classes in one fixed order: an insertion keeps the whole target
-bin, a repack re-layout nothing, and a coalition target what its members
-leave behind.  Bases are Fractions only in the moves reported or applied.
+and recomputes only the bins the move touched; a dynamics step derives
+their contents from the old ones in ints (_VolumeModel.carried).
+Because insertion cost depends only on volumes, never on positions,
+every move and coalition search runs an exact prefilter on those
+integers before touching geometry.  Every geometric question goes
+through one memoized placement search on ints, keyed by the content of
+the residents kept and the incoming classes in one fixed order: an
+insertion keeps the whole target bin, a repack re-layout nothing, and a
+coalition target what its members leave behind.  Bases are Fractions
+only in the moves reported or applied.
 
 The checks read types, not items.  A move's gain depends on
 (occ(source), class, occ(target)) and its room on (target content,
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from heapq import nlargest
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
+from math import gcd, lcm
 from operator import mul
 from typing import (
     Collection,
@@ -58,6 +60,7 @@ from .geometry import (
     SearchBudgetError,
     _int_boxes,
     _joint_corners,
+    _placed,
     as_rational,
     expect_type,
     format_rational,
@@ -115,7 +118,7 @@ class _VolumeModel:
     first, and k tells apart the classes of one side.  A class of side s
     fits at most floor(1/s)^d disjoint open cubes into one bin, whatever
     else sits there (interval-graph colouring per axis).  A bin's content
-    is built when first asked for, scaled onto ints by geometry alone.
+    is scaled onto ints by geometry when first asked for, or carried.
     """
 
     scale: int
@@ -158,20 +161,50 @@ class _VolumeModel:
         """(occupancy, cube count) -> (cubes, (content, row)) of each built."""
         return {}
 
+    def carried(self, mode: str, item: int, source: int, target: int, fit: tuple) -> dict:
+        """The contents of `source` and `target` once `item` moves to the fit
+        found, in ints, as content() builds them.  A content's unit is the
+        lcm of its sides' and bases' denominators: over a unit U they lie on,
+        U/g for g the gcd of U and every int over U, as a/U has the
+        denominator U/gcd(U, a).  The target's is the content searched plus
+        the layout, on its unit: its own for an insertion, which the new base
+        lies on and the old ones need whole, or an empty bin's for a repack,
+        whose unit divides all.  The source's is its old one less the mover's
+        pair, divided by g, unless it was never built or is left empty."""
+        layout = fit[1]
+        if mode == "insertion":
+            (unit, sides, pairs), row = self.content(target)
+            row = row[:(r := bisect_left(self.members[target], item))] + layout + row[r:]
+        else:
+            (unit, sides, pairs), ids = self.content(None)[0], self.members[target] + [item]
+            row = tuple((self.cid[i], base) for i, base in _distribute(self, layout, ids).items())
+        contents = {target: ((unit, sides, tuple(sorted(pairs + layout))), row)}
+        if source in self.contents and len(self.members[source]) > 1:
+            (unit, sides, _), row = self.contents[source]
+            row = row[:(r := bisect_left(self.members[source], item))] + row[r + 1:]
+            g = gcd(unit, *sides, *chain.from_iterable(base for _, base in row))
+            if g > 1:
+                unit, sides = unit // g, tuple([v // g for v in sides])
+                row = tuple([(c, tuple([v // g for v in base])) for c, base in row])
+            contents[source] = (unit, sides, tuple(sorted(row))), row
+        return contents
+
     def regrouped(
         self,
         assignment: Mapping[int, int],
         positions: Mapping[int, Tuple[Fraction, ...]],
         movers: Collection[int],
         touched: Collection[int],
+        carried: Optional[Mapping[int, tuple]] = None,
     ) -> "_VolumeModel":
         """The model of `assignment` and `positions`, given that they differ
         from this model's only in the `movers`, which leave or enter the
         bins `touched`.  The per-item data is shared, and only the touched
         bins are recomputed, from the members that stay plus the movers that
-        arrive; their contents are dropped, and a touched bin left empty
-        drops out.  Each content has its own unit, so no moved base can
-        fall off the grid of a content kept."""
+        arrive; their contents are those `carried` (see carried), the rest
+        dropped, and a touched bin left empty drops out.  Each content has
+        its own unit, so no moved base can fall off the grid of a content
+        kept."""
         moving = set(movers)
         fresh: Dict[int, List[int]] = {
             b: [i for i in self.members.get(b, ()) if i not in moving] for b in touched
@@ -180,6 +213,7 @@ class _VolumeModel:
             fresh[assignment[i]].append(i)
         iocc, members, census = dict(self.iocc), dict(self.members), dict(self.census)
         contents = {b: c for b, c in self.contents.items() if b not in fresh}
+        contents.update(carried or {})
         for b, ids in fresh.items():
             if not ids:
                 for table in (iocc, members, census):
@@ -206,8 +240,8 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        ids = [it.item_id for it in self.items]
-        if len(set(ids)) != len(ids):
+        ids = {it.item_id for it in self.items}
+        if len(ids) != len(self.items):
             raise ValueError("duplicate item ids")
         for it in self.items:
             if it.cls.d != self.d:
@@ -220,6 +254,10 @@ class GameConfig:
                 raise ValueError(f"item {it.item_id} has no position")
             if len(self.positions[it.item_id]) != self.d:
                 raise ValueError(f"item {it.item_id} has a base not of length d={self.d}")
+            expect_type(self.assignment[it.item_id], int)  # a bin id
+        for item_id in (*self.assignment, *self.positions):
+            if item_id not in ids:
+                raise ValueError(f"a bin or position names no item: {item_id!r}")
         pos = {i: tuple(as_rational(x) for x in p) for i, p in self.positions.items()}
         object.__setattr__(self, "positions", pos)
 
@@ -236,21 +274,25 @@ class GameConfig:
 
     @cached_property
     def bins_map(self) -> Dict[int, Bin]:
+        # cubes unchecked: their classes and bases were checked on the way in
         m = self._volumes
-        return {
-            b: Bin(self.d, tuple(PlacedCube(m.classes[m.cid[i]], m.positions[i])
-                                 for i in ids))
-            for b, ids in m.members.items()
-        }
+        cube: Dict[int, PlacedCube] = {}
+        for c, cls in enumerate(m.classes):
+            ids = [i for i, k in m.cid.items() if k == c]
+            cube.update(zip(ids, _placed(cls, [m.positions[i] for i in ids])))
+        return {b: Bin(self.d, tuple(map(cube.__getitem__, ids)))
+                for b, ids in m.members.items()}
 
     @cached_property
     def _volumes(self) -> _VolumeModel:
-        # a class hashes its Fraction slack, and copies of one bin share their
-        # class objects: hash each distinct object once, not each item's class
+        # copies of one bin share class objects, all of dimension d: key each
+        # distinct object once by ints, not each item's class by its Fraction
         objects = {id(it.cls): it.cls for it in self.items}
-        order = sorted(set(objects.values()), key=lambda c: (-c.side, c.k))
-        index = {o: order.index(c) for o, c in objects.items()}
-        cid = {it.item_id: index[id(it.cls)] for it in self.items}
+        key = {o: (c.k, c.epsilon.numerator, c.epsilon.denominator) for o, c in objects.items()}
+        order = sorted({key[o]: c for o, c in objects.items()}.values(),
+                       key=lambda c: (-c.side, c.k))
+        rank = {key[id(c)]: n for n, c in enumerate(order)}
+        cid = {it.item_id: rank[key[id(it.cls)]] for it in self.items}
         scale = lcm(*(c.volume.denominator for c in order))
         vols = [c.volume.numerator * (scale // c.volume.denominator) for c in order]
         caps = [(c.side.denominator // c.side.numerator) ** self.d for c in order]
@@ -291,17 +333,23 @@ class GameConfig:
         item leaves or enters are recomputed.  The rest was checked when this
         config was built: only the moved bases are coerced.
         """
-        assignment = dict(self.assignment)
-        positions = dict(self.positions)
         for item_id, (bin_id, base) in updates.items():
-            if item_id not in assignment:
+            if item_id not in self.assignment:
                 raise ValueError(f"unknown item {item_id}")
             if len(base) != self.d:
                 raise ValueError(f"item {item_id} has a base not of length d={self.d}")
+        return self._moved({i: (expect_type(b, int), tuple(map(as_rational, base)))
+                            for i, (b, base) in updates.items()})
+
+    def _moved(self, updates: Mapping[int, tuple], carried: Optional[dict] = None) -> "GameConfig":
+        """with_moves past its checks, keeping the contents `carried`."""
+        assignment = dict(self.assignment)
+        positions = dict(self.positions)
+        for item_id, (bin_id, base) in updates.items():
             assignment[item_id] = bin_id
-            positions[item_id] = tuple(map(as_rational, base))
+            positions[item_id] = base
         touched = {self.assignment[i] for i in updates} | {assignment[i] for i in updates}
-        model = self._volumes.regrouped(assignment, positions, updates, touched)
+        model = self._volumes.regrouped(assignment, positions, updates, touched, carried)
         return GameConfig._trusted(self.d, self.items, assignment, positions, _volumes=model)
 
 
@@ -538,9 +586,11 @@ def _proposal(
     config: GameConfig, mode: str, item: int, source: int, target: int, fit: tuple
 ) -> MoveProposal:
     m = config._volumes
+    unit, layout = fit
     movers = [item] if mode == "insertion" else m.members[target] + [item]
-    assigned = _distribute(m, *fit, movers)
-    relayout = None if mode == "insertion" else tuple(sorted(assigned.items()))
+    assigned = {i: tuple([Fraction(v, unit) for v in base])
+                for i, base in _distribute(m, layout, movers).items()}
+    relayout = None if mode == "insertion" else tuple(assigned.items())
     v = m.vol[m.cid[item]]
     costs = (Fraction(v, m.iocc[source]), Fraction(v, m.iocc[target] + v))
     return MoveProposal(item, source, target, *costs, assigned[item], relayout)
@@ -587,28 +637,25 @@ def _asked(
 
 def _distribute(
     m: _VolumeModel,
-    unit: int,
     layout: Iterable[Tuple[int, Tuple[int, ...]]],
     items: Iterable[int],
-) -> Dict[int, Tuple[Fraction, ...]]:
-    """Hand the found bases, ints over `unit`, back to concrete items as
-    Fractions, matching by class index."""
+) -> Dict[int, Tuple[int, ...]]:
+    """Hand the found bases back to concrete items, in id order, matching
+    by class index."""
     pool: Dict[int, List[Tuple[int, ...]]] = {}
     for c, base in layout:
         pool.setdefault(c, []).append(base)
-    return {
-        i: tuple(Fraction(v, unit) for v in pool[m.cid[i]].pop()) for i in sorted(items)
-    }
+    return {i: pool[m.cid[i]].pop() for i in sorted(items)}
+
+
+def _updates(move: MoveProposal) -> Dict[int, Tuple[int, Tuple[Fraction, ...]]]:
+    """Item -> (bin, base) of the move: the mover, then its relayout."""
+    return {i: (move.target_bin, base)
+            for i, base in ((move.item_id, move.base), *(move.relayout or ()))}
 
 
 def apply_move(config: GameConfig, move: MoveProposal) -> GameConfig:
-    updates: Dict[int, Tuple[int, Tuple[Fraction, ...]]] = {
-        move.item_id: (move.target_bin, move.base)
-    }
-    if move.relayout is not None:
-        for item_id, base in move.relayout:
-            updates[item_id] = (move.target_bin, base)
-    return config.with_moves(updates)
+    return config.with_moves(_updates(move))
 
 
 @dataclass(frozen=True)
@@ -696,7 +743,8 @@ def best_response_dynamics(
     the lowest item id among equals, and else the first in move order.
     Every step shares one placement memo: moves keep the items, so the
     memo's keys (contents and class indices) mean the same in each config,
-    and each config inherits its parent's bin model.  The
+    and each config inherits its parent's bin model, with the contents of
+    the two bins a step touches derived in ints (_VolumeModel.carried).  The
     potential is checked on integer occupancies; over one common
     denominator they order exactly as potential() does.
 
@@ -710,7 +758,7 @@ def best_response_dynamics(
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if max_steps < 0:
+    if expect_type(max_steps, int) < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     rng = random.Random(seed)
     applied: List[MoveProposal] = []
@@ -726,7 +774,7 @@ def best_response_dynamics(
             cert = NashResult((), total - searched, current)
             return DynamicsResult(current, tuple(applied), cert, total)
         move = _proposal(current, mode, *chosen)
-        current = apply_move(current, move)
+        current = current._moved(_updates(move), current._volumes.carried(mode, *chosen))
         screen.moved(current, {move.source_bin, move.target_bin})
         applied.append(move)
         now = sorted(current._volumes.iocc.values(), reverse=True)
@@ -837,7 +885,7 @@ def is_strong_nash(config: GameConfig, max_coalition_size: int) -> StrongNashRes
     coalitions_checked).  The rest reach no assignment and no search, so
     the verdict and the first violation are unchanged.
     """
-    if max_coalition_size < 1:
+    if expect_type(max_coalition_size, int) < 1:
         raise ValueError("coalition size cap must be >= 1")
     m = config._volumes
     src = config.assignment
@@ -979,7 +1027,8 @@ def _coalition_move(
         layout = _asked(config, memo, kept, tuple(sorted(m.cid[i] for i in movers)))
         if layout is None:
             return None
-        placements.update(_distribute(m, unit, layout, movers))
+        for i, base in _distribute(m, layout, movers).items():
+            placements[i] = tuple([Fraction(v, unit) for v in base])
     return CoalitionProposal(
         tuple(members),
         tuple(targets),
@@ -1254,7 +1303,7 @@ def sparse_bin_report(
         raise ValueError("nash_result certifies another config, not this one")
     m = config._volumes
     threshold = Fraction(1, 2**config.d)
-    sparse = tuple(b for b in sorted(m.iocc) if config.occupied(b) < threshold)
+    sparse = tuple(b for b in sorted(m.iocc) if m.iocc[b] << config.d < m.scale)
     conditioned = bool(nash_result)
     total = Fraction(sum(m.iocc.values()), m.scale)
     return SparseBinReport(sparse, threshold, conditioned, len(m.iocc), total)

@@ -980,6 +980,71 @@ def test_carried_screen_probes_a_fit_again_only_after_a_touch(monkeypatch, polic
             last_fit[t, c] = step
 
 
+def _steps_of_a_run(cfg, policy, seed, mode):
+    """(config, bins touched) per step of best_response_dynamics, as its
+    move screen is told of them; a run that raises RepackSearchError ends
+    where it raised."""
+    steps, moved = [], _MoveScreen.moved
+
+    def logged(self, config, touched):
+        steps.append((config, set(touched)))
+        moved(self, config, touched)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_MoveScreen, "moved", logged)
+        try:
+            best_response_dynamics(cfg, policy, seed=seed, mode=mode)
+        except RepackSearchError:
+            pass
+    return steps[1:]  # the first is the screen's set-up
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.one_of(
+        repeated_content_configs(),
+        st.integers(0, 2**16).map(lambda seed: next(_start_states(seed, 1))),
+    ),
+    st.integers(0, 2**16),
+)
+def test_carried_contents_equal_fresh_builds_after_every_move(cfg, seed):
+    # A dynamics step derives the contents of the two bins its move touches
+    # from their old ones, in ints, instead of scaling them again: after
+    # every move, each content the model holds must equal the one a fresh
+    # model builds from the bins' Fractions, and the target's is carried.
+    cfg.validate()
+    for mode in ("insertion", "repack"):
+        for policy in ("first", "best", "random"):
+            for config, touched in _steps_of_a_run(cfg, policy, seed, mode):
+                model = config._volumes
+                assert touched & set(model.contents)
+                fresh = GameConfig(config.d, config.items, config.assignment,
+                                   config.positions)._volumes
+                for b, content in model.contents.items():
+                    assert content == fresh.content(b), (mode, policy, b)
+
+
+def test_carried_source_content_drops_to_a_coarser_unit():
+    # d=1: bin 0 holds quarter cubes at 1/3 and 0, on the unit 12; bin 1
+    # holds three quarters and bin 2 a half.  The half's probe into bin 0
+    # builds that content and finds no room, and the best move takes item
+    # 0, whose base is the bin's only coordinate in thirds, into bin 1.  So
+    # the content carried for bin 0 is divided by 3, onto the unit 4, as a
+    # fresh build has it.
+    half, quarter = CubeClass(2, 0, 1), CubeClass(4, 0, 1)
+    items = tuple(GameItem(i, quarter) for i in range(5)) + (GameItem(5, half),)
+    bases = [F(1, 3), 0, 0, F(1, 4), F(1, 2), 0]
+    cfg = GameConfig(1, items, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2},
+                     {i: (F(x),) for i, x in enumerate(bases)})
+    (first, touched), *_ = _steps_of_a_run(cfg, "best", 0, "insertion")
+    assert touched == {0, 1} and first.assignment[0] == 1
+    assert cfg._volumes.contents[0][0][0] == 12
+    alone = (1, (0,))
+    assert first._volumes.contents[0] == ((4, (2, 1), (alone,)), (alone,))
+    fresh = GameConfig(1, items, first.assignment, first.positions)._volumes
+    assert fresh.content(0) == first._volumes.contents[0]
+
+
 @settings(deadline=None)
 @given(
     st.one_of(
@@ -1621,6 +1686,14 @@ def test_strong_nash_screen_keeps_a_source_below_the_two_fullest_bins(cap):
 # -- argument refusals ---------------------------------------------------------
 
 
+def _two_items_with(assignment=(), positions=()):
+    """two_items_config's constructor call with some entries added or
+    replaced."""
+    cfg = two_items_config()
+    return GameConfig(1, cfg.items, {**cfg.assignment, **dict(assignment)},
+                      {**cfg.positions, **dict(positions)})
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -1638,9 +1711,30 @@ def test_strong_nash_screen_keeps_a_source_below_the_two_fullest_bins(cap):
         (lambda: meir_moser_predicate([], F(1, 2), 0), ValueError, "d must be >= 1, got 0"),
         (lambda: meir_moser_predicate([F(-1)], F(1, 2), 1), ValueError,
          "volumes must be nonnegative"),
+        (lambda: _two_items_with(assignment={99: 0}), ValueError,
+         "a bin or position names no item: 99"),
+        (lambda: _two_items_with(positions={99: (F(0),)}), ValueError,
+         "a bin or position names no item: 99"),
+        (lambda: _two_items_with(assignment={0: True, 1: 1}), TypeError,
+         "expected int, got bool"),
+        (lambda: _two_items_with(assignment={0: 0.0}), TypeError,
+         "expected int, got float"),
+        (lambda: two_items_config().with_moves({1: (True, (F(1, 2),))}), TypeError,
+         "expected int, got bool"),
+        (lambda: two_items_config().with_moves({1: ("1", (F(1, 2),))}), TypeError,
+         "expected int, got str"),
+        (lambda: best_response_dynamics(underfilled_pair(), max_steps=True), TypeError,
+         "expected int, got bool"),
+        (lambda: best_response_dynamics(underfilled_pair(), max_steps=2.5), TypeError,
+         "expected int, got float"),
+        (lambda: is_strong_nash(two_items_config(), True), TypeError,
+         "expected int, got bool"),
     ],
     ids=["bins-none", "bins-mixed-d", "mixture-class-twice", "coalition-no-gain",
-         "coalition-lengths", "strong-nash-cap0", "meir-moser-d0", "meir-moser-negative"],
+         "coalition-lengths", "strong-nash-cap0", "meir-moser-d0", "meir-moser-negative",
+         "config-bin-of-no-item", "config-position-of-no-item", "config-bin-true",
+         "config-bin-float", "move-to-bin-true", "move-to-bin-str", "dynamics-budget-true",
+         "dynamics-budget-float", "strong-nash-cap-true"],
 )
 def test_game_refuses_hostile_arguments(call, error, fragment):
     with pytest.raises(error) as info:
