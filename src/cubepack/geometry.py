@@ -15,6 +15,7 @@ share a boundary facet count as disjoint.
 from __future__ import annotations
 
 import gc
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -28,6 +29,7 @@ from operator import itemgetter, lt, or_
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, str, Fraction]
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # an int, or format_rational's "p/q"
 
 
 def as_rational(value: Rational) -> Fraction:
@@ -35,13 +37,17 @@ def as_rational(value: Rational) -> Fraction:
 
     Floats are refused on purpose: silently rounding 0.1 to a nearby
     rational would poison every downstream exactness guarantee.  Bools
-    are refused too, so that a JSON true is not read as 1.
+    are refused too, so that a JSON true is not read as 1, and so is any
+    other string: Fraction would expand an exponent such as 1e-10000000
+    past the limit on int/str conversions.
     """
     if isinstance(value, Fraction):
         return value
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"expected an int or 'p/q' string, got {value[:40]!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

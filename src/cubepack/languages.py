@@ -48,8 +48,10 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .geometry import expect_type, format_rational
 
-# sample_f_sets draws at most this many candidate sets before giving up
+# sample_f_sets draws at most this many candidate sets before giving up,
 F_SETS_DRAW_CAP = 200_000
+# and starts again from no set after this many misses in a row
+F_SETS_DRAWS_PER_SET = 2_000
 # enumerate mode materializes at most this many cores per class
 ENUMERATE_CAP = 1_000_000
 # count_good_words sums at most this many inclusion-exclusion terms
@@ -62,26 +64,6 @@ class FSetsSamplingError(RuntimeError):
 
 class FamilyConstructionError(RuntimeError):
     """Raised when a class language comes out empty or uncertifiable."""
-
-
-@dataclass(frozen=True)
-class Word:
-    """A word over [k]: letters[i] is the letter at coordinate i+1."""
-
-    letters: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.k < 2:
-            raise ValueError(f"class index k must be >= 2, got {self.k}")
-        for a in self.letters:
-            if not 1 <= expect_type(a, int) <= self.k:
-                raise ValueError(f"letter {a} outside [1..{self.k}]")
-
-    @property
-    def d(self) -> int:
-        return len(self.letters)
 
 
 def _expect_ints(values: Sequence) -> tuple[int, ...]:
@@ -421,11 +403,14 @@ def sample_f_sets(
 ) -> FSets:
     """Sample index sets F_i (|F_i| = ceil(d/2)) with small pairwise overlap.
 
-    Each set is drawn uniformly and redrawn until it meets the overlap
-    threshold against all previously accepted sets; a stuck prefix
-    triggers a full restart.  The total number of redraws is recorded
-    so callers can see how hard the constraint was.  The threshold is
-    7d/26, the strict bound the asymptotic argument needs.
+    The threshold is 7d/26, the strict bound the asymptotic argument
+    needs.  One loop draws sets uniformly and keeps a draw that meets it
+    against every set kept; F_SETS_DRAWS_PER_SET misses in a row drop them
+    all and start again, and past F_SETS_DRAW_CAP draws it gives up.  The
+    misses count as rejections, so callers see how hard the constraint
+    was.  At d <= 3 the threshold is below 1, so the sets are disjoint and
+    more than floor(d / ceil(d/2)) are refused before any draw; at d >= 4
+    two sets can share 2 ceil(d/2) - d <= 1 < 7d/26 elements.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -434,42 +419,29 @@ def sample_f_sets(
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate indices {idx}")
     size = -(-d // 2)
-    if len(idx) > 1:
-        min_overlap = max(0, 2 * size - d)
-        if not min_overlap < threshold:
-            raise FSetsSamplingError(
-                f"threshold {threshold} is infeasible: two {size}-subsets of "
-                f"[1..{d}] always share at least {min_overlap} elements"
-            )
+    if threshold <= 1 and len(idx) * size > d:
+        raise FSetsSamplingError(
+            f"threshold {threshold} is infeasible: {len(idx)} pairwise disjoint "
+            f"{size}-subsets of [1..{d}] do not fit"
+        )
     rng = random.Random(seed)
-    universe = list(range(1, d + 1))
-    attempts = 0
-    rejections = 0
-    per_set_budget = 2_000
-    while attempts < F_SETS_DRAW_CAP:
-        chosen: dict[int, frozenset[int]] = {}
-        stuck = False
-        for key in idx:
-            ok = False
-            for _ in range(per_set_budget):
-                attempts += 1
-                if attempts > F_SETS_DRAW_CAP:
-                    break
-                cand = frozenset(rng.sample(universe, size))
-                if all(len(cand & prev) < threshold for prev in chosen.values()):
-                    chosen[key] = cand
-                    ok = True
-                    break
-                rejections += 1
-            if not ok:
-                stuck = True
-                break
-        if not stuck:
-            return FSets(d, threshold, chosen, rejections)
-    raise FSetsSamplingError(
-        f"gave up after {attempts} draws (d={d}, threshold={threshold}, "
-        f"{len(idx)} sets); the constraint is too tight at this scale"
-    )
+    chosen: dict[int, frozenset[int]] = {}
+    draws = misses = rejections = 0
+    while len(chosen) < len(idx):
+        if draws == F_SETS_DRAW_CAP:
+            raise FSetsSamplingError(
+                f"gave up after {draws} draws (d={d}, threshold={threshold}, "
+                f"{len(idx)} sets); the constraint is too tight at this scale"
+            )
+        draws += 1
+        cand = frozenset(rng.sample(range(1, d + 1), size))
+        if all(len(cand & prev) < threshold for prev in chosen.values()):
+            chosen[idx[len(chosen)]], misses = cand, 0
+        else:
+            rejections, misses = rejections + 1, misses + 1
+            if misses == F_SETS_DRAWS_PER_SET:
+                chosen = {}  # the next draw is kept, and zeroes misses
+    return FSets(d, threshold, chosen, rejections)
 
 
 # -- bad words and good-word counting ----------------------------------------
@@ -667,25 +639,26 @@ def build_separated_family(
     classes: Sequence[int],
     seed: int,
     mode: str = "enumerate",
-    fsets: Optional[FSets] = None,
 ) -> SeparatedFamily:
     """Randomized separated family over the given classes.
 
-    Per class k, core words over [k] minus k-1 live on the sampled
-    index set F_k; a core is dropped as bad when it avoids letter k on
-    some difference set F_k minus F_l (l a smaller class).  Surviving
-    words are separated from every smaller class by construction: a
-    good core shows letter k inside F_k minus F_l, where the smaller
-    language only has letters below l.
+    Per class k, core words over [k] minus k-1 live on the index set F_k
+    that sample_f_sets draws from `seed`; a core is dropped as bad when it
+    avoids letter k on some difference set F_k minus F_l (l a smaller
+    class).  Surviving words are separated from every smaller class by
+    construction: a good core shows letter k inside F_k minus F_l, where
+    the smaller language only has letters below l.
 
     enumerate mode materializes cores per good letter mask (refusing past
     ENUMERATE_CAP) and reads certify's letter masks off those masks;
     implicit mode keeps the difference sets as the language's rule, with
     the exact inclusion-exclusion count.  Failures raise rather than
-    repair, and the refusals that need no count (empty difference set,
-    term cap, enumerate cap) run for every class, in class order, before
-    any class is counted.  No class is empty: its difference sets are
-    nonempty subsets of F_k, so the core with k all over F_k is good.
+    repair, and the refusals that need no count (term cap, enumerate cap)
+    run for every class, in class order, before any class is counted.  No
+    difference set is empty: |F_k & F_l| < 7d/26 < ceil(d/2) = |F_k|, so
+    F_k is no subset of F_l.  So no class is empty either: its difference
+    sets are nonempty subsets of F_k, and the core with k all over F_k is
+    good.
     """
     cls = tuple(sorted(set(_expect_ints(classes))))
     if not cls:
@@ -694,26 +667,12 @@ def build_separated_family(
         raise ValueError(f"classes must be >= 2, got {cls[0]}")
     if mode not in ("enumerate", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
-    if fsets is None:
-        fsets = sample_f_sets(d, seed, indices=cls)
-    missing = [k for k in cls if k not in fsets.sets]
-    if missing:
-        raise ValueError(f"fsets lacks entries for classes {missing}")
+    fsets = sample_f_sets(d, seed, indices=cls)
 
     rules: dict[int, list[frozenset[int]]] = {}
     for k in cls:
         f_k = fsets.sets[k]
-        j_sets = []
-        for l in cls:
-            if l >= k:
-                break
-            j = f_k - fsets.sets[l]
-            if not j:
-                raise FamilyConstructionError(
-                    f"difference set F_{k} minus F_{l} is empty; every class-{k} "
-                    f"core would be bad"
-                )
-            j_sets.append(frozenset(j))
+        j_sets = [f_k - fsets.sets[l] for l in cls if l < k]
         _check_terms(len(j_sets))
         total = (k - 1) ** len(f_k)
         if mode == "enumerate" and total > ENUMERATE_CAP:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .geometry import (
     Bin,
@@ -32,7 +32,6 @@ from .languages import (
     FamilyConstructionError,
     FSetsSamplingError,
     SeparatedFamily,
-    Word,
     build_separated_family,
     warmup_family,
 )
@@ -94,10 +93,13 @@ def _class_table(k: int, epsilon, d: int, letters) -> tuple[CubeClass, dict[int,
     return cls, {j: base_coordinate(k, j, epsilon) for j in letters}
 
 
-def place_word(word: Word, epsilon) -> PlacedCube:
-    """Cube of class word.k whose dimension-i interval is picked by letter i."""
-    cls, table = _class_table(word.k, epsilon, word.d, word.letters)
-    return PlacedCube(cls, tuple(map(table.__getitem__, word.letters)))
+def place_word(k: int, word: Sequence[int], epsilon) -> PlacedCube:
+    """Class-k cube whose dimension-i interval is picked by letter i.  The
+    letters must be ints in 1..k (base_coordinate refuses any other int),
+    and k at least 2 (CubeClass refuses less)."""
+    word = tuple(expect_type(a, int) for a in word)
+    cls, table = _class_table(k, epsilon, len(word), word)
+    return PlacedCube(cls, tuple(map(table.__getitem__, word)))
 
 
 @dataclass

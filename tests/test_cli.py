@@ -4,6 +4,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -543,6 +544,9 @@ def _argv(template, src, out):
     return [src if a == "IN" else out if a == "OUT" else a for a in template]
 
 
+EXPONENT = "1e-10000000"
+
+
 def _hostile_packings(packing_file):
     """Files that once ended in a traceback, in exit 1 or in a wrong weight,
     or whose letters or epsilon the class placer must refuse: the warm-up
@@ -554,6 +558,9 @@ def _hostile_packings(packing_file):
         "deep": "[" * 100_000 + "]" * 100_000,
         "family_sizes": json.dumps(dict(doc, family_sizes=[1, 2])),
         "zero_denominator": json.dumps(dict(doc, epsilon="1/0")),
+        # Fraction expanded the exponent past the int/str limit: pack weight
+        # ran until a 120 s timeout
+        "exponent": json.dumps(dict(doc, epsilon=EXPONENT)),
         # (k-1)^d = 0 for class 1: a ZeroDivisionError traceback
         "sizes_class_1": json.dumps(dict(doc, family_sizes=dict(sizes, **{"1": 4}))),
         # printed a full weight of -4
@@ -600,8 +607,8 @@ def _hostile_packings(packing_file):
     }
 
 
-HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
-                    "sizes_negative", "sizes_extra_class", "sizes_below_placed",
+HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "exponent",
+                    "sizes_class_1", "sizes_negative", "sizes_extra_class", "sizes_below_placed",
                     "sizes_missing_class", "sizes_class_twice", "words_class_twice",
                     "d_below_1", "no_classes", "class_without_words",
                     "letter_above_k", "letter_zero", "epsilon_at_class_bound",
@@ -613,7 +620,9 @@ HOSTILE_PACKINGS = ["deep", "family_sizes", "zero_denominator", "sizes_class_1",
 def test_hostile_packing_is_bad_input(tmp_path, packing_file, capsys, template, name):
     src = tmp_path / f"{name}.json"
     src.write_text(_hostile_packings(packing_file)[name])
+    start = time.perf_counter()
     assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+    assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "verification failure" not in err
 
@@ -625,6 +634,8 @@ HOSTILE_CONFIGS = {
     "no_cubes": {"d": 3, "cubes": []},
     "short_base": {"d": 2, "cubes": [{"id": 0, "bin": 0, "k": 2, "epsilon": "1/9",
                                       "base": ["0"]}]},
+    "exponent": {"d": 1, "cubes": [{"id": 0, "bin": 0, "k": 2, "epsilon": EXPONENT,
+                                    "base": ["0"]}]},
 }
 GAME_CONFIG_COMMANDS = [*CONFIG_COMMANDS, ("game", "dynamics", "IN", "--out", "OUT")]
 
@@ -634,7 +645,9 @@ GAME_CONFIG_COMMANDS = [*CONFIG_COMMANDS, ("game", "dynamics", "IN", "--out", "O
 def test_hostile_config_is_bad_input(tmp_path, capsys, template, name):
     src = tmp_path / f"{name}.json"
     src.write_text(json.dumps(HOSTILE_CONFIGS[name]))
+    start = time.perf_counter()
     assert run(*_argv(template, src, tmp_path / "out.json")) == 2
+    assert time.perf_counter() - start < 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out.json").exists()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -999,11 +1000,44 @@ def _steps_of_a_run(cfg, policy, seed, mode):
     return steps[1:]  # the first is the screen's set-up
 
 
+@st.composite
+def fine_lattice_configs(draw):
+    """Two to four bins of cubes, the first of each bin on a lattice finer
+    than the sides, as the third under the quarters of the next test is.
+
+    Sides are 1/k for one or two k in 2..4 and M is the lcm of the k.  The
+    first cube of a bin has a base on the lattice 1/L, L = 2M or 3M, and
+    the others on 1/M, so a bin's unit drops from L to a divisor of M when
+    its first cube leaves.
+    """
+    d = draw(st.integers(1, 2))
+    ks = sorted(draw(st.sets(st.integers(2, 4), min_size=1, max_size=2)))
+    fine = draw(st.integers(2, 3))
+    lattice = math.lcm(*ks) * fine
+    items, assignment, positions = [], {}, {}
+    for b in range(draw(st.integers(2, 4))):
+        boxes = []
+        for n in range(draw(st.integers(1, 4))):
+            k = draw(st.sampled_from(ks))
+            q, step = lattice // k, 1 if n == 0 else fine
+            x = tuple(draw(st.integers(0, (lattice - q) // step)) * step for _ in range(d))
+            if all(
+                any(xi + q <= bi or bi + m <= xi for xi, bi in zip(x, base))
+                for base, m in boxes
+            ):
+                boxes.append((x, q))
+                items.append(GameItem(len(items), CubeClass(k, 0, d)))
+                assignment[len(items) - 1] = b
+                positions[len(items) - 1] = tuple(F(xi, lattice) for xi in x)
+    return GameConfig(d, tuple(items), assignment, positions)
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     st.one_of(
         repeated_content_configs(),
         st.integers(0, 2**16).map(lambda seed: next(_start_states(seed, 1))),
+        fine_lattice_configs(),
     ),
     st.integers(0, 2**16),
 )

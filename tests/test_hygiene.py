@@ -399,8 +399,6 @@ def test_every_public_member_is_named():
 # each stays.
 ALLOWED_KNOBS = {
     "packing_from_dict.verify": "passed through read_json by pack verify and pack weight",
-    "build_separated_family.fsets": "public API: rebuilds an implicit family from the "
-                                    "F-sets its family file records",
 }
 
 

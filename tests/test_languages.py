@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 
 from cubepack.languages import (
     ClassCounts,
-    FamilyConstructionError,
     FSets,
     FSetsSamplingError,
     Language,
     SeparatedFamily,
-    Word,
     are_separated,
     build_separated_family,
     core_alphabet,
@@ -33,19 +31,9 @@ from cubepack.languages import (
 )
 
 
-def test_word_validation():
-    w = Word((1, 2, 1), 2)
-    assert w.d == 3
-    with pytest.raises(ValueError):
-        Word((1, 3), 2)
-    with pytest.raises(ValueError):
-        Word((0, 1), 2)
-
-
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Word((True, 2.0), 2),
         lambda: Language(3, 2, f_coords=(1,), core_words=[(True,)]),
         lambda: Language(3, 2, f_coords=(1.7,), core_words=[(1,)]),
         lambda: Language(3, 2, f_coords=(1, 2), core_rules=[(1.0,)]),
@@ -53,7 +41,7 @@ def test_word_validation():
         lambda: count_good_words(3, (1, 2.0), [(1,)]),
         lambda: count_good_words(3, (1, 2), [(True,)]),
     ],
-    ids=["word-letter", "core-bool", "f_coords", "core_rules", "classes",
+    ids=["core-bool", "f_coords", "core_rules", "classes",
          "count-f_coords", "count-j_sets"],
 )
 def test_non_int_letters_and_indices_are_type_errors(build):
@@ -413,6 +401,14 @@ def test_sample_f_sets_records_rejections_at_d8():
     assert fs.rejections > 0  # the mean overlap sits at the threshold
 
 
+def test_sample_f_sets_misses_an_overlap_equal_to_a_whole_threshold():
+    # at d=26 the threshold 7d/26 is 7 itself: seed 0 keeps F_2, then misses
+    # draws sharing 9, 8 and exactly 7 of its elements before one sharing 4
+    fs = sample_f_sets(26, 0, indices=(2, 3))
+    assert fs.threshold == 7 and fs.rejections == 3
+    assert len(fs.sets[2] & fs.sets[3]) == 4
+
+
 def test_sample_f_sets_infeasible_threshold_raises():
     # Two 2-subsets of [1..3] always intersect, threshold 21/26 < 1.
     with pytest.raises(FSetsSamplingError):
@@ -528,9 +524,8 @@ def test_build_family_power_of_two_toy_frozen():
 def test_build_family_enumerate_matches_implicit_counts():
     for seed in range(4):
         enum = build_separated_family(6, (2, 3, 4), seed=seed)
-        impl = build_separated_family(
-            6, (2, 3, 4), seed=seed, mode="implicit", fsets=enum.fsets
-        )
+        impl = build_separated_family(6, (2, 3, 4), seed=seed, mode="implicit")
+        assert impl.fsets == enum.fsets  # both modes draw F-sets from the seed
         assert enum.sizes() == impl.sizes()
         for k in enum.classes:
             for w in enum.languages[k].iter_words():
@@ -572,12 +567,6 @@ def test_build_family_refuses_before_counting_any_class(monkeypatch):
     with pytest.raises(ValueError, match=r"2\^21 inclusion-exclusion terms exceed cap 1048576"):
         build_separated_family(1000, range(2, 35), 0, mode="implicit")
     assert not calls
-
-
-def test_build_family_reports_empty_difference_set():
-    fs = FSets(4, F(3), {2: frozenset({1, 2}), 3: frozenset({1, 2})})
-    with pytest.raises(FamilyConstructionError):
-        build_separated_family(4, (2, 3), seed=0, fsets=fs)
 
 
 @st.composite
@@ -704,14 +693,15 @@ def test_family_separation_word_level_oracle():
 
 def _rebuilt(doc):
     """The family a family file describes: an implicit family rebuilds
-    from its seed and F-sets, an enumerated one from its listed words."""
+    from its seed, which must draw the F-sets the file records, and an
+    enumerated one from its listed words."""
     d, classes = doc["d"], tuple(doc["classes"])
     sets = {int(k): frozenset(v) for k, v in doc["fsets"].items()}
     fsets = FSets(d, F(doc["threshold"]), sets)
     if doc["mode"] == "implicit":
-        return build_separated_family(
-            d, classes, doc["seed"], mode="implicit", fsets=fsets
-        )
+        family = build_separated_family(d, classes, doc["seed"], mode="implicit")
+        assert (family.fsets.threshold, family.fsets.sets) == (fsets.threshold, sets)
+        return family
     langs = {
         entry["k"]: Language(
             entry["k"], d, f_coords=tuple(entry["F"]),
@@ -770,7 +760,6 @@ def _lang(**kw):
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
-        (lambda: Word((1,), 1), ValueError, "class index k must be >= 2"),
         (lambda: Language(1, 2, f_coords=(), core_words=()), ValueError,
          "need k >= 2 and d >= 1"),
         (lambda: Language(3, 2, f_coords=(1, 1), core_words=()), ValueError,
@@ -799,16 +788,12 @@ def _lang(**kw):
          "classes must be >= 2, got 1"),
         (lambda: build_separated_family(4, (2,), 0, mode="lazy"), ValueError,
          "unknown mode 'lazy'"),
-        (lambda: build_separated_family(4, (2, 3), 0,
-                                        fsets=sample_f_sets(4, 0, indices=(2,))),
-         ValueError, "fsets lacks entries for classes [3]"),
     ],
-    ids=["word-k1", "language-k1", "language-f-twice", "language-f-outside",
+    ids=["language-k1", "language-f-twice", "language-f-outside",
          "language-no-core", "language-core-length", "select-negative",
          "sample-empty", "separated-mixed-d", "fsets-outside", "fsets-d0",
          "fsets-indices-twice", "bad-word-misaligned", "good-words-outside-f",
-         "warmup-d1", "family-no-class", "family-class-1", "family-mode",
-         "family-fsets-missing"],
+         "warmup-d1", "family-no-class", "family-class-1", "family-mode"],
 )
 def test_languages_refuse_hostile_arguments(call, error, fragment):
     with pytest.raises(error) as info:
@@ -817,10 +802,48 @@ def test_languages_refuse_hostile_arguments(call, error, fragment):
 
 
 def test_sample_f_sets_gives_up_past_the_draw_cap(monkeypatch):
-    # one draw places F_2; the next draw is past the cap, so F_3 is stuck
+    # one draw places F_2; a second would pass the cap, so F_3 is not drawn
     monkeypatch.setattr("cubepack.languages.F_SETS_DRAW_CAP", 1)
-    with pytest.raises(FSetsSamplingError, match="gave up after 2 draws"):
+    with pytest.raises(FSetsSamplingError, match="gave up after 1 draws"):
         sample_f_sets(4, 0, indices=(2, 3))
+
+
+def test_sample_f_sets_succeeds_at_the_cap_its_draws_reach(monkeypatch):
+    # d=8, seed 1: 8 sets kept and 17 misses, at most 8 in a row, so no
+    # restart and 25 draws; a cap of 25 keeps them, 24 gives up there
+    fs = sample_f_sets(8, 1)
+    assert (len(fs.sets), fs.rejections) == (8, 17)
+    monkeypatch.setattr("cubepack.languages.F_SETS_DRAW_CAP", 25)
+    assert sample_f_sets(8, 1) == fs
+    monkeypatch.setattr("cubepack.languages.F_SETS_DRAW_CAP", 24)
+    with pytest.raises(FSetsSamplingError, match="gave up after 24 draws"):
+        sample_f_sets(8, 1)
+
+
+def test_sample_f_sets_restarts_after_the_misses_in_a_row(monkeypatch):
+    # the draw above misses at most 8 times in a row: 9 misses allowed
+    # keep its prefix, 8 drop it once and draw again from no set, with the
+    # 17 misses before and 9 after the restart counted
+    fs = sample_f_sets(8, 1)
+    monkeypatch.setattr("cubepack.languages.F_SETS_DRAWS_PER_SET", 9)
+    assert sample_f_sets(8, 1) == fs
+    monkeypatch.setattr("cubepack.languages.F_SETS_DRAWS_PER_SET", 8)
+    again = sample_f_sets(8, 1)
+    assert again.rejections == 26 and again.sets != fs.sets
+
+
+def test_sample_f_sets_refuses_more_disjoint_sets_than_fit_before_drawing(monkeypatch):
+    # at d <= 3 the threshold 7d/26 is below 1, so the sets are pairwise
+    # disjoint and at most floor(d / ceil(d/2)) of them fit
+    draws, sample = [], random.Random.sample
+    monkeypatch.setattr(random.Random, "sample",
+                        lambda rng, *args: draws.append(args) or sample(rng, *args))
+    for d, n in ((1, 2), (2, 3), (3, 2)):
+        with pytest.raises(FSetsSamplingError, match="pairwise disjoint"):
+            sample_f_sets(d, 0, indices=range(2, 2 + n))
+    assert not draws
+    assert len(sample_f_sets(2, 0, indices=(2, 3)).sets) == 2
+    assert draws
 
 
 def test_sample_word_draws_a_member():

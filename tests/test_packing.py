@@ -20,7 +20,7 @@ from cubepack.geometry import (
     occupied_volume,
     verify_bin,
 )
-from cubepack.languages import Language, Word, build_separated_family, warmup_family
+from cubepack.languages import Language, build_separated_family, warmup_family
 from cubepack.packing import (
     MATERIALIZE_CAP,
     base_coordinate,
@@ -96,7 +96,7 @@ def test_the_packing_hypothesis_forces_every_gap_inequality():
 
 
 def test_place_word_frozen_example():
-    cube = place_word(Word((2, 3), 3), F(1, 9))
+    cube = place_word(3, (2, 3), F(1, 9))
     assert cube.base == (F(10, 27), F(17, 27))
     assert cube.cls.side == F(10, 27)
     assert verify_bin(Bin(2, (cube,))).bad_cube is None
@@ -107,7 +107,7 @@ def test_builders_make_the_cubes_the_checked_constructor_makes():
     # their cubes must equal the checked ones, with Fraction coordinates,
     # while an outside base is still coerced or rejected
     eps = F(1, 9)
-    built = build_homogeneous(3, 2, eps).bin.cubes + (place_word(Word((2, 3), 3), eps),)
+    built = build_homogeneous(3, 2, eps).bin.cubes + (place_word(3, (2, 3), eps),)
     for cube in built:
         assert cube == PlacedCube(cube.cls, tuple(map(format_rational, cube.base)))
         assert all(type(x) is F for x in cube.base) and len(cube.base) == 2
@@ -120,9 +120,9 @@ def test_builders_make_the_cubes_the_checked_constructor_makes():
 
 def test_place_word_matches_interval_structure():
     eps = F(1, 16)
-    w = Word((1, 4, 2), 4)
-    cube = place_word(w, eps)
-    for i, j in enumerate(w.letters):
+    w = (1, 4, 2)
+    cube = place_word(4, w, eps)
+    for i, j in enumerate(w):
         extent = (cube.base[i], cube.base[i] + cube.cls.side)
         assert extent == (base_coordinate(4, j, eps), end_coordinate(4, j, eps))
 
@@ -147,7 +147,7 @@ def test_class_tables_place_like_base_coordinate(data):
         for k, ws in words.items() for w in ws
     ]
     assert list(placed) == expected
-    assert [place_word(Word(w, k), eps) for k, ws in words.items() for w in ws] == expected
+    assert [place_word(k, w, eps) for k, ws in words.items() for w in ws] == expected
 
 
 @st.composite
@@ -401,8 +401,15 @@ def test_power_of_two_report_large_d_implicit():
          "log_base must be 'natural' or '2', got '10'"),
         (lambda: dense_packing_report(1), ValueError, "need d >= 2, got 1"),
         (lambda: power_of_two_s_prime(1), ValueError, "need d >= 2, got 1"),
+        (lambda: place_word(1, (1,), F(1, 9)), ValueError,
+         "class index k must be an int >= 2, got 1"),
+        (lambda: place_word(2, (True, 2), F(1, 9)), TypeError, "expected int, got bool"),
+        (lambda: place_word(2, (1, 2.0), F(1, 9)), TypeError, "expected int, got float"),
+        (lambda: place_word(2, (1, 3), F(1, 9)), ValueError, "need 1 <= j <= 2, got 3"),
+        (lambda: place_word(2, (0, 1), F(1, 9)), ValueError, "need 1 <= j <= 2, got 0"),
     ],
-    ids=["base-k1", "grid-k1", "log-base", "dense-d1", "power-of-two-d1"],
+    ids=["base-k1", "grid-k1", "log-base", "dense-d1", "power-of-two-d1", "word-k1",
+         "word-letter", "word-letter-float", "word-letter-above-k", "word-letter-zero"],
 )
 def test_packing_refuses_hostile_arguments(call, error, fragment):
     with pytest.raises(error) as info:
