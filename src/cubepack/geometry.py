@@ -19,6 +19,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from functools import cached_property
 from itertools import accumulate, chain, groupby, islice, product, repeat
 from math import lcm, prod
 from operator import itemgetter, lt, or_
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 Rational = Union[int, str, Fraction]
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # an int, or format_rational's "p/q"
@@ -194,7 +195,7 @@ class Bin:
     """
 
     d: int
-    cubes: tuple[PlacedCube, ...] = ()
+    cubes: Sequence[PlacedCube] = ()
     # set only by _factored_bin, which documents it; not a field, so no other Bin has it
     _factors = None
 
@@ -232,20 +233,55 @@ class BinVerification:
         return self.bad_cube is None and self.offending_pair is None
 
 
+class _Cubes(Sequence):
+    """A factored bin's cubes (see _factored_bin), read-only: their count is
+    read off the factors, and they are made on the first read of any cube
+    and kept.  They index, iterate, compare, hash and add as their tuple,
+    so the bin equals and hashes as the plain Bin of it."""
+
+    def __init__(self, d: int, factors) -> None:
+        self._d, self._source = d, factors
+        self._count = sum(len(table) ** d if words is None else len(words)
+                          for _, table, words in factors)
+
+    @cached_property
+    def _tuple(self) -> tuple[PlacedCube, ...]:
+        with _gc_paused(2 * self._count):  # a base tuple and a cube each
+            return tuple(chain.from_iterable(
+                _placed(cls, list(product(table.values(), repeat=self._d)) if words is None
+                        else [tuple(map(table.__getitem__, w)) for w in words])
+                for cls, table, words in self._source))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._tuple[index]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other) -> bool:
+        return self._tuple == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __add__(self, other: tuple) -> tuple:
+        return self._tuple + other
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
+
+
 def _factored_bin(d: int, factors) -> Bin:
     """The bin of the cubes `factors` names, carrying them for verify_bin:
     per class, in cube order, (cls, table, words), a cube at
     map(table.__getitem__, w) per word w, or words None and cubes at
     product(table.values(), repeat=d).  Trusted: every class has dimension d
     and every letter a table entry, so no cube is checked one by one."""
-    counts = [len(table) ** d if words is None else len(words) for _, table, words in factors]
-    with _gc_paused(2 * sum(counts)):  # a base tuple and a cube each
-        cubes = tuple(chain.from_iterable(
-            _placed(cls, list(product(table.values(), repeat=d)) if words is None
-                    else [tuple(map(table.__getitem__, w)) for w in words])
-            for cls, table, words in factors))
     b = object.__new__(Bin)
-    vars(b).update(d=d, cubes=cubes, _factors=factors)
+    vars(b).update(d=d, cubes=_Cubes(d, factors), _factors=factors)
     return b
 
 

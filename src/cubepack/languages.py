@@ -409,8 +409,8 @@ def sample_f_sets(
     all and start again, and past F_SETS_DRAW_CAP draws it gives up.  The
     misses count as rejections, so callers see how hard the constraint
     was.  At d <= 3 the threshold is below 1, so the sets are disjoint and
-    more than floor(d / ceil(d/2)) are refused before any draw; at d >= 4
-    two sets can share 2 ceil(d/2) - d <= 1 < 7d/26 elements.
+    more than floor(d / ceil(d/2)) are a ValueError before any draw; at
+    d >= 4 two sets can share 2 ceil(d/2) - d <= 1 < 7d/26 elements.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
@@ -420,7 +420,7 @@ def sample_f_sets(
         raise ValueError(f"duplicate indices {idx}")
     size = -(-d // 2)
     if threshold <= 1 and len(idx) * size > d:
-        raise FSetsSamplingError(
+        raise ValueError(
             f"threshold {threshold} is infeasible: {len(idx)} pairwise disjoint "
             f"{size}-subsets of [1..{d}] do not fit"
         )

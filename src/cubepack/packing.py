@@ -23,7 +23,6 @@ from .geometry import (
     as_rational,
     expect_type,
     format_rational,
-    occupied_volume,
     verify_bin,
 )
 from .languages import (
@@ -132,7 +131,9 @@ class TypedPacking:
         return self.counts.weight()
 
     def occupied(self) -> Fraction:
-        return occupied_volume(self.bin)
+        """Sum of nu_k times the class-k cube volume: no cube is read."""
+        return sum((CubeClass(k, self.epsilon, self.d).volume * n for k, n in self.nu.items()),
+                   start=Fraction(0))
 
 
 def _typed_packing(d: int, epsilon: Fraction, words: dict, family_sizes: Optional[dict],

@@ -123,6 +123,18 @@ def test_pack_build_lemma_b_degenerate_at_small_d(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().out
 
 
+def test_pack_build_refuses_more_disjoint_f_sets_than_fit_as_bad_input(tmp_path, capsys):
+    # at d=2 the lemma's three classes need three pairwise disjoint
+    # 1-subsets of [1..2]: no draw can meet that, so it is bad input (exit
+    # 2), not a failed certificate (exit 1)
+    out = tmp_path / "p.json"
+    assert run("pack", "build", "--d", 2, "--mode", "lemmaB", "--s-prime", 4,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pairwise disjoint" in err
+    assert not out.exists()
+
+
 def test_pack_build_rejects_zero_per_class_cap(tmp_path, capsys):
     # a cap of 0 wrote a packing with no cubes
     out = tmp_path / "p.json"

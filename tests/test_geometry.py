@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import itertools
+import operator
+import pickle
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -459,10 +461,13 @@ def test_verify_bin_certifies_a_grid_with_no_fraction_call_per_cube(monkeypatch)
 def test_verify_bin_traced_peak_stays_below_the_bin():
     # verify_bin keeps O(n d) per-cube codes and ids; a structure per cube
     # pair, or a tuple per cube and axis, would outgrow the bin itself
+    # (the grid's cubes are made on their first read, so that read is the
+    # bin's size)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         grid = build_homogeneous(6, 6, F(1, 5))  # 15,625 cubes
+        before = tracemalloc.get_traced_memory()[0]
+        grid.bin.cubes[0]
         size = tracemalloc.get_traced_memory()[0] - before
         plain = Bin(6, grid.bin.cubes)  # the same cubes, for the generic kernel
         tracemalloc.reset_peak()
@@ -500,6 +505,58 @@ def test_grid_bin_verifies_as_its_plain_bin_and_the_oracles(factors):
     test_verify_bin_matches_per_cube_and_pairwise_oracles.hypothesis.inner_test(grid)
 
 
+@st.composite
+def word_factors(draw):
+    """(d, factors) for _factored_bin from words: d in 1..3 and one or two
+    classes, each a table of one to three letters at coordinates on the
+    1/12 lattice, some below 0 or past the room, and one to five words over
+    its letters, repeats among them."""
+    d, factors = draw(st.integers(1, 3)), []
+    for k in draw(st.lists(st.integers(2, 5), min_size=1, max_size=2, unique=True)):
+        cls = CubeClass(k, draw(st.sampled_from([F(1, k * k), F(1, 2), F(0)])), d)
+        letters = range(1, draw(st.integers(1, 3)) + 1)
+        table = {j: F(draw(st.integers(-1, 12)), 12) for j in letters}
+        words = tuple(tuple(draw(st.sampled_from(letters)) for _ in range(d))
+                      for _ in range(draw(st.integers(1, 5))))
+        factors.append((cls, table, words))
+    return d, tuple(factors)
+
+
+def _eager_cubes(d, factors) -> tuple[PlacedCube, ...]:
+    """The cubes `factors` names, each made by the checked constructor."""
+    return tuple(PlacedCube(cls, base) for cls, table, words in factors
+                 for base in (itertools.product(table.values(), repeat=d) if words is None
+                              else (tuple(table[j] for j in w) for w in words)))
+
+
+@given(st.one_of(grid_factors().map(lambda f: (f[0].d, ((f[0], dict(enumerate(f[1])), None),))),
+                 word_factors()))
+def test_factored_cubes_are_made_on_first_read_as_an_eager_build(case):
+    # the count is free; the first read makes the eager build's cubes, in
+    # its order, and every later read returns the same objects.  The bin
+    # equals, hashes, prints, grows, pickles and verifies as the plain bin
+    # of them, the witnesses of a failing bin too
+    d, factors = case
+    eager = _eager_cubes(d, factors)
+    plain = Bin(d, eager)
+    fresh = geometry._factored_bin(d, factors)
+    assert verify_bin(fresh) == verify_bin(plain)
+    loaded = pickle.loads(pickle.dumps(fresh))
+    assert loaded == plain and verify_bin(loaded) == verify_bin(plain)
+    b = geometry._factored_bin(d, factors)
+    assert len(b.cubes) == len(b) == len(eager) and "_tuple" not in vars(b.cubes)
+    cubes = list(b.cubes)
+    assert cubes == list(eager) and all(map(operator.is_, cubes, b.cubes))
+    assert [b.cubes[i] for i in range(-len(eager), len(eager))] == list(eager * 2)
+    assert b.cubes[1:] == eager[1:] and b.cubes[::-1] == eager[::-1]
+    cube = PlacedCube(CubeClass(2, F(0), d), (F(1, 2),) * d)
+    assert b.cubes == eager and eager == b.cubes and b.cubes == fresh.cubes
+    assert b.cubes != list(eager) and b.cubes != eager + (cube,)
+    assert b == plain and plain == b and hash(b) == hash(plain)
+    assert repr(b) == repr(plain) and b.cubes + eager == eager + eager
+    assert b.with_cube(cube) == Bin(d, eager + (cube,))
+
+
 def test_grid_bin_keeps_the_product_order():
     cls = CubeClass(4, F(1, 8), 2)
     coords = [i * cls.side for i in range(3)]
@@ -531,13 +588,16 @@ def gc_runs():
 
 @pytest.mark.parametrize("k, d, full", [(6, 6, []), (7, 6, [2])])
 def test_a_grid_is_made_with_the_collector_paused(gc_runs, k, d, full):
-    # 15,625 and 46,656 cubes, each with its base tuple: only a bulk past
-    # 700 * 10 * 10 objects runs a full collection, before it, and the one
-    # young collection after it ages the cubes; left on, the collector ran
-    # over a hundred collections on the larger grid
+    # 15,625 and 46,656 cubes, each with its base tuple, made on the first
+    # read of a cube: only a bulk past 700 * 10 * 10 objects runs a full
+    # collection, before it, and the one young collection after it ages the
+    # cubes; left on, the collector ran over a hundred collections on the
+    # larger grid.  Building the grid and taking its length make no cube
     grid = build_homogeneous(k, d, F(1, k - 1))
+    assert len(grid.bin.cubes) == (k - 1) ** d and gc_runs == []
+    grid.bin.cubes[0]
     assert gc_runs in (full, full + [0])
-    assert gc.isenabled() and len(grid.bin.cubes) == (k - 1) ** d
+    assert gc.isenabled()
 
 
 def test_gc_paused_leaves_the_collector_as_it_was(gc_runs):

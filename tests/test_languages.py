@@ -410,8 +410,9 @@ def test_sample_f_sets_misses_an_overlap_equal_to_a_whole_threshold():
 
 
 def test_sample_f_sets_infeasible_threshold_raises():
-    # Two 2-subsets of [1..3] always intersect, threshold 21/26 < 1.
-    with pytest.raises(FSetsSamplingError):
+    # Two 2-subsets of [1..3] always intersect, threshold 21/26 < 1: no
+    # draw can succeed, so the arguments are refused as bad input
+    with pytest.raises(ValueError):
         sample_f_sets(3, seed=0, indices=(2, 3))
 
 
@@ -839,7 +840,7 @@ def test_sample_f_sets_refuses_more_disjoint_sets_than_fit_before_drawing(monkey
     monkeypatch.setattr(random.Random, "sample",
                         lambda rng, *args: draws.append(args) or sample(rng, *args))
     for d, n in ((1, 2), (2, 3), (3, 2)):
-        with pytest.raises(FSetsSamplingError, match="pairwise disjoint"):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
             sample_f_sets(d, 0, indices=range(2, 2 + n))
     assert not draws
     assert len(sample_f_sets(2, 0, indices=(2, 3)).sets) == 2
